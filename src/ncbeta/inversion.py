@@ -5,13 +5,13 @@ Solving B_{p,q}(x, y) = z follows the pipeline:
 1. invert the boundary-layer model: zeta0 = inv_erfc(2 z) sqrt(2/r);
 2. for small |zeta0|, seed from the transition series x(zeta) or y(zeta),
    improved by the first correction zeta ~ zeta0 + zeta1/r with
-   zeta1 = ln(1 + zeta0 g0)/zeta0 (kept only when it reduces the residual
-   of the target equation);
+   zeta1 = ln(1 + zeta0 g0)/zeta0 (applied whenever the corrected seed
+   stays in the domain; the bracketed Newton guards a poor seed);
    otherwise locate the root of the transition equation
    zeta(.)^2/2 - zeta0^2/2 = 0 on the correct side of the transition point
    (above x0 when zeta0 > 0, below y0 when zeta0 > 0);
 3. polish on the true equation with safeguarded Newton using the analytic
-   derivatives dB/dx and dB/dy.
+   derivatives dB/dx and dB/dy, evaluating B with the reference series.
 """
 
 from __future__ import annotations
@@ -20,15 +20,7 @@ import math
 from dataclasses import dataclass
 
 from ._pseries import ps_eval
-from .asymptotic import (
-    build_frame,
-    f_coeffs,
-    g_coeffs,
-    invert_phi_series,
-    transition_tau,
-    x_zeta_coeffs,
-    y_zeta_coeffs,
-)
+from .asymptotic import build_frame, g_coeffs, x_zeta_coeffs, y_zeta_coeffs
 from .dispatch import evaluate
 from .errors import DomainError, EvaluationError, SeriesInvalidError
 from .kernels import _kummer_m_log, _log_beta_pre, central_beta_cdf, inv_erfc
@@ -147,12 +139,7 @@ def zeta1_correction(problem: InversionProblem, zeta0: float, seed: float) -> fl
         pt = EvalPoint(seed, problem.fixed)
     else:
         pt = EvalPoint(problem.fixed, seed)
-    frame = build_frame(sp, pt)
-    if abs(frame.zeta) >= transition_tau(frame.r):
-        g = g_coeffs(frame, f_coeffs(frame, invert_phi_series(frame)))
-    else:
-        g = g_coeffs(frame)
-    g0 = g[0]
+    g0 = g_coeffs(build_frame(sp, pt))[0]
     u = zeta0 * g0
     if u <= -1.0:
         raise EvaluationError("zeta1 correction undefined: 1 + zeta0 g0 <= 0")
@@ -291,11 +278,7 @@ def invert(problem: InversionProblem) -> InversionResult:
                 corrected = ps_eval(coeffs, zeta0 + z1 / sp.r)
                 ok = (corrected >= 0.0) if problem.unknown == "x" else (0.0 < corrected < 1.0)
                 if ok:
-                    # keep the correction only when it lands closer to the target
-                    raw_res = abs(_residual(_eval_at(problem, seed_raw), z))
-                    cor_res = abs(_residual(_eval_at(problem, corrected), z))
-                    if cor_res < raw_res:
-                        seed = corrected
+                    seed = corrected
             except (EvaluationError, DomainError):
                 pass
         except (SeriesInvalidError, EvaluationError, DomainError):
@@ -325,19 +308,18 @@ def invert(problem: InversionProblem) -> InversionResult:
 
 
 def _eval_at(problem: InversionProblem, v: float):
+    """B at the iterate from the reference series, since Newton cannot settle
+    below the evaluation noise of the faster routes.  Past the series window
+    limit (x of order 2e6) only an asymptotic route answers, through the
+    dispatcher."""
     if problem.unknown == "x":
         pt = EvalPoint(v, problem.fixed)
     else:
         pt = EvalPoint(problem.fixed, v)
-    pair = evaluate(problem.sp, pt, tol=problem.tol)
-    if pair.err_est > 1e-12:
-        # Newton cannot settle below the evaluation noise; upgrade to the
-        # reference series, which resolves everywhere the root search goes
-        try:
-            pair = eval_series(problem.sp, pt)
-        except EvaluationError:
-            pass
-    return pair
+    try:
+        return eval_series(problem.sp, pt)
+    except EvaluationError:
+        return evaluate(problem.sp, pt, tol=problem.tol)
 
 
 def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:

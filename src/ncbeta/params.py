@@ -77,7 +77,7 @@ class ProbabilityPair:
 
     @classmethod
     def from_primary(cls, value: float, primary: str, method: str, err_est: float) -> "ProbabilityPair":
-        v = min(max(value, 0.0), 1.0)
+        v = min(max(float(value), 0.0), 1.0)
         if primary == "b":
             return cls(b=v, bbar=1.0 - v, method=method, err_est=err_est)
         if primary == "bbar":

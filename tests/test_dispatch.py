@@ -44,6 +44,7 @@ class TestEvaluate:
         pair = evaluate(sp, pt)
         assert pair.method == "series"
         assert abs(pair.b - eval_series(sp, pt).b) <= 1e-13
+        assert type(pair.b) is float and type(pair.bbar) is float
 
     def test_boundary_layer_pinned_value(self):
         pair = evaluate(ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787))

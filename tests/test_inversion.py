@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import ncbeta.inversion
 from ncbeta.asymptotic import build_frame
 from ncbeta.dispatch import evaluate
 from ncbeta.errors import DomainError
@@ -171,3 +172,36 @@ class TestInvert:
             res = invert(prob)
             assert abs(res.residual) <= 1e-10 * max(z, 1.0 - z)
             done += 1
+
+    def test_each_newton_step_evaluates_once_through_the_series(self, monkeypatch):
+        calls = {"series": 0, "evaluate": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(ncbeta.inversion, "eval_series", counted("series", ncbeta.inversion.eval_series))
+        monkeypatch.setattr(ncbeta.inversion, "evaluate", counted("evaluate", ncbeta.inversion.evaluate))
+        res = invert(InversionProblem("x", SP, 0.45, 0.4))
+        assert calls["series"] == res.iterations
+        assert calls["evaluate"] == 0
+
+    @pytest.mark.parametrize(
+        "p, q, y, z",
+        [
+            # each once escaped OverflowError or reported a root the oracle refutes
+            (0.5687362607050307, 1974.062430433792, 0.17304240477674843, 0.339319053293856),
+            (1.0707172987874496, 1808.6007469789702, 0.15508083659142946, 0.17745394401862227),
+            (43.159250025714556, 1993.676397350537, 0.18012972403919048, 0.2574311268746888),
+        ],
+    )
+    def test_large_q_small_y_roots_agree_with_scipy(self, p, q, y, z):
+        special = pytest.importorskip("scipy.special")
+        res = invert(InversionProblem("x", ShapeParams(p, q), y, z, tol=1e-10))
+        band = 1e-10 * max(z, 1.0 - z)
+        assert abs(res.residual) <= band
+        oracle = special.ncfdtr(2.0 * p, 2.0 * q, res.value, (q / p) * y / (1.0 - y))
+        assert abs(oracle - z) <= band
