@@ -1,8 +1,16 @@
 """Fixed-order truncated power-series arithmetic on float coefficient arrays.
 
-Orders stay below ~10 everywhere, so the quadratic/cubic coefficient loops
-are irrelevant for cost.  Arrays hold coefficients of u^0, u^1, ... and are
-truncated (never padded semantically) to the requested order.
+Arrays hold coefficients of u^0, u^1, ... and are truncated (never padded
+semantically) to the requested order; orders stay below ~10 everywhere.
+
+One primitive carries the asymptotic coefficients: ``ps_pow`` raises a
+series with a[0] != 0 to a real power by J.C.P. Miller's recurrence (Knuth,
+TAOCP vol. 2, sec. 4.7), which costs O(n^2).  Through Lagrange-Buermann
+inversion it gives both the reversion of w = u sqrt(a(u)),
+
+    [w^k] u(w) = [u^(k-1)] a(u)^(-k/2) / k,
+
+and any series composed with that reversion, without truncated products.
 """
 
 from __future__ import annotations
@@ -24,16 +32,21 @@ def ps_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def ps_recip(a: np.ndarray, n: int) -> np.ndarray:
-    """1/a truncated to order n; requires a[0] != 0."""
-    out = np.zeros(n + 1)
-    out[0] = 1.0 / a[0]
+def ps_pow(a: np.ndarray, alpha: float, n: int) -> np.ndarray:
+    """a^alpha truncated to order n, by Miller's recurrence
+
+        b_0 = a_0^alpha,  k a_0 b_k = sum_{i=1..k} ((alpha+1) i - k) a_i b_{k-i}.
+
+    Requires a[0] != 0, and a[0] > 0 when alpha is not an integer."""
+    a = [float(v) for v in a[: n + 1]]
+    a0 = a[0]
+    b = [a0**alpha]
     for k in range(1, n + 1):
         s = 0.0
         for i in range(1, min(k, len(a) - 1) + 1):
-            s += a[i] * out[k - i]
-        out[k] = -s / a[0]
-    return out
+            s += (alpha * i + (i - k)) * a[i] * b[k - i]  # = ((alpha+1) i - k), exact for small alpha
+        b.append(s / (k * a0))
+    return np.array(b)
 
 
 def ps_sqrt(a: np.ndarray, n: int) -> np.ndarray:
@@ -57,26 +70,17 @@ def ps_int(a: np.ndarray, n: int) -> np.ndarray:
 
 
 def ps_revert(a: np.ndarray, n: int) -> np.ndarray:
-    """Reversion of w = sum_{k>=1} a_k u^k (a[0] = 0, a[1] != 0): returns b
-    with u = sum_{k>=1} b_k w^k to order n."""
-    if a[0] != 0.0:
-        raise ValueError("series reversion requires zero constant term")
-    if a[1] == 0.0:
-        raise ValueError("series reversion requires nonzero linear term")
+    """Inverse of w = u sqrt(a(u)) with a[0] > 0, by Lagrange inversion:
+    returns b with u = sum_{k=1..n} b_k w^k, where
+
+        b_k = [u^(k-1)] a(u)^(-k/2) / k,
+
+    and b[0] = 0.  Coefficients of a beyond index n-1 do not enter."""
+    if not a[0] > 0.0:
+        raise ValueError("series reversion requires a positive constant term a[0]")
     b = np.zeros(n + 1)
-    b[1] = 1.0 / a[1]
-    for k in range(2, n + 1):
-        # coefficient of w^k in sum_m a_m B(w)^m must vanish; powers m >= 2
-        # only involve b_1..b_{k-1}
-        part = b.copy()
-        part[k:] = 0.0
-        acc = 0.0
-        pw = part.copy()
-        for m in range(2, k + 1):
-            pw = ps_mul(pw, part, k)
-            if m < len(a) and a[m] != 0.0:
-                acc += a[m] * pw[k]
-        b[k] = -acc / a[1]
+    for k in range(1, n + 1):
+        b[k] = ps_pow(a, -0.5 * k, k - 1)[k - 1] / k
     return b
 
 

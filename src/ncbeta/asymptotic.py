@@ -6,8 +6,11 @@ The contour representation of the noncentral beta CDF has phase
     p = r cos^2(theta), q = r sin^2(theta), xi = x y / (2 r),
 
 with a saddle point t0 > 1 and a simple pole at t_p = 1/y.  This module
-builds the saddle geometry, inverts the phase transformation numerically as
-a power series, and evaluates three expansions:
+builds the saddle geometry and evaluates three expansions.  Their
+coefficients come from the phase transformation phi(t) - phi(t0) = w^2 / 2,
+written as w = u sqrt(A(u)) with u = t - t0, and inverted by
+Lagrange-Buermann inversion: every coefficient needed is a single
+coefficient of a power of A(u) (see ``_pseries``).  The expansions are
 
 * ``eval_large_z``: large z = x y / 2 with p, q of moderate size (finite and
   exact when q is a positive integer),
@@ -17,7 +20,7 @@ a power series, and evaluates three expansions:
   transition, with the pole subtracted into a complementary error function.
 
 It also provides the transition-series coefficients x(zeta) and y(zeta)
-used to seed inversion.
+used to seed inversion, inverted from zeta^2 = u^2 A(u) in the same way.
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pseries import ps_eval, ps_int, ps_mul, ps_recip, ps_revert, ps_sqrt
+from ._pseries import ps_eval, ps_int, ps_pow, ps_revert, ps_sqrt
 from .errors import DomainError, EvaluationError, FrameDegenerateError, SeriesInvalidError
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 
 TAU_REF = 0.05  # interpolation threshold on zeta at the reference scale r = 40
+ZETA_ORDER = 5  # order of the transition series x(zeta), y(zeta)
 
 _LOG_2PI = 1.8378770664093454835607
 
@@ -74,11 +78,6 @@ class SaddleFrame:
     phi3: float
     phi4: float
     phi5: float
-
-    def phi_deriv(self, k: int) -> float:
-        """k-th derivative of the phase at the saddle, k >= 2."""
-        sgn = 1.0 if k % 2 == 1 else -1.0
-        return sgn * math.gamma(k) * (self.t0 ** (-k) - self.sin2 * (self.t0 - 1.0) ** (-k))
 
     @property
     def erfc_arg(self) -> float:
@@ -156,34 +155,47 @@ def build_frame(sp: ShapeParams, pt: EvalPoint) -> SaddleFrame:
     )
 
 
-def invert_phi_series(frame: SaddleFrame, order: int = 6) -> np.ndarray:
-    """Coefficients t_1..t_order of t = t0 + t1 w + t2 w^2 + ... inverting
-    phi(t) - phi(t0) = w^2 / 2, by numeric series reversion.
-
-    Returns an array ``t`` with t[0] = 0 and t[k] the w^k coefficient."""
-    if order > 6:
-        raise DomainError("phase inversion implemented through order 6")
+def _phase_a(frame: SaddleFrame, n: int) -> np.ndarray:
+    """A_0..A_n of A(u) = 2 sum_{m>=2} phi_m/m! u^(m-2), so that the phase
+    transformation phi(t0 + u) - phi(t0) = w^2 / 2 reads w = u sqrt(A(u))
+    (positive branch: sign(w) = sign(t - t0))."""
     if frame.phi2 <= 0.0:
         raise FrameDegenerateError(
             f"phase not convex at the saddle (phi''={frame.phi2:.3e}); outside the validity strip"
         )
-    n = order
-    # w(u)^2 = 2 sum_{m>=2} phi_m/m! u^m = u^2 * A(u)
-    A = np.zeros(n + 1)
-    for m in range(2, n + 3):
-        coef = 2.0 * frame.phi_deriv(m) / math.gamma(m + 1.0)
-        if m - 2 <= n:
-            A[m - 2] = coef
-    w_over_u = ps_sqrt(A, n)  # sqrt(A), positive branch so sign(w) = sign(t - t0)
-    w_series = np.zeros(n + 1)
-    w_series[1 : n + 1] = w_over_u[: n]
-    return ps_revert(w_series, n)
+    # 2 phi_m/m! = 2 (-1)^(m-1)/m (t0^-m - sin^2 (t0-1)^-m)
+    i0 = 1.0 / frame.t0
+    i1 = 1.0 / (frame.t0 - 1.0)
+    pow0 = i0 * i0
+    pow1 = i1 * i1
+    A = [frame.phi2]
+    for m in range(3, n + 3):
+        pow0 *= i0
+        pow1 *= i1
+        A.append((2.0 if m % 2 else -2.0) / m * (pow0 - frame.sin2 * pow1))
+    return np.array(A)
 
 
-def f_coeffs(frame: SaddleFrame, t_part: np.ndarray, order: int = 4) -> np.ndarray:
-    """Coefficients f_0..f_order of f(w) = [1/(t (1 - y t))] dt/dw as a power
-    series in w at the saddle.  f has a simple pole in w at zeta, so the
-    coefficients blow up when pole and saddle coalesce."""
+def invert_phi_series(frame: SaddleFrame) -> np.ndarray:
+    """Coefficients t_1..t_6 of t = t0 + t1 w + t2 w^2 + ... inverting
+    phi(t) - phi(t0) = w^2 / 2, by Lagrange inversion of w = u sqrt(A(u)):
+    t_k = [u^(k-1)] A^(-k/2) / k.
+
+    Returns an array ``t`` with t[0] = 0 and t[k] the w^k coefficient.  The
+    expansions never need t itself (``f_coeffs`` goes from A to f directly);
+    this stays as the reproduction of the paper's phase inversion."""
+    return ps_revert(_phase_a(frame, 5), 6)
+
+
+def f_coeffs(frame: SaddleFrame) -> np.ndarray:
+    """Coefficients f_0..f_4 of f(w) = h(t) dt/dw as a power series in w at
+    the saddle, h(t) = 1/(t (1 - y t)).  With t = t0 + u and w = u sqrt(A(u)),
+    Lagrange-Buermann inversion gives each coefficient directly:
+
+        f_k = [u^k] h(t0 + u) A(u)^(-(k+1)/2).
+
+    f has a simple pole in w at zeta, so the coefficients blow up when pole
+    and saddle coalesce."""
     y = frame.y
     t0 = frame.t0
     pole = 1.0 - y * t0
@@ -191,22 +203,15 @@ def f_coeffs(frame: SaddleFrame, t_part: np.ndarray, order: int = 4) -> np.ndarr
         raise EvaluationError(
             "pole sits exactly on the saddle; the boundary-layer route must subtract it first"
         )
-    n = order
-    u = t_part.copy()
-    u[0] = 0.0
-    up = np.zeros(n + 1)
-    for k in range(1, min(len(u), n + 2)):
-        if k - 1 <= n:
-            up[k - 1] = k * u[k]
-    # h(t) = 1/(t(1-yt)) expanded about t0: h_m = (-1)^m/t0^{m+1} + y^{m+1}/(1-y t0)^{m+1}
-    H = np.zeros(n + 1)
-    pw = np.zeros(n + 1)
-    pw[0] = 1.0
-    for m in range(0, n + 1):
-        hm = (-1.0) ** m / t0 ** (m + 1) + y ** (m + 1) / pole ** (m + 1)
-        H += hm * pw
-        pw = ps_mul(pw, u, n)
-    return ps_mul(H, up, n)
+    n = 4  # f_0..f_4 carry the expansions through k = 2
+    A = _phase_a(frame, n)
+    # h(t0 + u) = sum_m h_m u^m, h_m = (-1)^m/t0^{m+1} + y^{m+1}/(1-y t0)^{m+1}
+    H = [(-1.0) ** m / t0 ** (m + 1) + y ** (m + 1) / pole ** (m + 1) for m in range(n + 1)]
+    out = np.empty(n + 1)
+    for k in range(n + 1):
+        P = ps_pow(A, -0.5 * (k + 1), k)
+        out[k] = sum(H[i] * P[k - i] for i in range(k + 1))
+    return out
 
 
 def _g_from_f(f_part: np.ndarray, zeta: float) -> np.ndarray:
@@ -218,22 +223,19 @@ def _g_from_f(f_part: np.ndarray, zeta: float) -> np.ndarray:
     return g
 
 
-def g_coeffs(frame: SaddleFrame, f_part: np.ndarray | None = None, tau: float | None = None) -> np.ndarray:
+def g_coeffs(frame: SaddleFrame) -> np.ndarray:
     """Boundary-layer coefficients g_k = f_k - zeta^{-(k+1)}.
 
     The subtraction cancels the pole of f analytically, but numerically both
-    sides blow up like 1/zeta, so for |zeta| < tau the coefficients are
-    interpolated in zeta through bracketing points of the same (p, q, y)
-    family with x shifted along the transition parametrization.  The default
-    tau shrinks like 1/sqrt(r)."""
-    if tau is None:
-        tau = transition_tau(frame.r)
+    sides blow up like 1/zeta, so for |zeta| < tau = transition_tau(r) the
+    coefficients are interpolated in zeta through bracketing points of the
+    same (p, q, y) family with x shifted along the transition
+    parametrization."""
+    tau = transition_tau(frame.r)
     if abs(frame.zeta) >= tau:
-        if f_part is None:
-            f_part = f_coeffs(frame, invert_phi_series(frame))
-        return _g_from_f(f_part, frame.zeta)
+        return _g_from_f(f_coeffs(frame), frame.zeta)
     sp = ShapeParams(frame.p, frame.q)
-    coeffs = x_zeta_coeffs(sp, frame.y, order=5)
+    coeffs = x_zeta_coeffs(sp, frame.y)
     nodes_z = []
     nodes_g = []
     mults = (-1.0, 1.0, -4.0 / 3.0, 4.0 / 3.0, -5.0 / 3.0, 5.0 / 3.0, -2.0, 2.0,
@@ -246,9 +248,8 @@ def g_coeffs(frame: SaddleFrame, f_part: np.ndarray | None = None, tau: float | 
         fr = build_frame(sp, EvalPoint(xz, frame.y))
         if abs(fr.zeta) < 0.9 * tau or not fr.strip_ok:
             continue
-        fp = f_coeffs(fr, invert_phi_series(fr))
         nodes_z.append(fr.zeta)
-        nodes_g.append(_g_from_f(fp, fr.zeta))
+        nodes_g.append(_g_from_f(f_coeffs(fr), fr.zeta))
         if len(nodes_z) == 8:
             break
     if len(nodes_z) < 5:
@@ -377,7 +378,7 @@ def eval_saddle(sp: ShapeParams, pt: EvalPoint, k_terms: int = 2) -> Probability
             f"quantile {pt.y} too close to the transition value {frame.y0:.6g}; "
             "use the erfc-uniform route"
         )
-    f = f_coeffs(frame, invert_phi_series(frame))
+    f = f_coeffs(frame)
     terms = _series_terms(f, frame.r, k_terms)
     ssum = math.fsum(terms)
     if ssum <= 0.0:
@@ -393,7 +394,6 @@ def eval_erfc_uniform(
     pt: EvalPoint,
     k_terms: int = 2,
     target: str = "auto",
-    tau: float | None = None,
 ) -> ProbabilityPair:
     """Boundary-layer expansion, uniformly valid through the transition:
 
@@ -406,9 +406,7 @@ def eval_erfc_uniform(
     if k_terms > 2:
         raise DomainError("erfc-uniform expansion implemented through k = 2")
     frame = build_frame(sp, pt)
-    if tau is None:
-        tau = transition_tau(frame.r)
-    g = g_coeffs(frame, tau=tau)
+    g = g_coeffs(frame)
     terms = _series_terms(g, frame.r, k_terms)
     ssum = math.fsum(terms)
     pfac = math.exp(-frame.r * frame.dphi - 0.5 * (_LOG_2PI + math.log(frame.r)))
@@ -425,7 +423,7 @@ def eval_erfc_uniform(
     if value <= 0.0:
         value = 0.0
     err_abs = pfac * abs(terms[-1])
-    if abs(frame.zeta) < tau:
+    if abs(frame.zeta) < transition_tau(frame.r):
         err_abs += pfac * 3e-8  # interpolation budget on the leading coefficient
     err = err_abs / value + _asym_err_floor(frame) if value > 0.0 else 1.0
     return ProbabilityPair.from_primary(value, primary, "erfc-uniform", err)
@@ -452,14 +450,16 @@ def _t0_series(c: float, xi0: float, xi1: float, n: int) -> np.ndarray:
         den[1] -= xi1
     if den[0] <= 0.0:
         raise SeriesInvalidError("saddle branch degenerates at the transition point")
-    return 2.0 * ps_recip(den, n)
+    return 2.0 * ps_pow(den, -1.0, n)
 
 
-def x_zeta_coeffs(sp: ShapeParams, y: float, order: int = 5) -> np.ndarray:
-    """Coefficients of x = x0 + x1 zeta + ... + x_order zeta^order along the
-    family with fixed (p, q, y); x0 is the transition noncentrality.
+def x_zeta_coeffs(sp: ShapeParams, y: float) -> np.ndarray:
+    """Coefficients of x = x0 + x1 zeta + ... + x5 zeta^5 along the family
+    with fixed (p, q, y); x0 is the transition noncentrality.
 
-    Requires q - r (1-y)^2 > 0 (real linear coefficient); outside that region
+    With u = x - x0, zeta^2 = u^2 A(u) and zeta increases in x, so the
+    coefficients are the Lagrange inversion ``ps_revert(A)``.  Requires
+    q - r (1-y)^2 > 0 (real linear coefficient); outside that region
     inversion falls back to root solving."""
     if not 0.0 < y < 1.0:
         raise DomainError(f"transition series needs 0 < y < 1, got {y}")
@@ -469,70 +469,62 @@ def x_zeta_coeffs(sp: ShapeParams, y: float, order: int = 5) -> np.ndarray:
         raise SeriesInvalidError(
             f"x(zeta) series invalid: q - r(1-y)^2 = {radicand:.3e} <= 0 at y={y}"
         )
-    n = order
+    n = ZETA_ORDER
     x0 = 2.0 * (r * y - p) / (1.0 - y)
     xi1 = y / (2.0 * r)
     xi0 = x0 * xi1
-    T = _t0_series(sp.cos2, xi0, xi1, n + 1)
+    T = _t0_series(sp.cos2, xi0, xi1, n)
     tp = 1.0 / y
-    # psi'(x) = (y / 2r) (tp - t0(x)); psi = zeta^2 / 2
+    # psi'(x) = (y / 2r) (tp - t0(x)); psi = zeta^2 / 2 vanishes to second order at x0
     psip = -(y / (2.0 * r)) * T
     psip[0] += (y / (2.0 * r)) * tp
-    psi = ps_int(psip, n + 2)
-    psi[1] = 0.0  # analytically zero at the transition; clear rounding residue
-    A = 2.0 * psi[2 : n + 3]
+    A = 2.0 * ps_int(psip, n + 1)[2:]
     if A[0] <= 0.0:
         raise SeriesInvalidError("transition curvature not positive; x(zeta) series invalid")
-    zof = np.zeros(n + 1)
-    zof[1:] = ps_sqrt(A, n)[:n]
-    u_of_zeta = ps_revert(zof, n)
-    out = u_of_zeta.copy()
+    out = ps_revert(A, n)
     out[0] = x0
     return out
 
 
-def y_zeta_coeffs(sp: ShapeParams, x: float, order: int = 5) -> np.ndarray:
-    """Coefficients of y = y0 + y1 zeta + ... along the family with fixed
-    (p, q, x); y0 is the transition quantile.  The linear coefficient is
-    negative (zeta decreases in y); always real for x >= 0."""
+def y_zeta_coeffs(sp: ShapeParams, x: float) -> np.ndarray:
+    """Coefficients of y = y0 + y1 zeta + ... + y5 zeta^5 along the family
+    with fixed (p, q, x); y0 is the transition quantile.  With u = y - y0,
+    zeta = -u sqrt(A(u)) decreases in y, so the coefficients are those of
+    ``ps_revert(A)`` with the odd ones negated; always real for x >= 0."""
     if x < 0.0:
         raise DomainError(f"noncentrality must be nonnegative, got {x}")
     p, q, r = sp.p, sp.q, sp.r
-    n = order
+    n = ZETA_ORDER
     y0 = (x + 2.0 * p) / (x + 2.0 * r)
     xi1 = x / (2.0 * r)
     xi0 = y0 * xi1
-    T = _t0_series(sp.cos2, xi0, xi1, n + 1)
+    T = _t0_series(sp.cos2, xi0, xi1, n)
     # psi'(y) = -p/(r y) + q/(r (1-y)) - t0(xi(y)) x/(2r), developed about y0
-    inv_y = np.array([(-1.0) ** k / y0 ** (k + 1) for k in range(n + 2)])
-    inv_1my = np.array([1.0 / (1.0 - y0) ** (k + 1) for k in range(n + 2)])
+    inv_y = np.array([(-1.0) ** k / y0 ** (k + 1) for k in range(n + 1)])
+    inv_1my = np.array([1.0 / (1.0 - y0) ** (k + 1) for k in range(n + 1)])
     psip = -(p / r) * inv_y + (q / r) * inv_1my - (x / (2.0 * r)) * T
-    psi = ps_int(psip, n + 2)
-    psi[1] = 0.0
-    A = 2.0 * psi[2 : n + 3]
+    A = 2.0 * ps_int(psip, n + 1)[2:]
     if A[0] <= 0.0:
         raise SeriesInvalidError("transition curvature not positive; y(zeta) series invalid")
-    zof = np.zeros(n + 1)
-    zof[1:] = -ps_sqrt(A, n)[:n]  # zeta decreasing in y
-    u_of_zeta = ps_revert(zof, n)
-    out = u_of_zeta.copy()
+    out = ps_revert(A, n)
+    out[1::2] = -out[1::2]
     out[0] = y0
     return out
 
 
-def x_of_zeta(sp: ShapeParams, y: float, zeta: float, order: int = 5) -> float:
+def x_of_zeta(sp: ShapeParams, y: float, zeta: float) -> float:
     """Noncentrality on the fixed-(p, q, y) family at signed distance zeta
     from the transition."""
-    v = ps_eval(x_zeta_coeffs(sp, y, order), zeta)
+    v = ps_eval(x_zeta_coeffs(sp, y), zeta)
     if v < 0.0:
         raise SeriesInvalidError(f"x(zeta) series left the domain (x={v:.3e} < 0)")
     return v
 
 
-def y_of_zeta(sp: ShapeParams, x: float, zeta: float, order: int = 5) -> float:
+def y_of_zeta(sp: ShapeParams, x: float, zeta: float) -> float:
     """Quantile on the fixed-(p, q, x) family at signed distance zeta from
     the transition."""
-    v = ps_eval(y_zeta_coeffs(sp, x, order), zeta)
+    v = ps_eval(y_zeta_coeffs(sp, x), zeta)
     if not 0.0 < v < 1.0:
         raise SeriesInvalidError(f"y(zeta) series left the domain (y={v:.3e})")
     return v

@@ -262,12 +262,12 @@ def invert(problem: InversionProblem) -> InversionResult:
     if abs(zeta0) <= ZETA_SERIES_MAX:
         try:
             if problem.unknown == "x":
-                coeffs = x_zeta_coeffs(sp, problem.fixed, order=5)
+                coeffs = x_zeta_coeffs(sp, problem.fixed)
                 seed_raw = ps_eval(coeffs, zeta0)
                 if seed_raw < 0.0:
                     raise SeriesInvalidError("series seed left the domain")
             else:
-                coeffs = y_zeta_coeffs(sp, problem.fixed, order=5)
+                coeffs = y_zeta_coeffs(sp, problem.fixed)
                 seed_raw = ps_eval(coeffs, zeta0)
                 if not 0.0 < seed_raw < 1.0:
                     raise SeriesInvalidError("series seed left the domain")

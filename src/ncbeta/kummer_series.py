@@ -206,11 +206,14 @@ def eval_kummer_series(sp: ShapeParams, pt: EvalPoint, plan: KummerSeriesPlan | 
 
     J = _estimate_terms(p, q, y, plan.tol * 0.01, plan.max_terms)
     z = pt.z
-    if variant == "b-direct":
-        W = _factors_direct(sp.r, p + 1.0, z, J)
-    else:
-        W = _b_factors(p, q, z, J)
-    if np.any(np.isnan(W)):
+    try:
+        if variant == "b-direct":
+            W = _factors_direct(sp.r, p + 1.0, z, J)
+        else:
+            W = _b_factors(p, q, z, J)
+    except OverflowError as exc:
+        raise EvaluationError(f"Kummer factors overflow at (p={p}, q={q}, z={z})") from exc
+    if not np.all(np.isfinite(W)):
         raise EvaluationError(f"Kummer factor generation failed at (p={p}, q={q}, z={z})")
     s, used, tail = _sum_b_series(p, q, y, W, plan.tol)
     if tail < 0.0:

@@ -78,8 +78,9 @@ class ProbabilityPair:
     @classmethod
     def from_primary(cls, value: float, primary: str, method: str, err_est: float) -> "ProbabilityPair":
         v = min(max(float(value), 0.0), 1.0)
+        err = float(err_est)
         if primary == "b":
-            return cls(b=v, bbar=1.0 - v, method=method, err_est=err_est)
+            return cls(b=v, bbar=1.0 - v, method=method, err_est=err)
         if primary == "bbar":
-            return cls(b=1.0 - v, bbar=v, method=method, err_est=err_est)
+            return cls(b=1.0 - v, bbar=v, method=method, err_est=err)
         raise ValueError(f"primary must be 'b' or 'bbar', got {primary!r}")

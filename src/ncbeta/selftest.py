@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .asymptotic import (
+    _g_from_f,
     build_frame,
     eval_erfc_uniform,
     eval_large_z,
@@ -114,6 +115,16 @@ def _relerr(a: float, b: float) -> float:
     return abs(a - b) / scale
 
 
+def _exact_tol(method: str, sp: ShapeParams, pt: EvalPoint) -> float:
+    """Allowed relative distance of an expansion from its exact truncation:
+    machine-grade, except that near the interpolation threshold the
+    coefficient subtraction keeps O(eps/zeta^6 / r^2) rounding."""
+    if method == "large-z":
+        return 1e-13
+    fr = build_frame(sp, pt)
+    return max(1e-13, 30.0 * 2.2e-16 / max(abs(fr.zeta), 1e-2) ** 6 / fr.r**2)
+
+
 def check_expansion_values() -> list[CheckResult]:
     out = []
     for method, terms, p, q, x, y, src, src_err, exact, exact_err in EXPANSION_CASES:
@@ -128,13 +139,7 @@ def check_expansion_values() -> list[CheckResult]:
         vs_exact = _relerr(pair.b, exact)
         source_noise = _relerr(src, exact)
         vs_src = _relerr(pair.b, src)
-        # near the interpolation threshold the coefficient subtraction keeps
-        # O(eps/zeta^6 / r^2) rounding; everywhere else machine-grade applies
-        fr = build_frame(sp, pt) if method != "large-z" else None
-        exact_tol = 1e-13
-        if fr is not None:
-            exact_tol = max(exact_tol, 30.0 * 2.2e-16 / max(abs(fr.zeta), 1e-2) ** 6 / fr.r**2)
-        ok = vs_exact <= exact_tol and vs_src <= max(2e-13, 2.0 * source_noise)
+        ok = vs_exact <= _exact_tol(method, sp, pt) and vs_src <= max(2e-13, 2.0 * source_noise)
         oracle = eval_series(sp, pt)
         true_err = _relerr(pair.b, oracle.b)
         if exact_err == 0.0:
@@ -541,7 +546,7 @@ def check_saddle_coefficients(n: int = 50, seed: int = 3) -> list[CheckResult]:
         t = invert_phi_series(fr)
         for k, closed in enumerate(_closed_t(fr)):
             worst_t = max(worst_t, _relerr(t[k + 1], closed))
-        f = f_coeffs(fr, t)
+        f = f_coeffs(fr)
         worst_f = max(worst_f, _relerr(f[0], _closed_f0(fr)), _relerr(f[2], _closed_f2(fr)))
         done += 1
     ok = worst_t <= 1e-10 and worst_f <= 1e-10
@@ -567,8 +572,8 @@ def check_erfc_saddle_consistency(n: int = 20, seed: int = 13) -> list[CheckResu
         fr = build_frame(sp, pt)
         if not fr.strip_ok or fr.erfc_arg <= 5.0 or pt.y > fr.y0 - 0.05:
             continue
-        f = f_coeffs(fr, invert_phi_series(fr))
-        g = g_coeffs(fr, f)
+        f = f_coeffs(fr)
+        g = _g_from_f(f, fr.zeta)
         s_saddle = math.fsum((-1.0) ** k * f[2 * k] * dfact[k] / fr.r**k for k in range(3))
         s_sub = math.fsum(
             (-1.0) ** k * (g[2 * k] + fr.zeta ** -(2 * k + 1)) * dfact[k] / fr.r**k for k in range(3)
@@ -593,13 +598,13 @@ def check_g_continuity() -> list[CheckResult]:
     sp = ShapeParams(10.0, 15.0)
     y = 0.45
     tau = transition_tau(sp.r)
-    coeffs = x_zeta_coeffs(sp, y, order=5)
+    coeffs = x_zeta_coeffs(sp, y)
     worst = 0.0
     for target in (-0.8 * tau, -0.4 * tau, 0.4 * tau, 0.8 * tau):
         xz = ps_eval(coeffs, target)
         fr = build_frame(sp, EvalPoint(xz, y))
         g_interp = g_coeffs(fr)  # |zeta| < tau selects the interpolation branch
-        g_direct = _g_direct(fr)  # safe here: |zeta| large enough to subtract
+        g_direct = _g_from_f(f_coeffs(fr), fr.zeta)  # safe here: |zeta| large enough to subtract
         worst = max(worst, abs(g_interp[0] - g_direct[0]))
     return [
         CheckResult(
@@ -608,16 +613,6 @@ def check_g_continuity() -> list[CheckResult]:
             f"worst interpolation-vs-direct gap on the leading coefficient {worst:.1e}",
         )
     ]
-
-
-def _g_direct(fr):
-    f = f_coeffs(fr, invert_phi_series(fr))
-    g = f.copy()
-    zp = fr.zeta
-    for k in range(len(g)):
-        g[k] -= 1.0 / zp
-        zp *= fr.zeta
-    return g
 
 
 def check_dispatch_grid(n: int = 500, seed: int = 20260809) -> list[CheckResult]:
@@ -716,7 +711,7 @@ def check_transition_equation(n: int = 50, seed: int = 7) -> list[CheckResult]:
 def check_transition_series() -> list[CheckResult]:
     out = []
     sp = ShapeParams(10.0, 15.0)
-    cx = x_zeta_coeffs(sp, 0.45, order=5)
+    cx = x_zeta_coeffs(sp, 0.45)
     x1_closed = 2.0 * math.sqrt(25.0 * (15.0 - 25.0 * 0.55**2)) / 0.55
     ok = abs(cx[0] - 50.0 / 11.0) < 1e-12 and _relerr(cx[1], x1_closed) < 1e-12
     out.append(
@@ -726,7 +721,7 @@ def check_transition_series() -> list[CheckResult]:
             f"x0 {cx[0]:.12f}, x1 {cx[1]:.10f}",
         )
     )
-    cy = y_zeta_coeffs(sp, 4.5, order=5)
+    cy = y_zeta_coeffs(sp, 4.5)
     ok = abs(cy[0] - 49.0 / 109.0) < 1e-12 and cy[1] < 0.0
     out.append(CheckResult("quantile transition series starts at 49/109 and decreases", ok))
     worst = 0.0

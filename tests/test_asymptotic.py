@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ncbeta._pseries import ps_eval, ps_mul, ps_recip, ps_revert, ps_sqrt
+from ncbeta._pseries import ps_eval, ps_mul, ps_pow, ps_revert, ps_sqrt
 from ncbeta.asymptotic import (
     build_frame,
     eval_erfc_uniform,
@@ -20,21 +22,37 @@ from ncbeta.asymptotic import (
 )
 from ncbeta.errors import DomainError, EvaluationError, SeriesInvalidError
 from ncbeta.params import EvalPoint, ShapeParams
+from ncbeta.selftest import EXPANSION_CASES, _closed_f0, _closed_t, _exact_tol
 from ncbeta.series import eval_series
 
 
-def closed_t(fr):
-    ph2, ph3, ph4, ph5 = fr.phi2, fr.phi3, fr.phi4, fr.phi5
-    return (
-        1.0 / math.sqrt(ph2),
-        -ph3 / (6.0 * ph2**2),
-        (5.0 * ph3**2 - 3.0 * ph2 * ph4) / (72.0 * ph2**3.5),
-        (45.0 * ph4 * ph3 * ph2 - 40.0 * ph3**3 - 9.0 * ph5 * ph2**2) / (1080.0 * ph2**5),
-    )
+def exact_rows(method):
+    """(terms, shape, point, exact truncation) for the pinned rows of one
+    expansion whose exact value holds at machine grade."""
+    rows = []
+    for m, terms, p, q, x, y, _, _, exact, _ in EXPANSION_CASES:
+        sp, pt = ShapeParams(p, q), EvalPoint(x, y)
+        if m == method and _exact_tol(m, sp, pt) <= 1e-13:
+            rows.append((terms, sp, pt, exact))
+    return rows
 
 
-def closed_f0(fr):
-    return (fr.t0 - 1.0) / ((1.0 - fr.y * fr.t0) * math.sqrt(fr.sin2 * fr.t0**2 - (fr.t0 - 1.0) ** 2))
+def compose(a, u, n):
+    """a(u(w)) truncated to order n, by Horner's rule over ps_mul."""
+    out = np.zeros(n + 1)
+    for coef in a[::-1]:
+        out = ps_mul(out, u, n)
+        out[0] += coef
+    return out
+
+
+@st.composite
+def power_series(draw):
+    """(n, a) with a_0 in [0.05, 5] and a_1..a_n in [-2, 2]."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    a0 = draw(st.floats(min_value=0.05, max_value=5.0))
+    rest = draw(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=n, max_size=n))
+    return n, np.array([a0] + rest)
 
 
 def zeta_by_root(sp, fixed, value, unknown):
@@ -45,21 +63,51 @@ def zeta_by_root(sp, fixed, value, unknown):
 
 class TestPowerSeriesHelpers:
     def test_revert_geometric(self):
-        # w = u/(1-u)  <=>  u = w/(1+w)
+        # w = u/(1-u), so A = (1-u)^-2 = 1 + 2u + 3u^2 + ...  <=>  u = w/(1+w)
         n = 6
-        a = np.array([0.0] + [1.0] * n)
+        a = np.arange(1.0, n + 2.0)
         b = ps_revert(a, n)
         expect = np.array([0.0] + [(-1.0) ** (k - 1) for k in range(1, n + 1)])
         assert np.allclose(b, expect, atol=1e-14)
+
+    def test_revert_rejects_nonpositive_constant(self):
+        for a0 in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                ps_revert(np.array([a0, 1.0, 1.0]), 4)
 
     def test_sqrt_recip_mul(self):
         n = 5
         a = np.array([4.0, 4.0, 1.0])  # (2 + u)^2
         s = ps_sqrt(a, n)
         assert np.allclose(s[:3], [2.0, 1.0, 0.0], atol=1e-14)
-        r = ps_recip(a, n)
+        r = ps_pow(a, -1.0, n)
         prod = ps_mul(a, r, n)
         assert np.allclose(prod, [1.0] + [0.0] * n, atol=1e-14)
+
+    @settings(max_examples=200, deadline=None)
+    @given(power_series())
+    def test_revert_inverts_the_map(self, case):
+        # u = ps_revert(a) must satisfy u^2 a(u) = w^2 through order n + 1;
+        # the residual is scaled by the same sum over |coefficients|
+        n, a = case
+        u = ps_revert(a, n)
+        lhs = ps_mul(ps_mul(u, u, n + 1), compose(a, u, n + 1), n + 1)
+        au = np.abs(u)
+        scale = ps_mul(ps_mul(au, au, n + 1), compose(np.abs(a), au, n + 1), n + 1)
+        expect = np.zeros(n + 2)
+        expect[2] = 1.0
+        assert np.all(np.abs(lhs - expect) <= 1e-14 * scale + 1e-300)  # floor: underflow
+
+    @settings(max_examples=200, deadline=None)
+    @given(power_series(), st.floats(min_value=-3.0, max_value=3.0))
+    def test_pow_reciprocal_powers(self, case, alpha):
+        n, a = case
+        pos, neg = ps_pow(a, alpha, n), ps_pow(a, -alpha, n)
+        prod = ps_mul(pos, neg, n)
+        scale = ps_mul(np.abs(pos), np.abs(neg), n)
+        expect = np.zeros(n + 1)
+        expect[0] = 1.0
+        assert np.all(np.abs(prod - expect) <= 1e-13 * scale + 1e-300)
 
 
 class TestFrame:
@@ -91,10 +139,9 @@ class TestPhaseInversion:
         n = 6
         A = np.zeros(n + 1)
         A[0] = 0.8  # w^2 = 0.8 u^2: linear map
-        w = np.zeros(n + 1)
-        w[1:] = ps_sqrt(A, n)[:n]
-        t = ps_revert(w, n)
-        assert np.allclose(t[2:5], 0.0, atol=1e-15)
+        t = ps_revert(A, n)
+        assert abs(t[1] - 1.0 / math.sqrt(0.8)) <= 1e-15
+        assert np.all(t[2:] == 0.0)
 
     def test_closed_forms_on_frames(self):
         rng = np.random.default_rng(3)
@@ -108,7 +155,7 @@ class TestPhaseInversion:
             if not fr.strip_ok or abs(1.0 - y * fr.t0) < 1e-3:
                 continue
             t = invert_phi_series(fr)
-            for k, closed in enumerate(closed_t(fr)):
+            for k, closed in enumerate(_closed_t(fr)):
                 assert abs(t[k + 1] - closed) <= 1e-10 * max(abs(closed), 1e-10)
             done += 1
 
@@ -118,15 +165,15 @@ class TestPhaseInversion:
         assert abs(t[2] - (-fr.phi3 / (6.0 * fr.phi2**2))) <= 1e-12 * abs(t[2])
         fr = build_frame(ShapeParams(20.0, 20.0), EvalPoint(140.0, 0.9))
         t = invert_phi_series(fr)
-        _, _, _, t4c = closed_t(fr)
+        _, _, _, t4c = _closed_t(fr)
         assert abs(t[4] - t4c) <= 1e-10 * abs(t4c)
 
 
 class TestFCoefficients:
     def test_f0_closed_form(self):
         fr = build_frame(ShapeParams(10.0, 10.0), EvalPoint(250.0, 0.9))
-        f = f_coeffs(fr, invert_phi_series(fr))
-        assert abs(f[0] - closed_f0(fr)) <= 1e-10 * abs(closed_f0(fr))
+        f = f_coeffs(fr)
+        assert abs(f[0] - _closed_f0(fr)) <= 1e-10 * abs(_closed_f0(fr))
 
     def test_near_pole_blowup(self):
         sp = ShapeParams(10.0, 15.0)
@@ -138,7 +185,7 @@ class TestFCoefficients:
             fr = build_frame(sp, EvalPoint(4.5, y))
             y = 1.0 / fr.t0
         fr = build_frame(sp, EvalPoint(4.5, y + 1e-5))
-        f = f_coeffs(fr, invert_phi_series(fr))
+        f = f_coeffs(fr)
         assert abs(f[0]) > 1e3
 
 
@@ -146,34 +193,27 @@ class TestGCoefficients:
     def test_formula_branch(self):
         fr = build_frame(ShapeParams(20.0, 20.0), EvalPoint(250.0, 0.922))
         assert abs(fr.zeta) > transition_tau(fr.r)
-        f = f_coeffs(fr, invert_phi_series(fr))
-        g = g_coeffs(fr, f)
+        f = f_coeffs(fr)
+        g = g_coeffs(fr)
         assert abs(g[0] - (f[0] - 1.0 / fr.zeta)) <= 1e-14 * max(1.0, abs(g[0]))
 
     def test_interpolation_continuity(self):
         sp = ShapeParams(10.0, 15.0)
         tau = transition_tau(sp.r)
-        coeffs = x_zeta_coeffs(sp, 0.45, order=5)
+        coeffs = x_zeta_coeffs(sp, 0.45)
         for target in (-0.8 * tau, 0.8 * tau):
             xz = ps_eval(coeffs, target)
             fr = build_frame(sp, EvalPoint(xz, 0.45))
             g_int = g_coeffs(fr)
-            f = f_coeffs(fr, invert_phi_series(fr))
+            f = f_coeffs(fr)
             g_dir = f[0] - 1.0 / fr.zeta
             assert abs(g_int[0] - g_dir) <= 1e-6
 
 
 class TestLargeZ:
-    CASES = [
-        (5, 2.3, 3.5, 54.0, 0.8640, 0.2760082728547706),
-        (4, 5.0, 5.0, 54.0, 0.8640, 0.4563026193369792),
-        (4, 5.0, 5.0, 140.0, 0.9000, 0.1041334930397555),
-        (5, 2.3, 3.5, 250.0, 0.9000, 0.0005034732632828640),
-    ]
-
     def test_pinned_values(self):
-        for terms, p, q, x, y, ref in self.CASES:
-            pair = eval_large_z(ShapeParams(p, q), EvalPoint(x, y), n_terms=terms)
+        for terms, sp, pt, ref in exact_rows("large-z"):
+            pair = eval_large_z(sp, pt, n_terms=terms)
             assert abs(pair.b - ref) <= 1e-13 * ref
 
     def test_integer_q_is_exact(self):
@@ -198,8 +238,8 @@ class TestLargeZ:
 
 class TestSaddle:
     def test_pinned_values(self):
-        for (x, ref) in [(100.0, 5.341313347397197e-33), (250.0, 3.252685735589340e-60)]:
-            pair = eval_saddle(ShapeParams(30.0, 30.0), EvalPoint(x, 0.1))
+        for terms, sp, pt, ref in exact_rows("saddle"):
+            pair = eval_saddle(sp, pt, k_terms=terms)
             assert abs(pair.b - ref) <= 1e-13 * ref
 
     def test_redirect_near_transition(self):
@@ -211,15 +251,8 @@ class TestSaddle:
 
 class TestErfcUniform:
     def test_pinned_values(self):
-        # references are the exact k<=2 truncations recomputed at 60 digits
-        # (the published 16-digit values carry up to ~2.5e-12 of their own
-        # coefficient noise near the transition)
-        for (p, q, x, y, ref) in [
-            (10.0, 10.0, 54.0, 0.8686, 0.91877905831663297),
-            (20.0, 20.0, 54.0, 0.8787, 0.99986765737982508),
-            (20.0, 20.0, 140.0, 0.9000, 0.99259750416392814),
-        ]:
-            pair = eval_erfc_uniform(ShapeParams(p, q), EvalPoint(x, y), target="B")
+        for terms, sp, pt, ref in exact_rows("erfc-uniform"):
+            pair = eval_erfc_uniform(sp, pt, k_terms=terms, target="B")
             assert abs(pair.b - ref) <= 1e-13 * ref
 
     def test_works_through_transition(self):
@@ -233,21 +266,21 @@ class TestErfcUniform:
 class TestTransitionSeries:
     def test_x_leading_coefficients(self):
         sp = ShapeParams(10.0, 15.0)
-        c = x_zeta_coeffs(sp, 0.45, order=5)
+        c = x_zeta_coeffs(sp, 0.45)
         assert abs(c[0] - 50.0 / 11.0) <= 1e-13
         x1_closed = 2.0 * math.sqrt(25.0 * (15.0 - 25.0 * 0.55**2)) / 0.55
         assert abs(c[1] - x1_closed) <= 1e-12 * x1_closed
 
     def test_y_leading_coefficient(self):
         sp = ShapeParams(10.0, 15.0)
-        c = y_zeta_coeffs(sp, 4.5, order=5)
+        c = y_zeta_coeffs(sp, 4.5)
         assert abs(c[0] - 49.0 / 109.0) <= 1e-13
         assert c[1] < 0.0
 
     def test_higher_coefficients_against_finite_differences(self):
         # the defining map zeta(x, y) is the oracle for the expansion
         sp = ShapeParams(10.0, 15.0)
-        cx = x_zeta_coeffs(sp, 0.45, order=5)
+        cx = x_zeta_coeffs(sp, 0.45)
         h = 1e-3
 
         def x_root(zt):
@@ -262,7 +295,7 @@ class TestTransitionSeries:
 
         x2_fd = (x_root(h) + x_root(-h) - 2.0 * cx[0]) / (2.0 * h * h)
         assert abs(cx[2] - x2_fd) <= 1e-4 * abs(x2_fd)
-        cy = y_zeta_coeffs(sp, 4.5, order=5)
+        cy = y_zeta_coeffs(sp, 4.5)
 
         def y_root(zt):
             lo, hi = (1e-6, cy[0]) if zt > 0 else (cy[0], 1.0 - 1e-9)
@@ -295,7 +328,7 @@ class TestTransitionSeries:
     def test_radicand_precondition(self):
         # q - r (1-y)^2 < 0 at small y here
         with pytest.raises(SeriesInvalidError):
-            x_zeta_coeffs(ShapeParams(10.0, 10.0), 0.1, order=5)
+            x_zeta_coeffs(ShapeParams(10.0, 10.0), 0.1)
 
     def test_out_of_domain_result_rejected(self):
         # a large negative zeta drives the noncentrality below zero

@@ -99,6 +99,17 @@ class TestBatch:
         assert rows[1][4].startswith("0.4563026193369")
         assert rows[4][6].startswith("error:")
 
+    def test_route_failure_does_not_abort(self, tmp_path, capsys):
+        # the second row overflows the Kummer factors and must fall back
+        src = tmp_path / "in.csv"
+        src.write_text("p,q,x,y\n5,5,54,0.8640\n0.86226,485.544,84263.1,0.014963\n10,15,4.5,0.45\n")
+        dst = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval")
+        assert code == 0
+        rows = list(csv.reader(dst.open()))
+        assert len(rows) == 4
+        assert [r[6] for r in rows[1:]] == ["series", "series", "series"]
+
     def test_invert_ops(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         src.write_text("p,q,x,y,z\n10,15,,0.45,0.5\n")

@@ -45,6 +45,15 @@ class TestEvaluate:
         assert pair.method == "series"
         assert abs(pair.b - eval_series(sp, pt).b) <= 1e-13
         assert type(pair.b) is float and type(pair.bbar) is float
+        assert type(pair.err_est) is float
+
+    def test_kummer_overflow_falls_back_to_series(self):
+        # the direct Kummer factors overflow math.exp here
+        sp, pt = ShapeParams(0.86226, 485.544), EvalPoint(84263.1, 0.014963)
+        assert explain(sp, pt).route == "kummer-series"
+        pair = evaluate(sp, pt)
+        assert pair.method == "series"
+        assert pair == eval_series(sp, pt)
 
     def test_boundary_layer_pinned_value(self):
         pair = evaluate(ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787))
