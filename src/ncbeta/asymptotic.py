@@ -15,7 +15,8 @@ coefficient of a power of A(u) (see ``_pseries``).  The expansions are
 * ``eval_large_z``: large z = x y / 2 with p, q of moderate size (finite and
   exact when q is a positive integer),
 * ``eval_saddle``: plain saddle-point expansion, valid for y below the
-  transition quantile y0,
+  transition quantile y0 (the paper's form, kept as reproduction: the
+  dispatcher uses the uniform expansion, which reduces to it there),
 * ``eval_erfc_uniform``: boundary-layer form valid uniformly through the
   transition, with the pole subtracted into a complementary error function.
 
@@ -34,7 +35,7 @@ from ._pseries import ps_eval, ps_int, ps_pow, ps_revert, ps_sqrt
 from .errors import DomainError, EvaluationError, FrameDegenerateError, SeriesInvalidError
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 
-TAU_REF = 0.05  # interpolation threshold on zeta at the reference scale r = 40
+TAU_REF = 0.05  # pole-removal threshold on zeta at the reference scale r = 40
 ZETA_ORDER = 5  # order of the transition series x(zeta), y(zeta)
 
 _LOG_2PI = 1.8378770664093454835607
@@ -42,13 +43,12 @@ _LOG_2PI = 1.8378770664093454835607
 
 def transition_tau(r: float) -> float:
     """|zeta| below which the boundary-layer coefficients switch from the
-    direct subtraction to interpolation.
+    direct subtraction g_k = f_k - zeta^{-(k+1)} to the analytic removal of
+    the pole (``g_coeffs``).
 
-    The subtraction g_k = f_k - zeta^{-(k+1)} keeps rounding noise of order
-    eps / (zeta^6 r^2) on the k = 2 term of the expansion, so the switch
-    point that holds that noise at ~1e-8 shrinks like r^{-1/3}.  A smaller
-    tau also keeps the interpolation nodes close in parameter space, which
-    the interpolation accuracy needs."""
+    The direct subtraction keeps rounding noise of order eps / (zeta^6 r^2)
+    on the k = 2 term of the expansion, so the switch point that holds that
+    noise at ~1e-8 shrinks like r^{-1/3}."""
     return min(TAU_REF, 0.094 / r ** (1.0 / 3.0))
 
 
@@ -138,6 +138,8 @@ def build_frame(sp: ShapeParams, pt: EvalPoint) -> SaddleFrame:
     xi = pt.z / r
     D = (c - xi) * (c - xi) + 4.0 * xi
     t0 = 2.0 / (math.sqrt(D) + (c - xi))
+    if not t0 > 1.0:  # t0 > 1 in exact arithmetic; at huge xi it rounds to 1
+        raise FrameDegenerateError(f"saddle rounds onto the branch point t = 1 at x={x}, y={y}")
     tp = 1.0 / y
     y0 = (x + 2.0 * p) / (x + 2.0 * r)
     x0 = 2.0 * (r * y - p) / (1.0 - y)
@@ -224,51 +226,36 @@ def _g_from_f(f_part: np.ndarray, zeta: float) -> np.ndarray:
 
 
 def g_coeffs(frame: SaddleFrame) -> np.ndarray:
-    """Boundary-layer coefficients g_k = f_k - zeta^{-(k+1)}.
+    """Boundary-layer coefficients g_k = f_k - zeta^{-(k+1)}, k = 0..4.
 
-    The subtraction cancels the pole of f analytically, but numerically both
-    sides blow up like 1/zeta, so for |zeta| < tau = transition_tau(r) the
-    coefficients are interpolated in zeta through bracketing points of the
-    same (p, q, y) family with x shifted along the transition
-    parametrization."""
-    tau = transition_tau(frame.r)
-    if abs(frame.zeta) >= tau:
+    The subtraction cancels the pole of f, but both sides blow up like
+    1/zeta, so for |zeta| < tau = transition_tau(r) the pole is removed
+    analytically.  With u_p = t_p - t0 and P_k = A^(-(k+1)/2), zeta = u_p
+    sqrt(A(u_p)) gives zeta^{-(k+1)} = u_p^{-(k+1)} P_k(u_p), which cancels
+    the pole part y/(1 - y t) = 1/(u_p - u) of h term by term:
+
+        g_k = sum_{i<=k} (-1)^i t0^{-(i+1)} P_k[k-i] - sum_{m>=0} P_k[k+1+m] u_p^m.
+
+    The tail converges geometrically in |u_p| / (t0 - 1), the distance to
+    the branch point t = 1 (Temme, Asymptotic Methods for Integrals, 2015,
+    uniform expansions with a pole near the saddle)."""
+    if abs(frame.zeta) >= transition_tau(frame.r):
         return _g_from_f(f_coeffs(frame), frame.zeta)
-    sp = ShapeParams(frame.p, frame.q)
-    coeffs = x_zeta_coeffs(sp, frame.y)
-    nodes_z = []
-    nodes_g = []
-    mults = (-1.0, 1.0, -4.0 / 3.0, 4.0 / 3.0, -5.0 / 3.0, 5.0 / 3.0, -2.0, 2.0,
-             7.0 / 3.0, 8.0 / 3.0, 3.0, -7.0 / 3.0)
-    for mult in mults:
-        target = mult * tau
-        xz = ps_eval(coeffs, target)
-        if xz < 0.0:
-            continue
-        fr = build_frame(sp, EvalPoint(xz, frame.y))
-        if abs(fr.zeta) < 0.9 * tau or not fr.strip_ok:
-            continue
-        nodes_z.append(fr.zeta)
-        nodes_g.append(_g_from_f(f_coeffs(fr), fr.zeta))
-        if len(nodes_z) == 8:
-            break
-    if len(nodes_z) < 5:
-        raise FrameDegenerateError(
-            f"cannot bracket the transition at (p={frame.p}, q={frame.q}, y={frame.y})"
-        )
-    out = np.empty(len(nodes_g[0]))
-    for k in range(len(out)):
-        out[k] = _neville(nodes_z, [g[k] for g in nodes_g], frame.zeta)
+    t0 = frame.t0
+    up = frame.tp - t0
+    rho = abs(up) / (t0 - 1.0)
+    # enough tail terms for rho^m < 1e-16, at most 40: the check below rejects the rest
+    n = 4 + (2 + math.ceil(37.0 / -math.log(rho)) if 0.0 < rho < 0.4 else 40)
+    A = _phase_a(frame, n)
+    out = np.empty(5)
+    for k in range(5):
+        P = ps_pow(A, -0.5 * (k + 1), n)
+        tail_terms = P[k + 1 :] * up ** np.arange(n - k)
+        tail = math.fsum(tail_terms)
+        if not abs(tail_terms[-1]) < 1e-16 * abs(tail):
+            raise FrameDegenerateError(f"pole-removal tail of g_{k} not converged (|u_p|/(t0-1) = {rho:.3g})")
+        out[k] = sum((-1.0) ** i / t0 ** (i + 1) * P[k - i] for i in range(k + 1)) - tail
     return out
-
-
-def _neville(xs, ys, x):
-    n = len(xs)
-    tab = list(ys)
-    for lvl in range(1, n):
-        for i in range(n - lvl):
-            tab[i] = ((x - xs[i + lvl]) * tab[i] + (xs[i] - x) * tab[i + 1]) / (xs[i] - xs[i + lvl])
-    return tab[0]
 
 
 # ---------------------------------------------------------------------------
@@ -401,17 +388,23 @@ def eval_erfc_uniform(
         Bbar = erfc(-zeta sqrt(r/2))/2 - e^{-r zeta^2/2}/sqrt(2 pi r) * S
         S ~ sum_k (-1)^k g_{2k} (2k-1)!! / r^k
 
-    ``target`` picks the member computed directly ("B", "Bbar", or "auto"
-    for the smaller one, y vs the transition quantile)."""
+    Past the boundary layer it reduces to the plain saddle series, so it
+    serves the whole large-r strip.  ``target`` picks the member computed
+    directly ("B", "Bbar", or "auto" for the smaller one, y vs the
+    transition quantile)."""
+    return _erfc_uniform(build_frame(sp, pt), k_terms, target)
+
+
+def _erfc_uniform(frame: SaddleFrame, k_terms: int = 2, target: str = "auto") -> ProbabilityPair:
+    """``eval_erfc_uniform`` on a frame already built (the dispatcher's)."""
     if k_terms > 2:
         raise DomainError("erfc-uniform expansion implemented through k = 2")
-    frame = build_frame(sp, pt)
     g = g_coeffs(frame)
     terms = _series_terms(g, frame.r, k_terms)
     ssum = math.fsum(terms)
     pfac = math.exp(-frame.r * frame.dphi - 0.5 * (_LOG_2PI + math.log(frame.r)))
     if target == "auto":
-        target = "B" if pt.y <= frame.y0 else "Bbar"
+        target = "B" if frame.y <= frame.y0 else "Bbar"
     if target == "B":
         value = 0.5 * math.erfc(frame.erfc_arg) + pfac * ssum
         primary = "b"
@@ -422,9 +415,11 @@ def eval_erfc_uniform(
         raise DomainError(f"target must be 'auto', 'B' or 'Bbar', got {target!r}")
     if value <= 0.0:
         value = 0.0
-    err_abs = pfac * abs(terms[-1])
-    if abs(frame.zeta) < transition_tau(frame.r):
-        err_abs += pfac * 3e-8  # interpolation budget on the leading coefficient
+    # first omitted term: the last one, or t_{K-1}^2/t_{K-2} when the last coefficient nears a zero
+    tail = abs(terms[-1])
+    if k_terms >= 2 and terms[-3] != 0.0:
+        tail = max(tail, terms[-2] * terms[-2] / abs(terms[-3]))
+    err_abs = pfac * tail
     err = err_abs / value + _asym_err_floor(frame) if value > 0.0 else 1.0
     return ProbabilityPair.from_primary(value, primary, "erfc-uniform", err)
 

@@ -4,8 +4,10 @@ The route policy, in order:
 
 * boundaries (y = 0, y = 1) are exact,
 * x = 0 is the central incomplete beta,
-* large r = p + q inside the validity strip goes to the asymptotic routes
-  (plain saddle deep in the tail, erfc-uniform otherwise),
+* large r = p + q inside the validity strip goes to the erfc-based uniform
+  expansion, which holds through the transition and reduces to the plain
+  saddle series past it; the frame built to decide this is the one the
+  route evaluates on,
 * large z = x y / 2 with small p, q goes to the large-z expansion,
 * small y goes to the Kummer-function series,
 * everything else to the reference series.
@@ -20,20 +22,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .asymptotic import build_frame, eval_erfc_uniform, eval_large_z, eval_saddle
-from .errors import DomainError, EvaluationError
+from .asymptotic import SaddleFrame, _erfc_uniform, build_frame, eval_large_z
+from .errors import DomainError, EvaluationError, FrameDegenerateError
 from .kernels import central_beta_cdf
 from .kummer_series import eval_kummer_series
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 from .series import eval_series
 
-R_MIN_ASYMPTOTIC = 40.0  # smallest r routed to the saddle-based expansions
+R_MIN_ASYMPTOTIC = 40.0  # smallest r routed to the erfc-uniform expansion
 Z_MIN_LARGEZ = 40.0  # smallest z routed to the large-z expansion
 PQ_MAX_LARGEZ = 10.0  # largest p, q the large-z expansion accepts
 Y_MAX_LARGEZ = 0.95  # the large-z expansion needs y away from 1
 Y_MAX_KUMMER = 0.2  # largest y routed to the Kummer series
-SADDLE_MARGIN = 0.05  # distance below y0 required for the plain saddle
-SADDLE_MIN_ERFC_ARG = 8.0  # boundary-layer term negligible past this
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,7 @@ class MethodChoice:
     route: str
     primary_target: str  # "B" | "Bbar"
     rationale: str
+    frame: SaddleFrame | None = None  # the saddle geometry an asymptotic route runs on
 
 
 def _primary(sp: ShapeParams, pt: EvalPoint) -> str:
@@ -59,15 +60,11 @@ def explain(sp: ShapeParams, pt: EvalPoint) -> MethodChoice:
     if sp.r >= R_MIN_ASYMPTOTIC:
         try:
             frame = build_frame(sp, pt)
-        except DomainError:
+        except (DomainError, FrameDegenerateError):
             frame = None
         if frame is not None and frame.strip_ok:
-            if pt.y <= frame.y0 - SADDLE_MARGIN and frame.erfc_arg >= SADDLE_MIN_ERFC_ARG:
-                return MethodChoice(
-                    "saddle", primary, f"r={sp.r:g} large and the pole is far from the saddle"
-                )
             return MethodChoice(
-                "erfc-uniform", primary, f"r={sp.r:g} large; uniform through the transition"
+                "erfc-uniform", primary, f"r={sp.r:g} large; uniform through the transition", frame
             )
     if pt.z >= Z_MIN_LARGEZ and sp.p <= PQ_MAX_LARGEZ and sp.q <= PQ_MAX_LARGEZ and pt.y <= Y_MAX_LARGEZ:
         return MethodChoice("large-z", primary, f"z={pt.z:g} large with small shape parameters")
@@ -76,7 +73,9 @@ def explain(sp: ShapeParams, pt: EvalPoint) -> MethodChoice:
     return MethodChoice("series", primary, "defining series converges comfortably")
 
 
-def _run_route(route: str, sp: ShapeParams, pt: EvalPoint, primary: str, tol: float) -> ProbabilityPair:
+def _run_route(
+    route: str, sp: ShapeParams, pt: EvalPoint, primary: str, tol: float, frame: SaddleFrame | None
+) -> ProbabilityPair:
     if route == "boundary":
         value = 0.0 if pt.y == 0.0 else 1.0
         return ProbabilityPair.from_primary(value, "b", "boundary", 0.0)
@@ -86,10 +85,8 @@ def _run_route(route: str, sp: ShapeParams, pt: EvalPoint, primary: str, tol: fl
             return ProbabilityPair.from_primary(v, "b", "central", 5e-15)
         v = central_beta_cdf(sp.q, sp.p, 1.0 - pt.y)
         return ProbabilityPair.from_primary(v, "bbar", "central", 5e-15)
-    if route == "saddle":
-        return eval_saddle(sp, pt)
     if route == "erfc-uniform":
-        return eval_erfc_uniform(sp, pt)
+        return _erfc_uniform(frame, target=primary)
     if route == "large-z":
         return eval_large_z(sp, pt)
     if route == "kummer-series":
@@ -107,7 +104,7 @@ def evaluate(sp: ShapeParams, pt: EvalPoint, tol: float = 1e-12) -> ProbabilityP
         raise DomainError(f"tol must be positive, got {tol}")
     choice = explain(sp, pt)
     try:
-        return _run_route(choice.route, sp, pt, choice.primary_target, tol)
+        return _run_route(choice.route, sp, pt, choice.primary_target, tol, choice.frame)
     except EvaluationError:
         if choice.route == "series":
             raise

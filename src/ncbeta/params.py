@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -67,7 +68,8 @@ class ProbabilityPair:
 
     One member is computed by the tagged method, the other is set to one
     minus it, so b + bbar == 1 holds exactly.  ``err_est`` is a relative
-    error estimate for the computed (primary) member.
+    error estimate for the computed (primary) member; a subnormal member
+    carries its lost precision, ulp(v) / v, in it.
     """
 
     b: float
@@ -79,6 +81,8 @@ class ProbabilityPair:
     def from_primary(cls, value: float, primary: str, method: str, err_est: float) -> "ProbabilityPair":
         v = min(max(float(value), 0.0), 1.0)
         err = float(err_est)
+        if 0.0 < v < sys.float_info.min:
+            err += math.ulp(v) / v
         if primary == "b":
             return cls(b=v, bbar=1.0 - v, method=method, err_est=err)
         if primary == "bbar":

@@ -10,6 +10,7 @@ from ncbeta.selftest import (
     check_complement_identity,
     check_derivatives,
     check_dispatch_grid,
+    check_dispatch_policy,
     check_erfc_saddle_consistency,
     check_expansion_values,
     check_four_term_sweep,
@@ -72,7 +73,7 @@ def test_criterion_4_inversion():
 def test_criterion_5_invariant_suites():
     """Structural identities: complement, monotonicity, oracle bridges,
     recurrence residuals, analytic derivatives, closed-form coefficients,
-    expansion consistency, boundary-layer continuity."""
+    expansion consistency, boundary-layer continuity, route policy."""
     _run(
         "invariant suites",
         [
@@ -88,6 +89,7 @@ def test_criterion_5_invariant_suites():
             check_kummer_series_identity,
             check_transition_equation,
             check_transition_series,
+            check_dispatch_policy,
         ],
         10.0,
     )

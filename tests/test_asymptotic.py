@@ -1,5 +1,7 @@
+import dataclasses
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ from ncbeta.asymptotic import (
     y_of_zeta,
     y_zeta_coeffs,
 )
-from ncbeta.errors import DomainError, EvaluationError, SeriesInvalidError
+from ncbeta.errors import DomainError, EvaluationError, FrameDegenerateError, SeriesInvalidError
 from ncbeta.params import EvalPoint, ShapeParams
 from ncbeta.selftest import EXPANSION_CASES, _closed_f0, _closed_t, _exact_tol
 from ncbeta.series import eval_series
@@ -53,6 +55,33 @@ def power_series(draw):
     a0 = draw(st.floats(min_value=0.05, max_value=5.0))
     rest = draw(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=n, max_size=n))
     return n, np.array([a0] + rest)
+
+
+def g_reference(p, q, x, y):
+    """g_0..g_4 from the definition f_k - zeta^{-(k+1)} in 60-digit
+    arithmetic.  Every constant is an mpf: a float 2/3 would leave 1e-17
+    relative noise, which zeta^-5 amplifies past the float result."""
+    with mp.workdps(60):
+        p, q, x, y = (mp.mpf(v) for v in (p, q, x, y))
+        r = p + q
+        c, s, xi = p / r, q / r, x * y / (2 * r)
+        t0 = 2 / (mp.sqrt((c - xi) ** 2 + 4 * xi) + c - xi)
+        tp = 1 / y
+
+        def phi(t):
+            return mp.log(t) - s * mp.log(t - 1) + xi * t
+
+        zeta = mp.sign(tp - t0) * mp.sqrt(2 * (phi(tp) - phi(t0)))
+        A = [2 * (-1) ** (m - 1) / mp.mpf(m) * (t0**-m - s * (t0 - 1) ** -m) for m in range(2, 7)]
+        out = []
+        for k in range(5):
+            al = -mp.mpf(k + 1) / 2
+            P = [A[0] ** al]  # Miller's recurrence for A^al
+            for j in range(1, k + 1):
+                P.append(sum((al * i + i - j) * A[i] * P[j - i] for i in range(1, j + 1)) / (j * A[0]))
+            H = [(-1) ** i / t0 ** (i + 1) + y ** (i + 1) / (1 - y * t0) ** (i + 1) for i in range(k + 1)]
+            out.append(float(sum(H[i] * P[k - i] for i in range(k + 1)) - zeta ** -(k + 1)))
+        return out
 
 
 def zeta_by_root(sp, fixed, value, unknown):
@@ -133,6 +162,12 @@ class TestFrame:
         with pytest.raises(DomainError):
             build_frame(ShapeParams(3.0, 4.0), EvalPoint(1.0, 0.0))
 
+    def test_saddle_rounding_to_branch_point_rejected(self):
+        # xi ~ 1e9: t0 = 1 + O(1e-10) rounds to 1, where the phase has its branch point
+        sp = ShapeParams(781.9311283576282, 498.0331145429488)
+        with pytest.raises(FrameDegenerateError):
+            build_frame(sp, EvalPoint(1439534073903.5244, 0.37628435451196307))
+
 
 class TestPhaseInversion:
     def test_pure_quadratic_higher_coefficients_vanish(self):
@@ -197,17 +232,47 @@ class TestGCoefficients:
         g = g_coeffs(fr)
         assert abs(g[0] - (f[0] - 1.0 / fr.zeta)) <= 1e-14 * max(1.0, abs(g[0]))
 
-    def test_interpolation_continuity(self):
+    def test_pole_removal_continuity(self):
         sp = ShapeParams(10.0, 15.0)
         tau = transition_tau(sp.r)
         coeffs = x_zeta_coeffs(sp, 0.45)
         for target in (-0.8 * tau, 0.8 * tau):
             xz = ps_eval(coeffs, target)
             fr = build_frame(sp, EvalPoint(xz, 0.45))
-            g_int = g_coeffs(fr)
+            g_removed = g_coeffs(fr)
             f = f_coeffs(fr)
             g_dir = f[0] - 1.0 / fr.zeta
-            assert abs(g_int[0] - g_dir) <= 1e-6
+            assert abs(g_removed[0] - g_dir) <= 1e-10
+
+    def test_against_mpmath_through_transition(self):
+        rng = np.random.default_rng(11)
+        frames = 0
+        while frames < 40:
+            p = math.exp(rng.uniform(math.log(5.0), math.log(2000.0)))
+            q = math.exp(rng.uniform(math.log(5.0), math.log(2000.0)))
+            y = rng.uniform(0.05, 0.95)
+            sp = ShapeParams(p, q)
+            if sp.r < 40.0 or q - sp.r * (1.0 - y) ** 2 <= 0.0:
+                continue
+            coeffs = x_zeta_coeffs(sp, y)
+            tau = transition_tau(sp.r)
+            for target in (1e-3, -1e-3, 0.5 * tau, -0.5 * tau, 0.95 * tau, -0.95 * tau):
+                x = ps_eval(coeffs, target)
+                fr = build_frame(sp, EvalPoint(x, y)) if x >= 0.0 else None
+                if fr is None or not fr.strip_ok or abs(fr.zeta) >= tau:
+                    continue
+                g = g_coeffs(fr)
+                for gk, ref in zip(g, g_reference(p, q, x, y)):
+                    assert abs(gk - ref) <= 1e-11 * max(abs(ref), 1.0)
+                frames += 1
+
+    def test_unconverged_pole_removal_rejected(self):
+        # pole moved outside (ratio 2) or to the edge (0.9) of the disc |u| < t0 - 1
+        fr = build_frame(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.5))
+        for ratio in (2.0, 0.9):
+            moved = dataclasses.replace(fr, zeta=0.0, tp=fr.t0 + ratio * (fr.t0 - 1.0))
+            with pytest.raises(FrameDegenerateError):
+                g_coeffs(moved)
 
 
 class TestLargeZ:

@@ -40,7 +40,13 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "--p", "30", "--q", "30", "--x", "100", "--y", "0.1",
                                "--method", "explain")
         assert code == 0
-        assert out.split()[0] == "saddle"
+        assert out.split()[0] == "erfc-uniform"
+
+    def test_evaluation_failure_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--p", "781.9311283576282", "--q", "498.0331145429488",
+                                 "--x", "1439534073903.5244", "--y", "0.37628435451196307")
+        assert code == 3
+        assert out == "" and err.startswith("error:")
 
     def test_invalid_flags_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--p", "-1", "--q", "5", "--x", "1", "--y", "0.5")
@@ -109,6 +115,18 @@ class TestBatch:
         rows = list(csv.reader(dst.open()))
         assert len(rows) == 4
         assert [r[6] for r in rows[1:]] == ["series", "series", "series"]
+
+    def test_evaluation_failure_is_an_error_row(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("p,q,x,y\n781.9311283576282,498.0331145429488,1439534073903.5244,0.37628435451196307\n"
+                       "10,15,4.5,0.45\n")
+        dst = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval")
+        assert code == 0
+        rows = list(csv.reader(dst.open()))
+        assert len(rows) == 3
+        assert rows[1][6].startswith("error:")
+        assert rows[2][6] == "series"
 
     def test_invert_ops(self, tmp_path, capsys):
         src = tmp_path / "in.csv"

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import ncbeta.asymptotic
+import ncbeta.dispatch
 from ncbeta.dispatch import evaluate, explain
-from ncbeta.errors import DomainError
+from ncbeta.errors import DomainError, EvaluationError
 from ncbeta.params import EvalPoint, ShapeParams
 from ncbeta.series import eval_series
 
@@ -17,7 +19,7 @@ class TestExplain:
 
     def test_documented_routes(self):
         assert explain(ShapeParams(10.0, 15.0), EvalPoint(4.5, 0.45)).route == "series"
-        assert explain(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1)).route == "saddle"
+        assert explain(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1)).route == "erfc-uniform"
         assert explain(ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9)).route == "large-z"
         assert explain(ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787)).route == "erfc-uniform"
 
@@ -59,6 +61,34 @@ class TestEvaluate:
         pair = evaluate(ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787))
         assert pair.method == "erfc-uniform"
         assert abs(pair.b - 0.9998676573798253) <= 1e-11
+
+    def test_frame_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(sp, pt):
+            calls.append(pt)
+            return ncbeta.asymptotic.build_frame(sp, pt)
+
+        monkeypatch.setattr(ncbeta.dispatch, "build_frame", counted)
+        pair = evaluate(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1))
+        assert pair.method == "erfc-uniform"
+        assert len(calls) == 1
+
+    def test_saddle_rounding_to_branch_point_is_an_evaluation_error(self):
+        # the frame is degenerate and the series window is far too long
+        sp = ShapeParams(781.9311283576282, 498.0331145429488)
+        pt = EvalPoint(1439534073903.5244, 0.37628435451196307)
+        assert explain(sp, pt).route == "series"
+        with pytest.raises(EvaluationError):
+            evaluate(sp, pt)
+
+    def test_err_est_honest_where_a_coefficient_nears_zero(self):
+        # g_4 sits near a zero here, so the last kept term understates the error
+        sp = ShapeParams(165.63569065889928, 48.425949590332024)
+        pt = EvalPoint(380.96000809916194, 0.08540478599351288)
+        ev = evaluate(sp, pt)
+        orc = eval_series(sp, pt)
+        assert abs(ev.b - orc.b) / orc.b <= 2.0 * ev.err_est
 
     def test_invalid_tolerance(self):
         with pytest.raises(DomainError):

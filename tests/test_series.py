@@ -31,6 +31,12 @@ class TestEvalSeries:
         pair = eval_series(SP, EvalPoint(50.0 / 11.0, 0.45))
         assert abs(pair.b - 0.50952) <= 5e-5
 
+    def test_subnormal_value_reports_precision_loss(self):
+        # only ~16 mantissa bits remain at 3.5e-319
+        pair = eval_series(ShapeParams(347.2, 34.98), EvalPoint(245.9, 0.1207))
+        assert 0.0 < pair.b < 1e-318
+        assert pair.err_est >= 1e-5
+
     def test_complement_structure(self):
         pair = eval_series(SP, EvalPoint(4.5, 0.45))
         assert pair.b + pair.bbar == 1.0
