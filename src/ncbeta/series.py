@@ -10,6 +10,13 @@ recursion for the decaying I_y(p+j, q) sequence, forward increments for the
 growing complement sequence), which is orders of magnitude cheaper than a
 continued fraction per term and equally accurate.
 
+Each member sums only a window whose dropped mass is bounded a priori: up
+to an upper Poisson cutoff, and from a lower edge set by the Chernoff bound
+on the Poisson tail, so the cost grows as sqrt(x), not x.  A member's
+relative ``err_est`` adds the mass dropped below the window, a bound on the
+tail above it, and a rounding floor that grows with p + q and with the log
+of the incomplete-beta prefactor the terms are built on.
+
 This module also houses the notation bridges used as independent
 cross-checks: the type-II q-function double series and the noncentral F
 mapping.
@@ -23,34 +30,81 @@ import numpy as np
 
 from ._jit import kernel
 from .errors import DomainError, EvaluationError
-from .kernels import _betainc, _betainc_scaled, _log_beta_pre
+from .kernels import _betainc, _betainc_scaled, _log_beta_pre, _stirling_delta
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 
 MAX_WINDOW_TERMS = 1_000_000
-
-
-def poisson_window(x: float) -> tuple[int, int]:
-    """Summation window [0, j_hi] of the mixture series: the upper cutoff
-    keeps every Poisson weight above 1e-18 of the peak (half-width
-    w = 10*sqrt(x/2) + 30 above the mean); the lower edge stays at zero
-    because the summand can peak at low j when the central terms decay
-    faster than the weights grow."""
-    half = 0.5 * x
-    w = 10.0 * math.sqrt(half) + 30.0
-    return 0, int(math.ceil(half + w))
+TAIL_LOG = 39.2  # ln(1e17): a dropped Poisson tail stays below 1e-17 of the kept sum
 
 
 @kernel
-def _central_terms_minimal(p, q, y, j_lo, j_hi, anchor):
+def _upper_edge(half):
+    """Upper summation cutoff: every Poisson weight past it lies below 1e-18
+    of the peak (half-width 10*sqrt(x/2) + 30 above the mean)."""
+    return int(math.ceil(half + 10.0 * math.sqrt(half) + 30.0))
+
+
+@kernel
+def _lower_edge(half, log_mass):
+    """Largest j_lo whose Chernoff bound P(J < j_lo) <= exp(-(h - j_lo)^2 / 2h),
+    h = x/2, stays below exp(-log_mass)."""
+    return max(int(math.floor(half - math.sqrt(2.0 * half * log_mass))), 0)
+
+
+def poisson_window(x: float) -> tuple[int, int]:
+    """Summation window [j_lo, j_hi] of the mixture series for Poisson mass
+    alone: past j_hi every weight lies below 1e-18 of the peak, and the
+    Chernoff bound puts less than e^-39.2 (about 1e-17) of the mass below
+    j_lo.  The B member lowers that edge by its own summand scale (to zero
+    when its terms decay so fast that the summand peaks at low j); both
+    members add the dropped mass to their ``err_est``."""
+    half = 0.5 * x
+    return _lower_edge(half, TAIL_LOG), _upper_edge(half)
+
+
+@kernel
+def _log_poisson(half, j):
+    """log of the Poisson weight e^-h h^j / j! at h = x/2, for j near h.
+    Below j = 20 the weight itself is formed (j! is exact there); above, the
+    Stirling form j log(h/j) + (j - h) - log(2 pi j)/2 - delta(j) keeps its
+    terms small, where the plain j log h - h - lgamma(j + 1) loses
+    ~1e-16 * h log h to the rounding of its large terms."""
+    if j < 20:
+        return math.log(math.exp(-half) * half**j / math.gamma(j + 1.0))
+    return (
+        j * math.log1p((half - j) / j)
+        + (j - half)
+        - 0.5 * math.log(6.283185307179586476925287 * j)
+        - _stirling_delta(float(j))
+    )
+
+
+@kernel
+def _rounding_floor(n, pq, log_mag):
+    """Relative rounding error of a member sum of n terms built on one
+    incomplete-beta prefactor exp(lpre), with shape sum pq (p + q plus the
+    anchor index) and log magnitude log_mag.  In units of u = 1.12e-16 (the
+    unit roundoff, rounded up): the ratio-product drift of the term and
+    weight recursions (2u a term), and the absolute error of lpre, which
+    grows as u * (p + q) from the rounded arguments of its p- and q-sized
+    multiples and as u * |lpre| from the rounding of its large terms and of
+    exp; 3e-15 covers the continued fraction.  Fitted to 40-digit mpmath on
+    the 6953 series members of eval-mixed seeds 1 and 2 with values above
+    1e-290: the worst true error is 0.95 of this floor."""
+    return 3e-15 + 1.12e-16 * (2.0 * n + 2.0 * pq + 3.0 * abs(log_mag))
+
+
+@kernel
+def _central_terms_minimal(p, q, y, j_lo, j_hi, anchor, anchor_value):
     """I_y(p+j, q) for j = j_lo..j_hi.
 
     The sequence is minimal for the three-term recurrence in increasing j,
     so the term ratios are generated by downward recursion.  The ratio seed
     comes from two continued-fraction values at the top of the window; if
     those underflow, a trial seed at j_hi + 40 is used instead (the decay of
-    the sequence then swamps the seed error).  Values are rebuilt around an
-    anchor evaluated directly, which pins the relative accuracy near the
-    anchor index."""
+    the sequence then swamps the seed error).  Values are rebuilt around the
+    anchor, whose value I_y(p + anchor, q) the caller passes in; that pins
+    the relative accuracy near the anchor index."""
     n = j_hi - j_lo + 1
     out = np.empty(n)
     if y <= 0.0:
@@ -78,7 +132,7 @@ def _central_terms_minimal(p, q, y, j_lo, j_hi, anchor):
         j -= 1
         if j < j_hi:
             rho[j - j_lo] = r
-    out[anchor - j_lo] = _betainc(p + anchor, q, y)
+    out[anchor - j_lo] = anchor_value
     for j in range(anchor, j_hi):
         out[j - j_lo + 1] = out[j - j_lo] * rho[j - j_lo]
     for j in range(anchor, j_lo, -1):
@@ -87,14 +141,16 @@ def _central_terms_minimal(p, q, y, j_lo, j_hi, anchor):
 
 
 @kernel
-def _poisson_weights(half, j0, n):
+def _poisson_weights(half, j0, n, j_lo, lw0):
+    """Poisson weights for j = j_lo..j_lo+n-1, recursed outward from j0,
+    whose log weight lw0 the caller passes in."""
     wgt = np.empty(n)
-    lw0 = j0 * math.log(half) - half - math.lgamma(j0 + 1.0)
-    wgt[j0] = math.exp(lw0)
-    for j in range(j0, 0, -1):
-        wgt[j - 1] = wgt[j] * j / half
-    for j in range(j0, n - 1):
-        wgt[j + 1] = wgt[j] * half / (j + 1.0)
+    k0 = j0 - j_lo
+    wgt[k0] = math.exp(lw0)
+    for k in range(k0, 0, -1):
+        wgt[k - 1] = wgt[k] * (j_lo + k) / half
+    for k in range(k0, n - 1):
+        wgt[k + 1] = wgt[k] * half / (j_lo + k + 1.0)
     return wgt
 
 
@@ -102,28 +158,38 @@ def _poisson_weights(half, j0, n):
 def _member_b(p, q, x, y):
     """B by the Poisson-weighted series over the decaying terms I_y(p+j, q).
 
-    The window runs from j = 0 (the summand peaks at low j when the central
-    terms decay faster than the Poisson weights grow, so the lower Poisson
-    cutoff would discard the dominant mass for small quantiles) up to the
-    upper Poisson cutoff, beyond which both factors decay.
+    The window runs up to the upper Poisson cutoff, beyond which both factors
+    decay.  Its lower edge comes from the Chernoff bound: every dropped term
+    is at most I_y(p, q) <= 1 and the kept sum is at least its summand at the
+    Poisson mode j0, so the edge drops mass below e^-39.2 of w_j0 I_y(p+j0, q).
+    When the central terms decay faster than the weights grow, the summand
+    peaks at low j, that product is tiny, and the edge stays at zero.  The
+    err_est includes the dropped mass and the upper tail.
 
     Returns (value, relative error estimate)."""
     half = 0.5 * x
     if half == 0.0:
-        return _betainc(p, q, y), 5e-15
-    w = 10.0 * math.sqrt(half) + 30.0
-    j_hi = int(math.ceil(half + w))
-    n = j_hi + 1
-    if n > MAX_WINDOW_TERMS:
+        v = _betainc(p, q, y)
+        return v, _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0)
+    j_hi = _upper_edge(half)
+    if j_hi + 1 > MAX_WINDOW_TERMS:
         return math.nan, math.nan
-    j0 = min(max(int(half + 0.5), 0), j_hi)
-    wgt = _poisson_weights(half, j0, n)
-    terms = _central_terms_minimal(p, q, y, 0, j_hi, j0)
-    if terms[j0] < 2.3e-308 and y > 0.0:
+    j0 = min(int(half + 0.5), j_hi)
+    lw0 = _log_poisson(half, j0)
+    anchor = j0
+    i_anchor = _betainc(p + j0, q, y)
+    if not i_anchor >= 2.3e-308:
         # the value at the Poisson peak underflows or is subnormal (only a
-        # few mantissa bits); the summand mass then sits at low j, so anchor
-        # at j = 0, whose term bounds the whole member from above
-        terms = _central_terms_minimal(p, q, y, 0, j_hi, 0)
+        # few mantissa bits); the summand mass then sits at low j, so keep
+        # the whole window and anchor at j = 0, whose term bounds the member
+        j_lo = 0
+        anchor = 0
+        i_anchor = _betainc(p, q, y)
+    else:
+        j_lo = _lower_edge(half, TAIL_LOG - lw0 - math.log(i_anchor))
+    n = j_hi - j_lo + 1
+    wgt = _poisson_weights(half, j0, n, j_lo, lw0)
+    terms = _central_terms_minimal(p, q, y, j_lo, j_hi, anchor, i_anchor)
     s = 0.0
     comp = 0.0
     for k in range(n):
@@ -132,12 +198,13 @@ def _member_b(p, q, x, y):
         t = s + yv
         comp = (t - s) - yv
         s = t
-    rup = half / (j_hi + 2.0)
-    tail = wgt[n - 1] * terms[n - 1] * rup / (1.0 - rup) if rup < 1.0 else math.inf
     if s <= 0.0:
         return 0.0, 1e-15
-    # the floor tracks the ratio-product drift of the term generator
-    return s, tail / s + 3e-15 + n * 1.2e-16
+    rup = half / (j_hi + 1.0)
+    tail = wgt[n - 1] * terms[n - 1] * rup / (1.0 - rup)
+    if j_lo > 0:
+        tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half))
+    return s, tail / s + _rounding_floor(n, p + q + anchor, math.log(i_anchor))
 
 
 @kernel
@@ -147,77 +214,95 @@ def _member_complement(p, q, x, y):
     These terms grow toward 1, so the summand can keep growing well past
     the Poisson cutoff; the window extends to the product peak (where the
     weight decay finally beats the term growth) plus a Poisson-width margin.
-    Terms are generated by the exact increment recursion, run in a scaled
-    regime when the increments sit near the underflow threshold.
+    Below the Poisson lower edge the terms are at most the first kept one,
+    so the dropped mass is at most P(J < j_lo) times it.  Terms are
+    generated by the exact increment recursion from a direct value at
+    p + j_lo, run in a scaled regime when the increments sit near the
+    underflow threshold.  The err_est includes the dropped mass and the
+    upper tail.
 
     Returns (value, relative error estimate)."""
     half = 0.5 * x
     if half == 0.0:
-        return _betainc(q, p, 1.0 - y), 5e-15
-    w = 10.0 * math.sqrt(half) + 30.0
-    j_hi0 = int(math.ceil(half + w))
-    # damped fixed point for the summand peak: weight ratio * term-growth = 1
-    jstar = float(j_hi0)
-    for _ in range(80):
-        grow = y * (p + q + jstar) / (p + jstar + 1.0)
-        jn = half * grow
-        if abs(jn - jstar) < 1.0:
-            jstar = max(jn, jstar)
-            break
-        jstar = 0.5 * (jstar + jn)
-    j_end = int(max(float(j_hi0), math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0)))
-    n = j_end + 1
-    if n > MAX_WINDOW_TERMS:
+        v = _betainc(q, p, 1.0 - y)
+        return v, _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0)
+    # summand peak: the weight ratio h/(j+1) times the term growth
+    # y(p+q+j)/(p+j+1) equals one, the positive root of
+    # j^2 + (p + 1 - hy) j - hy (p + q) = 0
+    hy = half * y
+    b = p + 1.0 - hy
+    c = hy * (p + q)
+    disc = math.sqrt(b * b + 4.0 * c)
+    jstar = 2.0 * c / (b + disc) if b > 0.0 else 0.5 * (disc - b)
+    j_end = max(_upper_edge(half), int(math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0)))
+    if j_end + 1 > MAX_WINDOW_TERMS:
         return math.nan, math.nan
-    ld0 = _log_beta_pre(p, q, y) - math.log(p)
-    ld = ld0
-    ldmax = ld0
-    for j in range(1, n):
-        ld += math.log(y * (p + q + j - 1.0) / (p + j))
-        if ld > ldmax:
-            ldmax = ld
+    j_lo = _lower_edge(half, TAIL_LOG)
+    n = j_end - j_lo + 1
+    lp = p + j_lo
+    ld_lo = _log_beta_pre(lp, q, y) - math.log(lp)
+    # the increments d_j = exp(ld_j) are unimodal: their ratio
+    # y(p+q+j-1)/(p+j) crosses one at jpk
+    jpk = (y * (p + q - 1.0) - p) / (1.0 - y)
+    jc = min(max(jpk, float(j_lo)), float(j_end))
+    ldmax = ld_lo
+    jf = math.floor(jc)
+    if jf > j_lo:
+        ldmax = max(ldmax, _log_beta_pre(p + jf, q, y) - math.log(p + jf))
+    if jc > jf:
+        ldmax = max(ldmax, _log_beta_pre(p + jf + 1.0, q, y) - math.log(p + jf + 1.0))
     # scale when the increment profile starts or peaks near the underflow
     # threshold; increments more than ~700 below the peak contribute nothing
-    shift = ldmax if (ldmax < -650.0 or ld0 < -640.0) else 0.0
+    shift = ldmax if (ldmax < -650.0 or ld_lo < -640.0) else 0.0
     if shift != 0.0:
-        g = _betainc_scaled(q, p, 1.0 - y, shift)
+        g = _betainc_scaled(q, lp, 1.0 - y, shift)
         if g == math.inf:
             # the anchor dwarfs every increment; the unscaled path is exact
             # enough because the increments are then negligible
             shift = 0.0
-            g = _betainc(q, p, 1.0 - y)
+            g = _betainc(q, lp, 1.0 - y)
     else:
-        g = _betainc(q, p, 1.0 - y)
+        g = _betainc(q, lp, 1.0 - y)
+    g_lo = g
     # keep the chain out of the subnormal range (below e^-708 doubles carry
     # too few bits and a near-zero start poisons every later increment)
-    d = math.exp(ld0 - shift) if ld0 - shift > -700.0 else 0.0
-    ld = ld0
-    j0 = min(max(int(half + 0.5), 0), j_end)
-    wgt = _poisson_weights(half, j0, n)
+    d = math.exp(ld_lo - shift) if ld_lo - shift > -700.0 else 0.0
+    ld = ld_lo
+    j0 = min(max(int(half + 0.5), j_lo), j_end)
+    wgt = _poisson_weights(half, j0, n, j_lo, _log_poisson(half, j0))
     s = 0.0
     comp = 0.0
-    last = 0.0
-    for j in range(n):
-        if j > 0:
+    for k in range(n):
+        if k > 0:
+            j = j_lo + k
             g = g + d
-            ld += math.log(y * (p + q + j - 1.0) / (p + j))
-            d = d * y * (p + q + j - 1.0) / (p + j)
-            if d == 0.0 and ld - shift > -700.0:
-                # the chain was flushed while the profile sat below the
-                # normal range but is climbing back; re-anchor it exactly
-                d = math.exp(_log_beta_pre(p + j, q, y) - math.log(p + j) - shift)
-        last = wgt[j] * g
-        yv = last - comp
+            ratio = y * (p + q + j - 1.0) / (p + j)
+            if d != 0.0:
+                d = d * ratio
+            elif j <= jpk:
+                # the chain starts flushed below the normal range and the
+                # profile is still climbing: follow it in logs and re-anchor
+                # exactly once it is back (past jpk it only falls)
+                ld += math.log(ratio)
+                if ld - shift > -700.0:
+                    d = math.exp(_log_beta_pre(p + j, q, y) - math.log(p + j) - shift)
+        tk = wgt[k] * g
+        yv = tk - comp
         t = s + yv
         comp = (t - s) - yv
         s = t
-    grow_end = (half / (j_end + 1.0)) * y * (p + q + j_end) / (p + j_end + 1.0)
-    tail = last * grow_end / (1.0 - grow_end) if grow_end < 0.9 else math.inf
-    if s <= 0.0:
+    value = s if shift == 0.0 or s <= 0.0 else math.exp(shift + math.log(s))
+    if value <= 0.0:
+        # an empty or underflowing sum gives the zero result of _member_b
         return 0.0, 1e-15
-    err = tail / s + 3e-15 + n * 1.2e-16
-    value = s if shift == 0.0 else math.exp(shift + math.log(s))
-    return value, err
+    # past j_end the weights fall by at most r = h/(j_end+1) a step; the terms
+    # grow by increments d_j whose ratio is at most rho (monotone toward y)
+    r = half / (j_end + 1.0)
+    rho = max(y * (p + q + j_end) / (p + j_end + 1.0), y, 1.0)
+    tail = wgt[n - 1] * r * (g / (1.0 - r) + d / (1.0 - r * rho) ** 2) if r * rho < 1.0 else math.inf
+    if j_lo > 0:
+        tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * g_lo
+    return value, tail / s + _rounding_floor(n, p + q + j_lo, ld_lo)
 
 
 def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np.ndarray:
@@ -227,7 +312,7 @@ def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np
         raise DomainError(f"need 0 <= j_lo <= j_hi, got ({j_lo}, {j_hi})")
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"quantile y must lie in [0, 1], got {y}")
-    out = _central_terms_minimal(sp.p, sp.q, y, j_lo, j_hi, j_lo)
+    out = _central_terms_minimal(sp.p, sp.q, y, j_lo, j_hi, j_lo, _betainc(sp.p + j_lo, sp.q, y))
     if np.any(np.isnan(out)):
         raise EvaluationError("central beta recursion produced nan")
     return out
