@@ -9,7 +9,8 @@ The route policy, in order:
   saddle series past it; the frame built to decide this is the one the
   route evaluates on,
 * large z = x y / 2 with small p, q goes to the large-z expansion,
-* small y goes to the Kummer-function series,
+* small y past the reach of the series window (x of order 2e6) goes to the
+  Kummer-function series,
 * everything else to the reference series.
 
 The primary function (B below the transition quantile y0, the complement
@@ -27,13 +28,13 @@ from .errors import DomainError, EvaluationError, FrameDegenerateError
 from .kernels import central_beta_cdf
 from .kummer_series import eval_kummer_series
 from .params import EvalPoint, ProbabilityPair, ShapeParams
-from .series import eval_series
+from .series import MAX_WINDOW_TERMS, eval_series, poisson_window
 
 R_MIN_ASYMPTOTIC = 40.0  # smallest r routed to the erfc-uniform expansion
 Z_MIN_LARGEZ = 40.0  # smallest z routed to the large-z expansion
 PQ_MAX_LARGEZ = 10.0  # largest p, q the large-z expansion accepts
 Y_MAX_LARGEZ = 0.95  # the large-z expansion needs y away from 1
-Y_MAX_KUMMER = 0.2  # largest y routed to the Kummer series
+Y_MAX_KUMMER = 0.2  # largest y routed to the Kummer series, where the series window cannot reach
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,8 @@ def explain(sp: ShapeParams, pt: EvalPoint) -> MethodChoice:
             )
     if pt.z >= Z_MIN_LARGEZ and sp.p <= PQ_MAX_LARGEZ and sp.q <= PQ_MAX_LARGEZ and pt.y <= Y_MAX_LARGEZ:
         return MethodChoice("large-z", primary, f"z={pt.z:g} large with small shape parameters")
-    if pt.y <= Y_MAX_KUMMER:
-        return MethodChoice("kummer-series", primary, "small quantile favors the Kummer series")
+    if pt.y <= Y_MAX_KUMMER and poisson_window(pt.x)[1] + 1 > MAX_WINDOW_TERMS:
+        return MethodChoice("kummer-series", primary, "small quantile past the series window")
     return MethodChoice("series", primary, "defining series converges comfortably")
 
 

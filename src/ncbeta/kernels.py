@@ -23,12 +23,17 @@ _FPMIN = 1e-300
 
 @kernel
 def _stirling_delta(x):
-    """Stirling-series tail: lgamma(x) - ((x-1/2) ln x - x + ln(2 pi)/2).
-    Accurate to ~2e-17 for x >= 10."""
+    """Stirling-series tail: lgamma(x) - ((x-1/2) ln x - x + ln(2 pi)/2),
+    through the x^-13 term.  The first omitted term, 3617/(122400 x^15), is
+    3e-17 at x = 10; for x >= 10 the error stays below 1e-16 absolute."""
     w = 1.0 / (x * x)
     return (
         1.0 / 12.0
-        + w * (-1.0 / 360.0 + w * (1.0 / 1260.0 + w * (-1.0 / 1680.0 + w * (1.0 / 1188.0))))
+        + w
+        * (
+            -1.0 / 360.0
+            + w * (1.0 / 1260.0 + w * (-1.0 / 1680.0 + w * (1.0 / 1188.0 + w * (-691.0 / 360360.0 + w / 156.0))))
+        )
     ) / x
 
 

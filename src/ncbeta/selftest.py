@@ -752,7 +752,8 @@ def check_dispatch_policy() -> list[CheckResult]:
         (ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1), "erfc-uniform"),
         (ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9), "large-z"),
         (ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787), "erfc-uniform"),
-        (ShapeParams(4.0, 5.0), EvalPoint(3.0, 0.1), "kummer-series"),
+        (ShapeParams(4.0, 5.0), EvalPoint(3.0, 0.1), "series"),
+        (ShapeParams(0.7, 50.0), EvalPoint(5e6, 0.01), "kummer-series"),
     ]
     ok = True
     details = []

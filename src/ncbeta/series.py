@@ -5,10 +5,13 @@ The CDF is the Poisson mixture
     B_{p,q}(x, y) = e^{-x/2} sum_j (x/2)^j / j! * I_y(p + j, q),
 
 and the complement is the same mixture over I_{1-y}(q, p + j).  The central
-beta terms are generated by stable three-term recursion (backward ratio
-recursion for the decaying I_y(p+j, q) sequence, forward increments for the
-growing complement sequence), which is orders of magnitude cheaper than a
-continued fraction per term and equally accurate.
+beta terms are generated by stable recursions (backward ratio recursion for
+the decaying I_y(p+j, q) sequence, forward increments for the growing
+complement sequence), which is orders of magnitude cheaper than a continued
+fraction per term and equally accurate.  The terms, the Poisson weights and
+the sums are array operations (running products and sums, pairwise
+summation); the backward ratio recursion, which is nonlinear, is the one
+scalar loop over the window.
 
 Each member sums only a window whose dropped mass is bounded a priori: up
 to an upper Poisson cutoff, and from a lower edge set by the Chernoff bound
@@ -99,23 +102,19 @@ def _central_terms_minimal(p, q, y, j_lo, j_hi, anchor, anchor_value):
     """I_y(p+j, q) for j = j_lo..j_hi.
 
     The sequence is minimal for the three-term recurrence in increasing j,
-    so the term ratios are generated by downward recursion.  The ratio seed
+    so the term ratios rho_j = I_y(p+j+1, q) / I_y(p+j, q) are generated by
+    downward recursion, the one scalar loop of the series.  The ratio seed
     comes from two continued-fraction values at the top of the window; if
     those underflow, a trial seed at j_hi + 40 is used instead (the decay of
     the sequence then swamps the seed error).  Values are rebuilt around the
-    anchor, whose value I_y(p + anchor, q) the caller passes in; that pins
-    the relative accuracy near the anchor index."""
+    anchor, whose value I_y(p + anchor, q) the caller passes in, by running
+    products of the ratios; that pins the relative accuracy near the anchor
+    index."""
     n = j_hi - j_lo + 1
-    out = np.empty(n)
     if y <= 0.0:
-        for k in range(n):
-            out[k] = 0.0
-        return out
+        return np.zeros(n)
     if y >= 1.0:
-        for k in range(n):
-            out[k] = 1.0
-        return out
-    rho = np.empty(max(n - 1, 1))
+        return np.ones(n)
     f_top0 = _betainc(p + j_hi, q, y)
     f_top1 = _betainc(p + j_hi + 1.0, q, y)
     if f_top0 > 0.0 and f_top1 > 0.0 and f_top1 == f_top1 and f_top0 == f_top0:
@@ -124,34 +123,32 @@ def _central_terms_minimal(p, q, y, j_lo, j_hi, anchor, anchor_value):
     else:
         r = y
         jstart = j_hi + 40
-    j = jstart
-    while j > j_lo:
+    rho = np.empty(jstart - j_lo)
+    for j in range(jstart, j_lo, -1):
         pj = p + j
         c = (pj + q - 1.0) * y
         r = c / (pj + c - pj * r)
-        j -= 1
-        if j < j_hi:
-            rho[j - j_lo] = r
-    out[anchor - j_lo] = anchor_value
-    for j in range(anchor, j_hi):
-        out[j - j_lo + 1] = out[j - j_lo] * rho[j - j_lo]
-    for j in range(anchor, j_lo, -1):
-        out[j - j_lo - 1] = out[j - j_lo] / rho[j - j_lo - 1]
+        rho[j - j_lo - 1] = r
+    rho = rho[: n - 1]
+    k0 = anchor - j_lo
+    out = np.empty(n)
+    out[k0] = anchor_value
+    out[k0 + 1 :] = anchor_value * np.cumprod(rho[k0:])
+    if k0 > 0:
+        out[:k0] = anchor_value / np.cumprod(rho[k0 - 1 :: -1])[::-1]
     return out
 
 
 @kernel
 def _poisson_weights(half, j0, n, j_lo, lw0):
-    """Poisson weights for j = j_lo..j_lo+n-1, recursed outward from j0,
-    whose log weight lw0 the caller passes in."""
-    wgt = np.empty(n)
+    """Poisson weights for j = j_lo..j_lo+n-1, as running products from j0,
+    whose log weight lw0 the caller passes in, of the weight ratios j/h
+    downward and h/(j+1) upward."""
     k0 = j0 - j_lo
-    wgt[k0] = math.exp(lw0)
-    for k in range(k0, 0, -1):
-        wgt[k - 1] = wgt[k] * (j_lo + k) / half
-    for k in range(k0, n - 1):
-        wgt[k + 1] = wgt[k] * half / (j_lo + k + 1.0)
-    return wgt
+    w0 = np.array([math.exp(lw0)])
+    down = np.cumprod(np.concatenate((w0, (j_lo + np.arange(k0, 0, -1.0)) / half)))
+    up = np.cumprod(np.concatenate((w0, half / (j_lo + np.arange(k0 + 1.0, n)))))
+    return np.concatenate((down[:0:-1], up))
 
 
 @kernel
@@ -190,14 +187,7 @@ def _member_b(p, q, x, y):
     n = j_hi - j_lo + 1
     wgt = _poisson_weights(half, j0, n, j_lo, lw0)
     terms = _central_terms_minimal(p, q, y, j_lo, j_hi, anchor, i_anchor)
-    s = 0.0
-    comp = 0.0
-    for k in range(n):
-        tk = wgt[k] * terms[k]
-        yv = tk - comp
-        t = s + yv
-        comp = (t - s) - yv
-        s = t
+    s = float(np.sum(wgt * terms))
     if s <= 0.0:
         return 0.0, 1e-15
     rup = half / (j_hi + 1.0)
@@ -264,33 +254,30 @@ def _member_complement(p, q, x, y):
     else:
         g = _betainc(q, lp, 1.0 - y)
     g_lo = g
-    # keep the chain out of the subnormal range (below e^-708 doubles carry
-    # too few bits and a near-zero start poisons every later increment)
-    d = math.exp(ld_lo - shift) if ld_lo - shift > -700.0 else 0.0
-    ld = ld_lo
+    # increments d_j = exp(ld_j) by the exact ratio recursion; keep the chain
+    # out of the subnormal range (below e^-708 doubles carry too few bits and
+    # a near-zero start poisons every later increment)
+    jr = np.arange(j_lo + 1.0, j_lo + n)
+    ratio = y * (p + q + jr - 1.0) / (p + jr)
+    d = np.zeros(n)
+    k = 0
+    if ld_lo - shift > -700.0:
+        d[0] = math.exp(ld_lo - shift)
+    elif jpk >= j_lo + 1:
+        # the chain starts flushed below the normal range and the profile is
+        # still climbing: follow it in logs and re-anchor exactly once it is
+        # back (past jpk it only falls)
+        kmax = min(int(jpk) - j_lo, n - 1)
+        back = np.nonzero(ld_lo + np.cumsum(np.log(ratio[:kmax])) - shift > -700.0)[0]
+        if len(back) > 0:
+            k = int(back[0]) + 1
+            d[k] = math.exp(_log_beta_pre(p + (j_lo + k), q, y) - math.log(p + (j_lo + k)) - shift)
+    d[k:] = np.cumprod(np.concatenate((d[k : k + 1], ratio[k:])))
+    # the terms g_j = I_{1-y}(q, p+j) add the increments up from g_lo
+    g = np.cumsum(np.concatenate((np.array([g_lo]), d[:-1])))
     j0 = min(max(int(half + 0.5), j_lo), j_end)
     wgt = _poisson_weights(half, j0, n, j_lo, _log_poisson(half, j0))
-    s = 0.0
-    comp = 0.0
-    for k in range(n):
-        if k > 0:
-            j = j_lo + k
-            g = g + d
-            ratio = y * (p + q + j - 1.0) / (p + j)
-            if d != 0.0:
-                d = d * ratio
-            elif j <= jpk:
-                # the chain starts flushed below the normal range and the
-                # profile is still climbing: follow it in logs and re-anchor
-                # exactly once it is back (past jpk it only falls)
-                ld += math.log(ratio)
-                if ld - shift > -700.0:
-                    d = math.exp(_log_beta_pre(p + j, q, y) - math.log(p + j) - shift)
-        tk = wgt[k] * g
-        yv = tk - comp
-        t = s + yv
-        comp = (t - s) - yv
-        s = t
+    s = float(np.sum(wgt * g))
     value = s if shift == 0.0 or s <= 0.0 else math.exp(shift + math.log(s))
     if value <= 0.0:
         # an empty or underflowing sum gives the zero result of _member_b
@@ -299,7 +286,7 @@ def _member_complement(p, q, x, y):
     # grow by increments d_j whose ratio is at most rho (monotone toward y)
     r = half / (j_end + 1.0)
     rho = max(y * (p + q + j_end) / (p + j_end + 1.0), y, 1.0)
-    tail = wgt[n - 1] * r * (g / (1.0 - r) + d / (1.0 - r * rho) ** 2) if r * rho < 1.0 else math.inf
+    tail = wgt[n - 1] * r * (g[n - 1] / (1.0 - r) + d[n - 1] / (1.0 - r * rho) ** 2) if r * rho < 1.0 else math.inf
     if j_lo > 0:
         tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * g_lo
     return value, tail / s + _rounding_floor(n, p + q + j_lo, ld_lo)

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 import ncbeta.asymptotic
 import ncbeta.dispatch
 from ncbeta.dispatch import evaluate, explain
 from ncbeta.errors import DomainError, EvaluationError
+from ncbeta.kummer_series import eval_kummer_series
 from ncbeta.params import EvalPoint, ShapeParams
 from ncbeta.series import eval_series
 
@@ -50,12 +52,29 @@ class TestEvaluate:
         assert type(pair.err_est) is float
 
     def test_kummer_overflow_falls_back_to_series(self):
-        # the direct Kummer factors overflow math.exp here
+        # the direct Kummer factors overflow math.exp here; the point lies
+        # inside the series window, so the series answers it
         sp, pt = ShapeParams(0.86226, 485.544), EvalPoint(84263.1, 0.014963)
-        assert explain(sp, pt).route == "kummer-series"
+        with pytest.raises(EvaluationError):
+            eval_kummer_series(sp, pt)
         pair = evaluate(sp, pt)
         assert pair.method == "series"
         assert pair == eval_series(sp, pt)
+
+    def test_small_quantile_goes_to_series_and_meets_oracle(self):
+        # the Kummer route returned 0.1774340 here, 8.8e-5 off, with err_est 7e-14
+        p, q, x, y = 1.0707, 1808.6, 713.414, 0.15508
+        pair = evaluate(ShapeParams(p, q), EvalPoint(x, y))
+        assert pair.method == "series"
+        oracle = special.ncfdtr(2.0 * p, 2.0 * q, x, (q / p) * y / (1.0 - y))
+        assert abs(pair.b - oracle) <= 1e-10 * oracle
+
+    def test_kummer_series_serves_past_the_series_window(self):
+        sp, pt = ShapeParams(0.7, 50.0), EvalPoint(5e6, 0.01)
+        with pytest.raises(EvaluationError):
+            eval_series(sp, pt)
+        assert explain(sp, pt).route == "kummer-series"
+        assert evaluate(sp, pt).method == "kummer-series"
 
     def test_boundary_layer_pinned_value(self):
         pair = evaluate(ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787))

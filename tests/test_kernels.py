@@ -6,6 +6,7 @@ import pytest
 
 from ncbeta.errors import DomainError
 from ncbeta.kernels import (
+    _stirling_delta,
     _erfc_taylor,
     _erfc_via_cf,
     central_beta_cdf,
@@ -57,6 +58,14 @@ class TestLogBeta:
         for (p, q) in [(255.0, 200.0), (1000.0, 1200.0), (0.5, 2000.0), (12.0, 9.5)]:
             ref = float(mp.log(mp.beta(p, q)))
             assert abs(log_beta(p, q) - ref) <= 5e-13 * max(1.0, abs(ref))
+
+
+class TestStirlingDelta:
+    @pytest.mark.parametrize("x", [10.0, 12.0, 20.0, 50.0, 1e3])
+    def test_matches_mpmath(self, x):
+        xm = mp.mpf(x)
+        ref = mp.loggamma(xm) - ((xm - mp.mpf(1) / 2) * mp.log(xm) - xm + mp.log(2 * mp.pi) / 2)
+        assert abs(_stirling_delta(x) - float(ref)) <= 1e-16
 
 
 class TestErfc:

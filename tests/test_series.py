@@ -59,6 +59,147 @@ def member_reference(p, q, x, y, complement, dps=30):
                 return s
 
 
+def scalar_poisson_weights(half, j0, n, j_lo, lw0):
+    """The weight recursion as a scalar loop outward from j0."""
+    wgt = np.empty(n)
+    k0 = j0 - j_lo
+    wgt[k0] = math.exp(lw0)
+    for k in range(k0, 0, -1):
+        wgt[k - 1] = wgt[k] * (j_lo + k) / half
+    for k in range(k0, n - 1):
+        wgt[k + 1] = wgt[k] * half / (j_lo + k + 1.0)
+    return wgt
+
+
+def scalar_central_terms(p, q, y, j_lo, j_hi, anchor, anchor_value):
+    """I_y(p+j, q) by the downward ratio recursion, rebuilt term by term."""
+    n = j_hi - j_lo + 1
+    if y <= 0.0 or y >= 1.0:
+        return np.full(n, 0.0 if y <= 0.0 else 1.0)
+    rho = np.empty(max(n - 1, 1))
+    f_top0 = series._betainc(p + j_hi, q, y)
+    f_top1 = series._betainc(p + j_hi + 1.0, q, y)
+    if f_top0 > 0.0 and f_top1 > 0.0:
+        r, j = f_top1 / f_top0, j_hi
+    else:
+        r, j = y, j_hi + 40
+    while j > j_lo:
+        pj = p + j
+        c = (pj + q - 1.0) * y
+        r = c / (pj + c - pj * r)
+        j -= 1
+        if j < j_hi:
+            rho[j - j_lo] = r
+    out = np.empty(n)
+    out[anchor - j_lo] = anchor_value
+    for j in range(anchor, j_hi):
+        out[j - j_lo + 1] = out[j - j_lo] * rho[j - j_lo]
+    for j in range(anchor, j_lo, -1):
+        out[j - j_lo - 1] = out[j - j_lo] / rho[j - j_lo - 1]
+    return out
+
+
+def kahan_sum(terms):
+    s = comp = 0.0
+    for tk in terms:
+        yv = tk - comp
+        t = s + yv
+        comp = (t - s) - yv
+        s = t
+    return s
+
+
+def scalar_member_b(p, q, x, y):
+    """_member_b with scalar loops and a compensated sum; returns
+    (value, err_est, anchor)."""
+    half = 0.5 * x
+    if half == 0.0:
+        return (*series._member_b(p, q, x, y), 0)
+    j_hi = series._upper_edge(half)
+    j0 = min(int(half + 0.5), j_hi)
+    lw0 = series._log_poisson(half, j0)
+    anchor, i_anchor = j0, series._betainc(p + j0, q, y)
+    if not i_anchor >= 2.3e-308:
+        j_lo, anchor, i_anchor = 0, 0, series._betainc(p, q, y)
+    else:
+        j_lo = series._lower_edge(half, series.TAIL_LOG - lw0 - math.log(i_anchor))
+    n = j_hi - j_lo + 1
+    wgt = scalar_poisson_weights(half, j0, n, j_lo, lw0)
+    terms = scalar_central_terms(p, q, y, j_lo, j_hi, anchor, i_anchor)
+    s = kahan_sum(wgt * terms)
+    if s <= 0.0:
+        return 0.0, 1e-15, anchor
+    rup = half / (j_hi + 1.0)
+    tail = wgt[n - 1] * terms[n - 1] * rup / (1.0 - rup)
+    if j_lo > 0:
+        tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half))
+    return s, tail / s + series._rounding_floor(n, p + q + anchor, math.log(i_anchor)), anchor
+
+
+def scalar_member_complement(p, q, x, y):
+    """_member_complement with its increment chain as a scalar loop and a
+    compensated sum; returns (value, err_est, shift, k) where k > 0 is the
+    index at which a chain that started flushed was re-anchored."""
+    half = 0.5 * x
+    if half == 0.0:
+        return (*series._member_complement(p, q, x, y), 0.0, 0)
+    hy = half * y
+    b = p + 1.0 - hy
+    c = hy * (p + q)
+    disc = math.sqrt(b * b + 4.0 * c)
+    jstar = 2.0 * c / (b + disc) if b > 0.0 else 0.5 * (disc - b)
+    j_end = max(series._upper_edge(half), int(math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0)))
+    j_lo = series._lower_edge(half, series.TAIL_LOG)
+    n = j_end - j_lo + 1
+    lp = p + j_lo
+    ld_lo = series._log_beta_pre(lp, q, y) - math.log(lp)
+    jpk = (y * (p + q - 1.0) - p) / (1.0 - y)
+    jc = min(max(jpk, float(j_lo)), float(j_end))
+    ldmax = ld_lo
+    jf = math.floor(jc)
+    if jf > j_lo:
+        ldmax = max(ldmax, series._log_beta_pre(p + jf, q, y) - math.log(p + jf))
+    if jc > jf:
+        ldmax = max(ldmax, series._log_beta_pre(p + jf + 1.0, q, y) - math.log(p + jf + 1.0))
+    shift = ldmax if (ldmax < -650.0 or ld_lo < -640.0) else 0.0
+    if shift != 0.0:
+        g = series._betainc_scaled(q, lp, 1.0 - y, shift)
+        if g == math.inf:
+            shift, g = 0.0, series._betainc(q, lp, 1.0 - y)
+    else:
+        g = series._betainc(q, lp, 1.0 - y)
+    g_lo = g
+    d = math.exp(ld_lo - shift) if ld_lo - shift > -700.0 else 0.0
+    ld = ld_lo
+    j0 = min(max(int(half + 0.5), j_lo), j_end)
+    wgt = scalar_poisson_weights(half, j0, n, j_lo, series._log_poisson(half, j0))
+    summands = np.empty(n)
+    k_back = 0
+    for k in range(n):
+        if k > 0:
+            j = j_lo + k
+            g = g + d
+            ratio = y * (p + q + j - 1.0) / (p + j)
+            if d != 0.0:
+                d = d * ratio
+            elif j <= jpk:
+                ld += math.log(ratio)
+                if ld - shift > -700.0:
+                    d = math.exp(series._log_beta_pre(p + j, q, y) - math.log(p + j) - shift)
+                    k_back = k
+        summands[k] = wgt[k] * g
+    s = kahan_sum(summands)
+    value = s if shift == 0.0 or s <= 0.0 else math.exp(shift + math.log(s))
+    if value <= 0.0:
+        return 0.0, 1e-15, shift, k_back
+    r = half / (j_end + 1.0)
+    rho = max(y * (p + q + j_end) / (p + j_end + 1.0), y, 1.0)
+    tail = wgt[n - 1] * r * (g / (1.0 - r) + d / (1.0 - r * rho) ** 2) if r * rho < 1.0 else math.inf
+    if j_lo > 0:
+        tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * g_lo
+    return value, tail / s + series._rounding_floor(n, p + q + j_lo, ld_lo), shift, k_back
+
+
 @pytest.fixture
 def window_requests(monkeypatch):
     """The term counts the members ask ``_poisson_weights`` for."""
@@ -184,6 +325,68 @@ class TestSeriesMembers:
         jstar = converged_summand_peak(p, q, x, y)
         expect = max(j_hi, math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0))
         assert abs(j_end - expect) <= 1
+
+
+class TestArrayMembers:
+    """The members built by array recursions against the scalar loops above:
+    values within the member's own err_est, err_est within a few ulp."""
+
+    @staticmethod
+    def check(p, q, x, y):
+        pairs = ((series._member_b, scalar_member_b), (series._member_complement, scalar_member_complement))
+        for member, scalar in pairs:
+            value, err = member(p, q, x, y)
+            ref_value, ref_err = scalar(p, q, x, y)[:2]
+            assert abs(err - ref_err) <= 4.0 * np.spacing(ref_err)
+            if ref_value >= 2.3e-308:  # subnormal sums carry too few bits to compare
+                assert abs(value - ref_value) <= err * ref_value
+            else:
+                assert value < 2.3e-308
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.one_of(st.floats(0.0, 500.0), st.floats(200.0, 500.0)),
+        st.floats(0.001, 0.999),
+    )
+    def test_members_match_scalar_loops(self, p, q, x, y):
+        self.check(p, q, x, y)
+
+    def test_flushed_complement_chain_reanchors(self):
+        p, q, x, y = 5.622399969585741, 1367.641217003125, 400.2400756127949, 0.6351832746043322
+        value, _, shift, k = scalar_member_complement(p, q, x, y)
+        assert shift != 0.0 and k > 0 and value > 1e-300
+        self.check(p, q, x, y)
+
+    def test_scaled_complement_chain(self):
+        p, q, x, y = 20.63729460992094, 952.6184714317686, 117.75822865308572, 0.6595725425048249
+        _, _, shift, k = scalar_member_complement(p, q, x, y)
+        assert shift != 0.0 and k == 0
+        self.check(p, q, x, y)
+
+    def test_underflowing_b_anchor(self):
+        p, q, x, y = 557.6547200415134, 18.406919996523044, 353.34368813167737, 0.34101109503262694
+        value, _, anchor = scalar_member_b(p, q, x, y)
+        assert anchor == 0 and value > 1e-300
+        self.check(p, q, x, y)
+
+    def test_zero_noncentrality(self):
+        self.check(10.0, 15.0, 0.0, 0.45)
+
+    @pytest.mark.parametrize("p, q, y, j_lo, j_hi, anchor", [(10.0, 15.0, 0.45, 7, 7, 7), (2.3, 3.5, 0.9, 0, 200, 90),
+                                                             (300.0, 200.0, 0.4, 20, 80, 20), (64.2, 1.85, 0.188, 0, 270, 0)])
+    def test_kernels_match_scalar_loops(self, p, q, y, j_lo, j_hi, anchor):
+        # one-term windows included: j_lo = j_hi
+        value = series._betainc(p + anchor, q, y)
+        got = series._central_terms_minimal(p, q, y, j_lo, j_hi, anchor, value)
+        ref = scalar_central_terms(p, q, y, j_lo, j_hi, anchor, value)
+        assert np.all(np.abs(got - ref) <= 2.0 * (j_hi - j_lo + 1) * 1.12e-16 * ref)
+        half, n = 0.5 * (anchor + 0.3), j_hi - j_lo + 1
+        lw0 = series._log_poisson(half, anchor)
+        got = series._poisson_weights(half, anchor, n, j_lo, lw0)
+        ref = scalar_poisson_weights(half, anchor, n, j_lo, lw0)
+        assert np.all(np.abs(got - ref) <= 2.0 * n * 1.12e-16 * ref)
 
 
 class TestCentralTermSequence:
