@@ -28,7 +28,7 @@ from .errors import DomainError, EvaluationError, FrameDegenerateError
 from .kernels import central_beta_cdf
 from .kummer_series import eval_kummer_series
 from .params import EvalPoint, ProbabilityPair, ShapeParams
-from .series import MAX_WINDOW_TERMS, eval_series, poisson_window
+from .series import eval_series, window_fits
 
 R_MIN_ASYMPTOTIC = 40.0  # smallest r routed to the erfc-uniform expansion
 Z_MIN_LARGEZ = 40.0  # smallest z routed to the large-z expansion
@@ -69,7 +69,7 @@ def explain(sp: ShapeParams, pt: EvalPoint) -> MethodChoice:
             )
     if pt.z >= Z_MIN_LARGEZ and sp.p <= PQ_MAX_LARGEZ and sp.q <= PQ_MAX_LARGEZ and pt.y <= Y_MAX_LARGEZ:
         return MethodChoice("large-z", primary, f"z={pt.z:g} large with small shape parameters")
-    if pt.y <= Y_MAX_KUMMER and poisson_window(pt.x)[1] + 1 > MAX_WINDOW_TERMS:
+    if pt.y <= Y_MAX_KUMMER and not window_fits(pt.x):
         return MethodChoice("kummer-series", primary, "small quantile past the series window")
     return MethodChoice("series", primary, "defining series converges comfortably")
 

@@ -15,7 +15,9 @@ scalar loop over the window.
 
 Each member sums only a window whose dropped mass is bounded a priori: up
 to an upper Poisson cutoff, and from a lower edge set by the Chernoff bound
-on the Poisson tail, so the cost grows as sqrt(x), not x.  A member's
+on the Poisson tail, so the cost grows as sqrt(x), not x.  A B member whose
+term at the Poisson mode underflows first checks an upper bound on B and
+returns 0, summing nothing, when B rounds to 0.  A member's
 relative ``err_est`` adds the mass dropped below the window, a bound on the
 tail above it, and a rounding floor that grows with p + q and with the log
 of the incomplete-beta prefactor the terms are built on.
@@ -52,6 +54,14 @@ def _lower_edge(half, log_mass):
     """Largest j_lo whose Chernoff bound P(J < j_lo) <= exp(-(h - j_lo)^2 / 2h),
     h = x/2, stays below exp(-log_mass)."""
     return max(int(math.floor(half - math.sqrt(2.0 * half * log_mass))), 0)
+
+
+@kernel
+def window_fits(x):
+    """Whether the series window at noncentrality x, up to its upper Poisson
+    cutoff, stays within MAX_WINDOW_TERMS terms; past that the series cannot
+    reach the point."""
+    return _upper_edge(0.5 * x) + 1 <= MAX_WINDOW_TERMS
 
 
 def poisson_window(x: float) -> tuple[int, int]:
@@ -152,6 +162,40 @@ def _poisson_weights(half, j0, n, j_lo, lw0):
 
 
 @kernel
+def _log_term_bound(a, q, y):
+    """An upper bound on log I_y(a, q), from its hypergeometric form
+    I_y(a, q) = e^lpre / a * sum_k (a+q)_k / (a+1)_k y^k (DLMF 8.17.8), whose
+    ratios (a+q+i)/(a+1+i) are at most c/y with c = y max(1, (a+q)/(a+1))."""
+    c = y * max(1.0, (a + q) / (a + 1.0))
+    if c >= 1.0:
+        return 0.0
+    return min(_log_beta_pre(a, q, y) - math.log(a) - math.log1p(-c), 0.0)
+
+
+@kernel
+def _log_b_bound(p, q, half, y):
+    """An upper bound on log B over the whole mixture.  The terms
+    I_y(p+j, q) fall with j, so for every m <= h
+        B <= P(J < m) I_y(p, q) + I_y(p+m, q)
+          <= exp(-(h-m)^2 / 2h) I_y(p, q) + I_y(p+m, q);
+    the first part rises with m and the second falls, so m is bisected to
+    their crossing."""
+    lt0 = _log_term_bound(p, q, y)
+    lo = 0
+    hi = int(half)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lt0 - (half - mid) ** 2 / (2.0 * half) < _log_term_bound(p + mid, q, y):
+            lo = mid
+        else:
+            hi = mid
+    best = 0.0
+    for m in (lo, hi):
+        best = min(best, max(lt0 - (half - m) ** 2 / (2.0 * half), _log_term_bound(p + m, q, y)))
+    return best + math.log(2.0)
+
+
+@kernel
 def _member_b(p, q, x, y):
     """B by the Poisson-weighted series over the decaying terms I_y(p+j, q).
 
@@ -160,17 +204,18 @@ def _member_b(p, q, x, y):
     is at most I_y(p, q) <= 1 and the kept sum is at least its summand at the
     Poisson mode j0, so the edge drops mass below e^-39.2 of w_j0 I_y(p+j0, q).
     When the central terms decay faster than the weights grow, the summand
-    peaks at low j, that product is tiny, and the edge stays at zero.  The
-    err_est includes the dropped mass and the upper tail.
+    peaks at low j, that product is tiny, and the edge stays at zero; if an
+    upper bound on B then lies below e^-750, B rounds to 0 and nothing is
+    summed.  The err_est includes the dropped mass and the upper tail.
 
     Returns (value, relative error estimate)."""
     half = 0.5 * x
     if half == 0.0:
         v = _betainc(p, q, y)
         return v, _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0)
-    j_hi = _upper_edge(half)
-    if j_hi + 1 > MAX_WINDOW_TERMS:
+    if not window_fits(x):
         return math.nan, math.nan
+    j_hi = _upper_edge(half)
     j0 = min(int(half + 0.5), j_hi)
     lw0 = _log_poisson(half, j0)
     anchor = j0
@@ -178,7 +223,10 @@ def _member_b(p, q, x, y):
     if not i_anchor >= 2.3e-308:
         # the value at the Poisson peak underflows or is subnormal (only a
         # few mantissa bits); the summand mass then sits at low j, so keep
-        # the whole window and anchor at j = 0, whose term bounds the member
+        # the whole window and anchor at j = 0, whose term bounds the member,
+        # unless B lies below e^-750, where 0 is its correctly rounded value
+        if _log_b_bound(p, q, half, y) < -750.0:
+            return 0.0, 1e-15
         j_lo = 0
         anchor = 0
         i_anchor = _betainc(p, q, y)
@@ -317,10 +365,9 @@ def eval_series(sp: ShapeParams, pt: EvalPoint, tol: float = 1e-14) -> Probabili
         return ProbabilityPair.from_primary(0.0, "b", "boundary", 0.0)
     if pt.y >= 1.0:
         return ProbabilityPair.from_primary(1.0, "b", "boundary", 0.0)
-    _, j_hi = poisson_window(pt.x)
-    if j_hi + 1 > MAX_WINDOW_TERMS:
+    if not window_fits(pt.x):
         raise EvaluationError(
-            f"series window would need {j_hi + 1} terms at x={pt.x}; tolerance unachievable"
+            f"series window would need {poisson_window(pt.x)[1] + 1} terms at x={pt.x}; tolerance unachievable"
         )
     y0 = (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r)
     complement = pt.y > y0

@@ -2,7 +2,11 @@ import csv
 import subprocess
 import sys
 
+import ncbeta.dispatch
 from ncbeta.cli import main
+from ncbeta.errors import EvaluationError
+from ncbeta.params import EvalPoint, ShapeParams
+from ncbeta.series import eval_series
 
 
 def run_cli(capsys, *argv):
@@ -105,16 +109,22 @@ class TestBatch:
         assert rows[1][4].startswith("0.4563026193369")
         assert rows[4][6].startswith("error:")
 
-    def test_route_failure_does_not_abort(self, tmp_path, capsys):
-        # the second row overflows the Kummer factors and must fall back
+    def test_route_failure_does_not_abort(self, tmp_path, capsys, monkeypatch):
+        # the second row is planned for the large-z expansion, made to fail
+        # here; the row falls back to the series and the batch goes on
+        def fail(sp, pt):
+            raise EvaluationError("large-z out of regime")
+
+        monkeypatch.setattr(ncbeta.dispatch, "eval_large_z", fail)
         src = tmp_path / "in.csv"
-        src.write_text("p,q,x,y\n5,5,54,0.8640\n0.86226,485.544,84263.1,0.014963\n10,15,4.5,0.45\n")
+        src.write_text("p,q,x,y\n5,5,54,0.8640\n2.3,3.5,250,0.9\n10,15,4.5,0.45\n")
         dst = tmp_path / "out.csv"
         code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval")
         assert code == 0
         rows = list(csv.reader(dst.open()))
         assert len(rows) == 4
         assert [r[6] for r in rows[1:]] == ["series", "series", "series"]
+        assert float(rows[2][4]) == eval_series(ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9)).b
 
     def test_evaluation_failure_is_an_error_row(self, tmp_path, capsys):
         src = tmp_path / "in.csv"

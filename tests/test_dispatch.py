@@ -51,23 +51,47 @@ class TestEvaluate:
         assert type(pair.b) is float and type(pair.bbar) is float
         assert type(pair.err_est) is float
 
-    def test_kummer_overflow_falls_back_to_series(self):
+    def test_kummer_overflow_falls_back_to_series(self, monkeypatch):
         # the direct Kummer factors overflow math.exp here; the point lies
-        # inside the series window, so the series answers it
+        # inside the series window, so the series answers it, both as the
+        # planned route and as the fallback of a Kummer plan
         sp, pt = ShapeParams(0.86226, 485.544), EvalPoint(84263.1, 0.014963)
         with pytest.raises(EvaluationError):
             eval_kummer_series(sp, pt)
         pair = evaluate(sp, pt)
         assert pair.method == "series"
         assert pair == eval_series(sp, pt)
+        planned = ncbeta.dispatch.MethodChoice("kummer-series", explain(sp, pt).primary_target, "forced")
+        monkeypatch.setattr(ncbeta.dispatch, "explain", lambda sp, pt: planned)
+        assert evaluate(sp, pt) == pair
 
-    def test_small_quantile_goes_to_series_and_meets_oracle(self):
-        # the Kummer route returned 0.1774340 here, 8.8e-5 off, with err_est 7e-14
-        p, q, x, y = 1.0707, 1808.6, 713.414, 0.15508
+    def test_route_failure_falls_back_to_series(self, monkeypatch):
+        sp, pt = ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9)
+        assert explain(sp, pt).route == "large-z"
+
+        def fail(sp, pt):
+            raise EvaluationError("large-z out of regime")
+
+        monkeypatch.setattr(ncbeta.dispatch, "eval_large_z", fail)
+        pair = evaluate(sp, pt)
+        assert pair.method == "series"
+        assert pair == eval_series(sp, pt, tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "p, q, x, y, rel",
+        [
+            # the Kummer series returns 0.1774340 here, 8.8e-5 off, with err_est 7e-14
+            (1.0707, 1808.6, 713.414, 0.15508, 1e-10),
+            # and 0.46527 here, 22% off, with err_est 1.3e-11; the series'
+            # err_est is 4.6e-10, from the rounding of its q-sized prefactor
+            (963.2402443790243, 1930946.5636718948, 225496.4798155446, 0.05566943235104177, 1e-9),
+        ],
+    )
+    def test_small_quantile_goes_to_series_and_meets_oracle(self, p, q, x, y, rel):
         pair = evaluate(ShapeParams(p, q), EvalPoint(x, y))
         assert pair.method == "series"
         oracle = special.ncfdtr(2.0 * p, 2.0 * q, x, (q / p) * y / (1.0 - y))
-        assert abs(pair.b - oracle) <= 1e-10 * oracle
+        assert abs(pair.b - oracle) <= rel * oracle
 
     def test_kummer_series_serves_past_the_series_window(self):
         sp, pt = ShapeParams(0.7, 50.0), EvalPoint(5e6, 0.01)

@@ -293,6 +293,28 @@ class TestSeriesMembers:
             value, err = member(p, q, x, y)
             assert abs(value - ref) <= 2.0 * err * ref
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(0.5, 500.0),
+        st.floats(0.001, 0.999),
+    )
+    @example(1500.0, 5.0, 200.0, 0.3)  # B = e^-1851.2 by mpmath, bound e^-1809.4
+    @example(2.0, 3.0, 400.0, 0.1)  # B = e^-179.2, bound e^-72.0
+    def test_log_b_bound_bounds_b(self, p, q, x, y):
+        ref = member_reference(p, q, x, y, False)
+        assert ref == 0 or float(mp.log(ref)) <= series._log_b_bound(p, q, 0.5 * x, y)
+
+    @pytest.mark.parametrize("p, q, x, y", [(1500.0, 5.0, 200.0, 0.3), (500.0, 700.0, 1e5, 0.5), (3.0, 20.0, 1e6, 0.1)])
+    def test_vanishing_b_sums_nothing(self, window_requests, p, q, x, y):
+        # the bound on B lies below e^-750, so B rounds to 0 without summing
+        # a window (from j = 0, since I_y(p + j0, q) underflows: 5e5 terms
+        # at x = 1e6)
+        assert series._log_b_bound(p, q, 0.5 * x, y) < -750.0
+        assert series._member_b(p, q, x, y) == (0.0, 1e-15)
+        assert window_requests == []
+
     def test_low_peak_keeps_whole_window(self, window_requests):
         # I_0.1(2 + j, 3) falls like 0.1^j, so the summand peaks near j = 20,
         # far below the Poisson mode 200: the lower edge must stay at zero
