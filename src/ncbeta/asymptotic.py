@@ -13,7 +13,7 @@ Lagrange-Buermann inversion: every coefficient needed is a single
 coefficient of a power of A(u) (see ``_pseries``).  The expansions are
 
 * ``eval_large_z``: large z = x y / 2 with p, q of moderate size (finite and
-  exact when q is a positive integer),
+  exact when q is a positive integer; reproduction only, not dispatched),
 * ``eval_saddle``: plain saddle-point expansion, valid for y below the
   transition quantile y0 (the paper's form, kept as reproduction: the
   dispatcher uses the uniform expansion, which reduces to it there),
@@ -87,13 +87,13 @@ class SaddleFrame:
     def strip_ok(self) -> bool:
         """Inside the validity strip: quantile and angle away from the edges,
         convex phase at the saddle."""
-        frac = min(self.cos2, self.sin2)
-        return (
-            0.01 <= self.y <= 0.99
-            and frac >= 0.05
-            and self.phi2 > 0.0
-            and self.t0 > 1.0 + 1e-9
-        )
+        return strip_edges_ok(self.y, self.cos2, self.sin2) and self.phi2 > 0.0 and self.t0 > 1.0 + 1e-9
+
+
+def strip_edges_ok(y: float, cos2: float, sin2: float) -> bool:
+    """The frame-free half of the validity strip: quantile and angle away
+    from the edges.  A point that fails it needs no saddle frame."""
+    return 0.01 <= y <= 0.99 and min(cos2, sin2) >= 0.05
 
 
 def _dphi_between(t0: float, tp: float, sin2: float, xi: float) -> float:

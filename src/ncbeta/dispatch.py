@@ -8,33 +8,31 @@ The route policy, in order:
   expansion, which holds through the transition and reduces to the plain
   saddle series past it; the frame built to decide this is the one the
   route evaluates on,
-* large z = x y / 2 with small p, q goes to the large-z expansion,
-* small y past the reach of the series window (x of order 2e6) goes to the
-  Kummer-function series,
-* everything else to the reference series.
+* everything else to the reference series, which past its window (x of
+  order 2e6) returns only a B that its upper bound puts below e^-750, as 0.
+
+The paper's large-z expansion and Kummer-function series are reproduction
+only (``ncbeta eval --method large-z|kummer``): the first misses the
+default tolerance wherever it applies, and the series is cheaper than the
+second wherever both reach.
 
 The primary function (B below the transition quantile y0, the complement
 above) is always the member computed directly.  ``err_est`` reports each
-route's own estimate honestly; asymptotic routes may return estimates above
-the requested tolerance rather than fail.
+route's own estimate honestly; the erfc-uniform expansion may return an
+estimate above the requested tolerance rather than fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .asymptotic import SaddleFrame, _erfc_uniform, build_frame, eval_large_z
+from .asymptotic import SaddleFrame, _erfc_uniform, build_frame, strip_edges_ok
 from .errors import DomainError, EvaluationError, FrameDegenerateError
 from .kernels import central_beta_cdf
-from .kummer_series import eval_kummer_series
 from .params import EvalPoint, ProbabilityPair, ShapeParams
-from .series import eval_series, window_fits
+from .series import eval_series
 
 R_MIN_ASYMPTOTIC = 40.0  # smallest r routed to the erfc-uniform expansion
-Z_MIN_LARGEZ = 40.0  # smallest z routed to the large-z expansion
-PQ_MAX_LARGEZ = 10.0  # largest p, q the large-z expansion accepts
-Y_MAX_LARGEZ = 0.95  # the large-z expansion needs y away from 1
-Y_MAX_KUMMER = 0.2  # largest y routed to the Kummer series, where the series window cannot reach
 
 
 @dataclass(frozen=True)
@@ -58,7 +56,7 @@ def explain(sp: ShapeParams, pt: EvalPoint) -> MethodChoice:
     primary = _primary(sp, pt)
     if pt.x == 0.0:
         return MethodChoice("central", primary, "zero noncentrality reduces to the central beta")
-    if sp.r >= R_MIN_ASYMPTOTIC:
+    if sp.r >= R_MIN_ASYMPTOTIC and strip_edges_ok(pt.y, sp.cos2, sp.sin2):
         try:
             frame = build_frame(sp, pt)
         except (DomainError, FrameDegenerateError):
@@ -67,10 +65,6 @@ def explain(sp: ShapeParams, pt: EvalPoint) -> MethodChoice:
             return MethodChoice(
                 "erfc-uniform", primary, f"r={sp.r:g} large; uniform through the transition", frame
             )
-    if pt.z >= Z_MIN_LARGEZ and sp.p <= PQ_MAX_LARGEZ and sp.q <= PQ_MAX_LARGEZ and pt.y <= Y_MAX_LARGEZ:
-        return MethodChoice("large-z", primary, f"z={pt.z:g} large with small shape parameters")
-    if pt.y <= Y_MAX_KUMMER and not window_fits(pt.x):
-        return MethodChoice("kummer-series", primary, "small quantile past the series window")
     return MethodChoice("series", primary, "defining series converges comfortably")
 
 
@@ -88,10 +82,6 @@ def _run_route(
         return ProbabilityPair.from_primary(v, "bbar", "central", 5e-15)
     if route == "erfc-uniform":
         return _erfc_uniform(frame, target=primary)
-    if route == "large-z":
-        return eval_large_z(sp, pt)
-    if route == "kummer-series":
-        return eval_kummer_series(sp, pt)
     return eval_series(sp, pt, tol=max(tol, 1e-15))
 
 

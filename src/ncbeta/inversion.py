@@ -3,11 +3,11 @@
 Solving B_{p,q}(x, y) = z follows the pipeline:
 
 1. invert the boundary-layer model: zeta0 = inv_erfc(2 z) sqrt(2/r);
-2. for small |zeta0|, seed from the transition series x(zeta) or y(zeta),
-   improved by the first correction zeta ~ zeta0 + zeta1/r with
-   zeta1 = ln(1 + zeta0 g0)/zeta0 (applied whenever the corrected seed
-   stays in the domain; the bracketed Newton guards a poor seed);
-   otherwise locate the root of the transition equation
+2. seed from the transition series x(zeta) or y(zeta), improved by the
+   first correction zeta ~ zeta0 + zeta1/r with
+   zeta1 = ln(1 + zeta0 g0)/zeta0 (each applied whenever its seed stays in
+   the domain; the bracketed Newton guards a poor seed); when the series
+   seed leaves the domain, locate the root of the transition equation
    zeta(.)^2/2 - zeta0^2/2 = 0 on the correct side of the transition point
    (above x0 when zeta0 > 0, below y0 when zeta0 > 0);
 3. polish on the true equation with safeguarded Newton using the analytic
@@ -26,8 +26,6 @@ from .errors import DomainError, EvaluationError, SeriesInvalidError
 from .kernels import _kummer_m_log, _log_beta_pre, central_beta_cdf, inv_erfc
 from .params import EvalPoint, ShapeParams
 from .series import eval_series
-
-ZETA_SERIES_MAX = 0.1  # |zeta0| at or below which the transition series seeds
 
 
 @dataclass(frozen=True)
@@ -259,30 +257,29 @@ def invert(problem: InversionProblem) -> InversionResult:
     seed = math.nan
     seed_path = ""
 
-    if abs(zeta0) <= ZETA_SERIES_MAX:
+    try:
+        if problem.unknown == "x":
+            coeffs = x_zeta_coeffs(sp, problem.fixed)
+            seed_raw = ps_eval(coeffs, zeta0)
+            if seed_raw < 0.0:
+                raise SeriesInvalidError("series seed left the domain")
+        else:
+            coeffs = y_zeta_coeffs(sp, problem.fixed)
+            seed_raw = ps_eval(coeffs, zeta0)
+            if not 0.0 < seed_raw < 1.0:
+                raise SeriesInvalidError("series seed left the domain")
+        seed = seed_raw
+        seed_path = "zeta-series"
         try:
-            if problem.unknown == "x":
-                coeffs = x_zeta_coeffs(sp, problem.fixed)
-                seed_raw = ps_eval(coeffs, zeta0)
-                if seed_raw < 0.0:
-                    raise SeriesInvalidError("series seed left the domain")
-            else:
-                coeffs = y_zeta_coeffs(sp, problem.fixed)
-                seed_raw = ps_eval(coeffs, zeta0)
-                if not 0.0 < seed_raw < 1.0:
-                    raise SeriesInvalidError("series seed left the domain")
-            seed = seed_raw
-            seed_path = "zeta-series"
-            try:
-                z1 = zeta1_correction(problem, zeta0, seed_raw)
-                corrected = ps_eval(coeffs, zeta0 + z1 / sp.r)
-                ok = (corrected >= 0.0) if problem.unknown == "x" else (0.0 < corrected < 1.0)
-                if ok:
-                    seed = corrected
-            except (EvaluationError, DomainError):
-                pass
-        except (SeriesInvalidError, EvaluationError, DomainError):
-            seed = math.nan
+            z1 = zeta1_correction(problem, zeta0, seed_raw)
+            corrected = ps_eval(coeffs, zeta0 + z1 / sp.r)
+            ok = (corrected >= 0.0) if problem.unknown == "x" else (0.0 < corrected < 1.0)
+            if ok:
+                seed = corrected
+        except (EvaluationError, DomainError):
+            pass
+    except (SeriesInvalidError, EvaluationError, DomainError):
+        seed = math.nan
 
     if math.isnan(seed):
         root = None

@@ -255,6 +255,10 @@ def check_inversion_examples() -> list[CheckResult]:
     def close3(a, b):
         return abs(a - b) <= 5e-3 * abs(b)
 
+    def brackets(root, zeta0):  # the transition equation changes sign within 5e-3 of the root
+        lo, hi = (transition_equation(sp, EvalPoint(4.5, root * (1.0 + d)), zeta0) for d in (-5e-3, 5e-3))
+        return lo * hi < 0.0
+
     r = invert(InversionProblem(unknown="x", sp=sp, fixed=0.45, z=0.5))
     out.append(
         CheckResult(
@@ -293,17 +297,24 @@ def check_inversion_examples() -> list[CheckResult]:
     r = invert(InversionProblem(unknown="y", sp=sp, fixed=4.5, z=0.01))
     out.append(
         CheckResult(
-            "invert y at z=0.01: transition root 0.2330",
-            close3(r.zeta0, 0.4653) and close3(r.seed_value, 0.2330) and abs(r.residual) <= 1e-10,
-            f"zeta0 {r.zeta0:.4f}, seed {r.seed_value:.4f}, path {r.seed_path}",
+            "invert y at z=0.01: series seed 0.2330, transition root 0.2330",
+            close3(r.zeta0, 0.4653)
+            and r.seed_path == "zeta-series"
+            and close3(r.seed_value_raw, 0.2330)
+            and brackets(0.2330, r.zeta0)
+            and abs(r.residual) <= 1e-10,
+            f"zeta0 {r.zeta0:.4f}, raw {r.seed_value_raw:.4f}, corrected {r.seed_value:.4f}, path {r.seed_path}",
         )
     )
     r = invert(InversionProblem(unknown="y", sp=sp, fixed=4.5, z=0.99))
     out.append(
         CheckResult(
-            "invert y at z=0.99: transition root 0.6739",
-            close3(r.zeta0, -0.4652) and close3(r.seed_value, 0.6739) and abs(r.residual) <= 1e-10,
-            f"zeta0 {r.zeta0:.4f}, seed {r.seed_value:.4f}",
+            "invert y at z=0.99: seed 0.6739, transition root 0.6739",
+            close3(r.zeta0, -0.4652)
+            and close3(r.seed_value, 0.6739)
+            and brackets(0.6739, r.zeta0)
+            and abs(r.residual) <= 1e-10,
+            f"zeta0 {r.zeta0:.4f}, seed {r.seed_value:.4f}, path {r.seed_path}",
         )
     )
     feasible_rejects = False
@@ -750,10 +761,10 @@ def check_dispatch_policy() -> list[CheckResult]:
     cases = [
         (ShapeParams(10.0, 15.0), EvalPoint(4.5, 0.45), "series"),
         (ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1), "erfc-uniform"),
-        (ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9), "large-z"),
+        (ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9), "series"),
         (ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787), "erfc-uniform"),
         (ShapeParams(4.0, 5.0), EvalPoint(3.0, 0.1), "series"),
-        (ShapeParams(0.7, 50.0), EvalPoint(5e6, 0.01), "kummer-series"),
+        (ShapeParams(0.7, 50.0), EvalPoint(5e6, 0.01), "series"),
     ]
     ok = True
     details = []

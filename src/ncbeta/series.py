@@ -16,8 +16,9 @@ scalar loop over the window.
 Each member sums only a window whose dropped mass is bounded a priori: up
 to an upper Poisson cutoff, and from a lower edge set by the Chernoff bound
 on the Poisson tail, so the cost grows as sqrt(x), not x.  A B member whose
-term at the Poisson mode underflows first checks an upper bound on B and
-returns 0, summing nothing, when B rounds to 0.  A member's
+term at the Poisson mode underflows, or whose window would pass
+``MAX_WINDOW_TERMS``, first checks an upper bound on B and returns 0,
+summing nothing, when B rounds to 0.  A member's
 relative ``err_est`` adds the mass dropped below the window, a bound on the
 tail above it, and a rounding floor that grows with p + q and with the log
 of the incomplete-beta prefactor the terms are built on.
@@ -54,14 +55,6 @@ def _lower_edge(half, log_mass):
     """Largest j_lo whose Chernoff bound P(J < j_lo) <= exp(-(h - j_lo)^2 / 2h),
     h = x/2, stays below exp(-log_mass)."""
     return max(int(math.floor(half - math.sqrt(2.0 * half * log_mass))), 0)
-
-
-@kernel
-def window_fits(x):
-    """Whether the series window at noncentrality x, up to its upper Poisson
-    cutoff, stays within MAX_WINDOW_TERMS terms; past that the series cannot
-    reach the point."""
-    return _upper_edge(0.5 * x) + 1 <= MAX_WINDOW_TERMS
 
 
 def poisson_window(x: float) -> tuple[int, int]:
@@ -213,8 +206,6 @@ def _member_b(p, q, x, y):
     if half == 0.0:
         v = _betainc(p, q, y)
         return v, _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0)
-    if not window_fits(x):
-        return math.nan, math.nan
     j_hi = _upper_edge(half)
     j0 = min(int(half + 0.5), j_hi)
     lw0 = _log_poisson(half, j0)
@@ -246,6 +237,20 @@ def _member_b(p, q, x, y):
 
 
 @kernel
+def _complement_end(p, q, half, y):
+    """Upper end of the complement's window: the summand peak, where the
+    weight ratio h/(j+1) times the term growth y(p+q+j)/(p+j+1) equals one
+    (the positive root of j^2 + (p + 1 - hy) j - hy (p + q) = 0), plus a
+    Poisson-width margin, and at least the upper Poisson cutoff."""
+    hy = half * y
+    b = p + 1.0 - hy
+    c = hy * (p + q)
+    disc = math.sqrt(b * b + 4.0 * c)
+    jstar = 2.0 * c / (b + disc) if b > 0.0 else 0.5 * (disc - b)
+    return max(_upper_edge(half), int(math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0)))
+
+
+@kernel
 def _member_complement(p, q, x, y):
     """The complement by the Poisson mixture over I_{1-y}(q, p+j).
 
@@ -264,17 +269,7 @@ def _member_complement(p, q, x, y):
     if half == 0.0:
         v = _betainc(q, p, 1.0 - y)
         return v, _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0)
-    # summand peak: the weight ratio h/(j+1) times the term growth
-    # y(p+q+j)/(p+j+1) equals one, the positive root of
-    # j^2 + (p + 1 - hy) j - hy (p + q) = 0
-    hy = half * y
-    b = p + 1.0 - hy
-    c = hy * (p + q)
-    disc = math.sqrt(b * b + 4.0 * c)
-    jstar = 2.0 * c / (b + disc) if b > 0.0 else 0.5 * (disc - b)
-    j_end = max(_upper_edge(half), int(math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0)))
-    if j_end + 1 > MAX_WINDOW_TERMS:
-        return math.nan, math.nan
+    j_end = _complement_end(p, q, half, y)
     j_lo = _lower_edge(half, TAIL_LOG)
     n = j_end - j_lo + 1
     lp = p + j_lo
@@ -365,12 +360,16 @@ def eval_series(sp: ShapeParams, pt: EvalPoint, tol: float = 1e-14) -> Probabili
         return ProbabilityPair.from_primary(0.0, "b", "boundary", 0.0)
     if pt.y >= 1.0:
         return ProbabilityPair.from_primary(1.0, "b", "boundary", 0.0)
-    if not window_fits(pt.x):
-        raise EvaluationError(
-            f"series window would need {poisson_window(pt.x)[1] + 1} terms at x={pt.x}; tolerance unachievable"
-        )
     y0 = (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r)
     complement = pt.y > y0
+    half = 0.5 * pt.x
+    n = (_complement_end(sp.p, sp.q, half, pt.y) if complement else _upper_edge(half)) + 1
+    if n > MAX_WINDOW_TERMS:
+        # past the window a B below e^-750 is still certified: 0 is its
+        # correctly rounded value, the one _member_b gives inside the window
+        if not complement and _log_b_bound(sp.p, sp.q, half, pt.y) < -750.0:
+            return ProbabilityPair.from_primary(0.0, "b", "series", 1e-15)
+        raise EvaluationError(f"series window would need {n} terms at x={pt.x}; tolerance unachievable")
     if complement:
         value, err = _member_complement(sp.p, sp.q, pt.x, pt.y)
     else:

@@ -47,8 +47,7 @@ class TestEval:
         assert out.split()[0] == "erfc-uniform"
 
     def test_evaluation_failure_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, "eval", "--p", "781.9311283576282", "--q", "498.0331145429488",
-                                 "--x", "1439534073903.5244", "--y", "0.37628435451196307")
+        code, out, err = run_cli(capsys, "eval", "--p", "5", "--q", "1e7", "--x", "3e6", "--y", "0.15")
         assert code == 3
         assert out == "" and err.startswith("error:")
 
@@ -110,26 +109,29 @@ class TestBatch:
         assert rows[4][6].startswith("error:")
 
     def test_route_failure_does_not_abort(self, tmp_path, capsys, monkeypatch):
-        # the second row is planned for the large-z expansion, made to fail
-        # here; the row falls back to the series and the batch goes on
-        def fail(sp, pt):
-            raise EvaluationError("large-z out of regime")
+        # the second row is planned for the erfc-uniform expansion, made to
+        # fail here; the row falls back to the series and the batch goes on
+        calls = []
 
-        monkeypatch.setattr(ncbeta.dispatch, "eval_large_z", fail)
+        def fail(frame, target):
+            calls.append(target)
+            raise EvaluationError("erfc-uniform out of regime")
+
+        monkeypatch.setattr(ncbeta.dispatch, "_erfc_uniform", fail)
         src = tmp_path / "in.csv"
-        src.write_text("p,q,x,y\n5,5,54,0.8640\n2.3,3.5,250,0.9\n10,15,4.5,0.45\n")
+        src.write_text("p,q,x,y\n5,5,54,0.8640\n30,30,100,0.1\n10,15,4.5,0.45\n")
         dst = tmp_path / "out.csv"
         code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval")
         assert code == 0
         rows = list(csv.reader(dst.open()))
         assert len(rows) == 4
+        assert calls == ["B"]
         assert [r[6] for r in rows[1:]] == ["series", "series", "series"]
-        assert float(rows[2][4]) == eval_series(ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9)).b
+        assert float(rows[2][4]) == eval_series(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1)).b
 
     def test_evaluation_failure_is_an_error_row(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
-        src.write_text("p,q,x,y\n781.9311283576282,498.0331145429488,1439534073903.5244,0.37628435451196307\n"
-                       "10,15,4.5,0.45\n")
+        src.write_text("p,q,x,y\n5,1e7,3e6,0.15\n10,15,4.5,0.45\n")
         dst = tmp_path / "out.csv"
         code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval")
         assert code == 0

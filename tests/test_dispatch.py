@@ -22,7 +22,7 @@ class TestExplain:
     def test_documented_routes(self):
         assert explain(ShapeParams(10.0, 15.0), EvalPoint(4.5, 0.45)).route == "series"
         assert explain(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1)).route == "erfc-uniform"
-        assert explain(ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9)).route == "large-z"
+        assert explain(ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9)).route == "series"
         assert explain(ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787)).route == "erfc-uniform"
 
     def test_primary_flips_at_transition(self):
@@ -51,31 +51,55 @@ class TestEvaluate:
         assert type(pair.b) is float and type(pair.bbar) is float
         assert type(pair.err_est) is float
 
-    def test_kummer_overflow_falls_back_to_series(self, monkeypatch):
+    def test_kummer_overflow_falls_back_to_series(self):
         # the direct Kummer factors overflow math.exp here; the point lies
-        # inside the series window, so the series answers it, both as the
-        # planned route and as the fallback of a Kummer plan
+        # inside the series window, so the series answers it
         sp, pt = ShapeParams(0.86226, 485.544), EvalPoint(84263.1, 0.014963)
         with pytest.raises(EvaluationError):
             eval_kummer_series(sp, pt)
         pair = evaluate(sp, pt)
         assert pair.method == "series"
         assert pair == eval_series(sp, pt)
-        planned = ncbeta.dispatch.MethodChoice("kummer-series", explain(sp, pt).primary_target, "forced")
-        monkeypatch.setattr(ncbeta.dispatch, "explain", lambda sp, pt: planned)
-        assert evaluate(sp, pt) == pair
 
     def test_route_failure_falls_back_to_series(self, monkeypatch):
-        sp, pt = ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9)
-        assert explain(sp, pt).route == "large-z"
+        sp, pt = ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1)
+        assert explain(sp, pt).route == "erfc-uniform"
+        calls = []
 
-        def fail(sp, pt):
-            raise EvaluationError("large-z out of regime")
+        def fail(frame, target):
+            calls.append(target)
+            raise EvaluationError("erfc-uniform out of regime")
 
-        monkeypatch.setattr(ncbeta.dispatch, "eval_large_z", fail)
+        monkeypatch.setattr(ncbeta.dispatch, "_erfc_uniform", fail)
         pair = evaluate(sp, pt)
+        assert calls == ["B"]
         assert pair.method == "series"
         assert pair == eval_series(sp, pt, tol=1e-12)
+
+    def test_former_large_z_points_meet_tol(self):
+        # defect 3: the large-z expansion, once routed here, returned
+        # B = 0.0125 with err_est 3.4; its terms grow with y/(1-y)
+        sp, pt = ShapeParams(0.71752, 8.01142), EvalPoint(109.916, 0.946905)
+        pair = evaluate(sp, pt)
+        assert pair.method == "series" and pair.err_est <= 1e-12
+        oracle = special.ncfdtr(2.0 * sp.p, 2.0 * sp.q, pt.x, (sp.q / sp.p) * pt.y / (1.0 - pt.y))
+        assert abs(pair.b - 0.97993) <= 1e-5
+        assert abs(pair.b - oracle) <= 1e-10
+        # every eval-mixed point (seeds 1-2) the large-z rule used to take:
+        # z >= 40, p, q <= 10, y <= 0.95
+        taken = 0
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            for _ in range(4000):
+                p = math.exp(rng.uniform(math.log(0.5), math.log(2000.0)))
+                q = math.exp(rng.uniform(math.log(0.5), math.log(2000.0)))
+                x = rng.uniform(0.0, 500.0)
+                y = rng.uniform(0.001, 0.999)
+                if 0.5 * x * y >= 40.0 and p <= 10.0 and q <= 10.0 and y <= 0.95:
+                    pair = evaluate(ShapeParams(p, q), EvalPoint(x, y))
+                    assert pair.method == "series" and pair.err_est <= 1e-12
+                    taken += 1
+        assert taken > 400
 
     @pytest.mark.parametrize(
         "p, q, x, y, rel",
@@ -93,12 +117,18 @@ class TestEvaluate:
         oracle = special.ncfdtr(2.0 * p, 2.0 * q, x, (q / p) * y / (1.0 - y))
         assert abs(pair.b - oracle) <= rel * oracle
 
-    def test_kummer_series_serves_past_the_series_window(self):
-        sp, pt = ShapeParams(0.7, 50.0), EvalPoint(5e6, 0.01)
-        with pytest.raises(EvaluationError):
-            eval_series(sp, pt)
-        assert explain(sp, pt).route == "kummer-series"
-        assert evaluate(sp, pt).method == "kummer-series"
+    def test_series_certifies_vanishing_b_past_its_window(self):
+        # the window would pass MAX_WINDOW_TERMS; an upper bound puts B below
+        # e^-750 (at the last point the saddle also rounds onto t = 1)
+        for p, q, x, y in [
+            (0.7, 50.0, 5e6, 0.01),
+            (2.0, 3.0, 3e6, 0.5),
+            (781.9311283576282, 498.0331145429488, 1439534073903.5244, 0.37628435451196307),
+        ]:
+            sp, pt = ShapeParams(p, q), EvalPoint(x, y)
+            assert explain(sp, pt).route == "series"
+            pair = evaluate(sp, pt)
+            assert pair.method == "series" and pair.b == 0.0 and pair.bbar == 1.0
 
     def test_boundary_layer_pinned_value(self):
         pair = evaluate(ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787))
@@ -116,14 +146,20 @@ class TestEvaluate:
         pair = evaluate(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1))
         assert pair.method == "erfc-uniform"
         assert len(calls) == 1
+        # outside the strip's quantile and angle edges no frame is built
+        for p, q, y in [(30.0, 30.0, 0.995), (45.0, 1.0, 0.5)]:
+            assert evaluate(ShapeParams(p, q), EvalPoint(100.0, y)).method == "series"
+        assert len(calls) == 1
 
-    def test_saddle_rounding_to_branch_point_is_an_evaluation_error(self):
-        # the frame is degenerate and the series window is far too long
-        sp = ShapeParams(781.9311283576282, 498.0331145429488)
-        pt = EvalPoint(1439534073903.5244, 0.37628435451196307)
-        assert explain(sp, pt).route == "series"
-        with pytest.raises(EvaluationError):
-            evaluate(sp, pt)
+    def test_complement_past_the_window_is_an_evaluation_error(self):
+        # the complement is primary and its window, which runs to the summand
+        # peak, passes MAX_WINDOW_TERMS; at the last two points the Poisson
+        # window alone is short
+        for p, q, x, y in [(5.0, 1e7, 3e6, 0.15), (1.0, 1e10, 1e5, 0.1), (1.0, 1e12, 1e4, 0.15)]:
+            sp, pt = ShapeParams(p, q), EvalPoint(x, y)
+            assert explain(sp, pt).route == "series"
+            with pytest.raises(EvaluationError, match="series window would need"):
+                evaluate(sp, pt)
 
     def test_err_est_honest_where_a_coefficient_nears_zero(self):
         # g_4 sits near a zero here, so the last kept term understates the error

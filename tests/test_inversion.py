@@ -54,6 +54,14 @@ class TestTransitionEquation:
         val = transition_equation(SP, EvalPoint(7.1704, 0.45), z0)
         assert abs(val) <= 1e-5
 
+    @pytest.mark.parametrize("z, root", [(0.01, 0.2330), (0.99, 0.6739)])
+    def test_worked_y_roots(self, z, root):
+        # the paper's quantile roots: a sign change within 5e-3 relative
+        zeta0 = zeta0_seed(InversionProblem("y", SP, 4.5, z))
+        lo = transition_equation(SP, EvalPoint(4.5, root * (1.0 - 5e-3)), zeta0)
+        hi = transition_equation(SP, EvalPoint(4.5, root * (1.0 + 5e-3)), zeta0)
+        assert lo * hi < 0.0
+
     def test_agrees_with_frame(self):
         rng = np.random.default_rng(17)
         for _ in range(50):
@@ -127,9 +135,13 @@ class TestInvert:
         assert abs(evaluate(SP, EvalPoint(4.5, r.seed_value)).b - 0.98999) <= 5e-5
         assert abs(r.residual) <= 1e-10
 
+        # the transition series seeds at any |zeta0|; its raw seed is the
+        # paper's 0.2330, and the zeta1 correction moves it toward the root
         r = invert(InversionProblem("y", SP, 4.5, 0.01))
-        assert r.seed_path == "transition-root"
-        assert abs(r.seed_value - 0.2330) <= 5e-3 * 0.2330
+        assert r.seed_path == "zeta-series"
+        assert abs(r.seed_value_raw - 0.2330) <= 5e-3 * 0.2330
+        assert abs(r.seed_value - r.value) < abs(r.seed_value_raw - r.value)
+        assert abs(r.residual) <= 1e-10
 
     def test_branch_rule_sides(self):
         x0 = 50.0 / 11.0
