@@ -4,12 +4,16 @@ The route policy, in order:
 
 * boundaries (y = 0, y = 1) are exact,
 * x = 0 is the central incomplete beta,
-* large r = p + q inside the validity strip goes to the erfc-based uniform
-  expansion, which holds through the transition and reduces to the plain
-  saddle series past it; the frame built to decide this is the one the
-  route evaluates on,
-* everything else to the reference series, which past its window (x of
-  order 2e6) returns only a B that its upper bound puts below e^-750, as 0.
+* every point the series window reaches (``window_terms`` up to
+  ``MAX_WINDOW_TERMS``, x up to order 2e6) goes to the reference series,
+  which meets the default tolerance there at a cost below the expansion's
+  plus the frame it needs; no frame is built,
+* past the window, large r = p + q inside the validity strip goes to the
+  erfc-based uniform expansion, which holds through the transition and
+  reduces to the plain saddle series past it; the frame built to decide
+  this is the one the route evaluates on,
+* everything else to the series, which past its window returns only a B
+  that its upper bound puts below e^-750, as 0, and otherwise raises.
 
 The paper's large-z expansion and Kummer-function series are reproduction
 only (``ncbeta eval --method large-z|kummer``): the first misses the
@@ -30,7 +34,7 @@ from .asymptotic import SaddleFrame, _erfc_uniform, build_frame, strip_edges_ok
 from .errors import DomainError, EvaluationError, FrameDegenerateError
 from .kernels import central_beta_cdf
 from .params import EvalPoint, ProbabilityPair, ShapeParams
-from .series import eval_series
+from .series import MAX_WINDOW_TERMS, eval_series, window_terms
 
 R_MIN_ASYMPTOTIC = 40.0  # smallest r routed to the erfc-uniform expansion
 
@@ -56,6 +60,8 @@ def explain(sp: ShapeParams, pt: EvalPoint) -> MethodChoice:
     primary = _primary(sp, pt)
     if pt.x == 0.0:
         return MethodChoice("central", primary, "zero noncentrality reduces to the central beta")
+    if window_terms(sp, pt) <= MAX_WINDOW_TERMS:
+        return MethodChoice("series", primary, "the series window reaches the point")
     if sp.r >= R_MIN_ASYMPTOTIC and strip_edges_ok(pt.y, sp.cos2, sp.sin2):
         try:
             frame = build_frame(sp, pt)
@@ -63,9 +69,9 @@ def explain(sp: ShapeParams, pt: EvalPoint) -> MethodChoice:
             frame = None
         if frame is not None and frame.strip_ok:
             return MethodChoice(
-                "erfc-uniform", primary, f"r={sp.r:g} large; uniform through the transition", frame
+                "erfc-uniform", primary, f"r={sp.r:g} past the series window; uniform through the transition", frame
             )
-    return MethodChoice("series", primary, "defining series converges comfortably")
+    return MethodChoice("series", primary, "past the series window; only a vanishing B is certified")
 
 
 def _run_route(

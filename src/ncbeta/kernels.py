@@ -77,14 +77,21 @@ def _log_beta_pre(p, q, y):
 
     Grouped so that intermediate magnitudes stay near the magnitude of the
     result; the naive sum of three large logs loses a digit for every two
-    orders of magnitude of headroom."""
+    orders of magnitude of headroom.  Near the mode y = p/(p+q), where
+    t = yq - (1-y)p is small, the p- and q-sized multiples are taken as
+    log1p of t/p and -t/q, which shares one rounding of t between them
+    instead of multiplying the rounding of two logs by p and q."""
     if y <= 0.0 or y >= 1.0:
         return -math.inf
     r = p + q
     if min(p, q) >= 10.0:
+        t = y * q - (1.0 - y) * p
+        if abs(t) <= 0.5 * min(p, q):
+            main = p * math.log1p(t / p) + q * math.log1p(-t / q)
+        else:
+            main = p * math.log(y * r / p) + q * math.log((1.0 - y) * r / q)
         return (
-            p * math.log(y * r / p)
-            + q * math.log((1.0 - y) * r / q)
+            main
             + 0.5 * math.log(p * q / (6.283185307179586476925287 * r))
             - _stirling_delta(p)
             - _stirling_delta(q)

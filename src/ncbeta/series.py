@@ -4,24 +4,24 @@ The CDF is the Poisson mixture
 
     B_{p,q}(x, y) = e^{-x/2} sum_j (x/2)^j / j! * I_y(p + j, q),
 
-and the complement is the same mixture over I_{1-y}(q, p + j).  The central
-beta terms are generated by stable recursions (backward ratio recursion for
-the decaying I_y(p+j, q) sequence, forward increments for the growing
-complement sequence), which is orders of magnitude cheaper than a continued
-fraction per term and equally accurate.  The terms, the Poisson weights and
-the sums are array operations (running products and sums, pairwise
-summation); the backward ratio recursion, which is nonlinear, is the one
-scalar loop over the window.
+and the complement is the same mixture over I_{1-y}(q, p + j).  Both term
+sequences come from the exact recursion I_y(a, q) - I_y(a+1, q) = d_a > 0:
+B's decaying terms are one value past the top of the window plus the
+reverse running sum of the increments, the complement's growing terms one
+value at the bottom plus their forward running sum.  The increments run
+outward from their largest term by products of their ratio.  Increments,
+Poisson weights, terms and sums are all array operations; no Python loop
+runs over the window.
 
 Each member sums only a window whose dropped mass is bounded a priori: up
 to an upper Poisson cutoff, and from a lower edge set by the Chernoff bound
 on the Poisson tail, so the cost grows as sqrt(x), not x.  A B member whose
-term at the Poisson mode underflows, or whose window would pass
+increment at the Poisson mode underflows, or whose window would pass
 ``MAX_WINDOW_TERMS``, first checks an upper bound on B and returns 0,
-summing nothing, when B rounds to 0.  A member's
-relative ``err_est`` adds the mass dropped below the window, a bound on the
-tail above it, and a rounding floor that grows with p + q and with the log
-of the incomplete-beta prefactor the terms are built on.
+summing nothing, when B rounds to 0.  A member's relative ``err_est`` adds
+the mass dropped below the window, a bound on the tail above it, and a
+rounding floor that grows with p + q and with the log of the increment the
+chain is anchored on.
 
 This module also houses the notation bridges used as independent
 cross-checks: the type-II q-function double series and the noncentral F
@@ -96,50 +96,61 @@ def _rounding_floor(n, pq, log_mag):
     multiples and as u * |lpre| from the rounding of its large terms and of
     exp; 3e-15 covers the continued fraction.  Fitted to 40-digit mpmath on
     the 6953 series members of eval-mixed seeds 1 and 2 with values above
-    1e-290: the worst true error is 0.95 of this floor."""
+    1e-290: the worst true error is 0.80 of this floor."""
     return 3e-15 + 1.12e-16 * (2.0 * n + 2.0 * pq + 3.0 * abs(log_mag))
 
 
 @kernel
-def _central_terms_minimal(p, q, y, j_lo, j_hi, anchor, anchor_value):
-    """I_y(p+j, q) for j = j_lo..j_hi.
+def _increments(p, q, y, j_lo, n):
+    """The increments d_k = I_y(a, q) - I_y(a+1, q) = e^{lpre(a)} / a for
+    a = p + j_lo + k, k = 0..n-1, scaled by e^-shift.
 
-    The sequence is minimal for the three-term recurrence in increasing j,
-    so the term ratios rho_j = I_y(p+j+1, q) / I_y(p+j, q) are generated by
-    downward recursion, the one scalar loop of the series.  The ratio seed
-    comes from two continued-fraction values at the top of the window; if
-    those underflow, a trial seed at j_hi + 40 is used instead (the decay of
-    the sequence then swamps the seed error).  Values are rebuilt around the
-    anchor, whose value I_y(p + anchor, q) the caller passes in, by running
-    products of the ratios; that pins the relative accuracy near the anchor
-    index."""
-    n = j_hi - j_lo + 1
-    if y <= 0.0:
-        return np.zeros(n)
-    if y >= 1.0:
-        return np.ones(n)
-    f_top0 = _betainc(p + j_hi, q, y)
-    f_top1 = _betainc(p + j_hi + 1.0, q, y)
-    if f_top0 > 0.0 and f_top1 > 0.0 and f_top1 == f_top1 and f_top0 == f_top0:
-        r = f_top1 / f_top0
-        jstart = j_hi
-    else:
-        r = y
-        jstart = j_hi + 40
-    rho = np.empty(jstart - j_lo)
-    for j in range(jstart, j_lo, -1):
-        pj = p + j
-        c = (pj + q - 1.0) * y
-        r = c / (pj + c - pj * r)
-        rho[j - j_lo - 1] = r
-    rho = rho[: n - 1]
-    k0 = anchor - j_lo
-    out = np.empty(n)
-    out[k0] = anchor_value
-    out[k0 + 1 :] = anchor_value * np.cumprod(rho[k0:])
-    if k0 > 0:
-        out[:k0] = anchor_value / np.cumprod(rho[k0 - 1 :: -1])[::-1]
-    return out
+    Their ratio d_k / d_{k-1} = y (a - 1 + q) / a falls through one at jpk,
+    so they are unimodal.  The chain is anchored at its largest term k0,
+    whose log ld0 comes from the prefactor, and runs outward by running
+    products of the ratio and its reciprocal, so away from the anchor the
+    increments only fall.  A chain whose peak nears the underflow threshold
+    is scaled to shift = ld0.
+
+    Returns (d, shift, k0, ld0)."""
+    jpk = (y * (p + q - 1.0) - p) / (1.0 - y)
+    k0 = int(min(max(math.floor(jpk) - j_lo, 0.0), n - 1.0))
+    a0 = p + (j_lo + k0)
+    ld0 = _log_beta_pre(a0, q, y) - math.log(a0)
+    shift = ld0 if ld0 < -650.0 else 0.0
+    d0 = np.array([math.exp(ld0 - shift)])
+    a_dn = a0 - np.arange(0.0, k0)
+    a_up = a0 + np.arange(1.0, n - k0)
+    down = np.cumprod(np.concatenate((d0, a_dn / (y * (a_dn - 1.0 + q)))))
+    up = np.cumprod(np.concatenate((d0, y * (a_up - 1.0 + q) / a_up)))
+    return np.concatenate((down[:0:-1], up)), shift, k0, ld0
+
+
+@kernel
+def _seeded(a, b, z, d, shift):
+    """The seed I_z(a, b) of a term chain whose increments d are scaled by
+    e^-shift, scaled alike.  A scaled seed that overflows dwarfs every
+    increment, so the chain is unscaled instead.  Returns (seed, d, shift)."""
+    if shift != 0.0:
+        s = _betainc_scaled(a, b, z, shift)
+        if s != math.inf:
+            return s, d, shift
+        d = d * math.exp(shift)
+    return _betainc(a, b, z), d, 0.0
+
+
+@kernel
+def _central_terms_minimal(p, q, y, j_lo, j_hi):
+    """I_y(p+j, q) for j = j_lo..j_hi, scaled by e^-shift.
+
+    The sequence falls with j, by the increments of ``_increments``, so it
+    is the value one past the top of the window plus the reverse running
+    sum of the increments: every addition is of positive terms.
+
+    Returns (terms, shift, k0, ld0), the last three from ``_increments``."""
+    d, shift, k0, ld0 = _increments(p, q, y, j_lo, j_hi - j_lo + 1)
+    top, d, shift = _seeded(p + j_hi + 1.0, q, y, d, shift)
+    return top + np.cumsum(d[::-1])[::-1], shift, k0, ld0
 
 
 @kernel
@@ -195,11 +206,13 @@ def _member_b(p, q, x, y):
     The window runs up to the upper Poisson cutoff, beyond which both factors
     decay.  Its lower edge comes from the Chernoff bound: every dropped term
     is at most I_y(p, q) <= 1 and the kept sum is at least its summand at the
-    Poisson mode j0, so the edge drops mass below e^-39.2 of w_j0 I_y(p+j0, q).
-    When the central terms decay faster than the weights grow, the summand
-    peaks at low j, that product is tiny, and the edge stays at zero; if an
-    upper bound on B then lies below e^-750, B rounds to 0 and nothing is
-    summed.  The err_est includes the dropped mass and the upper tail.
+    Poisson mode j0, which is at least w_j0 d_j0, so the edge drops mass
+    below e^-39.2 of that.  When the central terms decay faster than the
+    weights grow, the summand peaks at low j, that product is tiny, and the
+    edge stays at zero; if an upper bound on B then lies below e^-750, B
+    rounds to 0 and nothing is summed.  The sum runs in the increments'
+    scaled regime and is unscaled once.  The err_est includes the dropped
+    mass and the upper tail.
 
     Returns (value, relative error estimate)."""
     half = 0.5 * x
@@ -209,31 +222,23 @@ def _member_b(p, q, x, y):
     j_hi = _upper_edge(half)
     j0 = min(int(half + 0.5), j_hi)
     lw0 = _log_poisson(half, j0)
-    anchor = j0
-    i_anchor = _betainc(p + j0, q, y)
-    if not i_anchor >= 2.3e-308:
-        # the value at the Poisson peak underflows or is subnormal (only a
-        # few mantissa bits); the summand mass then sits at low j, so keep
-        # the whole window and anchor at j = 0, whose term bounds the member,
-        # unless B lies below e^-750, where 0 is its correctly rounded value
-        if _log_b_bound(p, q, half, y) < -750.0:
-            return 0.0, 1e-15
-        j_lo = 0
-        anchor = 0
-        i_anchor = _betainc(p, q, y)
-    else:
-        j_lo = _lower_edge(half, TAIL_LOG - lw0 - math.log(i_anchor))
+    ld_j0 = _log_beta_pre(p + j0, q, y) - math.log(p + j0)
+    if ld_j0 < -708.0 and _log_b_bound(p, q, half, y) < -750.0:
+        # B lies below e^-750, where 0 is its correctly rounded value
+        return 0.0, 1e-15
+    j_lo = _lower_edge(half, TAIL_LOG - lw0 - ld_j0)
     n = j_hi - j_lo + 1
     wgt = _poisson_weights(half, j0, n, j_lo, lw0)
-    terms = _central_terms_minimal(p, q, y, j_lo, j_hi, anchor, i_anchor)
+    terms, shift, k0, ld0 = _central_terms_minimal(p, q, y, j_lo, j_hi)
     s = float(np.sum(wgt * terms))
-    if s <= 0.0:
+    value = s if shift == 0.0 or s <= 0.0 else math.exp(shift + math.log(s))
+    if value <= 0.0:
         return 0.0, 1e-15
     rup = half / (j_hi + 1.0)
     tail = wgt[n - 1] * terms[n - 1] * rup / (1.0 - rup)
     if j_lo > 0:
-        tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half))
-    return s, tail / s + _rounding_floor(n, p + q + anchor, math.log(i_anchor))
+        tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half) - shift)
+    return value, tail / s + _rounding_floor(n, p + q + j_lo + k0, ld0)
 
 
 @kernel
@@ -258,10 +263,9 @@ def _member_complement(p, q, x, y):
     the Poisson cutoff; the window extends to the product peak (where the
     weight decay finally beats the term growth) plus a Poisson-width margin.
     Below the Poisson lower edge the terms are at most the first kept one,
-    so the dropped mass is at most P(J < j_lo) times it.  Terms are
-    generated by the exact increment recursion from a direct value at
-    p + j_lo, run in a scaled regime when the increments sit near the
-    underflow threshold.  The err_est includes the dropped mass and the
+    so the dropped mass is at most P(J < j_lo) times it.  The terms are a
+    direct value at p + j_lo plus the running sum of the increments, in
+    their scaled regime.  The err_est includes the dropped mass and the
     upper tail.
 
     Returns (value, relative error estimate)."""
@@ -272,50 +276,8 @@ def _member_complement(p, q, x, y):
     j_end = _complement_end(p, q, half, y)
     j_lo = _lower_edge(half, TAIL_LOG)
     n = j_end - j_lo + 1
-    lp = p + j_lo
-    ld_lo = _log_beta_pre(lp, q, y) - math.log(lp)
-    # the increments d_j = exp(ld_j) are unimodal: their ratio
-    # y(p+q+j-1)/(p+j) crosses one at jpk
-    jpk = (y * (p + q - 1.0) - p) / (1.0 - y)
-    jc = min(max(jpk, float(j_lo)), float(j_end))
-    ldmax = ld_lo
-    jf = math.floor(jc)
-    if jf > j_lo:
-        ldmax = max(ldmax, _log_beta_pre(p + jf, q, y) - math.log(p + jf))
-    if jc > jf:
-        ldmax = max(ldmax, _log_beta_pre(p + jf + 1.0, q, y) - math.log(p + jf + 1.0))
-    # scale when the increment profile starts or peaks near the underflow
-    # threshold; increments more than ~700 below the peak contribute nothing
-    shift = ldmax if (ldmax < -650.0 or ld_lo < -640.0) else 0.0
-    if shift != 0.0:
-        g = _betainc_scaled(q, lp, 1.0 - y, shift)
-        if g == math.inf:
-            # the anchor dwarfs every increment; the unscaled path is exact
-            # enough because the increments are then negligible
-            shift = 0.0
-            g = _betainc(q, lp, 1.0 - y)
-    else:
-        g = _betainc(q, lp, 1.0 - y)
-    g_lo = g
-    # increments d_j = exp(ld_j) by the exact ratio recursion; keep the chain
-    # out of the subnormal range (below e^-708 doubles carry too few bits and
-    # a near-zero start poisons every later increment)
-    jr = np.arange(j_lo + 1.0, j_lo + n)
-    ratio = y * (p + q + jr - 1.0) / (p + jr)
-    d = np.zeros(n)
-    k = 0
-    if ld_lo - shift > -700.0:
-        d[0] = math.exp(ld_lo - shift)
-    elif jpk >= j_lo + 1:
-        # the chain starts flushed below the normal range and the profile is
-        # still climbing: follow it in logs and re-anchor exactly once it is
-        # back (past jpk it only falls)
-        kmax = min(int(jpk) - j_lo, n - 1)
-        back = np.nonzero(ld_lo + np.cumsum(np.log(ratio[:kmax])) - shift > -700.0)[0]
-        if len(back) > 0:
-            k = int(back[0]) + 1
-            d[k] = math.exp(_log_beta_pre(p + (j_lo + k), q, y) - math.log(p + (j_lo + k)) - shift)
-    d[k:] = np.cumprod(np.concatenate((d[k : k + 1], ratio[k:])))
+    d, shift, k0, ld0 = _increments(p, q, y, j_lo, n)
+    g_lo, d, shift = _seeded(q, p + j_lo, 1.0 - y, d, shift)
     # the terms g_j = I_{1-y}(q, p+j) add the increments up from g_lo
     g = np.cumsum(np.concatenate((np.array([g_lo]), d[:-1])))
     j0 = min(max(int(half + 0.5), j_lo), j_end)
@@ -332,20 +294,36 @@ def _member_complement(p, q, x, y):
     tail = wgt[n - 1] * r * (g[n - 1] / (1.0 - r) + d[n - 1] / (1.0 - r * rho) ** 2) if r * rho < 1.0 else math.inf
     if j_lo > 0:
         tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * g_lo
-    return value, tail / s + _rounding_floor(n, p + q + j_lo, ld_lo)
+    return value, tail / s + _rounding_floor(n, p + q + j_lo + k0, ld0)
 
 
 def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np.ndarray:
     """I_y(p+j, q) for j = j_lo..j_hi, each within ~1e-13 of a direct
-    continued-fraction evaluation, normalized at j_lo."""
+    continued-fraction evaluation."""
     if not 0 <= j_lo <= j_hi:
         raise DomainError(f"need 0 <= j_lo <= j_hi, got ({j_lo}, {j_hi})")
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"quantile y must lie in [0, 1], got {y}")
-    out = _central_terms_minimal(sp.p, sp.q, y, j_lo, j_hi, j_lo, _betainc(sp.p + j_lo, sp.q, y))
+    if y == 0.0 or y == 1.0:
+        return np.full(j_hi - j_lo + 1, y)
+    out, shift = _central_terms_minimal(sp.p, sp.q, y, j_lo, j_hi)[:2]
+    if shift != 0.0:
+        with np.errstate(divide="ignore"):
+            out = np.exp(np.log(out) + shift)
     if np.any(np.isnan(out)):
         raise EvaluationError("central beta recursion produced nan")
     return out
+
+
+def window_terms(sp: ShapeParams, pt: EvalPoint) -> int:
+    """The number of terms the series member primary at the point sums up
+    to: the upper Poisson cutoff for B (y <= y0), the complement's summand
+    peak plus a margin above.  Past ``MAX_WINDOW_TERMS`` the series cannot
+    reach the point."""
+    half = 0.5 * pt.x
+    if pt.y > (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r):
+        return _complement_end(sp.p, sp.q, half, pt.y) + 1
+    return _upper_edge(half) + 1
 
 
 def eval_series(sp: ShapeParams, pt: EvalPoint, tol: float = 1e-14) -> ProbabilityPair:
@@ -362,12 +340,11 @@ def eval_series(sp: ShapeParams, pt: EvalPoint, tol: float = 1e-14) -> Probabili
         return ProbabilityPair.from_primary(1.0, "b", "boundary", 0.0)
     y0 = (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r)
     complement = pt.y > y0
-    half = 0.5 * pt.x
-    n = (_complement_end(sp.p, sp.q, half, pt.y) if complement else _upper_edge(half)) + 1
+    n = window_terms(sp, pt)
     if n > MAX_WINDOW_TERMS:
         # past the window a B below e^-750 is still certified: 0 is its
         # correctly rounded value, the one _member_b gives inside the window
-        if not complement and _log_b_bound(sp.p, sp.q, half, pt.y) < -750.0:
+        if not complement and _log_b_bound(sp.p, sp.q, 0.5 * pt.x, pt.y) < -750.0:
             return ProbabilityPair.from_primary(0.0, "b", "series", 1e-15)
         raise EvaluationError(f"series window would need {n} terms at x={pt.x}; tolerance unachievable")
     if complement:

@@ -44,7 +44,12 @@ class TestEval:
         code, out, _ = run_cli(capsys, "eval", "--p", "30", "--q", "30", "--x", "100", "--y", "0.1",
                                "--method", "explain")
         assert code == 0
-        assert out.split()[0] == "erfc-uniform"
+        assert out.split()[0] == "series"
+        # past the series window (x = 3e6) the uniform expansion answers
+        code, out, _ = run_cli(capsys, "eval", "--p", "5000", "--q", "5e4", "--x", "3e6", "--y", "0.9674",
+                               "--method", "explain")
+        assert code == 0
+        assert out.split()[:2] == ["erfc-uniform", "B"]
 
     def test_evaluation_failure_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "eval", "--p", "5", "--q", "1e7", "--x", "3e6", "--y", "0.15")
@@ -109,8 +114,10 @@ class TestBatch:
         assert rows[4][6].startswith("error:")
 
     def test_route_failure_does_not_abort(self, tmp_path, capsys, monkeypatch):
-        # the second row is planned for the erfc-uniform expansion, made to
-        # fail here; the row falls back to the series and the batch goes on
+        # the second and third rows lie past the series window and are
+        # planned for the erfc-uniform expansion, made to fail here; each
+        # falls back to the series, which certifies the vanishing B of the
+        # third row and cannot reach the second, and the batch goes on
         calls = []
 
         def fail(frame, target):
@@ -119,15 +126,16 @@ class TestBatch:
 
         monkeypatch.setattr(ncbeta.dispatch, "_erfc_uniform", fail)
         src = tmp_path / "in.csv"
-        src.write_text("p,q,x,y\n5,5,54,0.8640\n30,30,100,0.1\n10,15,4.5,0.45\n")
+        src.write_text("p,q,x,y\n5,5,54,0.8640\n5000,5e4,3e6,0.9674\n5000,5e4,3e6,0.95\n10,15,4.5,0.45\n")
         dst = tmp_path / "out.csv"
         code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval")
         assert code == 0
         rows = list(csv.reader(dst.open()))
-        assert len(rows) == 4
-        assert calls == ["B"]
-        assert [r[6] for r in rows[1:]] == ["series", "series", "series"]
-        assert float(rows[2][4]) == eval_series(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1)).b
+        assert len(rows) == 5
+        assert calls == ["B", "B"]
+        assert rows[2][6].startswith("error:") and "series window" in rows[2][6]
+        assert [rows[i][6] for i in (1, 3, 4)] == ["series", "series", "series"]
+        assert float(rows[3][4]) == eval_series(ShapeParams(5000.0, 5e4), EvalPoint(3e6, 0.95)).b == 0.0
 
     def test_evaluation_failure_is_an_error_row(self, tmp_path, capsys):
         src = tmp_path / "in.csv"

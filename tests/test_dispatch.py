@@ -1,16 +1,38 @@
 import math
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
+from scipy.special._ufuncs import _ncf_sf
 
 import ncbeta.asymptotic
 import ncbeta.dispatch
+from ncbeta.asymptotic import eval_erfc_uniform
 from ncbeta.dispatch import evaluate, explain
 from ncbeta.errors import DomainError, EvaluationError
 from ncbeta.kummer_series import eval_kummer_series
 from ncbeta.params import EvalPoint, ShapeParams
-from ncbeta.series import eval_series
+from ncbeta.series import MAX_WINDOW_TERMS, eval_series, window_terms
+
+# past the series window (1.5e6 terms), inside the erfc-uniform strip; B is
+# primary, and erfc-uniform is within 1.5e-11 of scipy here
+PAST_WINDOW = (ShapeParams(5000.0, 5e4), EvalPoint(3e6, 0.9674))
+
+
+def mp_complement(p, q, x, y, dps=40):
+    """The complement as the plain Poisson mixture of mpmath incomplete
+    betas, far past the point where the weights fall below 10^-dps."""
+    with mp.workdps(dps):
+        h = mp.mpf(x) / 2
+        n = int(x / 2 + 12.0 * math.sqrt(x / 2) + 60.0)
+        return mp.fsum(
+            mp.exp(-h) * h**j / mp.factorial(j) * mp.betainc(q, p + j, 0, 1 - mp.mpf(y), regularized=True)
+            for j in range(n)
+        )
 
 
 class TestExplain:
@@ -20,10 +42,14 @@ class TestExplain:
         assert explain(ShapeParams(3.0, 4.0), EvalPoint(0.0, 0.4)).route == "central"
 
     def test_documented_routes(self):
+        # the series wherever its window reaches, erfc-uniform only past it
         assert explain(ShapeParams(10.0, 15.0), EvalPoint(4.5, 0.45)).route == "series"
-        assert explain(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1)).route == "erfc-uniform"
+        assert explain(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1)).route == "series"
         assert explain(ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9)).route == "series"
-        assert explain(ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787)).route == "erfc-uniform"
+        assert explain(ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787)).route == "series"
+        sp, pt = PAST_WINDOW
+        assert window_terms(sp, pt) > MAX_WINDOW_TERMS
+        assert explain(sp, pt).route == "erfc-uniform"
 
     def test_primary_flips_at_transition(self):
         sp = ShapeParams(10.0, 15.0)
@@ -62,8 +88,6 @@ class TestEvaluate:
         assert pair == eval_series(sp, pt)
 
     def test_route_failure_falls_back_to_series(self, monkeypatch):
-        sp, pt = ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1)
-        assert explain(sp, pt).route == "erfc-uniform"
         calls = []
 
         def fail(frame, target):
@@ -71,10 +95,16 @@ class TestEvaluate:
             raise EvaluationError("erfc-uniform out of regime")
 
         monkeypatch.setattr(ncbeta.dispatch, "_erfc_uniform", fail)
+        # past the window the series answers only a vanishing B: here its
+        # bound certifies B = 0, elsewhere it names the window it would need
+        sp, pt = PAST_WINDOW[0], EvalPoint(3e6, 0.95)
+        assert explain(sp, pt).route == "erfc-uniform"
         pair = evaluate(sp, pt)
-        assert calls == ["B"]
-        assert pair.method == "series"
+        assert pair.method == "series" and pair.b == 0.0
         assert pair == eval_series(sp, pt, tol=1e-12)
+        with pytest.raises(EvaluationError, match="series window would need"):
+            evaluate(*PAST_WINDOW)
+        assert calls == ["B", "B"]
 
     def test_former_large_z_points_meet_tol(self):
         # defect 3: the large-z expansion, once routed here, returned
@@ -131,9 +161,14 @@ class TestEvaluate:
             assert pair.method == "series" and pair.b == 0.0 and pair.bbar == 1.0
 
     def test_boundary_layer_pinned_value(self):
-        pair = evaluate(ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787))
-        assert pair.method == "erfc-uniform"
-        assert abs(pair.b - 0.9998676573798253) <= 1e-11
+        # the paper's value is the K = 2 erfc-uniform truncation, 9e-12 off;
+        # the series inside its window meets mpmath within err_est
+        sp, pt = ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787)
+        assert abs(eval_erfc_uniform(sp, pt, target="B").b - 0.9998676573798253) <= 1e-11
+        pair = evaluate(sp, pt)
+        assert pair.method == "series"
+        ref = mp_complement(sp.p, sp.q, pt.x, pt.y)
+        assert abs(mp.mpf(pair.bbar) - ref) <= pair.err_est * ref
 
     def test_frame_built_once(self, monkeypatch):
         calls = []
@@ -143,12 +178,12 @@ class TestEvaluate:
             return ncbeta.asymptotic.build_frame(sp, pt)
 
         monkeypatch.setattr(ncbeta.dispatch, "build_frame", counted)
-        pair = evaluate(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1))
-        assert pair.method == "erfc-uniform"
-        assert len(calls) == 1
-        # outside the strip's quantile and angle edges no frame is built
-        for p, q, y in [(30.0, 30.0, 0.995), (45.0, 1.0, 0.5)]:
-            assert evaluate(ShapeParams(p, q), EvalPoint(100.0, y)).method == "series"
+        # inside the series window no frame is built
+        for p, q, x, y in [(30.0, 30.0, 100.0, 0.1), (20.0, 20.0, 54.0, 0.8787), (500.0, 700.0, 1e5, 0.5)]:
+            assert evaluate(ShapeParams(p, q), EvalPoint(x, y)).method == "series"
+        assert calls == []
+        # past it, exactly one, which the route evaluates on
+        assert evaluate(*PAST_WINDOW).method == "erfc-uniform"
         assert len(calls) == 1
 
     def test_complement_past_the_window_is_an_evaluation_error(self):
@@ -165,7 +200,7 @@ class TestEvaluate:
         # g_4 sits near a zero here, so the last kept term understates the error
         sp = ShapeParams(165.63569065889928, 48.425949590332024)
         pt = EvalPoint(380.96000809916194, 0.08540478599351288)
-        ev = evaluate(sp, pt)
+        ev = eval_erfc_uniform(sp, pt)
         orc = eval_series(sp, pt)
         assert abs(ev.b - orc.b) / orc.b <= 2.0 * ev.err_est
 
@@ -189,19 +224,25 @@ class TestEvaluate:
             band = 10.0 * (a.err_est + c.err_est) * max(a.b, c.b) + 1e-15
             assert c.b <= a.b + band
 
-    def test_accuracy_against_oracle_sample(self):
-        rng = np.random.default_rng(77)
-        for _ in range(60):
-            p = math.exp(rng.uniform(math.log(0.5), math.log(2000.0)))
-            q = math.exp(rng.uniform(math.log(0.5), math.log(2000.0)))
-            x = rng.uniform(0.0, 500.0)
-            y = rng.uniform(1e-3, 1.0 - 1e-3)
-            sp, pt = ShapeParams(p, q), EvalPoint(x, y)
-            ev = evaluate(sp, pt)
-            orc = eval_series(sp, pt)
-            small_b = orc.b <= orc.bbar
-            m_o = orc.b if small_b else orc.bbar
-            m_e = ev.b if small_b else ev.bbar
-            if m_o < 1e-290 or orc.err_est > 1e-8:
-                continue
-            assert abs(m_e - m_o) / m_o <= max(5e-12, 5.0 * ev.err_est)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        # Boost's ncfdtr is erratic below x ~ 1e-150 (0.514 at (1, 1, 5e-161,
+        # 0.5), 0 at x = 5e-324, against 0.5), where no eval-mixed x falls
+        st.one_of(st.just(0.0), st.floats(1e-50, 500.0)),
+        st.floats(0.001, 0.999),
+    )
+    def test_accuracy_against_oracle_sample(self, p, q, x, y):
+        # scipy (Boost) is independent of every route; it is trusted where
+        # its smaller member is at least 1e-60 and the two sum to 1 within
+        # 1e-10
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")  # Boost warns where its series stalls; the rule rejects those
+            f = (q / p) * y / (1.0 - y)
+            cdf, sf = special.ncfdtr(2.0 * p, 2.0 * q, x, f), _ncf_sf(f, 2.0 * p, 2.0 * q, x)
+        if not (min(cdf, sf) >= 1e-60 and abs(cdf + sf - 1.0) <= 1e-10):
+            return
+        pair = evaluate(ShapeParams(p, q), EvalPoint(x, y))
+        got, ref = (pair.b, cdf) if cdf <= sf else (pair.bbar, sf)
+        assert abs(got - ref) <= 1e-10 * ref

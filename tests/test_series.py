@@ -71,32 +71,37 @@ def scalar_poisson_weights(half, j0, n, j_lo, lw0):
     return wgt
 
 
-def scalar_central_terms(p, q, y, j_lo, j_hi, anchor, anchor_value):
-    """I_y(p+j, q) by the downward ratio recursion, rebuilt term by term."""
+def scalar_increments(p, q, y, j_lo, n):
+    """The increment chain as a scalar loop outward from its peak; returns
+    (d, shift, k0, ld0) as ``series._increments`` does."""
+    jpk = (y * (p + q - 1.0) - p) / (1.0 - y)
+    k0 = min(max(math.floor(jpk) - j_lo, 0), n - 1)
+    a0 = p + j_lo + k0
+    ld0 = series._log_beta_pre(a0, q, y) - math.log(a0)
+    shift = ld0 if ld0 < -650.0 else 0.0
+    d = np.empty(n)
+    d[k0] = math.exp(ld0 - shift)
+    for k in range(k0, 0, -1):
+        a = p + j_lo + k
+        d[k - 1] = d[k] * a / (y * (a - 1.0 + q))
+    for k in range(k0 + 1, n):
+        a = p + j_lo + k
+        d[k] = d[k - 1] * y * (a - 1.0 + q) / a
+    return d, shift, k0, ld0
+
+
+def scalar_b_terms(p, q, y, j_lo, j_hi):
+    """I_y(p+j, q), scaled, by adding the increments downward from the value
+    one past the window top, as member_reference does; returns
+    (terms, shift, k0, ld0)."""
     n = j_hi - j_lo + 1
-    if y <= 0.0 or y >= 1.0:
-        return np.full(n, 0.0 if y <= 0.0 else 1.0)
-    rho = np.empty(max(n - 1, 1))
-    f_top0 = series._betainc(p + j_hi, q, y)
-    f_top1 = series._betainc(p + j_hi + 1.0, q, y)
-    if f_top0 > 0.0 and f_top1 > 0.0:
-        r, j = f_top1 / f_top0, j_hi
-    else:
-        r, j = y, j_hi + 40
-    while j > j_lo:
-        pj = p + j
-        c = (pj + q - 1.0) * y
-        r = c / (pj + c - pj * r)
-        j -= 1
-        if j < j_hi:
-            rho[j - j_lo] = r
-    out = np.empty(n)
-    out[anchor - j_lo] = anchor_value
-    for j in range(anchor, j_hi):
-        out[j - j_lo + 1] = out[j - j_lo] * rho[j - j_lo]
-    for j in range(anchor, j_lo, -1):
-        out[j - j_lo - 1] = out[j - j_lo] / rho[j - j_lo - 1]
-    return out
+    d, shift, k0, ld0 = scalar_increments(p, q, y, j_lo, n)
+    t, d, shift = series._seeded(p + j_hi + 1.0, q, y, d, shift)
+    terms = np.empty(n)
+    for k in range(n - 1, -1, -1):
+        t += d[k]
+        terms[k] = t
+    return terms, shift, k0, ld0
 
 
 def kahan_sum(terms):
@@ -111,38 +116,38 @@ def kahan_sum(terms):
 
 def scalar_member_b(p, q, x, y):
     """_member_b with scalar loops and a compensated sum; returns
-    (value, err_est, anchor)."""
+    (value, err_est, shift)."""
     half = 0.5 * x
     if half == 0.0:
-        return (*series._member_b(p, q, x, y), 0)
+        return (*series._member_b(p, q, x, y), 0.0)
     j_hi = series._upper_edge(half)
     j0 = min(int(half + 0.5), j_hi)
     lw0 = series._log_poisson(half, j0)
-    anchor, i_anchor = j0, series._betainc(p + j0, q, y)
-    if not i_anchor >= 2.3e-308:
-        j_lo, anchor, i_anchor = 0, 0, series._betainc(p, q, y)
-    else:
-        j_lo = series._lower_edge(half, series.TAIL_LOG - lw0 - math.log(i_anchor))
+    ld_j0 = series._log_beta_pre(p + j0, q, y) - math.log(p + j0)
+    if ld_j0 < -708.0 and series._log_b_bound(p, q, half, y) < -750.0:
+        return 0.0, 1e-15, 0.0
+    j_lo = series._lower_edge(half, series.TAIL_LOG - lw0 - ld_j0)
     n = j_hi - j_lo + 1
     wgt = scalar_poisson_weights(half, j0, n, j_lo, lw0)
-    terms = scalar_central_terms(p, q, y, j_lo, j_hi, anchor, i_anchor)
+    terms, shift, k0, ld0 = scalar_b_terms(p, q, y, j_lo, j_hi)
     s = kahan_sum(wgt * terms)
-    if s <= 0.0:
-        return 0.0, 1e-15, anchor
+    value = s if shift == 0.0 or s <= 0.0 else math.exp(shift + math.log(s))
+    if value <= 0.0:
+        return 0.0, 1e-15, shift
     rup = half / (j_hi + 1.0)
     tail = wgt[n - 1] * terms[n - 1] * rup / (1.0 - rup)
     if j_lo > 0:
-        tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half))
-    return s, tail / s + series._rounding_floor(n, p + q + anchor, math.log(i_anchor)), anchor
+        tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half) - shift)
+    return value, tail / s + series._rounding_floor(n, p + q + j_lo + k0, ld0), shift
 
 
 def scalar_member_complement(p, q, x, y):
-    """_member_complement with its increment chain as a scalar loop and a
-    compensated sum; returns (value, err_est, shift, k) where k > 0 is the
-    index at which a chain that started flushed was re-anchored."""
+    """_member_complement with its terms as a scalar loop that adds the
+    increments upward, and a compensated sum; returns (value, err_est,
+    shift)."""
     half = 0.5 * x
     if half == 0.0:
-        return (*series._member_complement(p, q, x, y), 0.0, 0)
+        return (*series._member_complement(p, q, x, y), 0.0)
     hy = half * y
     b = p + 1.0 - hy
     c = hy * (p + q)
@@ -151,53 +156,26 @@ def scalar_member_complement(p, q, x, y):
     j_end = max(series._upper_edge(half), int(math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0)))
     j_lo = series._lower_edge(half, series.TAIL_LOG)
     n = j_end - j_lo + 1
-    lp = p + j_lo
-    ld_lo = series._log_beta_pre(lp, q, y) - math.log(lp)
-    jpk = (y * (p + q - 1.0) - p) / (1.0 - y)
-    jc = min(max(jpk, float(j_lo)), float(j_end))
-    ldmax = ld_lo
-    jf = math.floor(jc)
-    if jf > j_lo:
-        ldmax = max(ldmax, series._log_beta_pre(p + jf, q, y) - math.log(p + jf))
-    if jc > jf:
-        ldmax = max(ldmax, series._log_beta_pre(p + jf + 1.0, q, y) - math.log(p + jf + 1.0))
-    shift = ldmax if (ldmax < -650.0 or ld_lo < -640.0) else 0.0
-    if shift != 0.0:
-        g = series._betainc_scaled(q, lp, 1.0 - y, shift)
-        if g == math.inf:
-            shift, g = 0.0, series._betainc(q, lp, 1.0 - y)
-    else:
-        g = series._betainc(q, lp, 1.0 - y)
-    g_lo = g
-    d = math.exp(ld_lo - shift) if ld_lo - shift > -700.0 else 0.0
-    ld = ld_lo
+    d, shift, k0, ld0 = scalar_increments(p, q, y, j_lo, n)
+    g_lo, d, shift = series._seeded(q, p + j_lo, 1.0 - y, d, shift)
     j0 = min(max(int(half + 0.5), j_lo), j_end)
     wgt = scalar_poisson_weights(half, j0, n, j_lo, series._log_poisson(half, j0))
     summands = np.empty(n)
-    k_back = 0
+    g = g_lo
     for k in range(n):
         if k > 0:
-            j = j_lo + k
-            g = g + d
-            ratio = y * (p + q + j - 1.0) / (p + j)
-            if d != 0.0:
-                d = d * ratio
-            elif j <= jpk:
-                ld += math.log(ratio)
-                if ld - shift > -700.0:
-                    d = math.exp(series._log_beta_pre(p + j, q, y) - math.log(p + j) - shift)
-                    k_back = k
+            g += d[k - 1]
         summands[k] = wgt[k] * g
     s = kahan_sum(summands)
     value = s if shift == 0.0 or s <= 0.0 else math.exp(shift + math.log(s))
     if value <= 0.0:
-        return 0.0, 1e-15, shift, k_back
+        return 0.0, 1e-15, shift
     r = half / (j_end + 1.0)
     rho = max(y * (p + q + j_end) / (p + j_end + 1.0), y, 1.0)
-    tail = wgt[n - 1] * r * (g / (1.0 - r) + d / (1.0 - r * rho) ** 2) if r * rho < 1.0 else math.inf
+    tail = wgt[n - 1] * r * (g / (1.0 - r) + d[n - 1] / (1.0 - r * rho) ** 2) if r * rho < 1.0 else math.inf
     if j_lo > 0:
         tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * g_lo
-    return value, tail / s + series._rounding_floor(n, p + q + j_lo, ld_lo), shift, k_back
+    return value, tail / s + series._rounding_floor(n, p + q + j_lo + k0, ld0), shift
 
 
 @pytest.fixture
@@ -249,6 +227,15 @@ class TestEvalSeries:
         pair = eval_series(ShapeParams(347.2, 34.98), EvalPoint(245.9, 0.1207))
         assert 0.0 < pair.b < 1e-318
         assert pair.err_est >= 1e-5
+
+    def test_subnormal_value_err_est_honest(self):
+        # B = 7.08e-312: the scaled sum rounds to a subnormal once, at the
+        # end, so it stays within the ulp(v)/v that err_est carries
+        p, q, x, y = 805.96, 2.3685, 82.145, 0.41913
+        pair = eval_series(ShapeParams(p, q), EvalPoint(x, y))
+        ref = member_reference(p, q, x, y, False, dps=40)
+        assert 0.0 < pair.b < 2.3e-308
+        assert abs(mp.mpf(pair.b) - ref) <= pair.err_est * ref
 
     def test_complement_structure(self):
         pair = eval_series(SP, EvalPoint(4.5, 0.45))
@@ -375,23 +362,44 @@ class TestArrayMembers:
     def test_members_match_scalar_loops(self, p, q, x, y):
         self.check(p, q, x, y)
 
-    def test_flushed_complement_chain_reanchors(self):
+    @staticmethod
+    def check_mpmath(member, p, q, x, y):
+        value, err = member(p, q, x, y)
+        ref = float(member_reference(p, q, x, y, member is series._member_complement, dps=40))
+        assert value > 1e-300 and abs(value - ref) <= err * ref
+        TestArrayMembers.check(p, q, x, y)
+
+    def test_flushed_complement_start_needs_no_reanchor(self):
+        # the increment at the window's lower edge lies below the normal
+        # range; the chain runs down from its peak, which does not, so it is
+        # neither scaled nor re-anchored
         p, q, x, y = 5.622399969585741, 1367.641217003125, 400.2400756127949, 0.6351832746043322
-        value, _, shift, k = scalar_member_complement(p, q, x, y)
-        assert shift != 0.0 and k > 0 and value > 1e-300
-        self.check(p, q, x, y)
+        j_lo = series._lower_edge(0.5 * x, series.TAIL_LOG)
+        assert series._log_beta_pre(p + j_lo, q, y) < -708.0
+        assert scalar_member_complement(p, q, x, y)[2] == 0.0
+        self.check_mpmath(series._member_complement, p, q, x, y)
 
     def test_scaled_complement_chain(self):
-        p, q, x, y = 20.63729460992094, 952.6184714317686, 117.75822865308572, 0.6595725425048249
-        _, _, shift, k = scalar_member_complement(p, q, x, y)
-        assert shift != 0.0 and k == 0
-        self.check(p, q, x, y)
+        # the increments peak below e^-650 (B is primary here and the
+        # complement is near 1), so the chain and its seed are scaled
+        p, q, x, y = 233.29013538127148, 110.3395301888447, 303.25404532063123, 0.034977491113219884
+        assert scalar_member_complement(p, q, x, y)[2] < -650.0
+        self.check_mpmath(series._member_complement, p, q, x, y)
 
     def test_underflowing_b_anchor(self):
+        # I_y(p + j0, q) at the Poisson mode is subnormal; the window reaches
+        # down to j = 0, where the increments peak above the underflow range
         p, q, x, y = 557.6547200415134, 18.406919996523044, 353.34368813167737, 0.34101109503262694
-        value, _, anchor = scalar_member_b(p, q, x, y)
-        assert anchor == 0 and value > 1e-300
-        self.check(p, q, x, y)
+        assert series._betainc(p + int(0.5 * x + 0.5), q, y) < 2.3e-308
+        assert scalar_member_b(p, q, x, y)[2] == 0.0
+        self.check_mpmath(series._member_b, p, q, x, y)
+
+    def test_scaled_b_chain(self):
+        # eval-mixed seed 1: the increments peak below e^-650, so the terms
+        # are summed scaled and unscaled once
+        p, q, x, y = 188.37933222869154, 1.0024885840142763, 28.171471861681507, 0.031337030772637296
+        assert scalar_member_b(p, q, x, y)[2] < -650.0
+        self.check_mpmath(series._member_b, p, q, x, y)
 
     def test_zero_noncentrality(self):
         self.check(10.0, 15.0, 0.0, 0.45)
@@ -399,10 +407,10 @@ class TestArrayMembers:
     @pytest.mark.parametrize("p, q, y, j_lo, j_hi, anchor", [(10.0, 15.0, 0.45, 7, 7, 7), (2.3, 3.5, 0.9, 0, 200, 90),
                                                              (300.0, 200.0, 0.4, 20, 80, 20), (64.2, 1.85, 0.188, 0, 270, 0)])
     def test_kernels_match_scalar_loops(self, p, q, y, j_lo, j_hi, anchor):
-        # one-term windows included: j_lo = j_hi
-        value = series._betainc(p + anchor, q, y)
-        got = series._central_terms_minimal(p, q, y, j_lo, j_hi, anchor, value)
-        ref = scalar_central_terms(p, q, y, j_lo, j_hi, anchor, value)
+        # one-term windows included: j_lo = j_hi; the weights run from anchor
+        got, shift = series._central_terms_minimal(p, q, y, j_lo, j_hi)[:2]
+        ref, ref_shift = scalar_b_terms(p, q, y, j_lo, j_hi)[:2]
+        assert shift == ref_shift
         assert np.all(np.abs(got - ref) <= 2.0 * (j_hi - j_lo + 1) * 1.12e-16 * ref)
         half, n = 0.5 * (anchor + 0.3), j_hi - j_lo + 1
         lw0 = series._log_poisson(half, anchor)
