@@ -7,7 +7,6 @@ expansion), plus inversion with respect to the noncentrality x or the
 quantile y.
 """
 
-from ._jit import JIT_ENABLED
 from .dispatch import MethodChoice, evaluate, explain
 from .errors import (
     DirectionError,
@@ -38,6 +37,9 @@ from .series import (
 )
 
 __version__ = "0.1.0"
+
+# the package has no compiled path; the benchmark harness still reads the flag
+JIT_ENABLED = False
 
 __all__ = [
     "JIT_ENABLED",
@@ -74,17 +76,8 @@ __all__ = [
 
 
 def warmup() -> None:
-    """Trigger jit compilation of every kernel with tiny arguments.
-
-    First calls into numba kernels pay a compile (or cache-load) cost; batch
-    drivers and timing-sensitive callers should warm up once."""
+    """Run one evaluation and one inversion with tiny arguments, so that
+    timing-sensitive callers keep first-call costs out of their figures."""
     sp = ShapeParams(3.0, 4.0)
     evaluate(sp, EvalPoint(2.0, 0.4))
-    evaluate(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1))
-    eval_kummer_series(ShapeParams(4.0, 5.0), EvalPoint(1.0, 0.05))  # evaluate does not route to it
-    eval_type2_qfunction(2.0, 3.0, 1.5, 0.8)
-    inv_erfc(0.5)
-    erfc_scaled(2.0)
-    kummer_ratio_shift11(3.0, 2.0, 1.0)
     invert(InversionProblem(unknown="x", sp=sp, fixed=0.4, z=0.3))
-    invert(InversionProblem(unknown="y", sp=sp, fixed=2.0, z=0.7))

@@ -30,7 +30,7 @@ def _eval_with_method(sp, pt, method: str, tol: float, terms: int) -> Probabilit
     if method == "auto":
         return evaluate(sp, pt, tol=tol)
     if method == "series":
-        return eval_series(sp, pt, tol=max(tol, 1e-15))
+        return eval_series(sp, pt)
     if method == "kummer":
         return eval_kummer_series(sp, pt)
     if method == "large-z":

@@ -2,18 +2,17 @@
 
 The route policy, in order:
 
-* boundaries (y = 0, y = 1) are exact,
-* x = 0 is the central incomplete beta,
-* every point the series window reaches (``window_terms`` up to
-  ``MAX_WINDOW_TERMS``, x up to order 2e6) goes to the reference series,
-  which meets the default tolerance there at a cost below the expansion's
-  plus the frame it needs; no frame is built,
+* every point the series answers (``series_reaches``) goes to the
+  reference series: the quantile boundaries, x = 0, every point its window
+  reaches (``window_terms`` up to ``MAX_WINDOW_TERMS``, x up to order 2e6),
+  where it meets the default tolerance at a cost below the expansion's plus
+  the frame it needs, and past the window a B that its upper bound puts
+  below e^-750, returned as 0; no frame is built,
 * past the window, large r = p + q inside the validity strip goes to the
   erfc-based uniform expansion, which holds through the transition and
   reduces to the plain saddle series past it; the frame built to decide
   this is the one the route evaluates on,
-* everything else to the series, which past its window returns only a B
-  that its upper bound puts below e^-750, as 0, and otherwise raises.
+* everything else to the series, which raises there.
 
 The paper's large-z expansion and Kummer-function series are reproduction
 only (``ncbeta eval --method large-z|kummer``): the first misses the
@@ -32,9 +31,8 @@ from dataclasses import dataclass
 
 from .asymptotic import SaddleFrame, _erfc_uniform, build_frame, strip_edges_ok
 from .errors import DomainError, EvaluationError, FrameDegenerateError
-from .kernels import central_beta_cdf
 from .params import EvalPoint, ProbabilityPair, ShapeParams
-from .series import MAX_WINDOW_TERMS, eval_series, window_terms
+from .series import eval_series, series_reaches
 
 R_MIN_ASYMPTOTIC = 40.0  # smallest r routed to the erfc-uniform expansion
 
@@ -55,13 +53,9 @@ def _primary(sp: ShapeParams, pt: EvalPoint) -> str:
 def explain(sp: ShapeParams, pt: EvalPoint) -> MethodChoice:
     """The route and primary-function choice for a point, without evaluating.
     Deterministic in its arguments."""
-    if pt.y == 0.0 or pt.y == 1.0:
-        return MethodChoice("boundary", "B", "quantile boundary is exact")
     primary = _primary(sp, pt)
-    if pt.x == 0.0:
-        return MethodChoice("central", primary, "zero noncentrality reduces to the central beta")
-    if window_terms(sp, pt) <= MAX_WINDOW_TERMS:
-        return MethodChoice("series", primary, "the series window reaches the point")
+    if series_reaches(sp, pt):
+        return MethodChoice("series", primary, "the series answers the point")
     if sp.r >= R_MIN_ASYMPTOTIC and strip_edges_ok(pt.y, sp.cos2, sp.sin2):
         try:
             frame = build_frame(sp, pt)
@@ -71,24 +65,13 @@ def explain(sp: ShapeParams, pt: EvalPoint) -> MethodChoice:
             return MethodChoice(
                 "erfc-uniform", primary, f"r={sp.r:g} past the series window; uniform through the transition", frame
             )
-    return MethodChoice("series", primary, "past the series window; only a vanishing B is certified")
+    return MethodChoice("series", primary, "past the series window and the uniform expansion's strip")
 
 
-def _run_route(
-    route: str, sp: ShapeParams, pt: EvalPoint, primary: str, tol: float, frame: SaddleFrame | None
-) -> ProbabilityPair:
-    if route == "boundary":
-        value = 0.0 if pt.y == 0.0 else 1.0
-        return ProbabilityPair.from_primary(value, "b", "boundary", 0.0)
-    if route == "central":
-        if primary == "B":
-            v = central_beta_cdf(sp.p, sp.q, pt.y)
-            return ProbabilityPair.from_primary(v, "b", "central", 5e-15)
-        v = central_beta_cdf(sp.q, sp.p, 1.0 - pt.y)
-        return ProbabilityPair.from_primary(v, "bbar", "central", 5e-15)
+def _run_route(route: str, sp: ShapeParams, pt: EvalPoint, primary: str, frame: SaddleFrame | None) -> ProbabilityPair:
     if route == "erfc-uniform":
         return _erfc_uniform(frame, target=primary)
-    return eval_series(sp, pt, tol=max(tol, 1e-15))
+    return eval_series(sp, pt)
 
 
 def evaluate(sp: ShapeParams, pt: EvalPoint, tol: float = 1e-12) -> ProbabilityPair:
@@ -101,8 +84,8 @@ def evaluate(sp: ShapeParams, pt: EvalPoint, tol: float = 1e-12) -> ProbabilityP
         raise DomainError(f"tol must be positive, got {tol}")
     choice = explain(sp, pt)
     try:
-        return _run_route(choice.route, sp, pt, choice.primary_target, tol, choice.frame)
+        return _run_route(choice.route, sp, pt, choice.primary_target, choice.frame)
     except EvaluationError:
         if choice.route == "series":
             raise
-        return eval_series(sp, pt, tol=max(tol, 1e-15))
+        return eval_series(sp, pt)

@@ -5,7 +5,7 @@ the Kummer function M(a, b, z) in log form, Kummer ratios by continued
 fraction, and the regularized incomplete beta I_y(p, q).
 
 Everything in this module is a pure function of its float arguments.  The
-``_``-prefixed cores are numba kernels; the public wrappers validate inputs
+``_``-prefixed cores take no checks; the public wrappers validate inputs
 and raise typed exceptions.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 
-from ._jit import kernel
 from .errors import DomainError, EvaluationError
 
 INV_SQRT_PI = 0.5641895835477562869480795  # 1/sqrt(pi)
@@ -21,7 +20,6 @@ SQRT_PI_HALF = 0.8862269254527580136491  # sqrt(pi)/2
 _FPMIN = 1e-300
 
 
-@kernel
 def _stirling_delta(x):
     """Stirling-series tail: lgamma(x) - ((x-1/2) ln x - x + ln(2 pi)/2),
     through the x^-13 term.  The first omitted term, 3617/(122400 x^15), is
@@ -37,7 +35,6 @@ def _stirling_delta(x):
     ) / x
 
 
-@kernel
 def _log_beta(p, q):
     """ln B(p, q).
 
@@ -71,7 +68,6 @@ def _log_beta(p, q):
     return math.lgamma(p) + math.lgamma(q) - math.lgamma(r)
 
 
-@kernel
 def _log_beta_pre(p, q, y):
     """log( y^p (1-y)^q / B(p, q) ), the incomplete-beta prefactor.
 
@@ -100,7 +96,6 @@ def _log_beta_pre(p, q, y):
     return p * math.log(y) + q * math.log1p(-y) - _log_beta(p, q)
 
 
-@kernel
 def _betacf(a, b, x):
     """Modified Lentz evaluation of the standard continued fraction for the
     regularized incomplete beta ratio.  Converges best for
@@ -141,7 +136,6 @@ def _betacf(a, b, x):
     return math.nan
 
 
-@kernel
 def _betainc(p, q, y):
     """Regularized incomplete beta I_y(p, q).
 
@@ -166,7 +160,6 @@ def _betainc(p, q, y):
     return 1.0 - math.exp(front) * cf
 
 
-@kernel
 def _betainc_scaled(p, q, y, shift):
     """I_y(p, q) * e^{-shift}, assembled in log space.  Used by callers that
     work in a scaled regime; values that would land below the normal double
@@ -189,7 +182,6 @@ def _betainc_scaled(p, q, y, shift):
     return math.exp(ls) if ls < 709.0 else math.inf
 
 
-@kernel
 def _erfcx_pos(z):
     """Scaled complementary error function e^{z^2} erfc(z) for z >= 0.
 
@@ -216,7 +208,6 @@ def _erfcx_pos(z):
     return INV_SQRT_PI / f
 
 
-@kernel
 def _erfc_taylor(z):
     """erfc by the Maclaurin series of erf; accurate for |z| <= 1 where no
     cancellation amplification occurs (erfc(1) ~ 0.157)."""
@@ -236,13 +227,11 @@ def _erfc_taylor(z):
     return 1.0 - 2.0 * INV_SQRT_PI * s
 
 
-@kernel
 def _erfc_via_cf(z):
     """erfc for z >= 1 through the Laplace continued fraction."""
     return math.exp(-z * z) * _erfcx_pos(z)
 
 
-@kernel
 def _inv_erfc(s):
     """Inverse of erfc on (0, 2): rational seed, then Newton in erfc."""
     if s == 1.0:
@@ -260,7 +249,6 @@ def _inv_erfc(s):
     return zz
 
 
-@kernel
 def _kummer_m_log(a, b, z):
     """log M(a, b, z) for a, b > 0 and z >= 0.
 
@@ -284,7 +272,6 @@ def _kummer_m_log(a, b, z):
     return math.nan
 
 
-@kernel
 def _kummer_ratio_pp(a, b, z):
     """M(a+1, b+1, z)/M(a, b, z) by the confluent Gauss continued fraction.
 

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jit import kernel
 from .errors import DomainError, EvaluationError
 from .kernels import _kummer_m_log, _log_beta_pre
 from .params import EvalPoint, ProbabilityPair, ShapeParams
@@ -58,7 +57,6 @@ class KummerSeriesPlan:
             raise DomainError("variant 'bbar' computes the complement, not B")
 
 
-@kernel
 def _factors_downward(a0, b0, z, J, extra):
     """W_j = e^{-z} M(a0+j, b0+j, z), j = 0..J, by downward ratio recursion
     seeded at the asymptotic limit 1; anchored at j = 0 by the direct series."""
@@ -83,7 +81,6 @@ def _factors_downward(a0, b0, z, J, extra):
     return W
 
 
-@kernel
 def _factors_direct(a0, b0, z, J):
     W = np.empty(J + 1)
     for j in range(J + 1):
@@ -91,7 +88,6 @@ def _factors_direct(a0, b0, z, J):
     return W
 
 
-@kernel
 def _sum_b_series(p, q, y, W, tol):
     """sum_j y^j (p+q)_j/(p+1)_j W_j with a geometric tail cut.
     Returns (sum, terms_used, tail_bound); tail_bound < 0 flags failure."""
@@ -108,7 +104,6 @@ def _sum_b_series(p, q, y, W, tol):
     return s, J + 1, -1.0
 
 
-@kernel
 def _sum_bbar_series(p, q, x, y, tol, max_terms):
     """sum_j (1-y)^j (p+q)_j/(q+1)_j M(p+q+j, p, z)/M(p+q, p, z) with the
     factor ratios generated by stable forward recursion; the full series for

@@ -34,7 +34,6 @@ import math
 
 import numpy as np
 
-from ._jit import kernel
 from .errors import DomainError, EvaluationError
 from .kernels import _betainc, _betainc_scaled, _log_beta_pre, _stirling_delta
 from .params import EvalPoint, ProbabilityPair, ShapeParams
@@ -43,14 +42,12 @@ MAX_WINDOW_TERMS = 1_000_000
 TAIL_LOG = 39.2  # ln(1e17): a dropped Poisson tail stays below 1e-17 of the kept sum
 
 
-@kernel
 def _upper_edge(half):
     """Upper summation cutoff: every Poisson weight past it lies below 1e-18
     of the peak (half-width 10*sqrt(x/2) + 30 above the mean)."""
     return int(math.ceil(half + 10.0 * math.sqrt(half) + 30.0))
 
 
-@kernel
 def _lower_edge(half, log_mass):
     """Largest j_lo whose Chernoff bound P(J < j_lo) <= exp(-(h - j_lo)^2 / 2h),
     h = x/2, stays below exp(-log_mass)."""
@@ -68,7 +65,6 @@ def poisson_window(x: float) -> tuple[int, int]:
     return _lower_edge(half, TAIL_LOG), _upper_edge(half)
 
 
-@kernel
 def _log_poisson(half, j):
     """log of the Poisson weight e^-h h^j / j! at h = x/2, for j near h.
     Below j = 20 the weight itself is formed (j! is exact there); above, the
@@ -85,7 +81,6 @@ def _log_poisson(half, j):
     )
 
 
-@kernel
 def _rounding_floor(n, pq, log_mag):
     """Relative rounding error of a member sum of n terms built on one
     incomplete-beta prefactor exp(lpre), with shape sum pq (p + q plus the
@@ -100,7 +95,6 @@ def _rounding_floor(n, pq, log_mag):
     return 3e-15 + 1.12e-16 * (2.0 * n + 2.0 * pq + 3.0 * abs(log_mag))
 
 
-@kernel
 def _increments(p, q, y, j_lo, n):
     """The increments d_k = I_y(a, q) - I_y(a+1, q) = e^{lpre(a)} / a for
     a = p + j_lo + k, k = 0..n-1, scaled by e^-shift.
@@ -126,7 +120,6 @@ def _increments(p, q, y, j_lo, n):
     return np.concatenate((down[:0:-1], up)), shift, k0, ld0
 
 
-@kernel
 def _seeded(a, b, z, d, shift):
     """The seed I_z(a, b) of a term chain whose increments d are scaled by
     e^-shift, scaled alike.  A scaled seed that overflows dwarfs every
@@ -139,7 +132,6 @@ def _seeded(a, b, z, d, shift):
     return _betainc(a, b, z), d, 0.0
 
 
-@kernel
 def _central_terms_minimal(p, q, y, j_lo, j_hi):
     """I_y(p+j, q) for j = j_lo..j_hi, scaled by e^-shift.
 
@@ -153,7 +145,6 @@ def _central_terms_minimal(p, q, y, j_lo, j_hi):
     return top + np.cumsum(d[::-1])[::-1], shift, k0, ld0
 
 
-@kernel
 def _poisson_weights(half, j0, n, j_lo, lw0):
     """Poisson weights for j = j_lo..j_lo+n-1, as running products from j0,
     whose log weight lw0 the caller passes in, of the weight ratios j/h
@@ -165,7 +156,6 @@ def _poisson_weights(half, j0, n, j_lo, lw0):
     return np.concatenate((down[:0:-1], up))
 
 
-@kernel
 def _log_term_bound(a, q, y):
     """An upper bound on log I_y(a, q), from its hypergeometric form
     I_y(a, q) = e^lpre / a * sum_k (a+q)_k / (a+1)_k y^k (DLMF 8.17.8), whose
@@ -176,7 +166,6 @@ def _log_term_bound(a, q, y):
     return min(_log_beta_pre(a, q, y) - math.log(a) - math.log1p(-c), 0.0)
 
 
-@kernel
 def _log_b_bound(p, q, half, y):
     """An upper bound on log B over the whole mixture.  The terms
     I_y(p+j, q) fall with j, so for every m <= h
@@ -199,7 +188,6 @@ def _log_b_bound(p, q, half, y):
     return best + math.log(2.0)
 
 
-@kernel
 def _member_b(p, q, x, y):
     """B by the Poisson-weighted series over the decaying terms I_y(p+j, q).
 
@@ -241,7 +229,6 @@ def _member_b(p, q, x, y):
     return value, tail / s + _rounding_floor(n, p + q + j_lo + k0, ld0)
 
 
-@kernel
 def _complement_end(p, q, half, y):
     """Upper end of the complement's window: the summand peak, where the
     weight ratio h/(j+1) times the term growth y(p+q+j)/(p+j+1) equals one
@@ -255,7 +242,6 @@ def _complement_end(p, q, half, y):
     return max(_upper_edge(half), int(math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0)))
 
 
-@kernel
 def _member_complement(p, q, x, y):
     """The complement by the Poisson mixture over I_{1-y}(q, p+j).
 
@@ -326,27 +312,34 @@ def window_terms(sp: ShapeParams, pt: EvalPoint) -> int:
     return _upper_edge(half) + 1
 
 
-def eval_series(sp: ShapeParams, pt: EvalPoint, tol: float = 1e-14) -> ProbabilityPair:
+def series_reaches(sp: ShapeParams, pt: EvalPoint) -> bool:
+    """Whether ``eval_series`` answers the point: at the quantile boundaries,
+    wherever its window reaches, and past the window where B is primary and
+    its upper bound lies below e^-750, so that 0, the value ``_member_b``
+    gives inside the window, is its correctly rounded value.  Elsewhere it
+    raises."""
+    if pt.y <= 0.0 or pt.y >= 1.0 or window_terms(sp, pt) <= MAX_WINDOW_TERMS:
+        return True
+    y0 = (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r)
+    return pt.y <= y0 and _log_b_bound(sp.p, sp.q, 0.5 * pt.x, pt.y) < -750.0
+
+
+def eval_series(sp: ShapeParams, pt: EvalPoint) -> ProbabilityPair:
     """Reference evaluation of B and its complement by the defining series.
 
     Sums the member that is numerically smaller (B for y <= y0, the
     complement otherwise, where y0 = (x+2p)/(x+2p+2q) is the transition
     quantile) and derives the other by subtraction from 1."""
-    if tol < 1e-15:
-        raise DomainError(f"tol must be >= 1e-15, got {tol}")
     if pt.y <= 0.0:
         return ProbabilityPair.from_primary(0.0, "b", "boundary", 0.0)
     if pt.y >= 1.0:
         return ProbabilityPair.from_primary(1.0, "b", "boundary", 0.0)
-    y0 = (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r)
-    complement = pt.y > y0
     n = window_terms(sp, pt)
     if n > MAX_WINDOW_TERMS:
-        # past the window a B below e^-750 is still certified: 0 is its
-        # correctly rounded value, the one _member_b gives inside the window
-        if not complement and _log_b_bound(sp.p, sp.q, 0.5 * pt.x, pt.y) < -750.0:
+        if series_reaches(sp, pt):
             return ProbabilityPair.from_primary(0.0, "b", "series", 1e-15)
         raise EvaluationError(f"series window would need {n} terms at x={pt.x}; tolerance unachievable")
+    complement = pt.y > (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r)
     if complement:
         value, err = _member_complement(sp.p, sp.q, pt.x, pt.y)
     else:
@@ -356,7 +349,6 @@ def eval_series(sp: ShapeParams, pt: EvalPoint, tol: float = 1e-14) -> Probabili
     return ProbabilityPair.from_primary(value, "bbar" if complement else "b", "series", err)
 
 
-@kernel
 def _qfunction_sum(a, b, lam, lx, l1mx):
     """Double series for 1 - q(lam, omega; 2a, 2b): outer terms in x with
     inner partial Poisson sums.  Returns (value, iterations); iterations < 0

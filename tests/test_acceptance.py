@@ -2,7 +2,7 @@
 
 Each test prints one pass/fail line (run pytest with -s to see them all) and
 enforces the documented runtime budget, measured after the session-scoped
-kernel warmup."""
+warmup."""
 
 import time
 
@@ -96,6 +96,6 @@ def test_criterion_5_invariant_suites():
 
 
 def test_criterion_6_dispatcher_accuracy_grid():
-    """500 random points: dispatcher vs the series oracle within
-    max(5e-12, 5 * err_est) wherever the oracle resolves the value."""
+    """500 random points: dispatcher vs the type-II q-function double series
+    within max(5e-12, 5 * err_est) wherever B is primary and resolved."""
     _run("dispatcher accuracy grid", [check_dispatch_grid], 30.0)

@@ -2,6 +2,8 @@ import csv
 import subprocess
 import sys
 
+import mpmath as mp
+
 import ncbeta.dispatch
 from ncbeta.cli import main
 from ncbeta.errors import EvaluationError
@@ -25,10 +27,16 @@ class TestEval:
         assert float(err) < 1e-10
 
     def test_zero_noncentrality(self, capsys):
-        code, out, _ = run_cli(capsys, "eval", "--p", "10", "--q", "15", "--x", "0", "--y", "0.45")
+        # the series answers x = 0; its err_est bounds the true error of the
+        # complement, 8.8e-14 here against 40-digit mpmath
+        code, out, _ = run_cli(capsys, "eval", "--p", "0.6", "--q", "1500", "--x", "0", "--y", "0.0004",
+                               "--complement")
         assert code == 0
-        assert abs(float(out.split()[0]) - 0.7009) < 2e-4
-        assert out.split()[1] == "central"
+        value, method, err = out.split()
+        with mp.workdps(40):
+            ref = mp.betainc(1500, 0.6, 0, 1 - mp.mpf("0.0004"), regularized=True)
+        assert method == "series"
+        assert abs(mp.mpf(value) - ref) <= float(err) * ref
 
     def test_boundary(self, capsys):
         code, out, _ = run_cli(capsys, "eval", "--p", "3", "--q", "4", "--x", "2", "--y", "1")
@@ -114,10 +122,10 @@ class TestBatch:
         assert rows[4][6].startswith("error:")
 
     def test_route_failure_does_not_abort(self, tmp_path, capsys, monkeypatch):
-        # the second and third rows lie past the series window and are
-        # planned for the erfc-uniform expansion, made to fail here; each
-        # falls back to the series, which certifies the vanishing B of the
-        # third row and cannot reach the second, and the batch goes on
+        # the second and third rows lie past the series window; the second is
+        # planned for the erfc-uniform expansion, made to fail here, and falls
+        # back to the series, which cannot reach it; the series certifies the
+        # vanishing B of the third row directly; the batch goes on
         calls = []
 
         def fail(frame, target):
@@ -132,7 +140,7 @@ class TestBatch:
         assert code == 0
         rows = list(csv.reader(dst.open()))
         assert len(rows) == 5
-        assert calls == ["B", "B"]
+        assert calls == ["B"]
         assert rows[2][6].startswith("error:") and "series window" in rows[2][6]
         assert [rows[i][6] for i in (1, 3, 4)] == ["series", "series", "series"]
         assert float(rows[3][4]) == eval_series(ShapeParams(5000.0, 5e4), EvalPoint(3e6, 0.95)).b == 0.0

@@ -37,9 +37,17 @@ def mp_complement(p, q, x, y, dps=40):
 
 class TestExplain:
     def test_boundary_and_central(self):
-        assert explain(ShapeParams(3.0, 4.0), EvalPoint(2.0, 0.0)).route == "boundary"
-        assert explain(ShapeParams(3.0, 4.0), EvalPoint(2.0, 1.0)).route == "boundary"
-        assert explain(ShapeParams(3.0, 4.0), EvalPoint(0.0, 0.4)).route == "central"
+        # the series answers the quantile boundaries and x = 0 itself
+        for x, y in [(2.0, 0.0), (2.0, 1.0), (1e8, 1.0), (0.0, 0.4)]:
+            assert explain(ShapeParams(3.0, 4.0), EvalPoint(x, y)).route == "series"
+        # at x = 0 its err_est bounds the true error (1.3e-14 here), which a
+        # fixed 5e-15 understated
+        sp, pt = ShapeParams(math.exp(4.0), 1.0), EvalPoint(0.0, 0.125)
+        pair = evaluate(sp, pt)
+        with mp.workdps(40):
+            ref = mp.betainc(sp.p, sp.q, 0, pt.y, regularized=True)
+        assert pair.method == "series"
+        assert abs(mp.mpf(pair.b) - ref) <= pair.err_est * ref
 
     def test_documented_routes(self):
         # the series wherever its window reaches, erfc-uniform only past it
@@ -95,16 +103,12 @@ class TestEvaluate:
             raise EvaluationError("erfc-uniform out of regime")
 
         monkeypatch.setattr(ncbeta.dispatch, "_erfc_uniform", fail)
-        # past the window the series answers only a vanishing B: here its
-        # bound certifies B = 0, elsewhere it names the window it would need
-        sp, pt = PAST_WINDOW[0], EvalPoint(3e6, 0.95)
-        assert explain(sp, pt).route == "erfc-uniform"
-        pair = evaluate(sp, pt)
-        assert pair.method == "series" and pair.b == 0.0
-        assert pair == eval_series(sp, pt, tol=1e-12)
+        # past the window, where B does not vanish, the series names the
+        # window it would need
+        assert explain(*PAST_WINDOW).route == "erfc-uniform"
         with pytest.raises(EvaluationError, match="series window would need"):
             evaluate(*PAST_WINDOW)
-        assert calls == ["B", "B"]
+        assert calls == ["B"]
 
     def test_former_large_z_points_meet_tol(self):
         # defect 3: the large-z expansion, once routed here, returned
@@ -149,16 +153,22 @@ class TestEvaluate:
 
     def test_series_certifies_vanishing_b_past_its_window(self):
         # the window would pass MAX_WINDOW_TERMS; an upper bound puts B below
-        # e^-750 (at the last point the saddle also rounds onto t = 1)
+        # e^-750 (at the third point the saddle also rounds onto t = 1, and
+        # the last three lie in the uniform expansion's strip, where it
+        # returned 0 with err_est 1)
         for p, q, x, y in [
             (0.7, 50.0, 5e6, 0.01),
             (2.0, 3.0, 3e6, 0.5),
             (781.9311283576282, 498.0331145429488, 1439534073903.5244, 0.37628435451196307),
+            (5000.0, 5e4, 3e6, 0.8),
+            (5000.0, 5e4, 3e6, 0.9),
+            (5000.0, 5e4, 3e6, 0.95),
         ]:
             sp, pt = ShapeParams(p, q), EvalPoint(x, y)
             assert explain(sp, pt).route == "series"
             pair = evaluate(sp, pt)
             assert pair.method == "series" and pair.b == 0.0 and pair.bbar == 1.0
+            assert pair.err_est == 1e-15
 
     def test_boundary_layer_pinned_value(self):
         # the paper's value is the K = 2 erfc-uniform truncation, 9e-12 off;
