@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .asymptotic import SaddleFrame, _erfc_uniform, build_frame, strip_edges_ok
-from .errors import DomainError, EvaluationError, FrameDegenerateError
+from .errors import DomainError, FrameDegenerateError
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 from .series import eval_series, series_reaches
 
@@ -78,14 +78,9 @@ def evaluate(sp: ShapeParams, pt: EvalPoint, tol: float = 1e-12) -> ProbabilityP
     """B and its complement at the requested point.
 
     Returns err_est <= tol or the best achievable estimate, reported
-    honestly; routes that fail outright (out of regime) fall back to the
-    reference series."""
+    honestly.  A route that fails outright raises its ``EvaluationError``:
+    erfc-uniform is planned only where the series cannot reach the point."""
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     choice = explain(sp, pt)
-    try:
-        return _run_route(choice.route, sp, pt, choice.primary_target, choice.frame)
-    except EvaluationError:
-        if choice.route == "series":
-            raise
-        return eval_series(sp, pt)
+    return _run_route(choice.route, sp, pt, choice.primary_target, choice.frame)

@@ -10,8 +10,9 @@ Solving B_{p,q}(x, y) = z follows the pipeline:
    seed leaves the domain, locate the root of the transition equation
    zeta(.)^2/2 - zeta0^2/2 = 0 on the correct side of the transition point
    (above x0 when zeta0 > 0, below y0 when zeta0 > 0);
-3. polish on the true equation with safeguarded Newton using the analytic
-   derivatives dB/dx and dB/dy, evaluating B with the reference series.
+3. polish on the true equation with safeguarded Newton, evaluating B with
+   the reference series; the slope dB/dx or dB/dy is summed over the same
+   window from the Poisson weights and increments that series pass formed.
 """
 
 from __future__ import annotations
@@ -19,13 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from ._pseries import ps_eval
 from .asymptotic import build_frame, g_coeffs, x_zeta_coeffs, y_zeta_coeffs
 from .dispatch import evaluate
 from .errors import DomainError, EvaluationError, SeriesInvalidError
-from .kernels import _kummer_m_log, _log_beta_pre, central_beta_cdf, inv_erfc
+from .kernels import central_beta_cdf, inv_erfc
 from .params import EvalPoint, ShapeParams
-from .series import eval_series
+from .series import _series_window
 
 
 @dataclass(frozen=True)
@@ -71,31 +74,32 @@ def zeta0_seed(problem: InversionProblem) -> float:
     return inv_erfc(2.0 * problem.z) * math.sqrt(2.0 / problem.sp.r)
 
 
-def db_dx(sp: ShapeParams, pt: EvalPoint) -> float:
-    """dB/dx = -e^{-x/2} y^p (1-y)^q M(p+q, p+1, xy/2) / (2 p B(p, q)) < 0."""
-    if pt.y <= 0.0 or pt.y >= 1.0:
+def _slope(sp: ShapeParams, pt: EvalPoint, unknown: str, window) -> float:
+    """dB/dx = -1/2 sum_j w_j d_{p+j} or dB/dy = sum_j w_j d_{p+j} (p+j) / (y(1-y)),
+    since dw_j/dx = (w_{j-1} - w_j)/2 and dI_y(a, q)/dy = a d_a / (y(1-y)) for
+    the increments d_a = I_y(a, q) - I_y(a+1, q), summed over the window of
+    ``series._series_window``.  Its edges hold these sums as they hold the
+    member's: B's lower edge drops below e^-39.2 w_j0 d_{p+j0}, and the
+    complement's ends past the peak of w_j d_{p+j}.  0 without a window."""
+    if window is None:
         return 0.0
-    lg = (
-        -0.5 * pt.x
-        + _log_beta_pre(sp.p, sp.q, pt.y)
-        + _kummer_m_log(sp.r, sp.p + 1.0, pt.z)
-        - math.log(2.0 * sp.p)
-    )
-    return -math.exp(lg) if lg > -745.0 else -0.0
+    j_lo, wgt, d, shift = window
+    if unknown == "x":
+        return -0.5 * float(np.sum(wgt * d)) * math.exp(shift)
+    a = sp.p + j_lo + np.arange(d.size)
+    return float(np.sum(wgt * d * a)) * math.exp(shift) / (pt.y * (1.0 - pt.y))
+
+
+def db_dx(sp: ShapeParams, pt: EvalPoint) -> float:
+    """dB/dx = -e^{-x/2} y^p (1-y)^q M(p+q, p+1, xy/2) / (2 p B(p, q)) < 0,
+    summed over the series window; past it, raises as the series does."""
+    return _slope(sp, pt, "x", _series_window(sp, pt)[1])
 
 
 def db_dy(sp: ShapeParams, pt: EvalPoint) -> float:
-    """dB/dy = e^{-x/2} y^{p-1} (1-y)^{q-1} M(p+q, p, xy/2) / B(p, q) > 0."""
-    if pt.y <= 0.0 or pt.y >= 1.0:
-        return math.inf
-    lg = (
-        -0.5 * pt.x
-        + _log_beta_pre(sp.p, sp.q, pt.y)
-        - math.log(pt.y)
-        - math.log1p(-pt.y)
-        + _kummer_m_log(sp.r, sp.p, pt.z)
-    )
-    return math.exp(lg) if lg > -745.0 else 0.0
+    """dB/dy = e^{-x/2} y^{p-1} (1-y)^{q-1} M(p+q, p, xy/2) / B(p, q) > 0,
+    summed over the series window; past it, raises as the series does."""
+    return _slope(sp, pt, "y", _series_window(sp, pt)[1])
 
 
 def transition_equation(sp: ShapeParams, pt: EvalPoint, zeta0: float) -> float:
@@ -305,23 +309,24 @@ def invert(problem: InversionProblem) -> InversionResult:
 
 
 def _eval_at(problem: InversionProblem, v: float):
-    """B at the iterate from the reference series, since Newton cannot settle
-    below the evaluation noise of the faster routes.  Past the series window
-    limit (x of order 2e6) only an asymptotic route answers, through the
-    dispatcher."""
+    """(pair, slope) at the iterate: B from the reference series, since
+    Newton cannot settle below the evaluation noise of the faster routes,
+    and its slope in the unknown from the same window.  Past the series
+    window limit (x of order 2e6) only an asymptotic route answers, through
+    the dispatcher, and the slope is 0: no Newton step is taken."""
     if problem.unknown == "x":
         pt = EvalPoint(v, problem.fixed)
     else:
         pt = EvalPoint(problem.fixed, v)
     try:
-        return eval_series(problem.sp, pt)
+        pair, window = _series_window(problem.sp, pt)
     except EvaluationError:
-        return evaluate(problem.sp, pt, tol=problem.tol)
+        return evaluate(problem.sp, pt, tol=problem.tol), 0.0
+    return pair, _slope(problem.sp, pt, problem.unknown, window)
 
 
 def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     """Safeguarded Newton on B(.) - z with a maintained bracket."""
-    sp = problem.sp
     z = problem.z
     band = problem.tol * max(z, 1.0 - z)
     increasing = problem.unknown == "y"
@@ -336,7 +341,7 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     iters = 0
     resid = math.inf
     for _ in range(40):
-        pair = _eval_at(problem, cur)
+        pair, deriv = _eval_at(problem, cur)
         iters += 1
         resid = _residual(pair, z)
         if abs(resid) <= band:
@@ -346,10 +351,6 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
             lo = max(lo, cur)
         else:
             hi = min(hi, cur)
-        if increasing:
-            deriv = db_dy(sp, EvalPoint(problem.fixed, cur))
-        else:
-            deriv = db_dx(sp, EvalPoint(cur, problem.fixed))
         step_ok = deriv != 0.0 and math.isfinite(deriv)
         nxt = cur - resid / deriv if step_ok else math.nan
         if not (step_ok and math.isfinite(nxt) and lo < nxt < hi):

@@ -18,6 +18,7 @@ from .errors import DomainError, EvaluationError
 INV_SQRT_PI = 0.5641895835477562869480795  # 1/sqrt(pi)
 SQRT_PI_HALF = 0.8862269254527580136491  # sqrt(pi)/2
 _FPMIN = 1e-300
+_LN_1E280 = 280.0 * math.log(10.0)  # the log of _kummer_m_log's rescale factor
 
 
 def _stirling_delta(x):
@@ -208,30 +209,6 @@ def _erfcx_pos(z):
     return INV_SQRT_PI / f
 
 
-def _erfc_taylor(z):
-    """erfc by the Maclaurin series of erf; accurate for |z| <= 1 where no
-    cancellation amplification occurs (erfc(1) ~ 0.157)."""
-    zz = z * z
-    term = z
-    s = z
-    k = 0
-    while True:
-        k += 1
-        term *= -zz / k
-        inc = term / (2 * k + 1)
-        s += inc
-        if abs(inc) < 1e-18 * abs(s):
-            break
-        if k > 200:
-            break
-    return 1.0 - 2.0 * INV_SQRT_PI * s
-
-
-def _erfc_via_cf(z):
-    """erfc for z >= 1 through the Laplace continued fraction."""
-    return math.exp(-z * z) * _erfcx_pos(z)
-
-
 def _inv_erfc(s):
     """Inverse of erfc on (0, 2): rational seed, then Newton in erfc."""
     if s == 1.0:
@@ -268,7 +245,7 @@ def _kummer_m_log(a, b, z):
         if s > 1e280:
             s *= 1e-280
             term *= 1e-280
-            logscale += 644.724677243777384223328
+            logscale += _LN_1E280
     return math.nan
 
 

@@ -139,10 +139,11 @@ def _central_terms_minimal(p, q, y, j_lo, j_hi):
     is the value one past the top of the window plus the reverse running
     sum of the increments: every addition is of positive terms.
 
-    Returns (terms, shift, k0, ld0), the last three from ``_increments``."""
+    Returns (terms, d, shift, k0, ld0): the increments as the terms were
+    built on, and the last three from ``_increments``."""
     d, shift, k0, ld0 = _increments(p, q, y, j_lo, j_hi - j_lo + 1)
     top, d, shift = _seeded(p + j_hi + 1.0, q, y, d, shift)
-    return top + np.cumsum(d[::-1])[::-1], shift, k0, ld0
+    return top + np.cumsum(d[::-1])[::-1], d, shift, k0, ld0
 
 
 def _poisson_weights(half, j0, n, j_lo, lw0):
@@ -188,6 +189,12 @@ def _log_b_bound(p, q, half, y):
     return best + math.log(2.0)
 
 
+def _origin_window(p, q, y):
+    """A member's window at x = 0: the one weight 1 and the one increment d_p."""
+    d, shift = _increments(p, q, y, 0, 1)[:2]
+    return 0, np.ones(1), d, shift
+
+
 def _member_b(p, q, x, y):
     """B by the Poisson-weighted series over the decaying terms I_y(p+j, q).
 
@@ -202,31 +209,32 @@ def _member_b(p, q, x, y):
     scaled regime and is unscaled once.  The err_est includes the dropped
     mass and the upper tail.
 
-    Returns (value, relative error estimate)."""
+    Returns (value, relative error estimate, window), the window as
+    ``_series_window`` describes it."""
     half = 0.5 * x
     if half == 0.0:
         v = _betainc(p, q, y)
-        return v, _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0)
+        return v, _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0), _origin_window(p, q, y)
     j_hi = _upper_edge(half)
     j0 = min(int(half + 0.5), j_hi)
     lw0 = _log_poisson(half, j0)
     ld_j0 = _log_beta_pre(p + j0, q, y) - math.log(p + j0)
     if ld_j0 < -708.0 and _log_b_bound(p, q, half, y) < -750.0:
         # B lies below e^-750, where 0 is its correctly rounded value
-        return 0.0, 1e-15
+        return 0.0, 1e-15, None
     j_lo = _lower_edge(half, TAIL_LOG - lw0 - ld_j0)
     n = j_hi - j_lo + 1
     wgt = _poisson_weights(half, j0, n, j_lo, lw0)
-    terms, shift, k0, ld0 = _central_terms_minimal(p, q, y, j_lo, j_hi)
+    terms, d, shift, k0, ld0 = _central_terms_minimal(p, q, y, j_lo, j_hi)
     s = float(np.sum(wgt * terms))
     value = s if shift == 0.0 or s <= 0.0 else math.exp(shift + math.log(s))
     if value <= 0.0:
-        return 0.0, 1e-15
+        return 0.0, 1e-15, None
     rup = half / (j_hi + 1.0)
     tail = wgt[n - 1] * terms[n - 1] * rup / (1.0 - rup)
     if j_lo > 0:
         tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half) - shift)
-    return value, tail / s + _rounding_floor(n, p + q + j_lo + k0, ld0)
+    return value, tail / s + _rounding_floor(n, p + q + j_lo + k0, ld0), (j_lo, wgt, d, shift)
 
 
 def _complement_end(p, q, half, y):
@@ -254,11 +262,12 @@ def _member_complement(p, q, x, y):
     their scaled regime.  The err_est includes the dropped mass and the
     upper tail.
 
-    Returns (value, relative error estimate)."""
+    Returns (value, relative error estimate, window), the window as
+    ``_series_window`` describes it."""
     half = 0.5 * x
     if half == 0.0:
         v = _betainc(q, p, 1.0 - y)
-        return v, _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0)
+        return v, _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0), _origin_window(p, q, y)
     j_end = _complement_end(p, q, half, y)
     j_lo = _lower_edge(half, TAIL_LOG)
     n = j_end - j_lo + 1
@@ -272,7 +281,7 @@ def _member_complement(p, q, x, y):
     value = s if shift == 0.0 or s <= 0.0 else math.exp(shift + math.log(s))
     if value <= 0.0:
         # an empty or underflowing sum gives the zero result of _member_b
-        return 0.0, 1e-15
+        return 0.0, 1e-15, None
     # past j_end the weights fall by at most r = h/(j_end+1) a step; the terms
     # grow by increments d_j whose ratio is at most rho (monotone toward y)
     r = half / (j_end + 1.0)
@@ -280,7 +289,7 @@ def _member_complement(p, q, x, y):
     tail = wgt[n - 1] * r * (g[n - 1] / (1.0 - r) + d[n - 1] / (1.0 - r * rho) ** 2) if r * rho < 1.0 else math.inf
     if j_lo > 0:
         tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * g_lo
-    return value, tail / s + _rounding_floor(n, p + q + j_lo + k0, ld0)
+    return value, tail / s + _rounding_floor(n, p + q + j_lo + k0, ld0), (j_lo, wgt, d, shift)
 
 
 def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np.ndarray:
@@ -292,7 +301,7 @@ def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np
         raise DomainError(f"quantile y must lie in [0, 1], got {y}")
     if y == 0.0 or y == 1.0:
         return np.full(j_hi - j_lo + 1, y)
-    out, shift = _central_terms_minimal(sp.p, sp.q, y, j_lo, j_hi)[:2]
+    out, _, shift = _central_terms_minimal(sp.p, sp.q, y, j_lo, j_hi)[:3]
     if shift != 0.0:
         with np.errstate(divide="ignore"):
             out = np.exp(np.log(out) + shift)
@@ -330,30 +339,40 @@ def eval_series(sp: ShapeParams, pt: EvalPoint) -> ProbabilityPair:
     Sums the member that is numerically smaller (B for y <= y0, the
     complement otherwise, where y0 = (x+2p)/(x+2p+2q) is the transition
     quantile) and derives the other by subtraction from 1."""
+    return _series_window(sp, pt)[0]
+
+
+def _series_window(sp, pt):
+    """``eval_series``' pair, with the window its primary member summed:
+    (j_lo, w, d, shift), the Poisson weights w_j and the increments
+    d_{p+j} = I_y(p+j, q) - I_y(p+j+1, q) for j = j_lo, j_lo + 1, ..., the
+    increments scaled by e^-shift; None where no window was summed (the
+    quantile boundaries, a B certified to round to 0, an empty sum)."""
     if pt.y <= 0.0:
-        return ProbabilityPair.from_primary(0.0, "b", "boundary", 0.0)
+        return ProbabilityPair.from_primary(0.0, "b", "boundary", 0.0), None
     if pt.y >= 1.0:
-        return ProbabilityPair.from_primary(1.0, "b", "boundary", 0.0)
+        return ProbabilityPair.from_primary(1.0, "b", "boundary", 0.0), None
     n = window_terms(sp, pt)
     if n > MAX_WINDOW_TERMS:
         if series_reaches(sp, pt):
-            return ProbabilityPair.from_primary(0.0, "b", "series", 1e-15)
+            return ProbabilityPair.from_primary(0.0, "b", "series", 1e-15), None
         raise EvaluationError(f"series window would need {n} terms at x={pt.x}; tolerance unachievable")
     complement = pt.y > (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r)
-    if complement:
-        value, err = _member_complement(sp.p, sp.q, pt.x, pt.y)
-    else:
-        value, err = _member_b(sp.p, sp.q, pt.x, pt.y)
+    member = _member_complement if complement else _member_b
+    value, err, window = member(sp.p, sp.q, pt.x, pt.y)
     if math.isnan(value):
         raise EvaluationError(f"series evaluation failed at p={sp.p} q={sp.q} x={pt.x} y={pt.y}")
-    return ProbabilityPair.from_primary(value, "bbar" if complement else "b", "series", err)
+    return ProbabilityPair.from_primary(value, "bbar" if complement else "b", "series", err), window
 
 
 def _qfunction_sum(a, b, lam, lx, l1mx):
     """Double series for 1 - q(lam, omega; 2a, 2b): outer terms in x with
     inner partial Poisson sums.  Returns (value, iterations); iterations < 0
-    flags non-convergence."""
+    flags non-convergence.  A first term that underflows to 0 would keep every
+    term at 0, so it raises at once."""
     t = math.exp(a * lx + b * l1mx + math.lgamma(a + b) - math.lgamma(b) - math.lgamma(a + 1.0))
+    if t == 0.0:
+        raise EvaluationError(f"type-II q-function series: its first term underflows at a={a}, b={b}")
     use_mult = lam < 700.0
     pois = math.exp(-lam) if lam < 745.0 else 0.0
     psum = pois

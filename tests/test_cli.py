@@ -123,9 +123,9 @@ class TestBatch:
 
     def test_route_failure_does_not_abort(self, tmp_path, capsys, monkeypatch):
         # the second and third rows lie past the series window; the second is
-        # planned for the erfc-uniform expansion, made to fail here, and falls
-        # back to the series, which cannot reach it; the series certifies the
-        # vanishing B of the third row directly; the batch goes on
+        # planned for the erfc-uniform expansion, made to fail here, and its
+        # error becomes an error row; the series certifies the vanishing B of
+        # the third row directly; the batch goes on
         calls = []
 
         def fail(frame, target):
@@ -141,7 +141,7 @@ class TestBatch:
         rows = list(csv.reader(dst.open()))
         assert len(rows) == 5
         assert calls == ["B"]
-        assert rows[2][6].startswith("error:") and "series window" in rows[2][6]
+        assert rows[2][6].startswith("error:") and "erfc-uniform out of regime" in rows[2][6]
         assert [rows[i][6] for i in (1, 3, 4)] == ["series", "series", "series"]
         assert float(rows[3][4]) == eval_series(ShapeParams(5000.0, 5e4), EvalPoint(3e6, 0.95)).b == 0.0
 

@@ -95,7 +95,7 @@ class TestEvaluate:
         assert pair.method == "series"
         assert pair == eval_series(sp, pt)
 
-    def test_route_failure_falls_back_to_series(self, monkeypatch):
+    def test_route_failure_propagates(self, monkeypatch):
         calls = []
 
         def fail(frame, target):
@@ -103,10 +103,10 @@ class TestEvaluate:
             raise EvaluationError("erfc-uniform out of regime")
 
         monkeypatch.setattr(ncbeta.dispatch, "_erfc_uniform", fail)
-        # past the window, where B does not vanish, the series names the
-        # window it would need
+        # erfc-uniform is planned only past the window, where B does not
+        # vanish and the series cannot answer: its failure is the caller's
         assert explain(*PAST_WINDOW).route == "erfc-uniform"
-        with pytest.raises(EvaluationError, match="series window would need"):
+        with pytest.raises(EvaluationError, match="erfc-uniform out of regime"):
             evaluate(*PAST_WINDOW)
         assert calls == ["B"]
 

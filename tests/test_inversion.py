@@ -1,9 +1,15 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import ncbeta.inversion
+import ncbeta.kernels
+import ncbeta.kummer_series
+import ncbeta.recurrence
 from ncbeta.asymptotic import build_frame
 from ncbeta.dispatch import evaluate
 from ncbeta.errors import DomainError
@@ -16,7 +22,7 @@ from ncbeta.inversion import (
     zeta0_seed,
     zeta1_correction,
 )
-from ncbeta.kernels import central_beta_cdf
+from ncbeta.kernels import central_beta_cdf, kummer_m_log, log_beta
 from ncbeta.params import EvalPoint, ShapeParams
 
 SP = ShapeParams(10.0, 15.0)
@@ -79,7 +85,73 @@ class TestTransitionEquation:
             transition_equation(SP, EvalPoint(0.0, 0.45), 0.0)
 
 
+def slope_reference(p, q, x, y, dps=40):
+    """(dB/dx, dB/dy) as the Poisson sums -1/2 sum_j w_j d_{p+j} and
+    sum_j w_j d_{p+j} (p+j) / (y(1-y)), with d_a = I_y(a, q) - I_y(a+1, q),
+    in dps-digit arithmetic from j = 0 until a geometric bound on the rest
+    falls below 10^-dps of the sum."""
+    with mp.workdps(dps):
+        p, q, x, y = (mp.mpf(v) for v in (p, q, x, y))
+        h = x / 2
+        w = mp.exp(-h)
+        d = mp.exp(p * mp.log(y) + q * mp.log1p(-y) - mp.log(mp.beta(p, q)) - mp.log(p))
+        sx = sy = mp.mpf(0)
+        j = 0
+        while True:
+            sx += w * d
+            sy += w * d * (p + j)
+            r = h / (j + 1) * y * (p + q + j) / (p + j + 1)
+            if j >= h and r < 1 and w * d * r / (1 - r) < mp.mpf(10) ** -dps * sx:
+                return -sx / 2, sy / (y * (1 - y))
+            w, d = w * h / (j + 1), d * y * (p + q + j) / (p + j + 1)
+            j += 1
+
+
 class TestDerivatives:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(0.0, 500.0),
+        st.floats(0.01, 0.99),
+    )
+    @example(3.0, 3.0, 400.0, 0.995)  # the complement's window, from j = 74
+    @example(50.0, 800.0, 450.0, 0.3)  # B's window, from j = 92
+    def test_slope_against_mpmath_sums(self, p, q, x, y):
+        sp, pt = ShapeParams(p, q), EvalPoint(x, y)
+        for got, ref in zip((db_dx(sp, pt), db_dy(sp, pt)), slope_reference(p, q, x, y)):
+            if abs(ref) > 1e-280:
+                assert abs(got - ref) <= 1e-11 * abs(ref)
+
+    @pytest.mark.parametrize(
+        "p, q, x, y", [(10.0, 15.0, 4.5, 0.45), (3.5, 40.0, 60.0, 0.3), (200.0, 150.0, 300.0, 0.6), (0.7, 2.5, 20.0, 0.9)]
+    )
+    def test_slope_matches_kummer_closed_form(self, p, q, x, y):
+        # dB/dx = -e^{-x/2} y^p (1-y)^q M(p+q, p+1, xy/2) / (2 p B(p, q)) and
+        # dB/dy = e^{-x/2} y^{p-1} (1-y)^{q-1} M(p+q, p, xy/2) / B(p, q)
+        sp, pt = ShapeParams(p, q), EvalPoint(x, y)
+        lpre = -0.5 * x + p * math.log(y) + q * math.log1p(-y) - log_beta(p, q)
+        ref_x = -math.exp(lpre + kummer_m_log(p + q, p + 1.0, 0.5 * x * y)) / (2.0 * p)
+        ref_y = math.exp(lpre + kummer_m_log(p + q, p, 0.5 * x * y)) / (y * (1.0 - y))
+        assert abs(db_dx(sp, pt) - ref_x) <= 1e-12 * abs(ref_x)
+        assert abs(db_dy(sp, pt) - ref_y) <= 1e-12 * abs(ref_y)
+
+    @pytest.mark.parametrize("p, q, y", [(10.0, 15.0, 0.45), (0.6, 1500.0, 0.0004), (5000.0, 5e4, 0.09)])
+    def test_slope_at_zero_noncentrality(self, p, q, y):
+        # one weight and one increment: dB/dx = -d_p / 2, dB/dy = d_p p / (y(1-y))
+        sp, pt = ShapeParams(p, q), EvalPoint(0.0, y)
+        with mp.workdps(40):
+            d_p = mp.exp(p * mp.log(y) + q * mp.log1p(-y) - mp.log(mp.beta(p, q))) / p
+            ref_x, ref_y = float(-d_p / 2), float(d_p * p / (mp.mpf(y) * (1 - mp.mpf(y))))
+        assert abs(db_dx(sp, pt) - ref_x) <= 1e-12 * abs(ref_x)
+        assert abs(db_dy(sp, pt) - ref_y) <= 1e-12 * abs(ref_y)
+
+    def test_no_slope_without_a_window(self):
+        # B certified below e^-750 and the quantile boundaries sum no window
+        sp = ShapeParams(1500.0, 5.0)
+        for pt in (EvalPoint(200.0, 0.3), EvalPoint(200.0, 0.0), EvalPoint(200.0, 1.0)):
+            assert db_dx(sp, pt) == 0.0 and db_dy(sp, pt) == 0.0
+
     def test_signs(self):
         pt = EvalPoint(4.5, 0.45)
         assert db_dx(SP, pt) < 0.0
@@ -186,7 +258,9 @@ class TestInvert:
             done += 1
 
     def test_each_newton_step_evaluates_once_through_the_series(self, monkeypatch):
-        calls = {"series": 0, "evaluate": 0}
+        # one series pass gives both the value and the slope: no Kummer
+        # function, no dispatcher
+        calls = {}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -195,11 +269,16 @@ class TestInvert:
 
             return wrapper
 
-        monkeypatch.setattr(ncbeta.inversion, "eval_series", counted("series", ncbeta.inversion.eval_series))
+        monkeypatch.setattr(ncbeta.inversion, "_series_window", counted("series", ncbeta.inversion._series_window))
         monkeypatch.setattr(ncbeta.inversion, "evaluate", counted("evaluate", ncbeta.inversion.evaluate))
-        res = invert(InversionProblem("x", SP, 0.45, 0.4))
-        assert calls["series"] == res.iterations
-        assert calls["evaluate"] == 0
+        kummer = counted("kummer", ncbeta.kernels._kummer_m_log)
+        for mod in (ncbeta.kernels, ncbeta.recurrence, ncbeta.kummer_series):
+            monkeypatch.setattr(mod, "_kummer_m_log", kummer)
+        for unknown, fixed, z in (("x", 0.45, 0.4), ("y", 4.5, 0.01), ("y", 4.5, 0.99)):
+            calls.update(series=0, evaluate=0, kummer=0)
+            res = invert(InversionProblem(unknown, SP, fixed, z))
+            assert res.iterations > 1
+            assert calls == {"series": res.iterations, "evaluate": 0, "kummer": 0}
 
     @pytest.mark.parametrize(
         "p, q, y, z",

@@ -7,8 +7,6 @@ import pytest
 from ncbeta.errors import DomainError
 from ncbeta.kernels import (
     _stirling_delta,
-    _erfc_taylor,
-    _erfc_via_cf,
     central_beta_cdf,
     erfc,
     erfc_scaled,
@@ -75,14 +73,6 @@ class TestErfc:
     def test_reflection(self):
         z = 0.7
         assert abs(erfc(z) + erfc(-z) - 2.0) <= 4e-16
-
-    def test_taylor_vs_continued_fraction_at_one(self):
-        # both internal routes are valid at z = 1; they must agree and match
-        # the production value
-        t = _erfc_taylor(1.0)
-        c = _erfc_via_cf(1.0)
-        assert abs(t - c) <= 1e-15 * abs(t)
-        assert abs(erfc(1.0) - t) <= 1e-15 * abs(t)
 
     def test_accuracy_grid(self):
         zs = np.linspace(-26.0, 26.0, 301)
@@ -154,8 +144,16 @@ class TestKummerM:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_large_scale_no_overflow(self):
+        # the running sum passes 1e280 and is rescaled: log M is near 1485
         v = kummer_m_log(2200.0, 30.0, 250.0)
-        assert math.isfinite(v) and v > 0.0
+        assert abs(v - float(mp.log(mp.hyp1f1(2200, 30, 250)))) <= 1e-12
+
+    def test_rescale_adds_ln_1e280(self):
+        # each rescale by 1e-280 must add ln(1e280) = 644.7238260383328 to
+        # the log; a wrong constant puts log M off by its error per rescale
+        a, b, z = 1703.7966, 16.5866, 78.1131
+        ref = mp.log(mp.hyp1f1(mp.mpf(a), mp.mpf(b), mp.mpf(z)))
+        assert abs(kummer_m_log(a, b, z) - float(ref)) <= 1e-12
 
 
 class TestKummerRatio:

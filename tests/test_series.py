@@ -1,4 +1,5 @@
 import math
+import time
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.stats import poisson
 
 from ncbeta import series
-from ncbeta.errors import DomainError
+from ncbeta.errors import DomainError, EvaluationError
 from ncbeta.kernels import central_beta_cdf
 from ncbeta.params import EvalPoint, ProbabilityPair, ShapeParams
 from ncbeta.series import (
@@ -118,7 +119,7 @@ def scalar_member_b(p, q, x, y):
     (value, err_est, shift)."""
     half = 0.5 * x
     if half == 0.0:
-        return (*series._member_b(p, q, x, y), 0.0)
+        return (*series._member_b(p, q, x, y)[:2], 0.0)
     j_hi = series._upper_edge(half)
     j0 = min(int(half + 0.5), j_hi)
     lw0 = series._log_poisson(half, j0)
@@ -146,7 +147,7 @@ def scalar_member_complement(p, q, x, y):
     shift)."""
     half = 0.5 * x
     if half == 0.0:
-        return (*series._member_complement(p, q, x, y), 0.0)
+        return (*series._member_complement(p, q, x, y)[:2], 0.0)
     hy = half * y
     b = p + 1.0 - hy
     c = hy * (p + q)
@@ -270,7 +271,7 @@ class TestSeriesMembers:
             ref = float(member_reference(p, q, x, y, complement))
             if not ref > 1e-290:
                 continue
-            value, err = member(p, q, x, y)
+            value, err = member(p, q, x, y)[:2]
             assert abs(value - ref) <= 2.0 * err * ref
 
     @settings(max_examples=40, deadline=None)
@@ -292,14 +293,14 @@ class TestSeriesMembers:
         # a window (from j = 0, since I_y(p + j0, q) underflows: 5e5 terms
         # at x = 1e6)
         assert series._log_b_bound(p, q, 0.5 * x, y) < -750.0
-        assert series._member_b(p, q, x, y) == (0.0, 1e-15)
+        assert series._member_b(p, q, x, y) == (0.0, 1e-15, None)
         assert window_requests == []
 
     def test_low_peak_keeps_whole_window(self, window_requests):
         # I_0.1(2 + j, 3) falls like 0.1^j, so the summand peaks near j = 20,
         # far below the Poisson mode 200: the lower edge must stay at zero
         sp, x, y = ShapeParams(2.0, 3.0), 400.0, 0.1
-        value, _ = series._member_b(sp.p, sp.q, x, y)
+        value = series._member_b(sp.p, sp.q, x, y)[0]
         _, j_hi = poisson_window(x)
         assert window_requests == [j_hi + 1]
         j = np.arange(j_hi + 1)
@@ -311,7 +312,7 @@ class TestSeriesMembers:
         # p = q = 50, y on either side of the transition quantile 0.999001:
         # both summands peak near the Poisson mode 5e4
         x = 1e5
-        value, err = member(50.0, 50.0, x, y)
+        value, err = member(50.0, 50.0, x, y)[:2]
         assert 0.01 < value < 0.99 and err < 1e-10
         assert window_requests[0] <= 25.0 * math.sqrt(x) + 200.0
 
@@ -337,7 +338,7 @@ class TestArrayMembers:
     def check(p, q, x, y):
         pairs = ((series._member_b, scalar_member_b), (series._member_complement, scalar_member_complement))
         for member, scalar in pairs:
-            value, err = member(p, q, x, y)
+            value, err = member(p, q, x, y)[:2]
             ref_value, ref_err = scalar(p, q, x, y)[:2]
             assert abs(err - ref_err) <= 4.0 * np.spacing(ref_err)
             if ref_value >= 2.3e-308:  # subnormal sums carry too few bits to compare
@@ -357,7 +358,7 @@ class TestArrayMembers:
 
     @staticmethod
     def check_mpmath(member, p, q, x, y):
-        value, err = member(p, q, x, y)
+        value, err = member(p, q, x, y)[:2]
         ref = float(member_reference(p, q, x, y, member is series._member_complement, dps=40))
         assert value > 1e-300 and abs(value - ref) <= err * ref
         TestArrayMembers.check(p, q, x, y)
@@ -401,7 +402,7 @@ class TestArrayMembers:
                                                              (300.0, 200.0, 0.4, 20, 80, 20), (64.2, 1.85, 0.188, 0, 270, 0)])
     def test_kernels_match_scalar_loops(self, p, q, y, j_lo, j_hi, anchor):
         # one-term windows included: j_lo = j_hi; the weights run from anchor
-        got, shift = series._central_terms_minimal(p, q, y, j_lo, j_hi)[:2]
+        got, _, shift = series._central_terms_minimal(p, q, y, j_lo, j_hi)[:3]
         ref, ref_shift = scalar_b_terms(p, q, y, j_lo, j_hi)[:2]
         assert shift == ref_shift
         assert np.all(np.abs(got - ref) <= 2.0 * (j_hi - j_lo + 1) * 1.12e-16 * ref)
@@ -451,6 +452,14 @@ class TestTypeTwoBridge:
         lhs = eval_type2_qfunction(5.0, 5.0, 27.0, omega)
         rhs = eval_series(ShapeParams(5.0, 5.0), EvalPoint(54.0, 0.8640)).b
         assert abs(lhs - rhs) <= 1e-12
+
+    def test_underflowing_first_term_raises_at_once(self):
+        # (p, q, x, y) = (1026.6, 1024.6, 112.93, 0.01878): the first term is
+        # below e^-745, so every term stays 0 and the sum cannot be formed
+        start = time.perf_counter()
+        with pytest.raises(EvaluationError, match="first term underflows"):
+            eval_type2_qfunction(1026.6, 1024.6, 56.465, 0.01878 / 0.98122)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestNoncentralF:
