@@ -6,19 +6,22 @@ The contour representation of the noncentral beta CDF has phase
     p = r cos^2(theta), q = r sin^2(theta), xi = x y / (2 r),
 
 with a saddle point t0 > 1 and a simple pole at t_p = 1/y.  This module
-builds the saddle geometry and evaluates three expansions.  Their
-coefficients come from the phase transformation phi(t) - phi(t0) = w^2 / 2,
-written as w = u sqrt(A(u)) with u = t - t0, and inverted by
-Lagrange-Buermann inversion: every coefficient needed is a single
-coefficient of a power of A(u) (see ``_pseries``).  The expansions are
+builds the saddle geometry and evaluates three expansions, all kept as
+reproduction of the paper (``dispatch.evaluate`` routes to none of them).
+Their coefficients come from the phase transformation
+phi(t) - phi(t0) = w^2 / 2, written as w = u sqrt(A(u)) with u = t - t0,
+and inverted by Lagrange-Buermann inversion: every coefficient needed is a
+single coefficient of a power of A(u) (see ``_pseries``).
+
+The expansions are
 
 * ``eval_large_z``: large z = x y / 2 with p, q of moderate size (finite and
-  exact when q is a positive integer; reproduction only, not dispatched),
+  exact when q is a positive integer),
 * ``eval_saddle``: plain saddle-point expansion, valid for y below the
-  transition quantile y0 (the paper's form, kept as reproduction: the
-  dispatcher uses the uniform expansion, which reduces to it there),
+  transition quantile y0 (the paper's form),
 * ``eval_erfc_uniform``: boundary-layer form valid uniformly through the
-  transition, with the pole subtracted into a complementary error function.
+  transition, with the pole subtracted into a complementary error function,
+  reducing to the plain saddle series past it.
 
 It also provides the transition-series coefficients x(zeta) and y(zeta)
 used to seed inversion, inverted from zeta^2 = u^2 A(u) in the same way.
@@ -87,13 +90,12 @@ class SaddleFrame:
     def strip_ok(self) -> bool:
         """Inside the validity strip: quantile and angle away from the edges,
         convex phase at the saddle."""
-        return strip_edges_ok(self.y, self.cos2, self.sin2) and self.phi2 > 0.0 and self.t0 > 1.0 + 1e-9
-
-
-def strip_edges_ok(y: float, cos2: float, sin2: float) -> bool:
-    """The frame-free half of the validity strip: quantile and angle away
-    from the edges.  A point that fails it needs no saddle frame."""
-    return 0.01 <= y <= 0.99 and min(cos2, sin2) >= 0.05
+        return (
+            0.01 <= self.y <= 0.99
+            and min(self.cos2, self.sin2) >= 0.05
+            and self.phi2 > 0.0
+            and self.t0 > 1.0 + 1e-9
+        )
 
 
 def _dphi_between(t0: float, tp: float, sin2: float, xi: float) -> float:
@@ -392,13 +394,9 @@ def eval_erfc_uniform(
     serves the whole large-r strip.  ``target`` picks the member computed
     directly ("B", "Bbar", or "auto" for the smaller one, y vs the
     transition quantile)."""
-    return _erfc_uniform(build_frame(sp, pt), k_terms, target)
-
-
-def _erfc_uniform(frame: SaddleFrame, k_terms: int = 2, target: str = "auto") -> ProbabilityPair:
-    """``eval_erfc_uniform`` on a frame already built (the dispatcher's)."""
     if k_terms > 2:
         raise DomainError("erfc-uniform expansion implemented through k = 2")
+    frame = build_frame(sp, pt)
     g = g_coeffs(frame)
     terms = _series_terms(g, frame.r, k_terms)
     ssum = math.fsum(terms)

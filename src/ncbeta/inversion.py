@@ -11,8 +11,10 @@ Solving B_{p,q}(x, y) = z follows the pipeline:
    zeta(.)^2/2 - zeta0^2/2 = 0 on the correct side of the transition point
    (above x0 when zeta0 > 0, below y0 when zeta0 > 0);
 3. polish on the true equation with safeguarded Newton, evaluating B with
-   the reference series; the slope dB/dx or dB/dy is summed over the same
-   window from the Poisson weights and increments that series pass formed.
+   the reference series, as ``evaluate`` does; the slope dB/dx or dB/dy is
+   summed over the same window from the Poisson weights and increments that
+   series pass formed.  An iterate past the series' window cap raises its
+   ``EvaluationError``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import numpy as np
 
 from ._pseries import ps_eval
 from .asymptotic import build_frame, g_coeffs, x_zeta_coeffs, y_zeta_coeffs
-from .dispatch import evaluate
 from .errors import DomainError, EvaluationError, SeriesInvalidError
 from .kernels import central_beta_cdf, inv_erfc
 from .params import EvalPoint, ShapeParams
@@ -52,10 +53,10 @@ class InversionProblem:
             raise DomainError(f"target probability must lie in (0, 1), got {self.z}")
         if self.unknown == "x" and not 0.0 < self.fixed < 1.0:
             raise DomainError(f"fixed quantile must lie in (0, 1), got {self.fixed}")
-        if self.unknown == "y" and self.fixed < 0.0:
-            raise DomainError(f"fixed noncentrality must be nonnegative, got {self.fixed}")
-        if self.tol <= 0.0:
-            raise DomainError("tol must be positive")
+        if self.unknown == "y" and not 0.0 <= self.fixed < math.inf:
+            raise DomainError(f"fixed noncentrality must be nonnegative and finite, got {self.fixed}")
+        if not self.tol > 0.0:
+            raise DomainError(f"tol must be positive, got {self.tol}")
 
 
 @dataclass
@@ -264,19 +265,19 @@ def invert(problem: InversionProblem) -> InversionResult:
     try:
         if problem.unknown == "x":
             coeffs = x_zeta_coeffs(sp, problem.fixed)
-            seed_raw = ps_eval(coeffs, zeta0)
+            seed_raw = float(ps_eval(coeffs, zeta0))
             if seed_raw < 0.0:
                 raise SeriesInvalidError("series seed left the domain")
         else:
             coeffs = y_zeta_coeffs(sp, problem.fixed)
-            seed_raw = ps_eval(coeffs, zeta0)
+            seed_raw = float(ps_eval(coeffs, zeta0))
             if not 0.0 < seed_raw < 1.0:
                 raise SeriesInvalidError("series seed left the domain")
         seed = seed_raw
         seed_path = "zeta-series"
         try:
             z1 = zeta1_correction(problem, zeta0, seed_raw)
-            corrected = ps_eval(coeffs, zeta0 + z1 / sp.r)
+            corrected = float(ps_eval(coeffs, zeta0 + z1 / sp.r))
             ok = (corrected >= 0.0) if problem.unknown == "x" else (0.0 < corrected < 1.0)
             if ok:
                 seed = corrected
@@ -309,19 +310,15 @@ def invert(problem: InversionProblem) -> InversionResult:
 
 
 def _eval_at(problem: InversionProblem, v: float):
-    """(pair, slope) at the iterate: B from the reference series, since
-    Newton cannot settle below the evaluation noise of the faster routes,
-    and its slope in the unknown from the same window.  Past the series
-    window limit (x of order 2e6) only an asymptotic route answers, through
-    the dispatcher, and the slope is 0: no Newton step is taken."""
+    """(pair, slope) at the iterate: B from the reference series and its
+    slope in the unknown from the same window.  Where no window was summed
+    (a B certified to round to 0) the slope is 0 and no Newton step is
+    taken; past the window cap the series' ``EvaluationError`` propagates."""
     if problem.unknown == "x":
         pt = EvalPoint(v, problem.fixed)
     else:
         pt = EvalPoint(problem.fixed, v)
-    try:
-        pair, window = _series_window(problem.sp, pt)
-    except EvaluationError:
-        return evaluate(problem.sp, pt, tol=problem.tol), 0.0
+    pair, window = _series_window(problem.sp, pt)
     return pair, _slope(problem.sp, pt, problem.unknown, window)
 
 

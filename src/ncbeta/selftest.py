@@ -37,7 +37,7 @@ from .asymptotic import (
     y_zeta_coeffs,
 )
 from .dispatch import evaluate, explain
-from .errors import DirectionError
+from .errors import DirectionError, EvaluationError
 from .inversion import InversionProblem, db_dx, db_dy, invert, transition_equation
 from .kernels import central_beta_cdf
 from .kummer_series import KummerSeriesPlan, eval_kummer_series, truncated_shift_sum
@@ -758,23 +758,30 @@ def check_transition_series() -> list[CheckResult]:
 
 def check_dispatch_policy() -> list[CheckResult]:
     out = []
+    # the series answers every point whose window holds at most
+    # MAX_WINDOW_TERMS terms, at x = 3e6 and 5e6 too; past the cap it
+    # raises, naming the terms it would need
     cases = [
-        (ShapeParams(10.0, 15.0), EvalPoint(4.5, 0.45), "series"),
-        (ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1), "series"),
-        (ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9), "series"),
-        (ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787), "series"),
-        (ShapeParams(4.0, 5.0), EvalPoint(3.0, 0.1), "series"),
-        (ShapeParams(0.7, 50.0), EvalPoint(5e6, 0.01), "series"),
-        (ShapeParams(5000.0, 5e4), EvalPoint(3e6, 0.9674), "erfc-uniform"),
+        (ShapeParams(10.0, 15.0), EvalPoint(4.5, 0.45)),
+        (ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1)),
+        (ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9)),
+        (ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787)),
+        (ShapeParams(4.0, 5.0), EvalPoint(3.0, 0.1)),
+        (ShapeParams(0.7, 50.0), EvalPoint(5e6, 0.01)),
+        (ShapeParams(5000.0, 5e4), EvalPoint(3e6, 0.9674)),
     ]
-    ok = True
     details = []
-    for sp, pt, expect in cases:
-        got = explain(sp, pt).route
-        if got != expect:
-            ok = False
-            details.append(f"({sp.p:g},{sp.q:g},{pt.x:g},{pt.y:g}) -> {got} (expected {expect})")
-    out.append(CheckResult("route policy picks the documented methods", ok, "; ".join(details)))
+    for sp, pt in cases:
+        got = evaluate(sp, pt).method
+        if got != "series":
+            details.append(f"({sp.p:g},{sp.q:g},{pt.x:g},{pt.y:g}) -> {got}")
+    try:
+        evaluate(ShapeParams(1.0, 1e10), EvalPoint(1e5, 0.1))
+        details.append("(1,1e10,1e5,0.1) answered past the window cap")
+    except EvaluationError as exc:
+        if "series window would need" not in str(exc):
+            details.append(f"(1,1e10,1e5,0.1) raised {exc}")
+    out.append(CheckResult("evaluate answers by the series up to its window cap", not details, "; ".join(details)))
     sp = ShapeParams(10.0, 15.0)
     y0 = (4.5 + 20.0) / (4.5 + 50.0)
     below = explain(sp, EvalPoint(4.5, y0 - 1e-9)).primary_target

@@ -16,12 +16,12 @@ runs over the window.
 Each member sums only a window whose dropped mass is bounded a priori: up
 to an upper Poisson cutoff, and from a lower edge set by the Chernoff bound
 on the Poisson tail, so the cost grows as sqrt(x), not x.  A B member whose
-increment at the Poisson mode underflows, or whose window would pass
-``MAX_WINDOW_TERMS``, first checks an upper bound on B and returns 0,
-summing nothing, when B rounds to 0.  A member's relative ``err_est`` adds
-the mass dropped below the window, a bound on the tail above it, and a
-rounding floor that grows with p + q and with the log of the increment the
-chain is anchored on.
+increment at the Poisson mode underflows, or whose window would hold more
+than ``MAX_WINDOW_TERMS`` terms, first checks an upper bound on B and
+returns 0, summing nothing, when B rounds to 0; any other member past that
+cap raises.  A member's relative ``err_est`` adds the mass dropped below
+the window, a bound on the tail above it, and a rounding floor that grows
+with p + q and with the log of the increment the chain is anchored on.
 
 This module also houses the notation bridges used as independent
 cross-checks: the type-II q-function double series and the noncentral F
@@ -38,6 +38,8 @@ from .errors import DomainError, EvaluationError
 from .kernels import _betainc, _betainc_scaled, _log_beta_pre, _stirling_delta
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 
+# the most terms a member sums, j_hi - j_lo + 1 (B) or j_end - j_lo + 1
+# (complement); the window is O(sqrt(x)) wide, so x reaches order 4e9
 MAX_WINDOW_TERMS = 1_000_000
 TAIL_LOG = 39.2  # ln(1e17): a dropped Poisson tail stays below 1e-17 of the kept sum
 
@@ -195,6 +197,12 @@ def _origin_window(p, q, y):
     return 0, np.ones(1), d, shift
 
 
+def _check_cap(n, x):
+    """Raise where a member's window would sum more than ``MAX_WINDOW_TERMS`` terms."""
+    if n > MAX_WINDOW_TERMS:
+        raise EvaluationError(f"series window would need {n} terms at x={x}; tolerance unachievable")
+
+
 def _member_b(p, q, x, y):
     """B by the Poisson-weighted series over the decaying terms I_y(p+j, q).
 
@@ -204,10 +212,11 @@ def _member_b(p, q, x, y):
     Poisson mode j0, which is at least w_j0 d_j0, so the edge drops mass
     below e^-39.2 of that.  When the central terms decay faster than the
     weights grow, the summand peaks at low j, that product is tiny, and the
-    edge stays at zero; if an upper bound on B then lies below e^-750, B
-    rounds to 0 and nothing is summed.  The sum runs in the increments'
-    scaled regime and is unscaled once.  The err_est includes the dropped
-    mass and the upper tail.
+    edge stays at zero.  There, and wherever the window would hold more than
+    ``MAX_WINDOW_TERMS`` terms, an upper bound on B below e^-750 shows that
+    B rounds to 0, and nothing is summed; past the cap any other B raises.
+    The sum runs in the increments' scaled regime and is unscaled once.
+    The err_est includes the dropped mass and the upper tail.
 
     Returns (value, relative error estimate, window), the window as
     ``_series_window`` describes it."""
@@ -219,11 +228,12 @@ def _member_b(p, q, x, y):
     j0 = min(int(half + 0.5), j_hi)
     lw0 = _log_poisson(half, j0)
     ld_j0 = _log_beta_pre(p + j0, q, y) - math.log(p + j0)
-    if ld_j0 < -708.0 and _log_b_bound(p, q, half, y) < -750.0:
-        # B lies below e^-750, where 0 is its correctly rounded value
-        return 0.0, 1e-15, None
     j_lo = _lower_edge(half, TAIL_LOG - lw0 - ld_j0)
     n = j_hi - j_lo + 1
+    if (ld_j0 < -708.0 or n > MAX_WINDOW_TERMS) and _log_b_bound(p, q, half, y) < -750.0:
+        # B lies below e^-750, where 0 is its correctly rounded value
+        return 0.0, 1e-15, None
+    _check_cap(n, x)
     wgt = _poisson_weights(half, j0, n, j_lo, lw0)
     terms, d, shift, k0, ld0 = _central_terms_minimal(p, q, y, j_lo, j_hi)
     s = float(np.sum(wgt * terms))
@@ -259,8 +269,8 @@ def _member_complement(p, q, x, y):
     Below the Poisson lower edge the terms are at most the first kept one,
     so the dropped mass is at most P(J < j_lo) times it.  The terms are a
     direct value at p + j_lo plus the running sum of the increments, in
-    their scaled regime.  The err_est includes the dropped mass and the
-    upper tail.
+    their scaled regime.  A window past ``MAX_WINDOW_TERMS`` terms raises.
+    The err_est includes the dropped mass and the upper tail.
 
     Returns (value, relative error estimate, window), the window as
     ``_series_window`` describes it."""
@@ -271,6 +281,7 @@ def _member_complement(p, q, x, y):
     j_end = _complement_end(p, q, half, y)
     j_lo = _lower_edge(half, TAIL_LOG)
     n = j_end - j_lo + 1
+    _check_cap(n, x)
     d, shift, k0, ld0 = _increments(p, q, y, j_lo, n)
     g_lo, d, shift = _seeded(q, p + j_lo, 1.0 - y, d, shift)
     # the terms g_j = I_{1-y}(q, p+j) add the increments up from g_lo
@@ -310,35 +321,16 @@ def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np
     return out
 
 
-def window_terms(sp: ShapeParams, pt: EvalPoint) -> int:
-    """The number of terms the series member primary at the point sums up
-    to: the upper Poisson cutoff for B (y <= y0), the complement's summand
-    peak plus a margin above.  Past ``MAX_WINDOW_TERMS`` the series cannot
-    reach the point."""
-    half = 0.5 * pt.x
-    if pt.y > (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r):
-        return _complement_end(sp.p, sp.q, half, pt.y) + 1
-    return _upper_edge(half) + 1
-
-
-def series_reaches(sp: ShapeParams, pt: EvalPoint) -> bool:
-    """Whether ``eval_series`` answers the point: at the quantile boundaries,
-    wherever its window reaches, and past the window where B is primary and
-    its upper bound lies below e^-750, so that 0, the value ``_member_b``
-    gives inside the window, is its correctly rounded value.  Elsewhere it
-    raises."""
-    if pt.y <= 0.0 or pt.y >= 1.0 or window_terms(sp, pt) <= MAX_WINDOW_TERMS:
-        return True
-    y0 = (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r)
-    return pt.y <= y0 and _log_b_bound(sp.p, sp.q, 0.5 * pt.x, pt.y) < -750.0
-
-
 def eval_series(sp: ShapeParams, pt: EvalPoint) -> ProbabilityPair:
     """Reference evaluation of B and its complement by the defining series.
 
     Sums the member that is numerically smaller (B for y <= y0, the
     complement otherwise, where y0 = (x+2p)/(x+2p+2q) is the transition
-    quantile) and derives the other by subtraction from 1."""
+    quantile) and derives the other by subtraction from 1.  Where that
+    member's window would pass ``MAX_WINDOW_TERMS`` terms (x of order 4e9,
+    sooner for a complement whose summand peaks far above the Poisson mode)
+    it raises ``EvaluationError``, unless B is primary and certified to
+    round to 0."""
     return _series_window(sp, pt)[0]
 
 
@@ -352,11 +344,6 @@ def _series_window(sp, pt):
         return ProbabilityPair.from_primary(0.0, "b", "boundary", 0.0), None
     if pt.y >= 1.0:
         return ProbabilityPair.from_primary(1.0, "b", "boundary", 0.0), None
-    n = window_terms(sp, pt)
-    if n > MAX_WINDOW_TERMS:
-        if series_reaches(sp, pt):
-            return ProbabilityPair.from_primary(0.0, "b", "series", 1e-15), None
-        raise EvaluationError(f"series window would need {n} terms at x={pt.x}; tolerance unachievable")
     complement = pt.y > (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r)
     member = _member_complement if complement else _member_b
     value, err, window = member(sp.p, sp.q, pt.x, pt.y)
@@ -420,7 +407,7 @@ def noncentral_f_cdf(w: float, nu1: float, nu2: float, lam: float) -> Probabilit
     """CDF of the noncentral F distribution with nu1, nu2 degrees of freedom
     and noncentrality lam, mapped onto the noncentral beta with p = nu1/2,
     q = nu2/2, quantile nu1*w/(nu1*w + nu2) and noncentrality lam."""
-    if w < 0.0:
+    if not w >= 0.0:
         raise DomainError(f"F statistic must be nonnegative, got {w}")
     if not (nu1 > 0.0 and nu2 > 0.0):
         raise DomainError(f"degrees of freedom must be positive, got ({nu1}, {nu2})")
@@ -428,5 +415,5 @@ def noncentral_f_cdf(w: float, nu1: float, nu2: float, lam: float) -> Probabilit
         raise DomainError(f"noncentrality must be nonnegative, got {lam}")
     from .dispatch import evaluate
 
-    quantile = nu1 * w / (nu1 * w + nu2) if math.isfinite(w) else 1.0
+    quantile = nu1 * w / (nu1 * w + nu2) if w < math.inf else 1.0
     return evaluate(ShapeParams(0.5 * nu1, 0.5 * nu2), EvalPoint(lam, quantile))

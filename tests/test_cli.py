@@ -4,9 +4,7 @@ import sys
 
 import mpmath as mp
 
-import ncbeta.dispatch
 from ncbeta.cli import main
-from ncbeta.errors import EvaluationError
 from ncbeta.params import EvalPoint, ShapeParams
 from ncbeta.series import eval_series
 
@@ -53,16 +51,22 @@ class TestEval:
                                "--method", "explain")
         assert code == 0
         assert out.split()[0] == "series"
-        # past the series window (x = 3e6) the uniform expansion answers
+        # the series is the only route: past the old window (x = 3e6), and
+        # past the window cap, where it raises
         code, out, _ = run_cli(capsys, "eval", "--p", "5000", "--q", "5e4", "--x", "3e6", "--y", "0.9674",
                                "--method", "explain")
         assert code == 0
-        assert out.split()[:2] == ["erfc-uniform", "B"]
+        assert out.split()[:2] == ["series", "B"]
+        code, out, _ = run_cli(capsys, "eval", "--p", "1", "--q", "1e10", "--x", "1e5", "--y", "0.1",
+                               "--method", "explain")
+        assert code == 0
+        assert out.split()[:2] == ["series", "Bbar"]
 
     def test_evaluation_failure_exits_3(self, capsys):
-        code, out, err = run_cli(capsys, "eval", "--p", "5", "--q", "1e7", "--x", "3e6", "--y", "0.15")
+        # the complement's window would need 7.05e6 terms
+        code, out, err = run_cli(capsys, "eval", "--p", "1", "--q", "1e10", "--x", "1e5", "--y", "0.1")
         assert code == 3
-        assert out == "" and err.startswith("error:")
+        assert out == "" and err.startswith("error: series window would need")
 
     def test_invalid_flags_exit_2(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--p", "-1", "--q", "5", "--x", "1", "--y", "0.5")
@@ -101,6 +105,15 @@ class TestInvert:
         code, _, _ = run_cli(capsys, "invert", "--unknown", "x", "--p", "10", "--q", "15", "--z", "0.4")
         assert code == 2
 
+    def test_non_finite_inputs_exit_2(self, capsys):
+        # a non-finite fixed noncentrality once escaped as a ValueError from
+        # the series reversion of the seed
+        base = ["invert", "--unknown", "y", "--p", "3", "--q", "4", "--z", "0.3"]
+        for extra in (["--x", "nan"], ["--x", "inf"], ["--x", "2", "--tol", "nan"]):
+            code, out, err = run_cli(capsys, *base, *extra)
+            assert code == 2
+            assert out == "" and err.startswith("error:")
+
 
 class TestBatch:
     def test_row_per_row_with_errors(self, tmp_path, capsys):
@@ -121,33 +134,35 @@ class TestBatch:
         assert rows[1][4].startswith("0.4563026193369")
         assert rows[4][6].startswith("error:")
 
-    def test_route_failure_does_not_abort(self, tmp_path, capsys, monkeypatch):
-        # the second and third rows lie past the series window; the second is
-        # planned for the erfc-uniform expansion, made to fail here, and its
-        # error becomes an error row; the series certifies the vanishing B of
-        # the third row directly; the batch goes on
-        calls = []
-
-        def fail(frame, target):
-            calls.append(target)
-            raise EvaluationError("erfc-uniform out of regime")
-
-        monkeypatch.setattr(ncbeta.dispatch, "_erfc_uniform", fail)
+    def test_route_failure_does_not_abort(self, tmp_path, capsys):
+        # the second row lies past the series window cap, and its error
+        # becomes an error row; the series certifies the vanishing B of the
+        # third row, past the old window, directly; the batch goes on
         src = tmp_path / "in.csv"
-        src.write_text("p,q,x,y\n5,5,54,0.8640\n5000,5e4,3e6,0.9674\n5000,5e4,3e6,0.95\n10,15,4.5,0.45\n")
+        src.write_text("p,q,x,y\n5,5,54,0.8640\n1,1e10,1e5,0.1\n5000,5e4,3e6,0.95\n10,15,4.5,0.45\n")
         dst = tmp_path / "out.csv"
         code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval")
         assert code == 0
         rows = list(csv.reader(dst.open()))
         assert len(rows) == 5
-        assert calls == ["B"]
-        assert rows[2][6].startswith("error:") and "erfc-uniform out of regime" in rows[2][6]
+        assert rows[2][6].startswith("error: series window would need")
         assert [rows[i][6] for i in (1, 3, 4)] == ["series", "series", "series"]
         assert float(rows[3][4]) == eval_series(ShapeParams(5000.0, 5e4), EvalPoint(3e6, 0.95)).b == 0.0
 
+    def test_non_finite_noncentrality_is_a_domain_error_row(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("p,q,x,y,z\n3,4,nan,,0.3\n3,4,inf,,0.3\n10,15,4.5,,0.5\n")
+        dst = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "invert-y")
+        assert code == 0
+        rows = list(csv.reader(dst.open()))
+        assert [r[6] for r in rows[1:3]] == ["error: fixed noncentrality must be nonnegative and finite; got nan",
+                                             "error: fixed noncentrality must be nonnegative and finite; got inf"]
+        assert abs(float(rows[3][3]) - 0.4471) < 1e-3
+
     def test_evaluation_failure_is_an_error_row(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
-        src.write_text("p,q,x,y\n5,1e7,3e6,0.15\n10,15,4.5,0.45\n")
+        src.write_text("p,q,x,y\n1,1e10,1e5,0.1\n10,15,4.5,0.45\n")
         dst = tmp_path / "out.csv"
         code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval")
         assert code == 0

@@ -16,10 +16,10 @@ from ncbeta.dispatch import evaluate, explain
 from ncbeta.errors import DomainError, EvaluationError
 from ncbeta.kummer_series import eval_kummer_series
 from ncbeta.params import EvalPoint, ShapeParams
-from ncbeta.series import MAX_WINDOW_TERMS, eval_series, window_terms
+from ncbeta.series import eval_series
 
-# past the series window (1.5e6 terms), inside the erfc-uniform strip; B is
-# primary, and erfc-uniform is within 1.5e-11 of scipy here
+# past the old window cap on the top index j_hi (1.5e6), inside the
+# erfc-uniform strip; the series sums 2.6e4 terms, B is primary
 PAST_WINDOW = (ShapeParams(5000.0, 5e4), EvalPoint(3e6, 0.9674))
 
 
@@ -33,6 +33,72 @@ def mp_complement(p, q, x, y, dps=40):
             mp.exp(-h) * h**j / mp.factorial(j) * mp.betainc(q, p + j, 0, 1 - mp.mpf(y), regularized=True)
             for j in range(n)
         )
+
+
+def mp_betainc_cf(a, b, x):
+    """I_x(a, b) by the continued fraction of DLMF 8.17.22 in modified Lentz
+    form, on the side of the mean where it converges; mpmath's betainc
+    stalls at a of order 1e6."""
+    if x > (a + 1) / (a + b + 2):
+        return 1 - mp_betainc_cf(b, a, 1 - x)
+    tiny = mp.mpf(10) ** (-3 * mp.mp.dps)
+    eps = mp.mpf(10) ** (2 - mp.mp.dps)
+    c, d = mp.mpf(1), 1 / (1 - (a + b) * x / (a + 1))
+    h = d
+    m = 1
+    while True:
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1 + num * d
+            d = 1 / (d if d != 0 else tiny)
+            c = 1 + num / c
+            c = c if c != 0 else tiny
+            h *= d * c
+        if abs(d * c - 1) < eps:
+            break
+        m += 1
+    lfront = a * mp.log(x) + b * mp.log1p(-x) - (mp.loggamma(a) + mp.loggamma(b) - mp.loggamma(a + b))
+    return mp.exp(lfront) * h / a
+
+
+def windowed_reference(p, q, x, y, complement, dps=50, k=14.0):
+    """One series member summed in dps-digit arithmetic over the window
+    j = h -+ (k sqrt(h) + 60..80), h = x/2, whose dropped Poisson mass is
+    below e^(-k^2/2) (1e-43) and whose terms lie in [0, 1].  The terms come
+    from the increment chain d_a = y^a (1-y)^q / (a B(a, q)), seeded by a
+    continued fraction at one edge: I_y(p+j, q) downward from the top for B,
+    I_{1-y}(q, p+j) upward from the bottom for the complement.  Unlike
+    ``mp_complement`` it does not sum from j = 0, so it reaches x of 1e8."""
+    with mp.workdps(dps):
+        p, q, y, h = mp.mpf(p), mp.mpf(q), mp.mpf(y), mp.mpf(x) / 2
+        lo = max(int(x / 2 - k * math.sqrt(x / 2) - 60.0), 0)
+        hi = int(x / 2 + k * math.sqrt(x / 2) + 80.0)
+
+        def log_weight(j):
+            return -h + j * mp.log(h) - mp.loggamma(j + 1)
+
+        def increment(a):
+            lbeta = mp.loggamma(a) + mp.loggamma(q) - mp.loggamma(a + q)
+            return mp.exp(a * mp.log(y) + q * mp.log1p(-y) - lbeta) / a
+
+        s = mp.mpf(0)
+        if complement:
+            g, d, w = mp_betainc_cf(q, p + lo, 1 - y), increment(p + lo), mp.exp(log_weight(lo))
+            for j in range(lo, hi + 1):
+                s += w * g
+                g += d
+                d *= y * (p + q + j) / (p + j + 1)
+                w *= h / (j + 1)
+            return s
+        t, d, w = mp_betainc_cf(p + hi, q, y), increment(p + hi - 1), mp.exp(log_weight(hi))
+        for j in range(hi, lo - 1, -1):
+            s += w * t
+            t += d
+            d *= (p + j - 1) / (y * (p + q + j - 2))
+            w *= j / h
+        return s
 
 
 class TestExplain:
@@ -50,14 +116,14 @@ class TestExplain:
         assert abs(mp.mpf(pair.b) - ref) <= pair.err_est * ref
 
     def test_documented_routes(self):
-        # the series wherever its window reaches, erfc-uniform only past it
+        # the series is the only route, past the old window and past the cap too
         assert explain(ShapeParams(10.0, 15.0), EvalPoint(4.5, 0.45)).route == "series"
         assert explain(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1)).route == "series"
         assert explain(ShapeParams(2.3, 3.5), EvalPoint(250.0, 0.9)).route == "series"
         assert explain(ShapeParams(20.0, 20.0), EvalPoint(54.0, 0.8787)).route == "series"
-        sp, pt = PAST_WINDOW
-        assert window_terms(sp, pt) > MAX_WINDOW_TERMS
-        assert explain(sp, pt).route == "erfc-uniform"
+        assert explain(*PAST_WINDOW).route == "series"
+        assert explain(ShapeParams(1.0, 1e10), EvalPoint(1e5, 0.1)).route == "series"
+        assert evaluate(*PAST_WINDOW).method == "series"
 
     def test_primary_flips_at_transition(self):
         sp = ShapeParams(10.0, 15.0)
@@ -98,17 +164,16 @@ class TestEvaluate:
     def test_route_failure_propagates(self, monkeypatch):
         calls = []
 
-        def fail(frame, target):
-            calls.append(target)
-            raise EvaluationError("erfc-uniform out of regime")
+        def fail(sp, pt):
+            calls.append(pt)
+            raise EvaluationError("series out of regime")
 
-        monkeypatch.setattr(ncbeta.dispatch, "_erfc_uniform", fail)
-        # erfc-uniform is planned only past the window, where B does not
-        # vanish and the series cannot answer: its failure is the caller's
-        assert explain(*PAST_WINDOW).route == "erfc-uniform"
-        with pytest.raises(EvaluationError, match="erfc-uniform out of regime"):
+        monkeypatch.setattr(ncbeta.dispatch, "eval_series", fail)
+        # the series is the only route: its failure is the caller's, with no
+        # second attempt
+        with pytest.raises(EvaluationError, match="series out of regime"):
             evaluate(*PAST_WINDOW)
-        assert calls == ["B"]
+        assert calls == [PAST_WINDOW[1]]
 
     def test_former_large_z_points_meet_tol(self):
         # defect 3: the large-z expansion, once routed here, returned
@@ -152,10 +217,10 @@ class TestEvaluate:
         assert abs(pair.b - oracle) <= rel * oracle
 
     def test_series_certifies_vanishing_b_past_its_window(self):
-        # the window would pass MAX_WINDOW_TERMS; an upper bound puts B below
-        # e^-750 (at the third point the saddle also rounds onto t = 1, and
-        # the last three lie in the uniform expansion's strip, where it
-        # returned 0 with err_est 1)
+        # past the old top-index cap (the third point also past the term
+        # cap), an upper bound puts B below e^-750 (at the third point the
+        # saddle also rounds onto t = 1, and the last three lie in the
+        # uniform expansion's strip, where it returned 0 with err_est 1)
         for p, q, x, y in [
             (0.7, 50.0, 5e6, 0.01),
             (2.0, 3.0, 3e6, 0.5),
@@ -170,6 +235,34 @@ class TestEvaluate:
             assert pair.method == "series" and pair.b == 0.0 and pair.bbar == 1.0
             assert pair.err_est == 1e-15
 
+    @pytest.mark.parametrize(
+        "p, q, x, y",
+        [
+            # B = 0.0297345...: past the old top-index cap, where the series raised
+            (30.0, 50.0, 1e7, 0.99998717),
+            # the complement 2.84615e-6: erfc-uniform took this point and
+            # reported err_est 1.75e-11 against a true error of 1.02e-10
+            (5688.732683238366, 81696.99595779285, 6941210.932660288, 0.977401023735776),
+        ],
+    )
+    def test_series_past_the_old_window_within_err_est(self, p, q, x, y):
+        sp, pt = ShapeParams(p, q), EvalPoint(x, y)
+        pair = evaluate(sp, pt)
+        assert pair.method == "series"
+        complement = explain(sp, pt).primary_target == "Bbar"
+        ref = windowed_reference(p, q, x, y, complement)
+        got = pair.bbar if complement else pair.b
+        assert abs(mp.mpf(got) - ref) <= pair.err_est * ref
+
+    def test_windowed_reference_matches_full_sums(self):
+        # inside the reach of the full mpmath sums the windowed reference
+        # agrees with them, and its two members sum to 1
+        for p, q, x, y in [(20.0, 20.0, 54.0, 0.8787), (3.0, 40.0, 300.0, 0.5)]:
+            bbar = windowed_reference(p, q, x, y, True)
+            with mp.workdps(40):
+                assert abs(bbar - mp_complement(p, q, x, y)) < mp.mpf(10) ** -35
+                assert abs(windowed_reference(p, q, x, y, False) + bbar - 1) < mp.mpf(10) ** -35
+
     def test_boundary_layer_pinned_value(self):
         # the paper's value is the K = 2 erfc-uniform truncation, 9e-12 off;
         # the series inside its window meets mpmath within err_est
@@ -180,31 +273,33 @@ class TestEvaluate:
         ref = mp_complement(sp.p, sp.q, pt.x, pt.y)
         assert abs(mp.mpf(pair.bbar) - ref) <= pair.err_est * ref
 
-    def test_frame_built_once(self, monkeypatch):
+    def test_evaluate_builds_no_frame(self, monkeypatch):
         calls = []
 
         def counted(sp, pt):
             calls.append(pt)
             return ncbeta.asymptotic.build_frame(sp, pt)
 
-        monkeypatch.setattr(ncbeta.dispatch, "build_frame", counted)
-        # inside the series window no frame is built
+        monkeypatch.setattr(ncbeta.asymptotic, "build_frame", counted)
+        # no saddle frame, inside the old window or past it
         for p, q, x, y in [(30.0, 30.0, 100.0, 0.1), (20.0, 20.0, 54.0, 0.8787), (500.0, 700.0, 1e5, 0.5)]:
             assert evaluate(ShapeParams(p, q), EvalPoint(x, y)).method == "series"
+        assert evaluate(*PAST_WINDOW).method == "series"
         assert calls == []
-        # past it, exactly one, which the route evaluates on
-        assert evaluate(*PAST_WINDOW).method == "erfc-uniform"
-        assert len(calls) == 1
+        assert not any(hasattr(ncbeta.dispatch, name) for name in ("build_frame", "_erfc_uniform", "SaddleFrame"))
 
     def test_complement_past_the_window_is_an_evaluation_error(self):
         # the complement is primary and its window, which runs to the summand
-        # peak, passes MAX_WINDOW_TERMS; at the last two points the Poisson
-        # window alone is short
-        for p, q, x, y in [(5.0, 1e7, 3e6, 0.15), (1.0, 1e10, 1e5, 0.1), (1.0, 1e12, 1e4, 0.15)]:
+        # peak, passes MAX_WINDOW_TERMS terms (7.05e6 at the first point)
+        for p, q, x, y in [(1.0, 1e10, 1e5, 0.1), (1.0, 1e12, 1e4, 0.15)]:
             sp, pt = ShapeParams(p, q), EvalPoint(x, y)
             assert explain(sp, pt).route == "series"
             with pytest.raises(EvaluationError, match="series window would need"):
                 evaluate(sp, pt)
+        # past the old top-index cap this complement's window holds few
+        # enough terms, and its sum underflows: the complement is 0
+        pair = evaluate(ShapeParams(5.0, 1e7), EvalPoint(3e6, 0.15))
+        assert pair.method == "series" and pair.bbar == 0.0 and pair.b == 1.0
 
     def test_err_est_honest_where_a_coefficient_nears_zero(self):
         # g_4 sits near a zero here, so the last kept term understates the error
@@ -215,8 +310,9 @@ class TestEvaluate:
         assert abs(ev.b - orc.b) / orc.b <= 2.0 * ev.err_est
 
     def test_invalid_tolerance(self):
-        with pytest.raises(DomainError):
-            evaluate(ShapeParams(1.0, 1.0), EvalPoint(1.0, 0.5), tol=0.0)
+        for tol in (0.0, -1e-12, math.nan):
+            with pytest.raises(DomainError):
+                evaluate(ShapeParams(1.0, 1.0), EvalPoint(1.0, 0.5), tol=tol)
 
     def test_monotonicity_small_grid(self):
         rng = np.random.default_rng(64)

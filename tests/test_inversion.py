@@ -161,8 +161,8 @@ class TestDerivatives:
         rng = np.random.default_rng(23)
         done = 0
         while done < 25:
-            # keep r below the asymptotic-dispatch threshold so the finite
-            # differences run on oracle-grade evaluations
+            # keep r small, so that B moves well above the evaluation noise
+            # over the finite-difference steps
             p = math.exp(rng.uniform(math.log(1.0), math.log(19.0)))
             q = math.exp(rng.uniform(math.log(1.0), math.log(19.0)))
             x = rng.uniform(0.5, 35.0)
@@ -187,6 +187,24 @@ class TestInvert:
             InversionProblem("x", SP, 0.45, 1.5)
         with pytest.raises(DomainError):
             InversionProblem("x", SP, 1.5, 0.5)
+        # a non-finite noncentrality or tolerance once reached the seed's
+        # series reversion and escaped as a ValueError
+        for fixed in (math.nan, math.inf, -1.0):
+            with pytest.raises(DomainError, match="fixed noncentrality"):
+                InversionProblem("y", SP, fixed, 0.3)
+        for unknown, fixed in (("x", 0.45), ("y", 4.5)):
+            for tol in (math.nan, 0.0):
+                with pytest.raises(DomainError, match="tol"):
+                    InversionProblem(unknown, SP, fixed, 0.3, tol=tol)
+
+    def test_result_fields_are_floats(self):
+        # the seeds were numpy.float64 from the series evaluation over numpy
+        # coefficients, and a converged seed passed on into value
+        for problem in (InversionProblem("x", SP, 0.45, 0.4), InversionProblem("y", SP, 4.5, 0.99)):
+            res = invert(problem)
+            assert res.seed_path == "zeta-series"
+            for v in (res.value, res.residual, res.zeta0, res.seed_value, res.seed_value_raw):
+                assert type(v) is float
 
     def test_worked_examples_x(self):
         r = invert(InversionProblem("x", SP, 0.45, 0.5))
@@ -259,7 +277,7 @@ class TestInvert:
 
     def test_each_newton_step_evaluates_once_through_the_series(self, monkeypatch):
         # one series pass gives both the value and the slope: no Kummer
-        # function, no dispatcher
+        # function, and no dispatcher to fall back to
         calls = {}
 
         def counted(name, fn):
@@ -270,15 +288,15 @@ class TestInvert:
             return wrapper
 
         monkeypatch.setattr(ncbeta.inversion, "_series_window", counted("series", ncbeta.inversion._series_window))
-        monkeypatch.setattr(ncbeta.inversion, "evaluate", counted("evaluate", ncbeta.inversion.evaluate))
         kummer = counted("kummer", ncbeta.kernels._kummer_m_log)
         for mod in (ncbeta.kernels, ncbeta.recurrence, ncbeta.kummer_series):
             monkeypatch.setattr(mod, "_kummer_m_log", kummer)
         for unknown, fixed, z in (("x", 0.45, 0.4), ("y", 4.5, 0.01), ("y", 4.5, 0.99)):
-            calls.update(series=0, evaluate=0, kummer=0)
+            calls.update(series=0, kummer=0)
             res = invert(InversionProblem(unknown, SP, fixed, z))
             assert res.iterations > 1
-            assert calls == {"series": res.iterations, "evaluate": 0, "kummer": 0}
+            assert calls == {"series": res.iterations, "kummer": 0}
+        assert not hasattr(ncbeta.inversion, "evaluate")
 
     @pytest.mark.parametrize(
         "p, q, y, z",

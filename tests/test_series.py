@@ -481,6 +481,11 @@ class TestNoncentralF:
         with pytest.raises(DomainError):
             noncentral_f_cdf(1.0, 20.0, 30.0, -4.5)
 
+    def test_nan_statistic_is_a_domain_error(self):
+        # nan passed the sign check and was mapped to quantile 1, B = 1
+        with pytest.raises(DomainError, match="F statistic"):
+            noncentral_f_cdf(math.nan, 4.0, 6.0, 2.0)
+
 
 class TestProbabilityPair:
     def test_from_primary_clips_and_complements(self):
