@@ -2,6 +2,9 @@
 
 Arrays hold coefficients of u^0, u^1, ... and are truncated (never padded
 semantically) to the requested order; orders stay below ~10 everywhere.
+At those orders numpy's per-call overhead outweighs the arithmetic, so the
+recurrences run on Python floats: each function takes a list or an array
+and builds its returned array once.
 
 One primitive carries the asymptotic coefficients: ``ps_pow`` raises a
 series with a[0] != 0 to a real power by J.C.P. Miller's recurrence (Knuth,
@@ -32,12 +35,9 @@ def ps_mul(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def ps_pow(a: np.ndarray, alpha: float, n: int) -> np.ndarray:
-    """a^alpha truncated to order n, by Miller's recurrence
-
-        b_0 = a_0^alpha,  k a_0 b_k = sum_{i=1..k} ((alpha+1) i - k) a_i b_{k-i}.
-
-    Requires a[0] != 0, and a[0] > 0 when alpha is not an integer."""
+def _pow(a, alpha: float, n: int) -> list[float]:
+    """The list of ``ps_pow``'s coefficients, for callers that go on in
+    Python floats."""
     a = [float(v) for v in a[: n + 1]]
     a0 = a[0]
     b = [a0**alpha]
@@ -46,30 +46,30 @@ def ps_pow(a: np.ndarray, alpha: float, n: int) -> np.ndarray:
         for i in range(1, min(k, len(a) - 1) + 1):
             s += (alpha * i + (i - k)) * a[i] * b[k - i]  # = ((alpha+1) i - k), exact for small alpha
         b.append(s / (k * a0))
-    return np.array(b)
+    return b
 
 
-def ps_sqrt(a: np.ndarray, n: int) -> np.ndarray:
+def ps_pow(a, alpha: float, n: int) -> np.ndarray:
+    """a^alpha truncated to order n, by Miller's recurrence
+
+        b_0 = a_0^alpha,  k a_0 b_k = sum_{i=1..k} ((alpha+1) i - k) a_i b_{k-i}.
+
+    Requires a[0] != 0, and a[0] > 0 when alpha is not an integer."""
+    return np.array(_pow(a, alpha, n))
+
+
+def ps_sqrt(a, n: int) -> np.ndarray:
     """sqrt(a) truncated to order n; requires a[0] > 0."""
-    out = np.zeros(n + 1)
-    out[0] = math.sqrt(a[0])
+    out = [math.sqrt(a[0])]
     for k in range(1, n + 1):
-        s = a[k] if k < len(a) else 0.0
+        s = float(a[k]) if k < len(a) else 0.0
         for i in range(1, k):
             s -= out[i] * out[k - i]
-        out[k] = s / (2.0 * out[0])
-    return out
+        out.append(s / (2.0 * out[0]))
+    return np.array(out)
 
 
-def ps_int(a: np.ndarray, n: int) -> np.ndarray:
-    """Antiderivative with zero constant, truncated to order n."""
-    out = np.zeros(n + 1)
-    for k in range(min(len(a), n)):
-        out[k + 1] = a[k] / (k + 1.0)
-    return out
-
-
-def ps_revert(a: np.ndarray, n: int) -> np.ndarray:
+def ps_revert(a, n: int) -> np.ndarray:
     """Inverse of w = u sqrt(a(u)) with a[0] > 0, by Lagrange inversion:
     returns b with u = sum_{k=1..n} b_k w^k, where
 
@@ -78,10 +78,8 @@ def ps_revert(a: np.ndarray, n: int) -> np.ndarray:
     and b[0] = 0.  Coefficients of a beyond index n-1 do not enter."""
     if not a[0] > 0.0:
         raise ValueError("series reversion requires a positive constant term a[0]")
-    b = np.zeros(n + 1)
-    for k in range(1, n + 1):
-        b[k] = ps_pow(a, -0.5 * k, k - 1)[k - 1] / k
-    return b
+    a = [float(v) for v in a[:n]]
+    return np.array([0.0] + [_pow(a, -0.5 * k, k - 1)[k - 1] / k for k in range(1, n + 1)])
 
 
 def ps_eval(a: np.ndarray, u: float) -> float:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pseries import ps_eval, ps_int, ps_pow, ps_revert, ps_sqrt
+from ._pseries import _pow, ps_eval, ps_pow, ps_revert, ps_sqrt
 from .errors import DomainError, EvaluationError, FrameDegenerateError, SeriesInvalidError
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 
@@ -191,15 +191,16 @@ def invert_phi_series(frame: SaddleFrame) -> np.ndarray:
     return ps_revert(_phase_a(frame, 5), 6)
 
 
-def f_coeffs(frame: SaddleFrame) -> np.ndarray:
-    """Coefficients f_0..f_4 of f(w) = h(t) dt/dw as a power series in w at
+def f_coeffs(frame: SaddleFrame, n: int = 4) -> np.ndarray:
+    """Coefficients f_0..f_n of f(w) = h(t) dt/dw as a power series in w at
     the saddle, h(t) = 1/(t (1 - y t)).  With t = t0 + u and w = u sqrt(A(u)),
     Lagrange-Buermann inversion gives each coefficient directly:
 
-        f_k = [u^k] h(t0 + u) A(u)^(-(k+1)/2).
+        f_k = [u^k] h(t0 + u) A(u)^(-(k+1)/2),
 
-    f has a simple pole in w at zeta, so the coefficients blow up when pole
-    and saddle coalesce."""
+    from A_0..A_k alone; f_0..f_4 carry the expansions through k = 2, and
+    f_0 = h(t0) A_0^(-1/2).  f has a simple pole in w at zeta, so the
+    coefficients blow up when pole and saddle coalesce."""
     y = frame.y
     t0 = frame.t0
     pole = 1.0 - y * t0
@@ -207,7 +208,6 @@ def f_coeffs(frame: SaddleFrame) -> np.ndarray:
         raise EvaluationError(
             "pole sits exactly on the saddle; the boundary-layer route must subtract it first"
         )
-    n = 4  # f_0..f_4 carry the expansions through k = 2
     A = _phase_a(frame, n)
     # h(t0 + u) = sum_m h_m u^m, h_m = (-1)^m/t0^{m+1} + y^{m+1}/(1-y t0)^{m+1}
     H = [(-1.0) ** m / t0 ** (m + 1) + y ** (m + 1) / pole ** (m + 1) for m in range(n + 1)]
@@ -227,8 +227,9 @@ def _g_from_f(f_part: np.ndarray, zeta: float) -> np.ndarray:
     return g
 
 
-def g_coeffs(frame: SaddleFrame) -> np.ndarray:
-    """Boundary-layer coefficients g_k = f_k - zeta^{-(k+1)}, k = 0..4.
+def g_coeffs(frame: SaddleFrame, n: int = 4) -> np.ndarray:
+    """Boundary-layer coefficients g_k = f_k - zeta^{-(k+1)}, k = 0..n; each
+    g_k is the same for every n >= k.
 
     The subtraction cancels the pole of f, but both sides blow up like
     1/zeta, so for |zeta| < tau = transition_tau(r) the pole is removed
@@ -242,17 +243,17 @@ def g_coeffs(frame: SaddleFrame) -> np.ndarray:
     the branch point t = 1 (Temme, Asymptotic Methods for Integrals, 2015,
     uniform expansions with a pole near the saddle)."""
     if abs(frame.zeta) >= transition_tau(frame.r):
-        return _g_from_f(f_coeffs(frame), frame.zeta)
+        return _g_from_f(f_coeffs(frame, n), frame.zeta)
     t0 = frame.t0
     up = frame.tp - t0
     rho = abs(up) / (t0 - 1.0)
     # enough tail terms for rho^m < 1e-16, at most 40: the check below rejects the rest
-    n = 4 + (2 + math.ceil(37.0 / -math.log(rho)) if 0.0 < rho < 0.4 else 40)
-    A = _phase_a(frame, n)
-    out = np.empty(5)
-    for k in range(5):
-        P = ps_pow(A, -0.5 * (k + 1), n)
-        tail_terms = P[k + 1 :] * up ** np.arange(n - k)
+    m = 4 + (2 + math.ceil(37.0 / -math.log(rho)) if 0.0 < rho < 0.4 else 40)
+    A = _phase_a(frame, m)
+    out = np.empty(n + 1)
+    for k in range(n + 1):
+        P = ps_pow(A, -0.5 * (k + 1), m)
+        tail_terms = P[k + 1 :] * up ** np.arange(m - k)
         tail = math.fsum(tail_terms)
         if not abs(tail_terms[-1]) < 1e-16 * abs(tail):
             raise FrameDegenerateError(f"pole-removal tail of g_{k} not converged (|u_p|/(t0-1) = {rho:.3g})")
@@ -426,24 +427,18 @@ def eval_erfc_uniform(
 # transition-series coefficients for inversion
 
 
-def _t0_series(c: float, xi0: float, xi1: float, n: int) -> np.ndarray:
+def _t0_series(c: float, xi0: float, xi1: float, n: int) -> list[float]:
     """Saddle t0 as a series in u where xi = xi0 + xi1 u, via the conjugate
-    root form t0 = 2 / (sqrt((c - xi)^2 + 4 xi) + c - xi)."""
-    D = np.zeros(n + 1)
-    D[0] = (c - xi0) * (c - xi0) + 4.0 * xi0
-    if n >= 1:
-        D[1] = (4.0 - 2.0 * (c - xi0)) * xi1
-    if n >= 2:
-        D[2] = xi1 * xi1
+    root form t0 = 2 / (sqrt((c - xi)^2 + 4 xi) + c - xi); n >= 1."""
+    D = [(c - xi0) * (c - xi0) + 4.0 * xi0, (4.0 - 2.0 * (c - xi0)) * xi1, xi1 * xi1][: n + 1]
     if D[0] <= 0.0:
         raise SeriesInvalidError("saddle discriminant vanishes at the transition point")
-    den = ps_sqrt(D, n)
+    den = ps_sqrt(D, n).tolist()
     den[0] += c - xi0
-    if n >= 1:
-        den[1] -= xi1
+    den[1] -= xi1
     if den[0] <= 0.0:
         raise SeriesInvalidError("saddle branch degenerates at the transition point")
-    return 2.0 * ps_pow(den, -1.0, n)
+    return [2.0 * v for v in _pow(den, -1.0, n)]
 
 
 def x_zeta_coeffs(sp: ShapeParams, y: float) -> np.ndarray:
@@ -469,9 +464,10 @@ def x_zeta_coeffs(sp: ShapeParams, y: float) -> np.ndarray:
     T = _t0_series(sp.cos2, xi0, xi1, n)
     tp = 1.0 / y
     # psi'(x) = (y / 2r) (tp - t0(x)); psi = zeta^2 / 2 vanishes to second order at x0
-    psip = -(y / (2.0 * r)) * T
-    psip[0] += (y / (2.0 * r)) * tp
-    A = 2.0 * ps_int(psip, n + 1)[2:]
+    s = y / (2.0 * r)
+    psip = [-s * t for t in T]
+    psip[0] += s * tp
+    A = [2.0 * (psip[k] / (k + 1.0)) for k in range(1, n + 1)]  # 2 psi / u^2, psi integrated from psi'
     if A[0] <= 0.0:
         raise SeriesInvalidError("transition curvature not positive; x(zeta) series invalid")
     out = ps_revert(A, n)
@@ -493,10 +489,12 @@ def y_zeta_coeffs(sp: ShapeParams, x: float) -> np.ndarray:
     xi0 = y0 * xi1
     T = _t0_series(sp.cos2, xi0, xi1, n)
     # psi'(y) = -p/(r y) + q/(r (1-y)) - t0(xi(y)) x/(2r), developed about y0
-    inv_y = np.array([(-1.0) ** k / y0 ** (k + 1) for k in range(n + 1)])
-    inv_1my = np.array([1.0 / (1.0 - y0) ** (k + 1) for k in range(n + 1)])
-    psip = -(p / r) * inv_y + (q / r) * inv_1my - (x / (2.0 * r)) * T
-    A = 2.0 * ps_int(psip, n + 1)[2:]
+    cp, cq, cx = -(p / r), q / r, x / (2.0 * r)
+    psip = [
+        cp * ((-1.0) ** k / y0 ** (k + 1)) + cq * (1.0 / (1.0 - y0) ** (k + 1)) - cx * T[k]
+        for k in range(n + 1)
+    ]
+    A = [2.0 * (psip[k] / (k + 1.0)) for k in range(1, n + 1)]  # 2 psi / u^2, psi integrated from psi'
     if A[0] <= 0.0:
         raise SeriesInvalidError("transition curvature not positive; y(zeta) series invalid")
     out = ps_revert(A, n)

@@ -6,15 +6,16 @@ Solving B_{p,q}(x, y) = z follows the pipeline:
 2. seed from the transition series x(zeta) or y(zeta), improved by the
    first correction zeta ~ zeta0 + zeta1/r with
    zeta1 = ln(1 + zeta0 g0)/zeta0 (each applied whenever its seed stays in
-   the domain; the bracketed Newton guards a poor seed); when the series
+   the domain; the bracketed polish guards a poor seed); when the series
    seed leaves the domain, locate the root of the transition equation
    zeta(.)^2/2 - zeta0^2/2 = 0 on the correct side of the transition point
    (above x0 when zeta0 > 0, below y0 when zeta0 > 0);
-3. polish on the true equation with safeguarded Newton, evaluating B with
-   the reference series, as ``evaluate`` does; the slope dB/dx or dB/dy is
-   summed over the same window from the Poisson weights and increments that
-   series pass formed.  An iterate past the series' window cap raises its
-   ``EvaluationError``.
+3. polish on the true equation with safeguarded Halley steps (Newton's
+   where Halley's does not apply), evaluating B with the reference series,
+   as ``evaluate`` does; the first and second derivatives in the unknown
+   are summed over the same window from the Poisson weights and increments
+   that series pass formed, so each step costs one series pass.  An
+   iterate past the series' window cap raises its ``EvaluationError``.
 """
 
 from __future__ import annotations
@@ -75,32 +76,50 @@ def zeta0_seed(problem: InversionProblem) -> float:
     return inv_erfc(2.0 * problem.z) * math.sqrt(2.0 / problem.sp.r)
 
 
-def _slope(sp: ShapeParams, pt: EvalPoint, unknown: str, window) -> float:
-    """dB/dx = -1/2 sum_j w_j d_{p+j} or dB/dy = sum_j w_j d_{p+j} (p+j) / (y(1-y)),
-    since dw_j/dx = (w_{j-1} - w_j)/2 and dI_y(a, q)/dy = a d_a / (y(1-y)) for
-    the increments d_a = I_y(a, q) - I_y(a+1, q), summed over the window of
-    ``series._series_window``.  Its edges hold these sums as they hold the
-    member's: B's lower edge drops below e^-39.2 w_j0 d_{p+j0}, and the
-    complement's ends past the peak of w_j d_{p+j}.  0 without a window."""
+def _slope(sp: ShapeParams, pt: EvalPoint, unknown: str, window) -> tuple[float, float]:
+    """The first and second derivatives of B in the unknown, summed over the
+    window of ``series._series_window``: its Poisson weights w_j and the
+    increments d_a = I_y(a, q) - I_y(a+1, q), a = p + j.  With
+    dw_j/dx = (w_{j-1} - w_j)/2 and dI_y(a, q)/dy = a d_a / (y(1-y)),
+
+        dB/dx   = -1/2 sum_j w_j d_a,
+        d2B/dx2 =  1/4 sum_j w_j (d_a - d_{a+1})
+                =  1/4 sum_j w_j d_a ((1-y)(a+1) - y(q-1)) / (a+1),
+        dB/dy   =  sum_j w_j a d_a / (y(1-y)),
+        d2B/dy2 =  sum_j w_j a d_a ((a-1)/y - (q-1)/(1-y)) / (y(1-y)),
+
+    the second in x through the increment ratio d_{a+1}/d_a = y(a+q)/(a+1),
+    so no neighbours are subtracted and no increment past the window enters.
+    The window's edges hold these sums as they hold the member's: B's lower
+    edge drops below e^-39.2 w_j0 d_{p+j0}, and the complement's ends past
+    the peak of w_j d_{p+j}.  (0, 0) without a window."""
     if window is None:
-        return 0.0
+        return 0.0, 0.0
     j_lo, wgt, d, shift = window
-    if unknown == "x":
-        return -0.5 * float(np.sum(wgt * d)) * math.exp(shift)
+    scale = math.exp(shift)
+    y, q = pt.y, sp.q
+    wd = wgt * d
     a = sp.p + j_lo + np.arange(d.size)
-    return float(np.sum(wgt * d * a)) * math.exp(shift) / (pt.y * (1.0 - pt.y))
+    if unknown == "x":
+        a1 = a + 1.0
+        curv = ((1.0 - y) * a1 - y * (q - 1.0)) / a1
+        return -0.5 * float(wd.sum()) * scale, 0.25 * float(wd @ curv) * scale
+    wda = wd * a
+    yy = y * (1.0 - y)
+    curv = (a - 1.0) / y - (q - 1.0) / (1.0 - y)
+    return float(wda.sum()) * scale / yy, float(wda @ curv) * scale / yy
 
 
 def db_dx(sp: ShapeParams, pt: EvalPoint) -> float:
     """dB/dx = -e^{-x/2} y^p (1-y)^q M(p+q, p+1, xy/2) / (2 p B(p, q)) < 0,
     summed over the series window; past it, raises as the series does."""
-    return _slope(sp, pt, "x", _series_window(sp, pt)[1])
+    return _slope(sp, pt, "x", _series_window(sp, pt)[1])[0]
 
 
 def db_dy(sp: ShapeParams, pt: EvalPoint) -> float:
     """dB/dy = e^{-x/2} y^{p-1} (1-y)^{q-1} M(p+q, p, xy/2) / B(p, q) > 0,
     summed over the series window; past it, raises as the series does."""
-    return _slope(sp, pt, "y", _series_window(sp, pt)[1])
+    return _slope(sp, pt, "y", _series_window(sp, pt)[1])[0]
 
 
 def transition_equation(sp: ShapeParams, pt: EvalPoint, zeta0: float) -> float:
@@ -136,13 +155,15 @@ def zeta1_correction(problem: InversionProblem, zeta0: float, seed: float) -> fl
     """First correction zeta1 with zeta ~ zeta0 + zeta1/r, from the leading
     boundary-layer coefficient g0 at the seeded point:
     zeta1 = ln(1 + zeta0 g0)/zeta0, with the limit g0 as zeta0 -> 0.
+    Only g0 is formed: f_0 - 1/zeta from A_0 alone away from the pole, one
+    power of A with its pole-removal tail near it.
     Raises EvaluationError when 1 + zeta0 g0 <= 0 (correction skipped)."""
     sp = problem.sp
     if problem.unknown == "x":
         pt = EvalPoint(seed, problem.fixed)
     else:
         pt = EvalPoint(problem.fixed, seed)
-    g0 = g_coeffs(build_frame(sp, pt))[0]
+    g0 = g_coeffs(build_frame(sp, pt), 0)[0]
     u = zeta0 * g0
     if u <= -1.0:
         raise EvaluationError("zeta1 correction undefined: 1 + zeta0 g0 <= 0")
@@ -310,20 +331,31 @@ def invert(problem: InversionProblem) -> InversionResult:
 
 
 def _eval_at(problem: InversionProblem, v: float):
-    """(pair, slope) at the iterate: B from the reference series and its
-    slope in the unknown from the same window.  Where no window was summed
-    (a B certified to round to 0) the slope is 0 and no Newton step is
-    taken; past the window cap the series' ``EvaluationError`` propagates."""
+    """(pair, B', B'') at the iterate: B from the reference series and its
+    first and second derivatives in the unknown from the same window
+    (``_slope``).  Where no window was summed (a B certified to round to 0)
+    both derivatives are 0 and no Newton or Halley step is taken; past the
+    window cap the series' ``EvaluationError`` propagates."""
     if problem.unknown == "x":
         pt = EvalPoint(v, problem.fixed)
     else:
         pt = EvalPoint(problem.fixed, v)
     pair, window = _series_window(problem.sp, pt)
-    return pair, _slope(problem.sp, pt, problem.unknown, window)
+    return (pair, *_slope(problem.sp, pt, problem.unknown, window))
 
 
 def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
-    """Safeguarded Newton on B(.) - z with a maintained bracket."""
+    """Safeguarded Halley iteration on f = B(.) - z with a maintained bracket.
+
+    Each step evaluates B, B' and B'' once (``_eval_at``).  Where Newton's
+    step t = f / B' stays inside the bracket, the iterate moves by Halley's
+    step v - 2 f B' / (2 B'^2 - f B''), written as t / (1 - t B'' / (2 B')),
+    if that divisor is positive and the step stays inside too; else by t.
+    Where Newton's step leaves the bracket, or there is none, the bracket is
+    bisected (the iterate doubled while it is open above): far out in a
+    tail, where B is flat and its curvature large, Halley's step shrinks to
+    a few e-folds of B's distance to 0 or 1 and would crawl.  Stops once |f|
+    is inside the residual band or after 40 evaluations."""
     z = problem.z
     band = problem.tol * max(z, 1.0 - z)
     increasing = problem.unknown == "y"
@@ -338,7 +370,7 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     iters = 0
     resid = math.inf
     for _ in range(40):
-        pair, deriv = _eval_at(problem, cur)
+        pair, deriv, curv = _eval_at(problem, cur)
         iters += 1
         resid = _residual(pair, z)
         if abs(resid) <= band:
@@ -348,9 +380,14 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
             lo = max(lo, cur)
         else:
             hi = min(hi, cur)
-        step_ok = deriv != 0.0 and math.isfinite(deriv)
-        nxt = cur - resid / deriv if step_ok else math.nan
-        if not (step_ok and math.isfinite(nxt) and lo < nxt < hi):
+        nxt = math.nan
+        if deriv != 0.0 and math.isfinite(deriv):
+            t = resid / deriv
+            nxt = cur - t
+            halley = 1.0 - 0.5 * t * curv / deriv
+            if lo < nxt < hi and halley > 0.0 and lo < cur - t / halley < hi:
+                nxt = cur - t / halley
+        if not (math.isfinite(nxt) and lo < nxt < hi):
             if math.isinf(hi):
                 nxt = max(2.0 * cur, cur + 1.0)
             else:

@@ -415,5 +415,6 @@ def noncentral_f_cdf(w: float, nu1: float, nu2: float, lam: float) -> Probabilit
         raise DomainError(f"noncentrality must be nonnegative, got {lam}")
     from .dispatch import evaluate
 
-    quantile = nu1 * w / (nu1 * w + nu2) if w < math.inf else 1.0
+    t = nu1 * w
+    quantile = t / (t + nu2) if t < math.inf else 1.0
     return evaluate(ShapeParams(0.5 * nu1, 0.5 * nu2), EvalPoint(lam, quantile))

@@ -51,6 +51,83 @@ def miller_magnitudes(a, alpha, n):
     return np.array(b)
 
 
+def _np_pow(a, alpha, n):
+    """ps_pow as it was on numpy arrays: the reference for the list code."""
+    a = [float(v) for v in a[: n + 1]]
+    b = [a[0] ** alpha]
+    for k in range(1, n + 1):
+        s = 0.0
+        for i in range(1, min(k, len(a) - 1) + 1):
+            s += (alpha * i + (i - k)) * a[i] * b[k - i]
+        b.append(s / (k * a[0]))
+    return np.array(b)
+
+
+def _np_t0_series(c, xi0, xi1, n):
+    D = np.zeros(n + 1)
+    D[0] = (c - xi0) * (c - xi0) + 4.0 * xi0
+    D[1] = (4.0 - 2.0 * (c - xi0)) * xi1
+    D[2] = xi1 * xi1
+    if D[0] <= 0.0:
+        raise SeriesInvalidError("discriminant")
+    den = np.zeros(n + 1)  # the sqrt of D, by its own recurrence
+    den[0] = math.sqrt(D[0])
+    for k in range(1, n + 1):
+        t = D[k]
+        for i in range(1, k):
+            t -= den[i] * den[k - i]
+        den[k] = t / (2.0 * den[0])
+    den[0] += c - xi0
+    den[1] -= xi1
+    if den[0] <= 0.0:
+        raise SeriesInvalidError("branch")
+    return 2.0 * _np_pow(den, -1.0, n)
+
+
+def _np_revert_tail(psip, n):
+    """ps_revert(2 * ps_int(psip)[2:]) on numpy arrays."""
+    integral = np.zeros(n + 2)
+    for k in range(n + 1):
+        integral[k + 1] = psip[k] / (k + 1.0)
+    A = 2.0 * integral[2:]
+    if A[0] <= 0.0:
+        raise SeriesInvalidError("curvature")
+    b = np.zeros(n + 1)
+    for k in range(1, n + 1):
+        b[k] = _np_pow(A, -0.5 * k, k - 1)[k - 1] / k
+    return b
+
+
+def np_x_zeta_coeffs(sp, y, n=5):
+    """x_zeta_coeffs as it was on numpy arrays."""
+    p, q, r = sp.p, sp.q, sp.r
+    if q - r * (1.0 - y) * (1.0 - y) <= 0.0:
+        raise SeriesInvalidError("radicand")
+    x0 = 2.0 * (r * y - p) / (1.0 - y)
+    xi1 = y / (2.0 * r)
+    T = _np_t0_series(sp.cos2, x0 * xi1, xi1, n)
+    psip = -(y / (2.0 * r)) * T
+    psip[0] += (y / (2.0 * r)) * (1.0 / y)
+    out = _np_revert_tail(psip, n)
+    out[0] = x0
+    return out
+
+
+def np_y_zeta_coeffs(sp, x, n=5):
+    """y_zeta_coeffs as it was on numpy arrays."""
+    p, q, r = sp.p, sp.q, sp.r
+    y0 = (x + 2.0 * p) / (x + 2.0 * r)
+    xi1 = x / (2.0 * r)
+    T = _np_t0_series(sp.cos2, y0 * xi1, xi1, n)
+    inv_y = np.array([(-1.0) ** k / y0 ** (k + 1) for k in range(n + 1)])
+    inv_1my = np.array([1.0 / (1.0 - y0) ** (k + 1) for k in range(n + 1)])
+    psip = -(p / r) * inv_y + (q / r) * inv_1my - (x / (2.0 * r)) * T
+    out = _np_revert_tail(psip, n)
+    out[1::2] = -out[1::2]
+    out[0] = y0
+    return out
+
+
 def compose(a, u, n):
     """a(u(w)) truncated to order n, by Horner's rule over ps_mul."""
     out = np.zeros(n + 1)
@@ -281,6 +358,38 @@ class TestGCoefficients:
                     assert abs(gk - ref) <= 1e-11 * max(abs(ref), 1.0)
                 frames += 1
 
+    def test_g0_alone_is_bit_identical(self):
+        # g_coeffs(fr, 0) forms g0 alone: from A_0 away from the pole, from
+        # one power of A near it; on both sides of tau it equals the g0 of
+        # the full set bit for bit
+        rng = np.random.default_rng(29)
+        near = far = 0
+        while near < 40 or far < 40:
+            p = math.exp(rng.uniform(math.log(0.5), math.log(2000.0)))
+            q = math.exp(rng.uniform(math.log(0.5), math.log(2000.0)))
+            y = rng.uniform(0.05, 0.95)
+            sp = ShapeParams(p, q)
+            if q - sp.r * (1.0 - y) ** 2 <= 0.0:
+                continue
+            tau = transition_tau(sp.r)
+            coeffs = x_zeta_coeffs(sp, y)
+            for target in (0.3 * tau, -0.9 * tau, 1.5 * tau, -4.0 * tau, 0.5):
+                x = ps_eval(coeffs, target)
+                if not x >= 0.0:
+                    continue
+                fr = build_frame(sp, EvalPoint(x, y))
+                try:
+                    full = g_coeffs(fr)
+                except (FrameDegenerateError, EvaluationError):
+                    continue
+                g0 = g_coeffs(fr, 0)
+                assert g0.shape == (1,)
+                assert g0[0] == full[0]
+                if abs(fr.zeta) < tau:
+                    near += 1
+                else:
+                    far += 1
+
     def test_unconverged_pole_removal_rejected(self):
         # pole moved outside (ratio 2) or to the edge (0.9) of the disc |u| < t0 - 1
         fr = build_frame(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.5))
@@ -404,6 +513,28 @@ class TestTransitionSeries:
             assert abs(build_frame(sp, EvalPoint(xz, 0.45)).zeta - zt) <= 1e-8
             yz = y_of_zeta(sp, 4.5, zt)
             assert abs(build_frame(sp, EvalPoint(4.5, yz)).zeta - zt) <= 1e-8
+
+    def test_coefficients_bit_identical_to_numpy_reference(self):
+        # the series runs on Python floats; the arithmetic is the numpy
+        # version's, so every coefficient must agree bit for bit
+        rng = np.random.default_rng(31)
+        done = {"x": 0, "y": 0}
+        while min(done.values()) < 200:
+            sp = ShapeParams(*np.exp(rng.uniform(math.log(0.5), math.log(2000.0), 2)))
+            for unknown, fn, ref_fn, fixed in (
+                ("x", x_zeta_coeffs, np_x_zeta_coeffs, rng.uniform(0.01, 0.99)),
+                ("y", y_zeta_coeffs, np_y_zeta_coeffs, rng.uniform(0.0, 500.0)),
+            ):
+                try:
+                    ref = ref_fn(sp, fixed)
+                except SeriesInvalidError:
+                    with pytest.raises(SeriesInvalidError):
+                        fn(sp, fixed)
+                    continue
+                got = fn(sp, fixed)
+                assert isinstance(got, np.ndarray)
+                assert got.tobytes() == ref.tobytes()
+                done[unknown] += 1
 
     def test_radicand_precondition(self):
         # q - r (1-y)^2 < 0 at small y here

@@ -15,6 +15,7 @@ from ncbeta.dispatch import evaluate
 from ncbeta.errors import DomainError
 from ncbeta.inversion import (
     InversionProblem,
+    _slope,
     db_dx,
     db_dy,
     invert,
@@ -24,6 +25,7 @@ from ncbeta.inversion import (
 )
 from ncbeta.kernels import central_beta_cdf, kummer_m_log, log_beta
 from ncbeta.params import EvalPoint, ShapeParams
+from ncbeta.series import _series_window
 
 SP = ShapeParams(10.0, 15.0)
 
@@ -86,23 +88,37 @@ class TestTransitionEquation:
 
 
 def slope_reference(p, q, x, y, dps=40):
-    """(dB/dx, dB/dy) as the Poisson sums -1/2 sum_j w_j d_{p+j} and
-    sum_j w_j d_{p+j} (p+j) / (y(1-y)), with d_a = I_y(a, q) - I_y(a+1, q),
-    in dps-digit arithmetic from j = 0 until a geometric bound on the rest
-    falls below 10^-dps of the sum."""
+    """The derivatives of B as Poisson sums over w_j and the increments
+    d_a = I_y(a, q) - I_y(a+1, q), a = p + j, in dps-digit arithmetic from
+    j = 0 until a geometric bound on the rest falls below 10^-dps of the sum:
+
+        dB/dx   = -1/2 sum_j w_j d_a,
+        dB/dy   = sum_j w_j d_a a / (y(1-y)),
+        d2B/dx2 = 1/4 sum_j w_j d_a (1 - y(a+q)/(a+1)),
+        d2B/dy2 = sum_j w_j d_a a ((a-1)/y - (q-1)/(1-y)) / (y(1-y)).
+
+    Returns those four and, for the two second derivatives, the same sums
+    over the magnitudes of the parts of each term, w_j d_a (1 + y(a+q)/(a+1))
+    and w_j d_a a (|a-1|/y + |q-1|/(1-y)): the scale of their rounding error."""
     with mp.workdps(dps):
         p, q, x, y = (mp.mpf(v) for v in (p, q, x, y))
         h = x / 2
         w = mp.exp(-h)
         d = mp.exp(p * mp.log(y) + q * mp.log1p(-y) - mp.log(mp.beta(p, q)) - mp.log(p))
-        sx = sy = mp.mpf(0)
+        sx = sy = sxx = syy = axx = ayy = mp.mpf(0)
         j = 0
         while True:
+            a = p + j
             sx += w * d
-            sy += w * d * (p + j)
+            sy += w * d * a
+            sxx += w * d * (1 - y * (a + q) / (a + 1))
+            axx += w * d * (1 + y * (a + q) / (a + 1))
+            syy += w * d * a * ((a - 1) / y - (q - 1) / (1 - y))
+            ayy += w * d * a * (abs(a - 1) / y + abs(q - 1) / (1 - y))
             r = h / (j + 1) * y * (p + q + j) / (p + j + 1)
             if j >= h and r < 1 and w * d * r / (1 - r) < mp.mpf(10) ** -dps * sx:
-                return -sx / 2, sy / (y * (1 - y))
+                yy = y * (1 - y)
+                return -sx / 2, sy / yy, sxx / 4, syy / yy, axx / 4, ayy / yy
             w, d = w * h / (j + 1), d * y * (p + q + j) / (p + j + 1)
             j += 1
 
@@ -119,9 +135,29 @@ class TestDerivatives:
     @example(50.0, 800.0, 450.0, 0.3)  # B's window, from j = 92
     def test_slope_against_mpmath_sums(self, p, q, x, y):
         sp, pt = ShapeParams(p, q), EvalPoint(x, y)
-        for got, ref in zip((db_dx(sp, pt), db_dy(sp, pt)), slope_reference(p, q, x, y)):
+        for got, ref in zip((db_dx(sp, pt), db_dy(sp, pt)), slope_reference(p, q, x, y)[:2]):
             if abs(ref) > 1e-280:
                 assert abs(got - ref) <= 1e-11 * abs(ref)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(0.0, 500.0),
+        st.floats(0.01, 0.99),
+    )
+    @example(3.0, 3.0, 400.0, 0.995)  # the complement's window, from j = 74
+    @example(50.0, 800.0, 450.0, 0.3)  # B's window, from j = 92
+    def test_second_derivative_against_mpmath_sums(self, p, q, x, y):
+        # B'' passes through zero, so its error is measured against the sum
+        # of the magnitudes of the parts of its terms
+        sp, pt = ShapeParams(p, q), EvalPoint(x, y)
+        window = _series_window(sp, pt)[1]
+        _, _, ref_x, ref_y, scale_x, scale_y = slope_reference(p, q, x, y)
+        for unknown, ref, scale in (("x", ref_x, scale_x), ("y", ref_y, scale_y)):
+            if scale > 1e-280:
+                got = _slope(sp, pt, unknown, window)[1]
+                assert abs(got - ref) <= 1e-11 * scale
 
     @pytest.mark.parametrize(
         "p, q, x, y", [(10.0, 15.0, 4.5, 0.45), (3.5, 40.0, 60.0, 0.3), (200.0, 150.0, 300.0, 0.6), (0.7, 2.5, 20.0, 0.9)]
@@ -256,6 +292,7 @@ class TestInvert:
     def test_round_trip_sample(self):
         rng = np.random.default_rng(55)
         done = 0
+        iterations = 0
         while done < 50:
             p = math.exp(rng.uniform(math.log(0.5), math.log(300.0)))
             q = math.exp(rng.uniform(math.log(0.5), math.log(300.0)))
@@ -273,7 +310,20 @@ class TestInvert:
                 prob = InversionProblem("y", sp, x, z, tol=1e-10)
             res = invert(prob)
             assert abs(res.residual) <= 1e-10 * max(z, 1.0 - z)
+            iterations += res.iterations
             done += 1
+        # Halley's step: 3.08 evaluations a solve with Newton's
+        assert iterations / done <= 2.6
+
+    def test_flat_tail_bisects_instead_of_crawling(self):
+        # at the seed the complement is 5e-50 against a target of 3.5e-9;
+        # Halley's step there multiplies it by about e^2 a step, Newton's
+        # leaves the bracket, and the polish bisects (40 steps if it took
+        # Halley's step there, 10 with Newton's)
+        sp = ShapeParams(0.11304416681297548, 60.782418501646035)
+        res = invert(InversionProblem("y", sp, 0.5048429647707822, 0.9999999964672764))
+        assert abs(res.residual) <= 1e-10
+        assert res.iterations <= 10
 
     def test_each_newton_step_evaluates_once_through_the_series(self, monkeypatch):
         # one series pass gives both the value and the slope: no Kummer

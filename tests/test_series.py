@@ -469,6 +469,10 @@ class TestNoncentralF:
     def test_infinite_statistic(self):
         assert noncentral_f_cdf(math.inf, 20.0, 30.0, 4.5).b == 1.0
 
+    def test_statistic_whose_product_overflows(self):
+        # nu1 * w overflows to inf, and inf / inf once became the quantile
+        assert noncentral_f_cdf(1e308, 20.0, 30.0, 4.5).b == 1.0
+
     def test_mapping_identity(self):
         w = 13.5 / 11.0  # places the beta quantile at 0.45
         lhs = noncentral_f_cdf(w, 20.0, 30.0, 4.5)
