@@ -33,6 +33,7 @@ from .series import (
     central_term_sequence,
     eval_series,
     eval_type2_qfunction,
+    evaluate_many,
     noncentral_f_cdf,
 )
 
@@ -62,6 +63,7 @@ __all__ = [
     "eval_series",
     "eval_type2_qfunction",
     "evaluate",
+    "evaluate_many",
     "explain",
     "inv_erfc",
     "invert",

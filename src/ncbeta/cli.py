@@ -17,9 +17,12 @@ from .errors import DomainError, EvaluationError
 from .inversion import InversionProblem, invert
 from .kummer_series import eval_kummer_series
 from .params import EvalPoint, ProbabilityPair, ShapeParams
-from .series import eval_series
+from .series import eval_series, evaluate_many
 
 BATCH_HEADER = ["p", "q", "x", "y", "value", "complement", "method", "err_est"]
+# eval rows evaluated by one evaluate_many call: bounds the points, plans
+# and pairs held at once
+BATCH_BLOCK = 1024
 
 
 def _fmt(v: float) -> str:
@@ -59,6 +62,17 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _converged(result):
+    """The inversion result, or an ``EvaluationError`` where its iteration
+    budget ran out outside the residual band."""
+    if not result.converged:
+        raise EvaluationError(
+            f"inversion did not converge: {result.iterations} evaluations ended at "
+            f"{_fmt(result.value)} with residual {result.residual:.3g}"
+        )
+    return result
+
+
 def cmd_invert(args) -> int:
     try:
         sp = ShapeParams(args.p, args.q)
@@ -71,7 +85,7 @@ def cmd_invert(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        result = invert(problem)
+        result = _converged(invert(problem))
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
@@ -89,6 +103,47 @@ def _batch_field(row, key):
     return float(v)
 
 
+def _batch_fields(row):
+    """A batch row's p, q, x, y and z; a blank or missing field is nan."""
+    return tuple(_batch_field(row, key) for key in ("p", "q", "x", "y", "z"))
+
+
+def _is_header(line: str) -> bool:
+    """Whether a batch file's first line is a header: one of its fields is
+    neither blank nor a float."""
+    for field in next(csv.reader([line]), []):
+        try:
+            if field.strip():
+                float(field)
+        except ValueError:
+            return True
+    return False
+
+
+def _evaluate_rows(rows, tol: float) -> list:
+    """Each eval row's (p, q, x, y, pair), the pairs from one
+    ``evaluate_many`` call, or the exception the row raised."""
+    parsed, points = [], []
+    for row in rows:
+        try:
+            p, q, x, y, _ = _batch_fields(row)
+            points.append((ShapeParams(p, q), EvalPoint(x, y)))
+            parsed.append((p, q, x, y))
+        except ValueError as exc:  # DomainError included
+            parsed.append(exc)
+    try:
+        pairs = iter(evaluate_many(points, tol=tol))
+    except DomainError as exc:  # an invalid tol fails every row
+        pairs = iter([exc] * len(points))
+    out = []
+    for item in parsed:
+        if not isinstance(item, Exception):
+            pair = next(pairs)
+            item = pair if isinstance(pair, Exception) else (*item, pair)
+        out.append(item)
+    return out
+
+
 def cmd_batch(args) -> int:
     try:
         fin = open(args.infile, newline="")
@@ -98,15 +153,18 @@ def cmd_batch(args) -> int:
     with fin:
         sample = fin.read(512)
         fin.seek(0)
-        has_header = any(ch.isalpha() for ch in sample.split("\n", 1)[0])
-        if has_header:
+        if _is_header(sample.split("\n", 1)[0]):
             reader = csv.DictReader(fin)
         else:
             reader = csv.DictReader(fin, fieldnames=["p", "q", "x", "y", "z"])
         rows = list(reader)
     out_rows = []
-    for row in rows:
-        out_rows.append(_batch_row(row, args.op, args.tol))
+    for start in range(0, len(rows), BATCH_BLOCK):
+        block = rows[start : start + BATCH_BLOCK]
+        # eval rows are evaluated together; _batch_row still runs once a row
+        done = _evaluate_rows(block, args.tol) if args.op == "eval" else [None] * len(block)
+        for row, result in zip(block, done):
+            out_rows.append(_batch_row(row, args.op, args.tol, result))
     try:
         fout = open(args.outfile, "w", newline="")
     except OSError as exc:
@@ -119,22 +177,22 @@ def cmd_batch(args) -> int:
     return 0
 
 
-def _batch_row(row, op: str, tol: float):
+def _batch_row(row, op: str, tol: float, done):
+    """One output row.  For ``eval``, ``done`` is the row's entry from
+    ``_evaluate_rows``, formatted here; the inversion ops solve the row."""
     try:
-        p = _batch_field(row, "p")
-        q = _batch_field(row, "q")
-        x = _batch_field(row, "x")
-        y = _batch_field(row, "y")
-        z = _batch_field(row, "z")
-        sp = ShapeParams(p, q)
         if op == "eval":
-            pair = evaluate(sp, EvalPoint(x, y), tol=tol)
+            if isinstance(done, Exception):
+                raise done
+            p, q, x, y, pair = done
             return [p, q, x, y, _fmt(pair.b), _fmt(pair.bbar), pair.method, f"{pair.err_est:.3g}"]
+        p, q, x, y, z = _batch_fields(row)
+        sp = ShapeParams(p, q)
         if op == "invert-x":
-            res = invert(InversionProblem(unknown="x", sp=sp, fixed=y, z=z, tol=tol))
+            res = _converged(invert(InversionProblem(unknown="x", sp=sp, fixed=y, z=z, tol=tol)))
             return [p, q, _fmt(res.value), y, _fmt(z), _fmt(1.0 - z), res.seed_path, f"{res.residual:.3g}"]
         if op == "invert-y":
-            res = invert(InversionProblem(unknown="y", sp=sp, fixed=x, z=z, tol=tol))
+            res = _converged(invert(InversionProblem(unknown="y", sp=sp, fixed=x, z=z, tol=tol)))
             return [p, q, x, _fmt(res.value), _fmt(z), _fmt(1.0 - z), res.seed_path, f"{res.residual:.3g}"]
         raise DomainError(f"unknown batch op {op!r}")
     except (DomainError, EvaluationError, ValueError) as exc:

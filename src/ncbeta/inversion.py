@@ -66,6 +66,7 @@ class InversionResult:
     iterations: int
     residual: float
     seed_path: str  # "zeta-series" | "transition-root" | "bisection" | "boundary"
+    converged: bool  # |residual| <= tol * max(z, 1 - z)
     zeta0: float = 0.0
     seed_value: float = math.nan  # pre-polish start (after any correction)
     seed_value_raw: float = math.nan  # pre-polish start before the zeta1 correction
@@ -262,9 +263,11 @@ def _bisect(fn, lo: float, hi: float, iters: int = 200) -> float:
 def invert(problem: InversionProblem) -> InversionResult:
     """Solve B_{p,q}(x, y) = z for the unknown coordinate.
 
-    The result satisfies |B(solution) - z| <= tol * max(z, 1 - z) unless the
-    iteration budget (40 polish steps) is exhausted, in which case the best
-    bracketed value is returned with its residual."""
+    The result satisfies |B(solution) - z| <= tol * max(z, 1 - z), with
+    ``converged`` True, unless the iteration budget (40 polish steps) is
+    exhausted or the iterate stops moving first; then the polish's final
+    iterate is returned with the last residual it measured and
+    ``converged`` False."""
     sp = problem.sp
     z = problem.z
     if problem.unknown == "x":
@@ -276,7 +279,7 @@ def invert(problem: InversionProblem) -> InversionResult:
                 f"bound is I_y(p, q) = {zmax:.6g}"
             )
         if abs(z - zmax) <= band:
-            return InversionResult(0.0, 0, zmax - z, "boundary", 0.0, 0.0, 0.0)
+            return InversionResult(0.0, 0, zmax - z, "boundary", True, 0.0, 0.0, 0.0)
 
     zeta0 = zeta0_seed(problem)
     seed_raw = math.nan
@@ -327,7 +330,8 @@ def invert(problem: InversionProblem) -> InversionResult:
             seed_path = "bisection"
 
     value, iters, resid = _polish(problem, seed)
-    return InversionResult(value, iters, resid, seed_path, zeta0, seed, seed_raw)
+    converged = abs(resid) <= problem.tol * max(z, 1.0 - z)
+    return InversionResult(value, iters, resid, seed_path, converged, zeta0, seed, seed_raw)
 
 
 def _eval_at(problem: InversionProblem, v: float):

@@ -4,6 +4,7 @@ import sys
 
 import mpmath as mp
 
+from ncbeta import cli
 from ncbeta.cli import main
 from ncbeta.params import EvalPoint, ShapeParams
 from ncbeta.series import eval_series
@@ -13,6 +14,11 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 class TestEval:
@@ -101,6 +107,14 @@ class TestInvert:
         assert code == 4
         assert "0.70" in err  # the bound I_y(p, q) is reported
 
+    def test_unconverged_exits_3(self, capsys):
+        # the root lies near y = 1e-54; bisection halves y to 9.1e-25 in 40
+        # steps, where the residual is still 1e-3
+        code, out, err = run_cli(capsys, "invert", "--unknown", "y", "--p", "0.14454", "--q", "943.65",
+                                 "--x", "0.1156", "--z", "3.818e-8")
+        assert code == 3
+        assert out == "" and err.startswith("error: inversion did not converge")
+
     def test_missing_fixed_coordinate(self, capsys):
         code, _, _ = run_cli(capsys, "invert", "--unknown", "x", "--p", "10", "--q", "15", "--z", "0.4")
         assert code == 2
@@ -170,6 +184,61 @@ class TestBatch:
         assert len(rows) == 3
         assert rows[1][6].startswith("error:")
         assert rows[2][6] == "series"
+
+    def test_headerless_first_row_with_an_exponent(self, tmp_path, capsys):
+        # a first line with a letter was once taken for a header, and the
+        # row was lost
+        src = tmp_path / "in.csv"
+        src.write_text("1e1,5,54,0.864\n10,15,4.5,0.45\n")
+        dst = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval")
+        assert code == 0
+        rows = read_rows(dst)
+        assert len(rows) == 3
+        src.write_text("10,5,54,0.864\n")
+        run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval")
+        assert rows[1] == read_rows(dst)[1]
+
+    def test_batch_row_runs_once_a_row(self, tmp_path, capsys, monkeypatch):
+        # the benchmark times each row by wrapping cli._batch_row; the six
+        # rows span two blocks of evaluated rows
+        seen = []
+        original = cli._batch_row
+
+        def counted(row, *args, **kwargs):
+            seen.append(row["p"])
+            return original(row, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_batch_row", counted)
+        monkeypatch.setattr(cli, "BATCH_BLOCK", 4)
+        src = tmp_path / "in.csv"
+        src.write_text("p,q,x,y\n5,5,54,0.8640\n-1,4,1,0.5\n1,1e10,1e5,0.1\nabc,4,1,0.5\n10,15,0,0.45\n3,4,2,1\n")
+        dst = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval")
+        assert code == 0
+        assert seen == ["5", "-1", "1", "abc", "10", "3"]
+        rows = read_rows(dst)
+        assert [r[6].split(":")[0] for r in rows[1:]] == ["series", "error", "error", "error", "series", "boundary"]
+
+    def test_invalid_tol_is_an_error_row(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("p,q,x,y\n5,5,54,0.8640\n-1,4,1,0.5\n")
+        dst = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "eval", "--tol", "0")
+        assert code == 0
+        rows = read_rows(dst)
+        assert rows[1][6] == "error: tol must be positive; got 0.0"
+        assert rows[2][6].startswith("error: shape parameter p")
+
+    def test_unconverged_inversion_is_an_error_row(self, tmp_path, capsys):
+        src = tmp_path / "in.csv"
+        src.write_text("p,q,x,y,z\n0.14454,943.65,0.1156,,3.818e-8\n10,15,4.5,,0.5\n")
+        dst = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "invert-y")
+        assert code == 0
+        rows = read_rows(dst)
+        assert rows[1][6].startswith("error: inversion did not converge")
+        assert abs(float(rows[2][3]) - 0.4471) < 1e-3
 
     def test_invert_ops(self, tmp_path, capsys):
         src = tmp_path / "in.csv"

@@ -288,6 +288,7 @@ class TestInvert:
         r = invert(InversionProblem("x", SP, 0.45, zmax))
         assert r.value == 0.0
         assert r.seed_path == "boundary"
+        assert r.converged
 
     def test_round_trip_sample(self):
         rng = np.random.default_rng(55)
@@ -310,10 +311,18 @@ class TestInvert:
                 prob = InversionProblem("y", sp, x, z, tol=1e-10)
             res = invert(prob)
             assert abs(res.residual) <= 1e-10 * max(z, 1.0 - z)
+            assert res.converged
             iterations += res.iterations
             done += 1
         # Halley's step: 3.08 evaluations a solve with Newton's
         assert iterations / done <= 2.6
+
+    def test_exhausted_budget_is_not_converged(self):
+        # the root lies near y = 1e-54, and bisection halves y only down to
+        # 9.1e-25 in its 40 steps
+        res = invert(InversionProblem("y", ShapeParams(0.14454, 943.65), 0.1156, 3.818e-8))
+        assert res.iterations == 40
+        assert abs(res.residual) > 1e-10 and not res.converged
 
     def test_flat_tail_bisects_instead_of_crawling(self):
         # at the seed the complement is 5e-50 against a target of 3.5e-9;

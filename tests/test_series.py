@@ -8,7 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
+import ncbeta
 from ncbeta import series
+from ncbeta.dispatch import evaluate
 from ncbeta.errors import DomainError, EvaluationError
 from ncbeta.kernels import central_beta_cdf
 from ncbeta.params import EvalPoint, ProbabilityPair, ShapeParams
@@ -16,6 +18,7 @@ from ncbeta.series import (
     central_term_sequence,
     eval_series,
     eval_type2_qfunction,
+    evaluate_many,
     noncentral_f_cdf,
     poisson_window,
 )
@@ -411,6 +414,80 @@ class TestArrayMembers:
         got = series._poisson_weights(half, anchor, n, j_lo, lw0)
         ref = scalar_poisson_weights(half, anchor, n, j_lo, lw0)
         assert np.all(np.abs(got - ref) <= 2.0 * n * 1.12e-16 * ref)
+
+
+EVAL_MIXED_POINT = st.tuples(
+    st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+    st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+    st.floats(0.0, 500.0),
+    st.floats(0.001, 0.999),
+)
+
+# x = 0 and both quantile boundaries; a B certified to round to 0; a B chain
+# and a complement chain scaled by e^-shift (the latter found by a random
+# search); a point past the window cap
+MANY_FIXED = [
+    (10.0, 15.0, 0.0, 0.45),
+    (10.0, 15.0, 4.5, 0.0),
+    (10.0, 15.0, 4.5, 1.0),
+    (1500.0, 5.0, 200.0, 0.3),
+    (188.37933222869154, 1.0024885840142763, 28.171471861681507, 0.031337030772637296),
+    (163.9134796396956, 43.728493514318274, 6.625712224844009, 0.9999999791970806),
+    (1.0, 1e10, 1e5, 0.1),
+]
+
+
+def assert_entries_match_evaluate(entries, points):
+    """Each entry is evaluate's pair at its point, bit for bit, or an error
+    of the type and message that evaluate raises there."""
+    assert len(entries) == len(points)
+    for entry, (sp, pt) in zip(entries, points):
+        try:
+            want = evaluate(sp, pt)
+        except EvaluationError as exc:
+            assert type(entry) is type(exc) and str(entry) == str(exc)
+        else:
+            # repr tells every float bit pattern apart, -0.0 from 0.0 too
+            assert repr(entry) == repr(want)
+
+
+class TestEvaluateMany:
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(EVAL_MIXED_POINT, max_size=60).flatmap(lambda drawn: st.permutations(drawn + MANY_FIXED)))
+    def test_matches_evaluate_bit_for_bit(self, rows):
+        points = [(ShapeParams(p, q), EvalPoint(x, y)) for p, q, x, y in rows]
+        assert_entries_match_evaluate(evaluate_many(points), points)
+
+    def test_chunks_keep_input_order(self, monkeypatch):
+        # 300 points whose windows shrink along the input, so the sort by
+        # length reverses them, in more padded cells than one chunk holds;
+        # (50, 50, 2e5) is a chunk of one 6552-term row, and at x = 1e6 the
+        # window (14769 terms) is wider than a chunk, so the scalar member
+        # sums it
+        chunks = []
+        original = series._window_arrays
+
+        def recording(chunk, complement):
+            chunks.append((len(chunk), chunk[-1].n))
+            return original(chunk, complement)
+
+        monkeypatch.setattr(series, "_window_arrays", recording)
+        rng = np.random.default_rng(17)
+        rows = [(50.0, 50.0, 1e6, 0.9999), (50.0, 50.0, 2e5, 0.9995)]
+        for x in np.linspace(500.0, 1.0, 300):
+            rows.append((math.exp(rng.uniform(math.log(0.5), math.log(2000.0))),
+                         math.exp(rng.uniform(math.log(0.5), math.log(2000.0))), x, rng.uniform(0.001, 0.999)))
+        points = [(ShapeParams(p, q), EvalPoint(x, y)) for p, q, x, y in rows]
+        assert_entries_match_evaluate(evaluate_many(points), points)
+        assert (1, 6552) in chunks and 14769 > series.MANY_CELLS and len(chunks) >= 4
+        assert all(rows * width <= series.MANY_CELLS for rows, width in chunks)
+        assert sum(rows * width for rows, width in chunks) > 2 * series.MANY_CELLS
+
+    def test_tol_is_validated(self):
+        assert ncbeta.evaluate_many is evaluate_many
+        assert evaluate_many([]) == []
+        with pytest.raises(DomainError, match="tol must be positive"):
+            evaluate_many([(SP, EvalPoint(4.5, 0.45))], tol=0.0)
 
 
 class TestCentralTermSequence:
