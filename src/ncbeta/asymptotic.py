@@ -503,19 +503,24 @@ def y_zeta_coeffs(sp: ShapeParams, x: float) -> np.ndarray:
     return out
 
 
+def zeta_series_value(coeffs, zeta: float, unknown: str) -> float:
+    """The transition series of ``x_zeta_coeffs`` (unknown "x") or
+    ``y_zeta_coeffs`` (unknown "y") summed at zeta.  Raises
+    SeriesInvalidError where the value leaves the unknown's domain, x >= 0
+    or 0 < y < 1."""
+    v = float(ps_eval(coeffs, zeta))
+    if not (v >= 0.0 if unknown == "x" else 0.0 < v < 1.0):
+        raise SeriesInvalidError(f"{unknown}(zeta) series left the domain ({unknown}={v:.3e})")
+    return v
+
+
 def x_of_zeta(sp: ShapeParams, y: float, zeta: float) -> float:
     """Noncentrality on the fixed-(p, q, y) family at signed distance zeta
     from the transition."""
-    v = ps_eval(x_zeta_coeffs(sp, y), zeta)
-    if v < 0.0:
-        raise SeriesInvalidError(f"x(zeta) series left the domain (x={v:.3e} < 0)")
-    return v
+    return zeta_series_value(x_zeta_coeffs(sp, y), zeta, "x")
 
 
 def y_of_zeta(sp: ShapeParams, x: float, zeta: float) -> float:
     """Quantile on the fixed-(p, q, x) family at signed distance zeta from
     the transition."""
-    v = ps_eval(y_zeta_coeffs(sp, x), zeta)
-    if not 0.0 < v < 1.0:
-        raise SeriesInvalidError(f"y(zeta) series left the domain (y={v:.3e})")
-    return v
+    return zeta_series_value(y_zeta_coeffs(sp, x), zeta, "y")

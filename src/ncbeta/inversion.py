@@ -25,9 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._pseries import ps_eval
-from .asymptotic import build_frame, g_coeffs, x_zeta_coeffs, y_zeta_coeffs
-from .errors import DomainError, EvaluationError, SeriesInvalidError
+from .asymptotic import build_frame, g_coeffs, x_zeta_coeffs, y_zeta_coeffs, zeta_series_value
+from .errors import DomainError, EvaluationError
 from .kernels import central_beta_cdf, inv_erfc
 from .params import EvalPoint, ShapeParams
 from .series import _series_window
@@ -265,9 +264,9 @@ def invert(problem: InversionProblem) -> InversionResult:
 
     The result satisfies |B(solution) - z| <= tol * max(z, 1 - z), with
     ``converged`` True, unless the iteration budget (40 polish steps) is
-    exhausted or the iterate stops moving first; then the polish's final
-    iterate is returned with the last residual it measured and
-    ``converged`` False."""
+    exhausted or the iterate stops moving first; then the last iterate the
+    polish evaluated is returned with its residual and ``converged``
+    False."""
     sp = problem.sp
     z = problem.z
     if problem.unknown == "x":
@@ -287,27 +286,16 @@ def invert(problem: InversionProblem) -> InversionResult:
     seed_path = ""
 
     try:
-        if problem.unknown == "x":
-            coeffs = x_zeta_coeffs(sp, problem.fixed)
-            seed_raw = float(ps_eval(coeffs, zeta0))
-            if seed_raw < 0.0:
-                raise SeriesInvalidError("series seed left the domain")
-        else:
-            coeffs = y_zeta_coeffs(sp, problem.fixed)
-            seed_raw = float(ps_eval(coeffs, zeta0))
-            if not 0.0 < seed_raw < 1.0:
-                raise SeriesInvalidError("series seed left the domain")
-        seed = seed_raw
+        # the coefficients are formed once, for the raw and the corrected seed
+        coeffs = (x_zeta_coeffs if problem.unknown == "x" else y_zeta_coeffs)(sp, problem.fixed)
+        seed = seed_raw = zeta_series_value(coeffs, zeta0, problem.unknown)
         seed_path = "zeta-series"
         try:
             z1 = zeta1_correction(problem, zeta0, seed_raw)
-            corrected = float(ps_eval(coeffs, zeta0 + z1 / sp.r))
-            ok = (corrected >= 0.0) if problem.unknown == "x" else (0.0 < corrected < 1.0)
-            if ok:
-                seed = corrected
+            seed = zeta_series_value(coeffs, zeta0 + z1 / sp.r, problem.unknown)
         except (EvaluationError, DomainError):
             pass
-    except (SeriesInvalidError, EvaluationError, DomainError):
+    except (EvaluationError, DomainError):
         seed = math.nan
 
     if math.isnan(seed):
@@ -359,7 +347,8 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     bisected (the iterate doubled while it is open above): far out in a
     tail, where B is flat and its curvature large, Halley's step shrinks to
     a few e-folds of B's distance to 0 or 1 and would crawl.  Stops once |f|
-    is inside the residual band or after 40 evaluations."""
+    is inside the residual band or after 40 evaluations, and returns the
+    last iterate it evaluated, with its residual."""
     z = problem.z
     band = problem.tol * max(z, 1.0 - z)
     increasing = problem.unknown == "y"
@@ -371,14 +360,11 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
         lo, hi = 0.0, math.inf
         cur = max(seed, 0.0)
 
-    iters = 0
-    resid = math.inf
-    for _ in range(40):
+    for iters in range(1, 41):
         pair, deriv, curv = _eval_at(problem, cur)
-        iters += 1
         resid = _residual(pair, z)
-        if abs(resid) <= band:
-            return cur, iters, resid
+        if abs(resid) <= band or iters == 40:
+            break
         going_up = (resid < 0.0) if increasing else (resid > 0.0)
         if going_up:
             lo = max(lo, cur)

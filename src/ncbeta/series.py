@@ -8,10 +8,13 @@ and the complement is the same mixture over I_{1-y}(q, p + j).  Both term
 sequences come from the exact recursion I_y(a, q) - I_y(a+1, q) = d_a > 0:
 B's decaying terms are one value past the top of the window plus the
 reverse running sum of the increments, the complement's growing terms one
-value at the bottom plus their forward running sum.  The increments run
-outward from their largest term by products of their ratio.  Increments,
-Poisson weights, terms and sums are all array operations; no Python loop
-runs over the window.
+value at the bottom plus their forward running sum.  The increments and
+the Poisson weights follow one first-order recurrence, the (P, Q) chain of
+``_chain``: running products outward from an anchor, by P[c+1]/Q[c+1]
+leftward and Q[c]/P[c] rightward, with (P, Q) = (j, h) for the weights,
+h = x/2, and (a, y (a - 1 + q)), a = p + j, for the increments.
+Increments, Poisson weights, terms and sums are all array operations; no
+Python loop runs over the window.
 
 Each member sums only a window whose dropped mass is bounded a priori: up
 to an upper Poisson cutoff, and from a lower edge set by the Chernoff bound
@@ -23,18 +26,22 @@ cap raises.  A member's relative ``err_est`` adds the mass dropped below
 the window, a bound on the tail above it, and a rounding floor that grows
 with p + q and with the log of the increment the chain is anchored on.
 
-A member runs in three steps.  Its plan (``_plan_b``, ``_plan_complement``)
-sets the window's edges, the Poisson mode and its log weight, and makes
-the certified-zero and window-cap checks; the chain's anchor and scale
-(``_chain_anchor``) and its continued-fraction seed (``_seed``) follow.
-The sum builds the weights, increments and terms as arrays and sums their
-products.  The finish (``_finish_b``, ``_finish_complement``) unscales the
-sum and forms ``err_est`` from the tails and the floor.  Plan and finish
-are scalar code that ``evaluate_many`` shares with the members; only the
-sum has a second form there, which builds the windows of many points at
-once in padded 2-D arrays, one row per window, with every element formed
-by the float operations of the 1-D path in its order, and sums each row
-over its unpadded slice, so every result is bitwise the member's.
+A member (``_member``, for B or the complement) runs in three steps, each
+written once.  One planner (``_row_plan``) sets the window's edges, the
+Poisson mode and its log weight, makes the x = 0, certified-zero and
+window-cap checks, and anchors the increment chain (``_chain_anchor``)
+with its continued-fraction seed and scale (``_seed``), as a ``_Planned``
+row.  The sum builds the row's weights, increments and terms and sums
+their products.  One finish (``_finish``) unscales the sum and forms
+``err_est`` from the tails and the floor.  ``evaluate_many`` shares the
+planner and the finish with the members; only the window has a second
+form there (``_window_arrays``, against ``_window``), which builds the
+windows of many points at once in padded 2-D arrays, one row per window
+and both chains of a chunk in one stacked pass (``_outward``), with every
+element formed by the float operations of the 1-D form in its order, so
+every result is bitwise the member's.  Its stragglers, answered one at a
+time, are the quantile boundaries, x = 0 and windows longer than
+``MANY_CELLS``.
 
 This module also houses the notation bridges used as independent
 cross-checks: the type-II q-function double series and the noncentral F
@@ -44,7 +51,6 @@ mapping.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +63,7 @@ from .params import EvalPoint, ProbabilityPair, ShapeParams
 # (complement); the window is O(sqrt(x)) wide, so x reaches order 4e9
 MAX_WINDOW_TERMS = 1_000_000
 # the most padded cells (rows times columns) one 2-D pass of evaluate_many
-# builds; a longer window is summed by its scalar member
+# builds; a longer window is summed in the 1-D form
 MANY_CELLS = 1 << 13
 TAIL_LOG = 39.2  # ln(1e17): a dropped Poisson tail stays below 1e-17 of the kept sum
 
@@ -115,80 +121,54 @@ def _rounding_floor(n, pq, log_mag):
     return 3e-15 + 1.12e-16 * (2.0 * n + 2.0 * pq + 3.0 * abs(log_mag))
 
 
-def _chain_anchor(p, q, y, j_lo, n):
-    """The anchor of the increment chain of ``_increments``: its index k0
-    in the window, a0 = p + j_lo + k0, the log ld0 of its increment and the
-    chain's scale shift.  Returns (k0, a0, ld0, shift)."""
+def _chain(v0, k0, P, Q):
+    """The (P, Q) chain of a window: v0 at column k0, and running products
+    outward from it, leftward by P[c+1]/Q[c+1] (which takes column c+1 to
+    c) and rightward by Q[c]/P[c] (which takes column c-1 to c).  Both
+    chains of the mixture have this form: the Poisson weights with
+    (P, Q) = (j, h), and the increments with (P, Q) = (a, y (a - 1 + q))."""
+    down = np.cumprod(np.concatenate(([v0], P[k0:0:-1] / Q[k0:0:-1])))
+    up = np.cumprod(np.concatenate(([v0], Q[k0 + 1 :] / P[k0 + 1 :])))
+    return np.concatenate((down[:0:-1], up))
+
+
+def _poisson_weights(half, j0, n, j_lo, lw0):
+    """Poisson weights for j = j_lo..j_lo+n-1: the (P, Q) = (j, h) chain
+    from j0, whose log weight lw0 the caller passes in, with the weight
+    ratios j/h downward and h/j upward."""
+    return _chain(math.exp(lw0), j0 - j_lo, np.arange(j_lo, j_lo + n, dtype=float), np.full(n, half))
+
+
+def _seed(a, b, z, ld0):
+    """The seed I_z(a, b) of a term chain whose anchor increment is e^ld0,
+    and the chain's scale shift: ld0 where that increment nears the
+    underflow threshold (below e^-650), else 0.  The seed is scaled by
+    e^-shift, as the chain is.  A scaled seed that overflows dwarfs every
+    increment, so that chain is left unscaled.  Returns (seed, shift)."""
+    if ld0 < -650.0:
+        s = _betainc_scaled(a, b, z, ld0)
+        if s != math.inf:
+            return s, ld0
+    return _betainc(a, b, z), 0.0
+
+
+def _chain_anchor(p, q, y, j_lo, n, complement):
+    """The increment chain of a window of n terms from j_lo, and its seed.
+
+    The increments' ratio y (a - 1 + q)/a falls through one at jpk, so they
+    are unimodal; the chain is anchored at their largest term, at column k0
+    (jpk clipped into the window), a0 = p + j_lo + k0, and the log ld0 of
+    d_{a0} comes from the prefactor.  The seed (``_seed``) is the term at
+    the window's far end from the sum: I_y(p+j_hi+1, q), one past the top,
+    for B, and I_{1-y}(q, p+j_lo), at the bottom, for the complement.
+    Returns (k0, a0, ld0, seed, shift)."""
     jpk = (y * (p + q - 1.0) - p) / (1.0 - y)
     k0 = int(min(max(math.floor(jpk) - j_lo, 0.0), n - 1.0))
     a0 = p + (j_lo + k0)
     ld0 = _log_beta_pre(a0, q, y) - math.log(a0)
-    shift = ld0 if ld0 < -650.0 else 0.0
-    return k0, a0, ld0, shift
-
-
-def _increments(p, q, y, j_lo, n):
-    """The increments d_k = I_y(a, q) - I_y(a+1, q) = e^{lpre(a)} / a for
-    a = p + j_lo + k, k = 0..n-1, scaled by e^-shift.
-
-    Their ratio d_k / d_{k-1} = y (a - 1 + q) / a falls through one at jpk,
-    so they are unimodal.  The chain is anchored at its largest term k0
-    (``_chain_anchor``), whose log ld0 comes from the prefactor, and runs
-    outward by running products of the ratio and its reciprocal, so away
-    from the anchor the increments only fall.  A chain whose peak nears the
-    underflow threshold is scaled to shift = ld0.
-
-    Returns (d, shift, k0, ld0)."""
-    k0, a0, ld0, shift = _chain_anchor(p, q, y, j_lo, n)
-    d0 = np.array([math.exp(ld0 - shift)])
-    a_dn = a0 - np.arange(0.0, k0)
-    a_up = a0 + np.arange(1.0, n - k0)
-    down = np.cumprod(np.concatenate((d0, a_dn / (y * (a_dn - 1.0 + q)))))
-    up = np.cumprod(np.concatenate((d0, y * (a_up - 1.0 + q) / a_up)))
-    return np.concatenate((down[:0:-1], up)), shift, k0, ld0
-
-
-def _seed(a, b, z, shift):
-    """I_z(a, b) scaled by e^-shift, or None where the scaled value overflows."""
-    if shift == 0.0:
-        return _betainc(a, b, z)
-    s = _betainc_scaled(a, b, z, shift)
-    return None if s == math.inf else s
-
-
-def _seeded(a, b, z, d, shift):
-    """The seed I_z(a, b) of a term chain whose increments d are scaled by
-    e^-shift, scaled alike.  A scaled seed that overflows dwarfs every
-    increment, so the chain is unscaled instead.  Returns (seed, d, shift)."""
-    s = _seed(a, b, z, shift)
-    if s is not None:
-        return s, d, shift
-    return _betainc(a, b, z), d * math.exp(shift), 0.0
-
-
-def _central_terms_minimal(p, q, y, j_lo, j_hi):
-    """I_y(p+j, q) for j = j_lo..j_hi, scaled by e^-shift.
-
-    The sequence falls with j, by the increments of ``_increments``, so it
-    is the value one past the top of the window plus the reverse running
-    sum of the increments: every addition is of positive terms.
-
-    Returns (terms, d, shift, k0, ld0): the increments as the terms were
-    built on, and the last three from ``_increments``."""
-    d, shift, k0, ld0 = _increments(p, q, y, j_lo, j_hi - j_lo + 1)
-    top, d, shift = _seeded(p + j_hi + 1.0, q, y, d, shift)
-    return top + np.cumsum(d[::-1])[::-1], d, shift, k0, ld0
-
-
-def _poisson_weights(half, j0, n, j_lo, lw0):
-    """Poisson weights for j = j_lo..j_lo+n-1, as running products from j0,
-    whose log weight lw0 the caller passes in, of the weight ratios j/h
-    downward and h/(j+1) upward."""
-    k0 = j0 - j_lo
-    w0 = np.array([math.exp(lw0)])
-    down = np.cumprod(np.concatenate((w0, (j_lo + np.arange(k0, 0, -1.0)) / half)))
-    up = np.cumprod(np.concatenate((w0, half / (j_lo + np.arange(k0 + 1.0, n)))))
-    return np.concatenate((down[:0:-1], up))
+    if complement:
+        return k0, a0, ld0, *_seed(q, p + j_lo, 1.0 - y, ld0)
+    return k0, a0, ld0, *_seed(p + (j_lo + n - 1) + 1.0, q, y, ld0)
 
 
 def _log_term_bound(a, q, y):
@@ -223,90 +203,6 @@ def _log_b_bound(p, q, half, y):
     return best + math.log(2.0)
 
 
-def _origin_window(p, q, y):
-    """A member's window at x = 0: the one weight 1 and the one increment d_p."""
-    d, shift = _increments(p, q, y, 0, 1)[:2]
-    return 0, np.ones(1), d, shift
-
-
-def _check_cap(n, x):
-    """Raise where a member's window would sum more than ``MAX_WINDOW_TERMS`` terms."""
-    if n > MAX_WINDOW_TERMS:
-        raise EvaluationError(f"series window would need {n} terms at x={x}; tolerance unachievable")
-
-
-def _unscale(s, shift):
-    """A member's value from the sum s of its terms scaled by e^-shift."""
-    return s if shift == 0.0 or s <= 0.0 else math.exp(shift + math.log(s))
-
-
-def _plan_b(p, q, x, y):
-    """The plan of ``_member_b`` at x > 0: (half, j_lo, j_hi, j0, lw0), with
-    h = x/2, the window [j_lo, j_hi] and the Poisson mode j0 (at most j_hi)
-    with its log weight lw0; None where B is certified to round to 0.
-    Raises where any other window passes the cap."""
-    half = 0.5 * x
-    j_hi = _upper_edge(half)
-    j0 = min(int(half + 0.5), j_hi)
-    lw0 = _log_poisson(half, j0)
-    ld_j0 = _log_beta_pre(p + j0, q, y) - math.log(p + j0)
-    j_lo = _lower_edge(half, TAIL_LOG - lw0 - ld_j0)
-    n = j_hi - j_lo + 1
-    if (ld_j0 < -708.0 or n > MAX_WINDOW_TERMS) and _log_b_bound(p, q, half, y) < -750.0:
-        # B lies below e^-750, where 0 is its correctly rounded value
-        return None
-    _check_cap(n, x)
-    return half, j_lo, j_hi, j0, lw0
-
-
-def _finish_b(p, q, plan, k0, ld0, shift, s, last):
-    """B's (value, err_est) from its plan, the anchor and scale of its
-    increment chain, the scaled sum s over its window and the window's last
-    summand: the dropped mass below the window, the tail above it and the
-    rounding floor.  An empty or underflowing sum gives (0, 1e-15)."""
-    half, j_lo, j_hi = plan[:3]
-    value = _unscale(s, shift)
-    if value <= 0.0:
-        return 0.0, 1e-15
-    rup = half / (j_hi + 1.0)
-    tail = last * rup / (1.0 - rup)
-    if j_lo > 0:
-        tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half) - shift)
-    return value, tail / s + _rounding_floor(j_hi - j_lo + 1, p + q + j_lo + k0, ld0)
-
-
-def _member_b(p, q, x, y):
-    """B by the Poisson-weighted series over the decaying terms I_y(p+j, q).
-
-    The window runs up to the upper Poisson cutoff, beyond which both factors
-    decay.  Its lower edge comes from the Chernoff bound: every dropped term
-    is at most I_y(p, q) <= 1 and the kept sum is at least its summand at the
-    Poisson mode j0, which is at least w_j0 d_j0, so the edge drops mass
-    below e^-39.2 of that.  When the central terms decay faster than the
-    weights grow, the summand peaks at low j, that product is tiny, and the
-    edge stays at zero.  There, and wherever the window would hold more than
-    ``MAX_WINDOW_TERMS`` terms, an upper bound on B below e^-750 shows that
-    B rounds to 0, and nothing is summed; past the cap any other B raises.
-    The sum runs in the increments' scaled regime and is unscaled once.
-    The err_est includes the dropped mass and the upper tail.
-
-    Returns (value, relative error estimate, window), the window as
-    ``_series_window`` describes it."""
-    if 0.5 * x == 0.0:
-        v = _betainc(p, q, y)
-        return v, _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0), _origin_window(p, q, y)
-    plan = _plan_b(p, q, x, y)
-    if plan is None:
-        return 0.0, 1e-15, None
-    half, j_lo, j_hi, j0, lw0 = plan
-    n = j_hi - j_lo + 1
-    wgt = _poisson_weights(half, j0, n, j_lo, lw0)
-    terms, d, shift, k0, ld0 = _central_terms_minimal(p, q, y, j_lo, j_hi)
-    s = float((wgt * terms).sum())
-    value, err = _finish_b(p, q, plan, k0, ld0, shift, s, wgt[n - 1] * terms[n - 1])
-    return value, err, None if value == 0.0 else (j_lo, wgt, d, shift)
-
-
 def _complement_end(p, q, half, y):
     """Upper end of the complement's window: the summand peak, where the
     weight ratio h/(j+1) times the term growth y(p+q+j)/(p+j+1) equals one
@@ -320,66 +216,164 @@ def _complement_end(p, q, half, y):
     return max(_upper_edge(half), int(math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0)))
 
 
-def _plan_complement(p, q, x, y):
-    """The plan of ``_member_complement`` at x > 0: (half, j_lo, j_end, j0,
-    lw0), with h = x/2, the window [j_lo, j_end] and the Poisson mode j0,
-    clipped into the window, with its log weight lw0.  Raises where the
-    window passes the cap."""
+class _Planned(NamedTuple):
+    """A member's plan at x > 0, which both forms of the sum and the finish
+    read."""
+
+    p: float
+    q: float
+    y: float
+    complement: bool  # whether the member is the complement
+    half: float  # h = x/2
+    j_lo: int  # the window is j = j_lo..j_lo+n-1
+    n: int
+    j0: int  # the Poisson mode, where the weights are anchored, and its log weight
+    lw0: float
+    k0: int  # the increments' anchor column, a0 and ld0 (``_chain_anchor``)
+    a0: float
+    ld0: float
+    seed: float  # scaled by e^-shift, as the increments are
+    shift: float
+
+
+def _row_plan(p, q, x, y, complement):
+    """A member's plan, as ``_Planned``, or its result (value, err_est,
+    window) where it sums no window: at x = 0, and for a B certified to
+    round to 0.  Raises where any other window would hold more than
+    ``MAX_WINDOW_TERMS`` terms.
+
+    B's window runs up to the upper Poisson cutoff, beyond which both
+    factors decay.  Its lower edge comes from the Chernoff bound: every
+    dropped term is at most I_y(p, q) <= 1 and the kept sum is at least its
+    summand at the Poisson mode j0, which is at least w_j0 d_j0, so the edge
+    drops mass below e^-39.2 of that.  When the central terms decay faster
+    than the weights grow, the summand peaks at low j, that product is tiny,
+    and the edge stays at zero.  There, and wherever the window would pass
+    the cap, an upper bound on B below e^-750 shows that B rounds to 0.
+
+    The complement's terms grow toward 1, so its summand can keep growing
+    well past the Poisson cutoff: its window runs from the Poisson lower
+    edge to the product peak, where the weight decay finally beats the term
+    growth, plus a Poisson-width margin (``_complement_end``)."""
     half = 0.5 * x
-    j_end = _complement_end(p, q, half, y)
-    j_lo = _lower_edge(half, TAIL_LOG)
-    _check_cap(j_end - j_lo + 1, x)
-    j0 = min(max(int(half + 0.5), j_lo), j_end)
-    return half, j_lo, j_end, j0, _log_poisson(half, j0)
+    if half == 0.0:
+        # one weight 1, one term I_y(p, q) or I_{1-y}(q, p), one increment d_p
+        v = _betainc(q, p, 1.0 - y) if complement else _betainc(p, q, y)
+        ld0 = _log_beta_pre(p, q, y) - math.log(p)
+        shift = ld0 if ld0 < -650.0 else 0.0
+        err = _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0)
+        return v, err, (0, np.ones(1), np.array([math.exp(ld0 - shift)]), shift)
+    if complement:
+        j_top = _complement_end(p, q, half, y)
+        j_lo = _lower_edge(half, TAIL_LOG)
+        j0 = min(max(int(half + 0.5), j_lo), j_top)
+        lw0 = _log_poisson(half, j0)
+    else:
+        j_top = _upper_edge(half)
+        j0 = min(int(half + 0.5), j_top)
+        lw0 = _log_poisson(half, j0)
+        ld_j0 = _log_beta_pre(p + j0, q, y) - math.log(p + j0)
+        j_lo = _lower_edge(half, TAIL_LOG - lw0 - ld_j0)
+    n = j_top - j_lo + 1
+    if not complement and (ld_j0 < -708.0 or n > MAX_WINDOW_TERMS) and _log_b_bound(p, q, half, y) < -750.0:
+        # B lies below e^-750, where 0 is its correctly rounded value
+        return 0.0, 1e-15, None
+    if n > MAX_WINDOW_TERMS:
+        raise EvaluationError(f"series window would need {n} terms at x={x}; tolerance unachievable")
+    return _Planned(p, q, y, complement, half, j_lo, n, j0, lw0, *_chain_anchor(p, q, y, j_lo, n, complement))
 
 
-def _finish_complement(p, q, y, plan, k0, ld0, shift, s, w_last, g_last, d_last, g_lo):
-    """The complement's (value, err_est) from its plan, the anchor and scale
-    of its increment chain, the scaled sum s over its window, the window's
-    last weight, term and increment, and its first term g_lo.  An empty or
-    underflowing sum gives the zero result of ``_finish_b``."""
-    half, j_lo, j_end = plan[:3]
-    value = _unscale(s, shift)
+def _increments(r):
+    """A planned window's increments d_a = I_y(a, q) - I_y(a+1, q) =
+    e^{lpre(a)} / a, a = p + j, scaled by e^-shift: the (P, Q) =
+    (a, y (a - 1 + q)) chain from its anchor, so away from it they only
+    fall.  a = (a0 - k0) + c, where a0 - k0 is exact, so each a is rounded
+    once."""
+    a = (r.a0 - r.k0) + np.arange(r.n)
+    return _chain(math.exp(r.ld0 - r.shift), r.k0, a, r.y * (a - 1.0 + r.q))
+
+
+def _central_terms_minimal(r):
+    """B's terms I_y(p+j, q) over a planned window, scaled by e^-shift.
+
+    They fall with j, by the increments, so they are the seed one past the
+    top of the window plus the reverse running sum of the increments: every
+    addition is of positive terms.  Returns (terms, increments)."""
+    d = _increments(r)
+    return r.seed + np.cumsum(d[::-1])[::-1], d
+
+
+def _window(r):
+    """The 1-D form of a planned window: its Poisson weights, terms and
+    increments.  The complement's terms g_j = I_{1-y}(q, p+j) add the
+    increments up from the seed g_{j_lo}."""
+    wgt = _poisson_weights(r.half, r.j0, r.n, r.j_lo, r.lw0)
+    if not r.complement:
+        return (wgt, *_central_terms_minimal(r))
+    d = _increments(r)
+    return wgt, np.cumsum(np.concatenate(([r.seed], d[:-1]))), d
+
+
+def _unscale(s, shift):
+    """A member's value from the sum s of its terms scaled by e^-shift."""
+    return s if shift == 0.0 or s <= 0.0 else math.exp(shift + math.log(s))
+
+
+def _finish(r, wgt, terms, d):
+    """A member's (value, err_est) from its plan and its window's weights,
+    terms and increments, n of each: the sum, unscaled once, and a relative
+    err_est of the mass dropped below the window, a bound on the tail above
+    it and the rounding floor.  An empty or underflowing sum gives
+    (0, 1e-15).
+
+    Past the window's top j_t the weights fall by at most rup = h/(j_t+1) a
+    step.  B's terms fall too, so its upper tail is at most a geometric
+    series on its last summand, and each term it drops below the window is
+    at most 1.  The complement's terms grow, by increments whose ratio is at
+    most rho (monotone toward y), and each term it drops below the window is
+    at most its seed."""
+    s = float((wgt * terms).sum())
+    value = _unscale(s, r.shift)
     if value <= 0.0:
         return 0.0, 1e-15
-    # past j_end the weights fall by at most r = h/(j_end+1) a step; the terms
-    # grow by increments d_j whose ratio is at most rho (monotone toward y)
-    r = half / (j_end + 1.0)
-    rho = max(y * (p + q + j_end) / (p + j_end + 1.0), y, 1.0)
-    tail = w_last * r * (g_last / (1.0 - r) + d_last / (1.0 - r * rho) ** 2) if r * rho < 1.0 else math.inf
-    if j_lo > 0:
-        tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * g_lo
-    return value, tail / s + _rounding_floor(j_end - j_lo + 1, p + q + j_lo + k0, ld0)
+    half, j_lo, j_top = r.half, r.j_lo, r.j_lo + r.n - 1
+    rup = half / (j_top + 1.0)
+    if r.complement:
+        rho = max(r.y * (r.p + r.q + j_top) / (r.p + j_top + 1.0), r.y, 1.0)
+        tail = math.inf
+        if rup * rho < 1.0:
+            tail = wgt[-1] * rup * (terms[-1] / (1.0 - rup) + d[-1] / (1.0 - rup * rho) ** 2)
+        if j_lo > 0:
+            tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * r.seed
+    else:
+        tail = wgt[-1] * terms[-1] * rup / (1.0 - rup)
+        if j_lo > 0:
+            tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half) - r.shift)
+    return value, tail / s + _rounding_floor(r.n, r.p + r.q + j_lo + r.k0, r.ld0)
+
+
+def _member(p, q, x, y, complement):
+    """B or the complement by its Poisson mixture: planned (``_row_plan``),
+    summed over its window in the 1-D form (``_window``) and finished
+    (``_finish``).  Returns (value, relative error estimate, window), the
+    window as ``_series_window`` describes it."""
+    r = _row_plan(p, q, x, y, complement)
+    if not isinstance(r, _Planned):
+        return r
+    wgt, terms, d = _window(r)
+    value, err = _finish(r, wgt, terms, d)
+    return value, err, None if value == 0.0 else (r.j_lo, wgt, d, r.shift)
+
+
+def _member_b(p, q, x, y):
+    """B by the Poisson mixture over the decaying terms I_y(p+j, q)."""
+    return _member(p, q, x, y, False)
 
 
 def _member_complement(p, q, x, y):
-    """The complement by the Poisson mixture over I_{1-y}(q, p+j).
-
-    These terms grow toward 1, so the summand can keep growing well past
-    the Poisson cutoff; the window extends to the product peak (where the
-    weight decay finally beats the term growth) plus a Poisson-width margin.
-    Below the Poisson lower edge the terms are at most the first kept one,
-    so the dropped mass is at most P(J < j_lo) times it.  The terms are a
-    direct value at p + j_lo plus the running sum of the increments, in
-    their scaled regime.  A window past ``MAX_WINDOW_TERMS`` terms raises.
-    The err_est includes the dropped mass and the upper tail.
-
-    Returns (value, relative error estimate, window), the window as
-    ``_series_window`` describes it."""
-    if 0.5 * x == 0.0:
-        v = _betainc(q, p, 1.0 - y)
-        return v, _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0), _origin_window(p, q, y)
-    plan = _plan_complement(p, q, x, y)
-    half, j_lo, j_end, j0, lw0 = plan
-    n = j_end - j_lo + 1
-    d, shift, k0, ld0 = _increments(p, q, y, j_lo, n)
-    g_lo, d, shift = _seeded(q, p + j_lo, 1.0 - y, d, shift)
-    # the terms g_j = I_{1-y}(q, p+j) add the increments up from g_lo
-    g = np.cumsum(np.concatenate((np.array([g_lo]), d[:-1])))
-    wgt = _poisson_weights(half, j0, n, j_lo, lw0)
-    s = float((wgt * g).sum())
-    value, err = _finish_complement(p, q, y, plan, k0, ld0, shift, s, wgt[n - 1], g[n - 1], d[n - 1], g_lo)
-    return value, err, None if value == 0.0 else (j_lo, wgt, d, shift)
+    """The complement by the Poisson mixture over the growing terms
+    I_{1-y}(q, p+j)."""
+    return _member(p, q, x, y, True)
 
 
 def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np.ndarray:
@@ -391,10 +385,13 @@ def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np
         raise DomainError(f"quantile y must lie in [0, 1], got {y}")
     if y == 0.0 or y == 1.0:
         return np.full(j_hi - j_lo + 1, y)
-    out, _, shift = _central_terms_minimal(sp.p, sp.q, y, j_lo, j_hi)[:3]
-    if shift != 0.0:
+    p, q, n = sp.p, sp.q, j_hi - j_lo + 1
+    # a window without Poisson weights: only the increment chain is planned
+    r = _Planned(p, q, y, False, math.nan, j_lo, n, j_lo, math.nan, *_chain_anchor(p, q, y, j_lo, n, False))
+    out = _central_terms_minimal(r)[0]
+    if r.shift != 0.0:
         with np.errstate(divide="ignore"):
-            out = np.exp(np.log(out) + shift)
+            out = np.exp(np.log(out) + r.shift)
     if np.any(np.isnan(out)):
         raise EvaluationError("central beta recursion produced nan")
     return out
@@ -442,53 +439,20 @@ def _series_pair(sp, pt, complement, value, err):
     return ProbabilityPair.from_primary(value, "bbar" if complement else "b", "series", err)
 
 
-class _Planned(NamedTuple):
-    """A point's scalar work before ``evaluate_many``'s 2-D pass."""
-
-    slot: int  # the point's index in the input
-    sp: ShapeParams
-    pt: EvalPoint
-    complement: bool  # whether the complement is the member summed
-    plan: tuple  # the member's plan, (half, j_lo, j_top, j0, lw0)
-    n: int  # the window's term count
-    k0: int  # the increment chain's anchor (``_chain_anchor``)
-    a0: float
-    ld0: float
-    shift: float
-    seed: float  # the chain's seed, scaled by e^-shift
-
-
-def _row_plan(slot, sp, pt):
-    """A point's member plan, the anchor of its increment chain and its
-    seed, as ``_Planned``.  Returns the pair itself where B is certified to
-    round to 0, and None for any other straggler, which ``eval_series``
-    answers.  Raises the member's cap error."""
-    p, q, x, y = sp.p, sp.q, pt.x, pt.y
-    if not 0.0 < y < 1.0 or 0.5 * x == 0.0:
-        return None
-    complement = _complement_is_primary(sp, pt)
-    plan = _plan_complement(p, q, x, y) if complement else _plan_b(p, q, x, y)
-    if plan is None:
-        return _series_pair(sp, pt, False, 0.0, 1e-15)
-    j_lo, j_top = plan[1:3]
-    n = j_top - j_lo + 1
-    if n > MANY_CELLS:
-        return None
-    k0, a0, ld0, shift = _chain_anchor(p, q, y, j_lo, n)
-    seed = _seed(q, p + j_lo, 1.0 - y, shift) if complement else _seed(p + j_top + 1.0, q, y, shift)
-    if seed is None:
-        return None
-    return _Planned(slot, sp, pt, complement, plan, n, k0, a0, ld0, shift, seed)
-
-
-def _outward(v0, anchor, left, r_dn, r_up):
-    """Rows of running products outward from each row's anchor column, where
-    the row holds v0: leftward by r_dn (r_dn[i, c] takes column c+1 to c)
-    over the columns ``left`` marks, rightward by r_up (r_up[i, c] takes
-    column c-1 to c).  Each holds 1 wherever it is not used, so every
-    product is formed in the order of the 1-D chains of ``_increments`` and
-    ``_poisson_weights``, bit for bit.  Overwrites both ratio arrays."""
-    rows = np.arange(len(v0))
+def _outward(v0, anchor, n, P, Q):
+    """The (P, Q) chains of stacked windows, one a row: ``_chain`` with each
+    row's v0 at its anchor column, over its first n columns.  The ratios
+    are 1 wherever they are not used, so every product is formed in the
+    order of ``_chain``, bit for bit; past its n-th column a row holds its
+    last value."""
+    shape = P.shape
+    cols = np.arange(shape[1])
+    left = cols < anchor[:, None]
+    # r_dn[:, c] takes column c+1 to c, r_up[:, c] takes column c-1 to c
+    r_dn = np.ones(shape)
+    np.divide(P[:, 1:], Q[:, 1:], out=r_dn[:, :-1], where=left[:, :-1])
+    r_up = np.divide(Q, P, out=np.ones(shape), where=(cols > anchor[:, None]) & (cols < n[:, None]))
+    rows = np.arange(shape[0])
     r_dn[rows, anchor] = v0
     r_up[rows, anchor] = v0
     np.multiply.accumulate(r_up, axis=1, out=r_up)
@@ -498,68 +462,73 @@ def _outward(v0, anchor, left, r_dn, r_up):
     return r_up
 
 
-def _window_arrays(chunk, complement):
-    """The Poisson weights, terms and increments of a chunk of planned rows
-    of one member, sorted by window length: 2-D arrays, one row per window,
-    as wide as the longest.  Every element is formed by the float operations
-    of the 1-D path, in its order; columns past a row's window hold values
-    that are not used."""
-
-    def row_fields(r):
-        half, j_lo, _, j0, lw0 = r.plan
-        return half, j_lo, math.exp(lw0), r.a0, math.exp(r.ld0 - r.shift), r.seed, r.pt.y, r.sp.q, j0 - j_lo, r.k0, r.n
-
-    # one row per window, then one column per field; the weights' anchor
-    # column kw is the Poisson mode's
-    fields = np.array([row_fields(r) for r in chunk])
-    half, j_lo, w0, a0, d0, seed, y, q = fields[:, :8].T[:, :, None]
-    kw, k0, n = fields[:, 8:].T.astype(int)
-    shape = (len(chunk), n[-1])
-    cols = np.arange(shape[1])
-    inside = cols < n[:, None]
-
-    # the weights' ratios (j_lo + c + 1)/h leftward and h/(j_lo + c)
-    # rightward share the integers j_lo + c, exact in floating point
-    base = j_lo + cols
-    left = cols < kw[:, None]
-    r_dn = np.ones(shape)
-    np.divide(base[:, 1:], half, out=r_dn[:, :-1], where=left[:, :-1])
-    r_up = np.divide(half, base, out=np.ones(shape), where=(cols > kw[:, None]) & inside)
-    wgt = _outward(w0[:, 0], kw, left, r_dn, r_up)
-
-    # the increments' ratios a/f leftward, at a = a0 - (k0 - 1 - c), and f/a
-    # rightward, at a = a0 + (c - k0), with f = y (a - 1 + q): one array
-    # a0 + (c - k0), read one column apart
-    a = a0 + (cols - k0[:, None])
-    f = y * (a - 1.0 + q)
-    left = cols < k0[:, None]
-    r_dn = np.ones(shape)
-    np.divide(a[:, 1:], f[:, 1:], out=r_dn[:, :-1], where=left[:, :-1])
-    r_up = np.divide(f, a, out=np.ones(shape), where=(cols > k0[:, None]) & inside)
-    d = _outward(d0[:, 0], k0, left, r_dn, r_up)
-
-    if complement:
+def _window_arrays(rows):
+    """The 2-D form of a chunk of planned windows of one member, sorted by
+    length: their Poisson weights, terms and increments as 2-D arrays, one
+    row per window, as wide as the longest.  The m windows' weights and
+    increments are one stack of 2m (P, Q) chains (``_outward``), and every
+    element is formed by the float operations of ``_window``, in its order;
+    columns past a row's window hold values that are not used."""
+    m = len(rows)
+    # one row per window, one column per field: P at column 0, the anchor
+    # value and the anchor column of its weights and of its increments,
+    # then h, y, q, the seed and n
+    fields = np.array(
+        [
+            (r.j_lo, r.a0 - r.k0, math.exp(r.lw0), math.exp(r.ld0 - r.shift), r.j0 - r.j_lo, r.k0,
+             r.half, r.y, r.q, r.seed, r.n)
+            for r in rows
+        ]
+    )
+    base, v0, anchor = fields[:, :6].T.reshape(3, 2 * m)
+    half, y, q, seed = fields[:, 6:10].T[:, :, None]
+    n = fields[:, 10].astype(int)
+    cols = np.arange(n[-1])
+    P = base[:, None] + cols
+    Q = np.empty_like(P)
+    Q[:m] = half
+    np.multiply(y, P[m:] - 1.0 + q, out=Q[m:])
+    chains = _outward(v0, anchor.astype(int), np.concatenate((n, n)), P, Q)
+    wgt, d = chains[:m], chains[m:]
+    if rows[0].complement:
         # g_j = I_{1-y}(q, p+j): the seed plus the increments below j
-        terms = np.empty(shape)
+        terms = np.empty(d.shape)
         terms[:, :1] = seed
         terms[:, 1:] = d[:, :-1]
         np.cumsum(terms, axis=1, out=terms)
     else:
         # I_y(p+j, q): the seed past the top plus the increments from j up
-        np.copyto(d, 0.0, where=~inside)
+        np.copyto(d, 0.0, where=cols >= n[:, None])
         terms = np.cumsum(d[:, ::-1], axis=1)[:, ::-1]
         terms += seed
     return wgt, terms, d
 
 
-def _chunks(rows):
-    """Consecutive runs of rows, sorted by window length, of at most
-    ``MANY_CELLS`` padded cells each."""
+def _chunks(entries):
+    """Consecutive runs of ``evaluate_many``'s entries, whose planned rows
+    come last and are sorted by window length, of at most ``MANY_CELLS``
+    padded cells each."""
     start = 0
-    for end in range(1, len(rows) + 1):
-        if end == len(rows) or (end + 1 - start) * rows[end].n > MANY_CELLS:
-            yield rows[start:end]
+    for end in range(1, len(entries) + 1):
+        if end == len(entries) or (end + 1 - start) * entries[end][-1].n > MANY_CELLS:
+            yield entries[start:end]
             start = end
+
+
+def _many_plan(sp, pt):
+    """A point's planned row for ``evaluate_many``'s 2-D pass, or its pair
+    where it has none: the quantile boundaries, x = 0, a B certified to
+    round to 0, and a window longer than ``MANY_CELLS``, which the 1-D form
+    sums."""
+    if not 0.0 < pt.y < 1.0:
+        return eval_series(sp, pt)
+    complement = _complement_is_primary(sp, pt)
+    row = _row_plan(sp.p, sp.q, pt.x, pt.y, complement)
+    if not isinstance(row, _Planned):
+        return _series_pair(sp, pt, complement, *row[:2])
+    if row.n > MANY_CELLS:
+        return _series_pair(sp, pt, complement, *_finish(row, *_window(row)))
+    return row
 
 
 def evaluate_many(points, tol: float = 1e-12) -> list:
@@ -570,46 +539,37 @@ def evaluate_many(points, tol: float = 1e-12) -> list:
     ``EvaluationError`` that it raises, so one failing point does not void
     the rest.  ``tol`` is validated as ``evaluate`` does.
 
-    Every point is planned as its member plans it.  The windows of each
-    member are then sorted by length, cut into chunks of at most
-    ``MANY_CELLS`` padded cells, and built in one 2-D pass a chunk; each
-    window's sum and finish run on its row.  A B certified to round to 0
-    is answered by its plan.  The other stragglers go to ``eval_series``:
-    the quantile boundaries and x = 0, a scaled seed that overflows, and a
-    window longer than ``MANY_CELLS``."""
+    Every point is planned by the members' planner (``_row_plan``).  The
+    windows of each member are then sorted by length, cut into chunks of at
+    most ``MANY_CELLS`` padded cells, and built in one 2-D pass a chunk
+    (``_window_arrays``), whose weights and increments are one stack of
+    (P, Q) chains; each row is summed over its unpadded slice and finished
+    by the members' ``_finish``.  The stragglers are the quantile
+    boundaries, x = 0 and windows longer than ``MANY_CELLS``
+    (``_many_plan``)."""
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     out: list = []
     planned: dict[bool, list] = {False: [], True: []}  # B rows, complement rows
     for sp, pt in points:
         try:
-            row = _row_plan(len(out), sp, pt)
-            if row is None:
-                row = eval_series(sp, pt)
+            row = _many_plan(sp, pt)
         except EvaluationError as exc:
             row = exc
         if isinstance(row, _Planned):
-            planned[row.complement].append(row)
+            planned[row.complement].append((len(out), sp, pt, row))
             row = None
         out.append(row)
-    for complement, rows in planned.items():
-        rows.sort(key=attrgetter("n"))
-        for chunk in _chunks(rows):
-            wgt, terms, d = _window_arrays(chunk, complement)
-            summands = wgt * terms
-            for i, r in enumerate(chunk):
-                s, last = float(summands[i, : r.n].sum()), r.n - 1
-                p, q = r.sp.p, r.sp.q
-                if complement:
-                    value, err = _finish_complement(
-                        p, q, r.pt.y, r.plan, r.k0, r.ld0, r.shift, s, wgt[i, last], terms[i, last], d[i, last], r.seed
-                    )
-                else:
-                    value, err = _finish_b(p, q, r.plan, r.k0, r.ld0, r.shift, s, summands[i, last])
+    for entries in planned.values():
+        entries.sort(key=lambda e: e[-1].n)
+        for chunk in _chunks(entries):
+            wgt, terms, d = _window_arrays([e[-1] for e in chunk])
+            for i, (slot, sp, pt, r) in enumerate(chunk):
                 try:
-                    out[r.slot] = _series_pair(r.sp, r.pt, complement, value, err)
+                    value, err = _finish(r, wgt[i, : r.n], terms[i, : r.n], d[i, : r.n])
+                    out[slot] = _series_pair(sp, pt, r.complement, value, err)
                 except EvaluationError as exc:
-                    out[r.slot] = exc
+                    out[slot] = exc
     return out
 
 

@@ -324,6 +324,14 @@ class TestInvert:
         assert res.iterations == 40
         assert abs(res.residual) > 1e-10 and not res.converged
 
+    def test_exhausted_budget_reports_an_evaluated_iterate(self):
+        # the 40th evaluation's iterate and its own residual, not the next
+        # iterate (never evaluated) with the residual of the one before
+        sp, x, z = ShapeParams(0.14454, 943.65), 0.1156, 3.818e-8
+        res = invert(InversionProblem("y", sp, x, z))
+        assert res.iterations == 40 and not res.converged
+        assert res.residual == evaluate(sp, EvalPoint(x, res.value)).b - z
+
     def test_flat_tail_bisects_instead_of_crawling(self):
         # at the seed the complement is 5e-50 against a target of 3.5e-9;
         # Halley's step there multiplies it by about e^2 a step, Newton's

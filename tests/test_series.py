@@ -74,14 +74,15 @@ def scalar_poisson_weights(half, j0, n, j_lo, lw0):
     return wgt
 
 
-def scalar_increments(p, q, y, j_lo, n):
-    """The increment chain as a scalar loop outward from its peak; returns
-    (d, shift, k0, ld0) as ``series._increments`` does."""
+def scalar_chain(p, q, y, j_lo, n, seed_at):
+    """The seed I_z(a, b) at seed_at = (a, b, z) and the increment chain as
+    a scalar loop outward from its peak, scaled alike by ``series._seed``'s
+    shift; returns (seed, d, shift, k0, ld0)."""
     jpk = (y * (p + q - 1.0) - p) / (1.0 - y)
     k0 = min(max(math.floor(jpk) - j_lo, 0), n - 1)
     a0 = p + j_lo + k0
     ld0 = series._log_beta_pre(a0, q, y) - math.log(a0)
-    shift = ld0 if ld0 < -650.0 else 0.0
+    seed, shift = series._seed(*seed_at, ld0)
     d = np.empty(n)
     d[k0] = math.exp(ld0 - shift)
     for k in range(k0, 0, -1):
@@ -90,7 +91,7 @@ def scalar_increments(p, q, y, j_lo, n):
     for k in range(k0 + 1, n):
         a = p + j_lo + k
         d[k] = d[k - 1] * y * (a - 1.0 + q) / a
-    return d, shift, k0, ld0
+    return seed, d, shift, k0, ld0
 
 
 def scalar_b_terms(p, q, y, j_lo, j_hi):
@@ -98,8 +99,7 @@ def scalar_b_terms(p, q, y, j_lo, j_hi):
     one past the window top, as member_reference does; returns
     (terms, shift, k0, ld0)."""
     n = j_hi - j_lo + 1
-    d, shift, k0, ld0 = scalar_increments(p, q, y, j_lo, n)
-    t, d, shift = series._seeded(p + j_hi + 1.0, q, y, d, shift)
+    t, d, shift, k0, ld0 = scalar_chain(p, q, y, j_lo, n, (p + j_hi + 1.0, q, y))
     terms = np.empty(n)
     for k in range(n - 1, -1, -1):
         t += d[k]
@@ -159,8 +159,7 @@ def scalar_member_complement(p, q, x, y):
     j_end = max(series._upper_edge(half), int(math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0)))
     j_lo = series._lower_edge(half, series.TAIL_LOG)
     n = j_end - j_lo + 1
-    d, shift, k0, ld0 = scalar_increments(p, q, y, j_lo, n)
-    g_lo, d, shift = series._seeded(q, p + j_lo, 1.0 - y, d, shift)
+    g_lo, d, shift, k0, ld0 = scalar_chain(p, q, y, j_lo, n, (q, p + j_lo, 1.0 - y))
     j0 = min(max(int(half + 0.5), j_lo), j_end)
     wgt = scalar_poisson_weights(half, j0, n, j_lo, series._log_poisson(half, j0))
     summands = np.empty(n)
@@ -179,6 +178,16 @@ def scalar_member_complement(p, q, x, y):
     if j_lo > 0:
         tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * g_lo
     return value, tail / s + series._rounding_floor(n, p + q + j_lo + k0, ld0), shift
+
+
+def hand_row(p, q, x, y, complement, j_lo, n, j0):
+    """A member's plan over a chosen window [j_lo, j_lo + n - 1] with its
+    weights anchored at j0, where the members' planner would choose
+    another; the increments are anchored and seeded as that planner does."""
+    half = 0.5 * x
+    lw0 = series._log_poisson(half, j0) if half > 0.0 else math.nan
+    anchor = series._chain_anchor(p, q, y, j_lo, n, complement)
+    return series._Planned(p, q, y, complement, half, j_lo, n, j0, lw0, *anchor)
 
 
 @pytest.fixture
@@ -405,11 +414,13 @@ class TestArrayMembers:
                                                              (300.0, 200.0, 0.4, 20, 80, 20), (64.2, 1.85, 0.188, 0, 270, 0)])
     def test_kernels_match_scalar_loops(self, p, q, y, j_lo, j_hi, anchor):
         # one-term windows included: j_lo = j_hi; the weights run from anchor
-        got, _, shift = series._central_terms_minimal(p, q, y, j_lo, j_hi)[:3]
+        n = j_hi - j_lo + 1
+        row = hand_row(p, q, 0.0, y, False, j_lo, n, j_lo)
+        got = series._central_terms_minimal(row)[0]
         ref, ref_shift = scalar_b_terms(p, q, y, j_lo, j_hi)[:2]
-        assert shift == ref_shift
+        assert row.shift == ref_shift
         assert np.all(np.abs(got - ref) <= 2.0 * (j_hi - j_lo + 1) * 1.12e-16 * ref)
-        half, n = 0.5 * (anchor + 0.3), j_hi - j_lo + 1
+        half = 0.5 * (anchor + 0.3)
         lw0 = series._log_poisson(half, anchor)
         got = series._poisson_weights(half, anchor, n, j_lo, lw0)
         ref = scalar_poisson_weights(half, anchor, n, j_lo, lw0)
@@ -467,9 +478,9 @@ class TestEvaluateMany:
         chunks = []
         original = series._window_arrays
 
-        def recording(chunk, complement):
-            chunks.append((len(chunk), chunk[-1].n))
-            return original(chunk, complement)
+        def recording(rows):
+            chunks.append((len(rows), rows[-1].n))
+            return original(rows)
 
         monkeypatch.setattr(series, "_window_arrays", recording)
         rng = np.random.default_rng(17)
@@ -488,6 +499,52 @@ class TestEvaluateMany:
         assert evaluate_many([]) == []
         with pytest.raises(DomainError, match="tol must be positive"):
             evaluate_many([(SP, EvalPoint(4.5, 0.45))], tol=0.0)
+
+
+# TestArrayMembers' scaled B chain, scaled complement chain, flushed
+# complement start and underflowing B anchor
+ARRAY_MEMBER_POINTS = [
+    (188.37933222869154, 1.0024885840142763, 28.171471861681507, 0.031337030772637296),
+    (233.29013538127148, 110.3395301888447, 303.25404532063123, 0.034977491113219884),
+    (5.622399969585741, 1367.641217003125, 400.2400756127949, 0.6351832746043322),
+    (557.6547200415134, 18.406919996523044, 353.34368813167737, 0.34101109503262694),
+]
+
+
+def hand_rows():
+    """Windows the planner never makes, for each member: one term; and both
+    chains anchored at the first column (the increments peak below j_lo
+    at y = 0.1) and at the last (they peak near j = 20 at y = 0.9)."""
+    rows = []
+    for complement in (False, True):
+        rows.append(hand_row(10.0, 15.0, 14.6, 0.45, complement, 7, 1, 7))
+        rows.append(hand_row(2.0, 3.0, 400.0, 0.1, complement, 150, 40, 150))
+        rows.append(hand_row(2.3, 3.5, 30.0, 0.9, complement, 0, 16, 15))
+    return rows
+
+
+class TestWindowForms:
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(EVAL_MIXED_POINT, max_size=40))
+    @example(ARRAY_MEMBER_POINTS)
+    def test_both_forms_build_the_same_window(self, points):
+        # each point's two members planned once; the window built by the
+        # 1-D form and as a row of a 2-D chunk, equal element for element
+        rows = hand_rows()
+        for p, q, x, y in points:
+            for complement in (False, True):
+                row = series._row_plan(p, q, x, y, complement)
+                if isinstance(row, series._Planned) and row.n <= series.MANY_CELLS:
+                    rows.append(row)
+        assert {(r.k0, r.j0 - r.j_lo) for r in rows[:6]} >= {(0, 0), (15, 15)}
+        for complement in (False, True):
+            member_rows = sorted((r for r in rows if r.complement == complement), key=lambda r: r.n)
+            for chunk in series._chunks([(r,) for r in member_rows]):
+                chunk_rows = [entry[-1] for entry in chunk]
+                arrays = series._window_arrays(chunk_rows)
+                for i, r in enumerate(chunk_rows):
+                    for one, two in zip(series._window(r), arrays):
+                        assert np.array_equal(one, two[i, : r.n])
 
 
 class TestCentralTermSequence:
