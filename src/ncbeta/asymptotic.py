@@ -37,6 +37,7 @@ import numpy as np
 from ._pseries import _pow, ps_eval, ps_pow, ps_revert, ps_sqrt
 from .errors import DomainError, EvaluationError, FrameDegenerateError, SeriesInvalidError
 from .params import EvalPoint, ProbabilityPair, ShapeParams
+from .series import _complement_is_primary
 
 TAU_REF = 0.05  # pole-removal threshold on zeta at the reference scale r = 40
 ZETA_ORDER = 5  # order of the transition series x(zeta), y(zeta)
@@ -143,8 +144,6 @@ def build_frame(sp: ShapeParams, pt: EvalPoint) -> SaddleFrame:
     if not t0 > 1.0:  # t0 > 1 in exact arithmetic; at huge xi it rounds to 1
         raise FrameDegenerateError(f"saddle rounds onto the branch point t = 1 at x={x}, y={y}")
     tp = 1.0 / y
-    y0 = (x + 2.0 * p) / (x + 2.0 * r)
-    x0 = 2.0 * (r * y - p) / (1.0 - y)
     dphi = _dphi_between(t0, tp, s, xi)
     zeta = math.copysign(math.sqrt(2.0 * dphi), tp - t0)
     t0m1 = t0 - 1.0
@@ -154,7 +153,7 @@ def build_frame(sp: ShapeParams, pt: EvalPoint) -> SaddleFrame:
     phi5 = 24.0 / t0**5 - 24.0 * s / t0m1**5
     return SaddleFrame(
         p=p, q=q, x=x, y=y, r=r, sin2=s, cos2=c, xi=xi, t0=t0, tp=tp,
-        y0=y0, x0=x0, dphi=dphi, zeta=zeta,
+        y0=sp.transition_quantile(x), x0=sp.transition_noncentrality(y), dphi=dphi, zeta=zeta,
         phi2=phi2, phi3=phi3, phi4=phi4, phi5=phi5,
     )
 
@@ -274,6 +273,8 @@ def eval_large_z(sp: ShapeParams, pt: EvalPoint, n_terms: int = 5) -> Probabilit
     where c_n convolves the Taylor coefficients of t^{p+q-1} and 1/(1-yt)
     about t = 1.  When q is a positive integer the sum terminates and the
     result is exact (flagged through err_est = 0)."""
+    if n_terms < 0:
+        raise DomainError(f"large-z expansion needs n_terms >= 0, got {n_terms}")
     p, q, x, y = sp.p, sp.q, pt.x, pt.y
     z = pt.z
     if y <= 0.0:
@@ -360,8 +361,8 @@ def eval_saddle(sp: ShapeParams, pt: EvalPoint, k_terms: int = 2) -> Probability
         B ~ e^{-r dphi} / sqrt(2 pi r) * sum_k (-1)^k f_{2k} (2k-1)!! / r^k,
 
     valid for y below the transition quantile (pole away from the saddle)."""
-    if k_terms > 2:
-        raise DomainError("saddle expansion implemented through k = 2")
+    if not 0 <= k_terms <= 2:
+        raise DomainError(f"saddle expansion implemented for k = 0..2 terms, got {k_terms}")
     frame = build_frame(sp, pt)
     if pt.y > frame.y0 - 0.05:
         raise EvaluationError(
@@ -395,15 +396,15 @@ def eval_erfc_uniform(
     serves the whole large-r strip.  ``target`` picks the member computed
     directly ("B", "Bbar", or "auto" for the smaller one, y vs the
     transition quantile)."""
-    if k_terms > 2:
-        raise DomainError("erfc-uniform expansion implemented through k = 2")
+    if not 0 <= k_terms <= 2:
+        raise DomainError(f"erfc-uniform expansion implemented for k = 0..2 terms, got {k_terms}")
     frame = build_frame(sp, pt)
     g = g_coeffs(frame)
     terms = _series_terms(g, frame.r, k_terms)
     ssum = math.fsum(terms)
     pfac = math.exp(-frame.r * frame.dphi - 0.5 * (_LOG_2PI + math.log(frame.r)))
     if target == "auto":
-        target = "B" if frame.y <= frame.y0 else "Bbar"
+        target = "Bbar" if _complement_is_primary(sp, pt) else "B"
     if target == "B":
         value = 0.5 * math.erfc(frame.erfc_arg) + pfac * ssum
         primary = "b"
@@ -451,14 +452,14 @@ def x_zeta_coeffs(sp: ShapeParams, y: float) -> np.ndarray:
     inversion falls back to root solving."""
     if not 0.0 < y < 1.0:
         raise DomainError(f"transition series needs 0 < y < 1, got {y}")
-    p, q, r = sp.p, sp.q, sp.r
+    q, r = sp.q, sp.r
     radicand = q - r * (1.0 - y) * (1.0 - y)
     if radicand <= 0.0:
         raise SeriesInvalidError(
             f"x(zeta) series invalid: q - r(1-y)^2 = {radicand:.3e} <= 0 at y={y}"
         )
     n = ZETA_ORDER
-    x0 = 2.0 * (r * y - p) / (1.0 - y)
+    x0 = sp.transition_noncentrality(y)
     xi1 = y / (2.0 * r)
     xi0 = x0 * xi1
     T = _t0_series(sp.cos2, xi0, xi1, n)
@@ -484,7 +485,7 @@ def y_zeta_coeffs(sp: ShapeParams, x: float) -> np.ndarray:
         raise DomainError(f"noncentrality must be nonnegative, got {x}")
     p, q, r = sp.p, sp.q, sp.r
     n = ZETA_ORDER
-    y0 = (x + 2.0 * p) / (x + 2.0 * r)
+    y0 = sp.transition_quantile(x)
     xi1 = x / (2.0 * r)
     xi0 = y0 * xi1
     T = _t0_series(sp.cos2, xi0, xi1, n)

@@ -29,22 +29,28 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _eval_with_method(sp, pt, method: str, tol: float, terms: int) -> ProbabilityPair:
+# the expansions whose term count --terms sets, each its third argument
+EXPANSIONS = {"large-z": eval_large_z, "saddle": eval_saddle, "erfc": eval_erfc_uniform}
+
+
+def _eval_with_method(sp, pt, method: str, tol: float, terms: int | None) -> ProbabilityPair:
+    """The pair by the named method; ``terms``, where given, reaches the
+    expansion unchanged, and the expansion rejects a count it does not
+    implement."""
     if method == "auto":
         return evaluate(sp, pt, tol=tol)
     if method == "series":
         return eval_series(sp, pt)
     if method == "kummer":
         return eval_kummer_series(sp, pt)
-    if method == "large-z":
-        return eval_large_z(sp, pt, n_terms=terms if terms > 0 else 5)
-    if method == "saddle":
-        return eval_saddle(sp, pt, k_terms=min(terms, 2) if terms > 0 else 2)
-    return eval_erfc_uniform(sp, pt, k_terms=min(terms, 2) if terms > 0 else 2)
+    route = EXPANSIONS[method]
+    return route(sp, pt) if terms is None else route(sp, pt, terms)
 
 
 def cmd_eval(args) -> int:
     try:
+        if args.terms is not None and args.method not in EXPANSIONS:
+            raise DomainError(f"--terms applies to --method {', '.join(EXPANSIONS)}, not {args.method}")
         sp, pt = ShapeParams(args.p, args.q), EvalPoint(args.x, args.y)
         if args.method == "explain":
             choice = explain(sp, pt)
@@ -241,7 +247,13 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="evaluation route (auto dispatches; explain prints the choice)",
     )
-    pe.add_argument("--terms", type=int, default=0, help="expansion terms for the asymptotic routes")
+    pe.add_argument(
+        "--terms",
+        type=int,
+        default=None,
+        help="term count of the large-z, saddle or erfc expansion (default: the expansion's own); "
+        "a count the expansion does not implement exits 2",
+    )
     pe.add_argument("--complement", action="store_true", help="print the complement instead")
     pe.set_defaults(func=cmd_eval)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .params import EvalPoint, ProbabilityPair, ShapeParams
-from .series import eval_series
+from .series import _complement_is_primary, eval_series
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,8 @@ class MethodChoice:
 def explain(sp: ShapeParams, pt: EvalPoint) -> MethodChoice:
     """The route and primary-function choice for a point, without evaluating.
     Deterministic in its arguments."""
-    y0 = (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r)
-    return MethodChoice("series", "B" if pt.y <= y0 else "Bbar", "the reference series is the only route")
+    primary = "Bbar" if _complement_is_primary(sp, pt) else "B"
+    return MethodChoice("series", primary, "the reference series is the only route")
 
 
 def _run_route(route: str, sp: ShapeParams, pt: EvalPoint) -> ProbabilityPair:

@@ -187,7 +187,7 @@ def _transition_root(problem: InversionProblem, zeta0: float) -> float | None:
 
     if problem.unknown == "x":
         y = problem.fixed
-        x0 = 2.0 * (sp.r * y - sp.p) / (1.0 - y)
+        x0 = sp.transition_noncentrality(y)
 
         def F(v):
             return build_frame(sp, EvalPoint(v, y)).dphi - half_z0sq
@@ -215,7 +215,7 @@ def _transition_root(problem: InversionProblem, zeta0: float) -> float | None:
         return _bisect(F, lo, hi)
 
     x = problem.fixed
-    y0 = (x + 2.0 * sp.p) / (x + 2.0 * sp.r)
+    y0 = sp.transition_quantile(x)
 
     def G(v):
         return build_frame(sp, EvalPoint(x, v)).dphi - half_z0sq
@@ -310,10 +310,9 @@ def invert(problem: InversionProblem) -> InversionResult:
             seed_path = "transition-root"
         else:
             if problem.unknown == "y":
-                seed = (problem.fixed + 2.0 * sp.p) / (problem.fixed + 2.0 * sp.r)
+                seed = sp.transition_quantile(problem.fixed)
             else:
-                x0 = 2.0 * (sp.r * problem.fixed - sp.p) / (1.0 - problem.fixed)
-                seed = max(x0, 1.0)
+                seed = max(sp.transition_noncentrality(problem.fixed), 1.0)
             seed_raw = seed
             seed_path = "bisection"
 

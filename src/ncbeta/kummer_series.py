@@ -13,10 +13,12 @@ near 1.
 
 Factor generation: the W_j are minimal for their two-parameter-shift
 recurrence, so they are produced by downward ratio recursion (Miller style)
-with a runtime spot-check against the direct series; the recursion cannot
-cross the transient region where z outweighs the denominator parameter, so
-large z falls back to direct per-term evaluation.  The complement factors
-are dominant for their single-parameter shift and recurse forward as ratios.
+with a runtime spot-check against the direct series.  The recursion loses
+digits in the transient region where z outweighs the denominator
+parameter, so the factors there are evaluated directly, and at large z
+(z > (p + 1 + J)/2 for J terms) every factor is.  The complement factors
+are dominant for their single-parameter shift and recurse forward as
+ratios.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from .errors import DomainError, EvaluationError
 from .kernels import _kummer_m_log, _log_beta_pre
 from .params import EvalPoint, ProbabilityPair, ShapeParams
+from .series import _complement_is_primary
 
 VARIANTS = ("b-direct", "b-transformed", "bbar")
 
@@ -58,12 +61,16 @@ class KummerSeriesPlan:
 
 
 def _factors_downward(a0, b0, z, J, extra):
-    """W_j = e^{-z} M(a0+j, b0+j, z), j = 0..J, by downward ratio recursion
-    seeded at the asymptotic limit 1; anchored at j = 0 by the direct series."""
+    """W_j = e^{-z} M(a0+j, b0+j, z), j = 0..J.  Above m = ceil(z - b0) by
+    downward ratio recursion seeded at the asymptotic limit 1 and anchored
+    at W_m by the direct series; below m directly.  Below m the ratio
+    recursion's denominator is a difference (b0 + k - 1 < z) that cancels,
+    and its error would carry into every factor above."""
+    m = min(J, max(0, math.ceil(z - b0)))
     rho = np.empty(max(J, 1))
     r = 1.0
     k = J + extra
-    while k >= 1:
+    while k > m:
         A = a0 + k
         B = b0 + k
         den = (B - 1.0 - z) + z * (A / B) * r
@@ -75,8 +82,9 @@ def _factors_downward(a0, b0, z, J, extra):
         if k < J:
             rho[k] = r
     W = np.empty(J + 1)
-    W[0] = math.exp(_kummer_m_log(a0, b0, z) - z)
-    for j in range(J):
+    for j in range(m + 1):
+        W[j] = math.exp(_kummer_m_log(a0 + j, b0 + j, z) - z)
+    for j in range(m, J):
         W[j + 1] = W[j] * rho[j]
     return W
 
@@ -180,8 +188,7 @@ def eval_kummer_series(sp: ShapeParams, pt: EvalPoint, plan: KummerSeriesPlan | 
         return ProbabilityPair.from_primary(1.0, "b", "kummer-series", 0.0)
     target = plan.target
     if target == "auto":
-        y0 = (x + 2.0 * p) / (x + 2.0 * sp.r)
-        target = "B" if y <= y0 else "Bbar"
+        target = "Bbar" if _complement_is_primary(sp, pt) else "B"
     variant = plan.variant
     if variant == "auto":
         variant = "b-transformed" if target == "B" else "bbar"

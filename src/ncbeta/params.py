@@ -43,6 +43,16 @@ class ShapeParams:
     def theta(self) -> float:
         return math.atan2(math.sqrt(self.q), math.sqrt(self.p))
 
+    def transition_quantile(self, x: float) -> float:
+        """y0 = (x + 2p)/(x + 2p + 2q): at noncentrality x, B is the smaller
+        member for y <= y0 and the complement above."""
+        return (x + 2.0 * self.p) / (x + 2.0 * self.r)
+
+    def transition_noncentrality(self, y: float) -> float:
+        """x0 = 2(ry - p)/(1 - y), the noncentrality whose transition
+        quantile is y (negative where no x >= 0 puts the transition at y)."""
+        return 2.0 * (self.r * y - self.p) / (1.0 - y)
+
 
 @dataclass(frozen=True)
 class EvalPoint:

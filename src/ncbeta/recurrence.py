@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,12 +34,6 @@ THREE_TERM_ADMISSIBLE = {
 FOUR_TERM_ADMISSIBLE = {
     ("p", "backward", "B"),
     ("q", "forward", "B"),
-}
-
-# chains in these directions drift toward a dominant companion solution
-_FIRST_ORDER_UNSTABLE = {
-    "B": {"p-up", "q-down", "p-up-q-down"},
-    "Bbar": {"p-down", "q-up", "p-down-q-up"},
 }
 
 
@@ -72,12 +66,11 @@ class RecurrenceRun:
 
     ``values[i]`` belongs to the shifted parameter ``params[i]`` on the
     moving axis; seeds occupy the first entries.  ``residual_max`` is the
-    largest relative residual of the recurrence re-evaluated on the stored
-    values (a rounding-health indicator, not an accuracy estimate)."""
+    largest relative residual of the recurrence on the stored values, each
+    formed from the coefficients of the step that produced it (a
+    rounding-health indicator, not an accuracy estimate)."""
 
     direction: RecurrenceDirection
-    sp_start: ShapeParams
-    pt: EvalPoint
     steps: int
     params: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
@@ -92,43 +85,43 @@ class RecurrenceRun:
         return float(self.params[-1])
 
 
-def _log_inhom(sp: ShapeParams, pt: EvalPoint, kummer_b: float, denom: float) -> float:
-    """log of e^{-x/2} y^p (1-y)^q M(p+q, kummer_b, xy/2) / (denom * B(p, q))."""
+def _at(sp: ShapeParams, axis: str, value: float) -> ShapeParams:
+    """``sp`` with its ``axis`` parameter ("p" or "q") set to ``value``."""
+    return replace(sp, **{axis: value})
+
+
+# The inhomogeneous terms of the exact first-order relations
+#   B_{p,q} = B_{p+1,q} + h_p,  B_{p,q} = B_{p,q+1} - h_q,  B_{p,q} = B_{p-1,q+1} - h_pq,
+# each e^{-x/2} y^(p+a) (1-y)^q M(p+q, p+b, xy/2) / (D B(p, q)), held as (a, b, D).
+_H_P = (0.0, 1.0, "p")
+_H_Q = (0.0, 0.0, "q")
+_H_PQ = (-1.0, 0.0, "q")
+# shift -> (its term, where the term is taken relative to (p, q), the term's sign for B);
+# a step that subtracts its term is unstable for the member it steps
+_FIRST_ORDER = {
+    "p-up": (_H_P, (0.0, 0.0), -1.0),
+    "p-down": (_H_P, (-1.0, 0.0), 1.0),
+    "q-up": (_H_Q, (0.0, 0.0), 1.0),
+    "q-down": (_H_Q, (0.0, -1.0), -1.0),
+    "p-down-q-up": (_H_PQ, (0.0, 0.0), 1.0),
+    "p-up-q-down": (_H_PQ, (1.0, -1.0), -1.0),
+}
+
+
+def _log_inhom(sp: ShapeParams, pt: EvalPoint, term: tuple[float, float, str]) -> float:
+    """log of the inhomogeneous term ``term`` = (a, b, D) at ``sp``:
+    e^{-x/2} y^(p+a) (1-y)^q M(p+q, p+b, xy/2) / (D B(p, q))."""
+    a, b, denom = term
     if pt.y <= 0.0 or pt.y >= 1.0:
         return -math.inf
     return (
         -0.5 * pt.x
-        + sp.p * math.log(pt.y)
+        + (sp.p + a) * math.log(pt.y)
         + sp.q * math.log1p(-pt.y)
-        + _kummer_m_log(sp.r, kummer_b, pt.z)
-        - math.log(denom)
+        + _kummer_m_log(sp.r, sp.p + b, pt.z)
+        - math.log(getattr(sp, denom))
         - _log_beta(sp.p, sp.q)
     )
-
-
-def _h_p(sp: ShapeParams, pt: EvalPoint) -> float:
-    """Inhomogeneous term of the p-shift: B_{p,q} = B_{p+1,q} + h_p."""
-    return math.exp(_log_inhom(sp, pt, sp.p + 1.0, sp.p))
-
-
-def _h_q(sp: ShapeParams, pt: EvalPoint) -> float:
-    """Inhomogeneous term of the q-shift: B_{p,q} = B_{p,q+1} - h_q."""
-    return math.exp(_log_inhom(sp, pt, sp.p, sp.q))
-
-
-def _h_pq(sp: ShapeParams, pt: EvalPoint) -> float:
-    """Inhomogeneous term of the mixed shift: B_{p,q} = B_{p-1,q+1} - h."""
-    if pt.y <= 0.0 or pt.y >= 1.0:
-        return 0.0
-    lg = (
-        -0.5 * pt.x
-        + (sp.p - 1.0) * math.log(pt.y)
-        + sp.q * math.log1p(-pt.y)
-        + _kummer_m_log(sp.r, sp.p, pt.z)
-        - math.log(sp.q)
-        - _log_beta(sp.p, sp.q)
-    )
-    return math.exp(lg)
 
 
 def first_order_step(sp: ShapeParams, pt: EvalPoint, value: float, which: str, target: str = "B") -> float:
@@ -137,38 +130,28 @@ def first_order_step(sp: ShapeParams, pt: EvalPoint, value: float, which: str, t
     ``which`` selects the shift: "p-up", "p-down", "q-up", "q-down",
     "p-down-q-up" or "p-up-q-down"; ``target`` says whether ``value`` is B or
     its complement (the inhomogeneous term flips sign for the complement).
-    The relations are exact, so no direction is rejected; directions whose
-    chains drift toward a dominant companion solution raise a
-    RuntimeWarning instead."""
+    The relations are exact, so no direction is rejected; a step that
+    subtracts its (positive) term moves toward the member that is minimal
+    in that direction, and a chain of such steps drifts toward a dominant
+    companion solution, so it raises a RuntimeWarning instead."""
     if target not in ("B", "Bbar"):
         raise DomainError(f"target must be 'B' or 'Bbar', got {target!r}")
-    sgn = 1.0 if target == "B" else -1.0
-    if which in _FIRST_ORDER_UNSTABLE[target]:
+    if which not in _FIRST_ORDER:
+        raise DomainError(f"unknown first-order shift {which!r}")
+    term, (dp, dq), sign = _FIRST_ORDER[which]
+    sign *= 1.0 if target == "B" else -1.0
+    if sign < 0.0:
         warnings.warn(
             f"first-order chain {which} is unstable for {target}: the shifted function "
             "is minimal in this direction and repeated steps lose digits",
             RuntimeWarning,
             stacklevel=2,
         )
-    if which == "p-up":
-        return value - sgn * _h_p(sp, pt)
-    if which == "p-down":
-        if sp.p <= 1.0:
-            raise DomainError(f"p-down needs p > 1, got p={sp.p}")
-        return value + sgn * _h_p(ShapeParams(sp.p - 1.0, sp.q), pt)
-    if which == "q-up":
-        return value + sgn * _h_q(sp, pt)
-    if which == "q-down":
-        if sp.q <= 1.0:
-            raise DomainError(f"q-down needs q > 1, got q={sp.q}")
-        return value - sgn * _h_q(ShapeParams(sp.p, sp.q - 1.0), pt)
-    if which == "p-down-q-up":
-        return value + sgn * _h_pq(sp, pt)
-    if which == "p-up-q-down":
-        if sp.q <= 1.0:
-            raise DomainError(f"p-up-q-down needs q > 1, got q={sp.q}")
-        return value - sgn * _h_pq(ShapeParams(sp.p + 1.0, sp.q - 1.0), pt)
-    raise DomainError(f"unknown first-order shift {which!r}")
+    if sp.p + dp <= 0.0 or sp.q + dq <= 0.0:
+        raise DomainError(
+            f"{which} needs p > {max(-dp, 0.0):g} and q > {max(-dq, 0.0):g}, got p={sp.p}, q={sp.q}"
+        )
+    return value + sign * math.exp(_log_inhom(ShapeParams(sp.p + dp, sp.q + dq), pt, term))
 
 
 def three_term_coeff_p(sp: ShapeParams, pt: EvalPoint) -> float:
@@ -190,10 +173,6 @@ def three_term_coeff_q(sp: ShapeParams, pt: EvalPoint) -> float:
     return (sp.r - 1.0) / sp.q * (1.0 - pt.y) * ratio
 
 
-def _three_term_coeff(axis: str, sp: ShapeParams, pt: EvalPoint) -> float:
-    return three_term_coeff_p(sp, pt) if axis == "p" else three_term_coeff_q(sp, pt)
-
-
 def run_three_term(
     direction: RecurrenceDirection,
     seeds: tuple[float, float],
@@ -205,7 +184,7 @@ def run_three_term(
 
     ``sp`` holds the starting parameters; ``seeds`` are the function values
     at the start and one step along the direction of travel.  ``steps``
-    further values are produced."""
+    further values are produced, one coefficient evaluation each."""
     if direction.key not in THREE_TERM_ADMISSIBLE:
         raise DirectionError(
             f"three-term recurrence over {direction.axis} ({direction.sense}) is unstable for "
@@ -215,51 +194,30 @@ def run_three_term(
         )
     if steps < 0:
         raise DomainError("steps must be nonnegative")
-    d = direction.step
-    base = sp.p if direction.axis == "p" else sp.q
-    nvals = steps + 2
-    params = np.empty(nvals)
-    values = np.empty(nvals)
+    axis, d = direction.axis, direction.step
+    coeff = three_term_coeff_p if axis == "p" else three_term_coeff_q
+    base = getattr(sp, axis)
+    params = np.empty(steps + 2)
+    values = np.empty(steps + 2)
     params[0], params[1] = base, base + d
     values[0], values[1] = seeds
+    worst = 0.0
     for i in range(steps):
-        center = params[i + 1]
-        spc = (
-            ShapeParams(center, sp.q) if direction.axis == "p" else ShapeParams(sp.p, center)
-        )
-        c = _three_term_coeff(direction.axis, spc, pt)
-        if direction.sense == "forward":
+        c = coeff(_at(sp, axis, params[i + 1]), pt)
+        if d > 0:
             # y_{c+1} = (1 + c) y_c - c y_{c-1}
-            new = (1.0 + c) * values[i + 1] - c * values[i]
+            values[i + 2] = (1.0 + c) * values[i + 1] - c * values[i]
+            y_m1, y_p1 = values[i], values[i + 2]
         else:
             # y_{c-1} = ((1 + c) y_c - y_{c+1}) / c
-            new = ((1.0 + c) * values[i + 1] - values[i]) / c
-        params[i + 2] = center + d
-        values[i + 2] = new
-    run = RecurrenceRun(direction, sp, pt, steps, params, values)
-    run.residual_max = _three_term_residual_max(direction, run, pt)
-    return run
-
-
-def _three_term_residual_max(direction: RecurrenceDirection, run: RecurrenceRun, pt: EvalPoint) -> float:
-    worst = 0.0
-    for i in range(run.steps):
-        center = run.params[i + 1]
-        spc = (
-            ShapeParams(center, run.sp_start.q)
-            if direction.axis == "p"
-            else ShapeParams(run.sp_start.p, center)
-        )
-        c = _three_term_coeff(direction.axis, spc, pt)
-        if direction.sense == "forward":
-            trip = (run.values[i], run.values[i + 1], run.values[i + 2])
-        else:
-            trip = (run.values[i + 2], run.values[i + 1], run.values[i])
-        y_m1, y_0, y_p1 = trip
+            values[i + 2] = ((1.0 + c) * values[i + 1] - values[i]) / c
+            y_m1, y_p1 = values[i + 2], values[i]
+        params[i + 2] = params[i + 1] + d
+        y_0 = values[i + 1]
         scale = max(abs(y_p1), (1.0 + c) * abs(y_0), c * abs(y_m1))
         if scale > 0.0:
             worst = max(worst, abs(y_p1 - (1.0 + c) * y_0 + c * y_m1) / scale)
-    return worst
+    return RecurrenceRun(direction, steps, params, values, worst)
 
 
 def minimal_ratio_p(sp: ShapeParams, pt: EvalPoint, depth: int = 10000) -> float:
@@ -350,51 +308,30 @@ def run_four_term(
         raise DirectionError(f"four-term recurrence {direction.key} rejected: {detail}")
     if steps < 0:
         raise DomainError("steps must be nonnegative")
-    d = direction.step
-    base = sp.p if direction.axis == "p" else sp.q
-    nvals = steps + 3
-    params = np.empty(nvals)
-    values = np.empty(nvals)
+    axis, d = direction.axis, direction.step
+    coeffs = four_term_coeffs_p if axis == "p" else four_term_coeffs_q
+    base = getattr(sp, axis)
+    params = np.empty(steps + 3)
+    values = np.empty(steps + 3)
     for i in range(3):
         params[i] = base + i * d
         values[i] = seeds[i]
-    coeffs = four_term_coeffs_p if direction.axis == "p" else four_term_coeffs_q
+    worst = 0.0
     for i in range(steps):
         newpar = params[i + 2] + d
-        if direction.sense == "backward":
+        if d < 0:
             # stencil base is the new (lowest) parameter
-            spb = ShapeParams(newpar, sp.q) if direction.axis == "p" else ShapeParams(sp.p, newpar)
-            k0, k1, k2, k3 = coeffs(spb, pt)
-            new = -(k3 * values[i] + k2 * values[i + 1] + k1 * values[i + 2]) / k0
+            k0, k1, k2, k3 = coeffs(_at(sp, axis, newpar), pt)
+            values[i + 3] = -(k3 * values[i] + k2 * values[i + 1] + k1 * values[i + 2]) / k0
         else:
             # stencil base is the oldest of the three known values
-            basepar = params[i]
-            spb = ShapeParams(basepar, sp.q) if direction.axis == "p" else ShapeParams(sp.p, basepar)
-            k0, k1, k2, k3 = coeffs(spb, pt)
-            new = -(k0 * values[i] + k1 * values[i + 1] + k2 * values[i + 2]) / k3
+            k0, k1, k2, k3 = coeffs(_at(sp, axis, params[i]), pt)
+            values[i + 3] = -(k0 * values[i] + k1 * values[i + 1] + k2 * values[i + 2]) / k3
         params[i + 3] = newpar
-        values[i + 3] = new
-    run = RecurrenceRun(direction, sp, pt, steps, params, values)
-    run.residual_max = _four_term_residual_max(direction, run, pt)
-    return run
-
-
-def _four_term_residual_max(direction: RecurrenceDirection, run: RecurrenceRun, pt: EvalPoint) -> float:
-    coeffs = four_term_coeffs_p if direction.axis == "p" else four_term_coeffs_q
-    worst = 0.0
-    for i in range(run.steps):
-        quad = run.values[i : i + 4]
-        pars = run.params[i : i + 4]
-        lowpar = pars.min()
-        ordered = quad[np.argsort(pars)]
-        spb = (
-            ShapeParams(lowpar, run.sp_start.q)
-            if direction.axis == "p"
-            else ShapeParams(run.sp_start.p, lowpar)
-        )
-        k = coeffs(spb, pt)
-        parts = [k[j] * ordered[j] for j in range(4)]
+        # the stencil's values in increasing parameter order
+        stencil = values[i : i + 4] if d > 0 else values[i : i + 4][::-1]
+        parts = [k * v for k, v in zip((k0, k1, k2, k3), stencil)]
         scale = max(abs(v) for v in parts)
         if scale > 0.0:
             worst = max(worst, abs(sum(parts)) / scale)
-    return worst
+    return RecurrenceRun(direction, steps, params, values, worst)

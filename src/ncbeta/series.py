@@ -429,7 +429,7 @@ def _series_window(sp, pt):
 def _complement_is_primary(sp, pt):
     """Whether the series sums the complement: y above the transition
     quantile y0 = (x+2p)/(x+2p+2q)."""
-    return pt.y > (pt.x + 2.0 * sp.p) / (pt.x + 2.0 * sp.r)
+    return pt.y > sp.transition_quantile(pt.x)
 
 
 def _series_pair(sp, pt, complement, value, err):

@@ -452,6 +452,18 @@ class TestErfcUniform:
         assert abs(pair.b - ref.b) <= 1e-8
 
 
+class TestTermCounts:
+    @pytest.mark.parametrize("route", [eval_large_z, eval_saddle, eval_erfc_uniform])
+    def test_negative_count_is_a_domain_error(self, route):
+        with pytest.raises(DomainError):
+            route(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1), -1)
+
+    @pytest.mark.parametrize("route", [eval_saddle, eval_erfc_uniform])
+    def test_count_past_two_is_a_domain_error(self, route):
+        with pytest.raises(DomainError):
+            route(ShapeParams(30.0, 30.0), EvalPoint(100.0, 0.1), 3)
+
+
 class TestTransitionSeries:
     def test_x_leading_coefficients(self):
         sp = ShapeParams(10.0, 15.0)

@@ -3,9 +3,12 @@ import subprocess
 import sys
 
 import mpmath as mp
+import pytest
 
 from ncbeta import cli
+from ncbeta.asymptotic import eval_erfc_uniform, eval_large_z, eval_saddle
 from ncbeta.cli import main
+from ncbeta.kummer_series import eval_kummer_series
 from ncbeta.params import EvalPoint, ShapeParams
 from ncbeta.series import eval_series
 
@@ -83,6 +86,61 @@ class TestEval:
         _, out1, _ = run_cli(capsys, "eval", "--p", "12", "--q", "7", "--x", "33", "--y", "0.6")
         _, out2, _ = run_cli(capsys, "eval", "--p", "12", "--q", "7", "--x", "33", "--y", "0.6")
         assert out1 == out2
+
+
+def eval_line(pair):
+    return f"{pair.b:.17g} {pair.method} {pair.err_est:.3g}\n"
+
+
+# (method, route, point) with the point inside each route's regime
+METHOD_POINTS = [
+    ("series", eval_series, (5.0, 5.0, 54.0, 0.864)),
+    ("kummer", eval_kummer_series, (10.0, 15.0, 4.5, 0.3)),
+    ("large-z", eval_large_z, (2.3, 3.5, 140.0, 0.9)),
+    ("saddle", eval_saddle, (30.0, 30.0, 100.0, 0.1)),
+    ("erfc", eval_erfc_uniform, (20.0, 20.0, 140.0, 0.9)),
+]
+
+
+class TestMethods:
+    @pytest.mark.parametrize("method,route,point", METHOD_POINTS)
+    def test_prints_the_route_value(self, capsys, method, route, point):
+        p, q, x, y = point
+        code, out, _ = run_cli(capsys, "eval", "--p", str(p), "--q", str(q), "--x", str(x), "--y", str(y),
+                               "--method", method)
+        assert code == 0
+        assert out == eval_line(route(ShapeParams(p, q), EvalPoint(x, y)))
+
+    def test_terms_reach_large_z_unchanged(self, capsys, monkeypatch):
+        # the (5, 5, 140, 0.9) row of the pinned expansion table, at 4 terms
+        counts = []
+
+        def recording(sp, pt, n_terms=5):
+            counts.append(n_terms)
+            return eval_large_z(sp, pt, n_terms)
+
+        monkeypatch.setitem(cli.EXPANSIONS, "large-z", recording)
+        code, out, _ = run_cli(capsys, "eval", "--p", "5", "--q", "5", "--x", "140", "--y", "0.9",
+                               "--method", "large-z", "--terms", "4")
+        assert code == 0 and counts == [4]
+        assert out == eval_line(eval_large_z(ShapeParams(5.0, 5.0), EvalPoint(140.0, 0.9), 4))
+
+    def test_saddle_past_two_terms_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "eval", "--p", "30", "--q", "30", "--x", "100", "--y", "0.1",
+                                 "--method", "saddle", "--terms", "3")
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("method", ["large-z", "saddle", "erfc"])
+    def test_negative_terms_exit_2(self, capsys, method):
+        code, out, _ = run_cli(capsys, "eval", "--p", "30", "--q", "30", "--x", "100", "--y", "0.1",
+                               "--method", method, "--terms", "-1")
+        assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("method", ["auto", "series", "kummer", "explain"])
+    def test_terms_without_an_expansion_exit_2(self, capsys, method):
+        code, out, err = run_cli(capsys, "eval", "--p", "5", "--q", "5", "--x", "54", "--y", "0.864",
+                                 "--method", method, "--terms", "2")
+        assert code == 2 and out == "" and "--terms" in err
 
 
 class TestInvert:

@@ -1,9 +1,14 @@
 import itertools
 import math
 import warnings
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ncbeta import recurrence
 from ncbeta.errors import DirectionError
 from ncbeta.kernels import central_beta_cdf, kummer_m_log
 from ncbeta.params import EvalPoint, ShapeParams
@@ -199,3 +204,89 @@ class TestRunFourTerm:
         assert run.final_param == 200.0
         ref = b_of(200.0, 1200.0, pt)
         assert abs(run.final_value - ref) <= 2e-12 * ref
+
+
+def shifted(sp, axis, v):
+    return ShapeParams(v, sp.q) if axis == "p" else ShapeParams(sp.p, v)
+
+
+def three_term_residual_max(run, sp, pt):
+    """Every step's relative residual, recomputed from the stored sweep with
+    the coefficient evaluated afresh."""
+    d = run.direction
+    coeff = three_term_coeff_p if d.axis == "p" else three_term_coeff_q
+    worst = 0.0
+    for i in range(run.steps):
+        c = coeff(shifted(sp, d.axis, run.params[i + 1]), pt)
+        if d.sense == "forward":
+            y_m1, y_0, y_p1 = run.values[i], run.values[i + 1], run.values[i + 2]
+        else:
+            y_m1, y_0, y_p1 = run.values[i + 2], run.values[i + 1], run.values[i]
+        scale = max(abs(y_p1), (1.0 + c) * abs(y_0), c * abs(y_m1))
+        if scale > 0.0:
+            worst = max(worst, abs(y_p1 - (1.0 + c) * y_0 + c * y_m1) / scale)
+    return worst
+
+
+def four_term_residual_max(run, sp, pt):
+    """As three_term_residual_max, for the four-term recurrence: the stencil
+    is ordered by parameter and based at its lowest one."""
+    d = run.direction
+    coeffs = four_term_coeffs_p if d.axis == "p" else four_term_coeffs_q
+    worst = 0.0
+    for i in range(run.steps):
+        pars = run.params[i : i + 4]
+        ordered = run.values[i : i + 4][np.argsort(pars)]
+        k = coeffs(shifted(sp, d.axis, pars.min()), pt)
+        parts = [k[j] * ordered[j] for j in range(4)]
+        scale = max(abs(v) for v in parts)
+        if scale > 0.0:
+            worst = max(worst, abs(sum(parts)) / scale)
+    return worst
+
+
+sweep_points = st.tuples(
+    st.floats(20.0, 300.0), st.floats(20.0, 300.0), st.floats(0.0, 100.0), st.floats(0.02, 0.98)
+)
+seed_values = st.floats(1e-3, 1.0)
+
+
+class TestSweepResiduals:
+    """Each sweep forms its residual from the coefficients of the step that
+    used them: one coefficient evaluation a step, and the same residual as a
+    second pass over the stored values."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(sorted(THREE_TERM_ADMISSIBLE)),
+        sweep_points,
+        st.tuples(seed_values, seed_values),
+        st.integers(0, 15),
+    )
+    def test_three_term(self, key, point, seeds, steps):
+        p, q, x, y = point
+        sp, pt = ShapeParams(p, q), EvalPoint(x, y)
+        name = "three_term_coeff_p" if key[0] == "p" else "three_term_coeff_q"
+        with mock.patch.object(recurrence, name, wraps=getattr(recurrence, name)) as coeff:
+            run = run_three_term(RecurrenceDirection(*key), seeds, steps, sp, pt)
+        assert coeff.call_count == steps
+        assert run.residual_max == three_term_residual_max(run, sp, pt)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(list(itertools.product(("p", "q"), ("forward", "backward"), ("B", "Bbar")))),
+        sweep_points,
+        st.tuples(seed_values, seed_values, seed_values),
+        st.integers(0, 15),
+    )
+    def test_four_term_every_direction(self, key, point, seeds, steps):
+        p, q, x, y = point
+        sp, pt = ShapeParams(p, q), EvalPoint(x, y)
+        name = "four_term_coeffs_p" if key[0] == "p" else "four_term_coeffs_q"
+        # a forced sweep in an unstable direction may overflow: both passes
+        # then meet the same inf and nan values
+        with np.errstate(over="ignore", invalid="ignore"):
+            with mock.patch.object(recurrence, name, wraps=getattr(recurrence, name)) as coeffs:
+                run = run_four_term(RecurrenceDirection(*key), seeds, steps, sp, pt, _force=True)
+            assert coeffs.call_count == steps
+            assert run.residual_max == four_term_residual_max(run, sp, pt)
