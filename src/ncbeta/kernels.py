@@ -137,28 +137,31 @@ def _betacf(a, b, x):
     return math.nan
 
 
-def _betainc(p, q, y):
-    """Regularized incomplete beta I_y(p, q).
-
+def _betainc_front(p, q, y):
+    """The continued-fraction side of I_y(p, q) for 0 < y < 1, as
+    (front, cf, flip): I_y(p, q) = e^front cf, or 1 - e^front cf where flip.
     Uses the symmetry I_y(p,q) = 1 - I_{1-y}(q,p) to stay in the rapidly
     converging branch of the continued fraction (switch at
     y > (p+1)/(p+q+2)); the prefactor is assembled in log space."""
+    lpre = _log_beta_pre(p, q, y)
+    if y < (p + 1.0) / (p + q + 2.0):
+        cf = _betacf(p, q, y)
+        return lpre - math.log(p), cf, False
+    cf = _betacf(q, p, 1.0 - y)
+    return lpre - math.log(q), cf, True
+
+
+def _betainc(p, q, y):
+    """Regularized incomplete beta I_y(p, q) (``_betainc_front``)."""
     if y <= 0.0:
         return 0.0
     if y >= 1.0:
         return 1.0
-    lpre = _log_beta_pre(p, q, y)
-    if y < (p + 1.0) / (p + q + 2.0):
-        cf = _betacf(p, q, y)
-        front = lpre - math.log(p)
-        if front < -745.0:
-            return 0.0
-        return math.exp(front) * cf
-    cf = _betacf(q, p, 1.0 - y)
-    front = lpre - math.log(q)
+    front, cf, flip = _betainc_front(p, q, y)
     if front < -745.0:
-        return 1.0
-    return 1.0 - math.exp(front) * cf
+        return 1.0 if flip else 0.0
+    v = math.exp(front) * cf
+    return 1.0 - v if flip else v
 
 
 def _betainc_scaled(p, q, y, shift):
@@ -169,15 +172,10 @@ def _betainc_scaled(p, q, y, shift):
         return 0.0
     if y >= 1.0:
         return math.exp(-shift) if -shift < 709.0 else math.inf
-    lpre = _log_beta_pre(p, q, y)
-    if y < (p + 1.0) / (p + q + 2.0):
-        cf = _betacf(p, q, y)
-        front = lpre - math.log(p) - shift
-        if front < -700.0:
-            return 0.0
-        return math.exp(front) * cf
-    cf = _betacf(q, p, 1.0 - y)
-    front = lpre - math.log(q)
+    front, cf, flip = _betainc_front(p, q, y)
+    if not flip:
+        front -= shift
+        return 0.0 if front < -700.0 else math.exp(front) * cf
     v = 1.0 - math.exp(front) * cf if front > -745.0 else 1.0
     ls = math.log(v) - shift
     return math.exp(ls) if ls < 709.0 else math.inf

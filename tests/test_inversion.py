@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ncbeta.inversion
@@ -16,6 +16,7 @@ from ncbeta.errors import DomainError
 from ncbeta.inversion import (
     InversionProblem,
     _slope,
+    _transition_root,
     db_dx,
     db_dy,
     invert,
@@ -85,6 +86,65 @@ class TestTransitionEquation:
     def test_domain_guards(self):
         with pytest.raises(DomainError):
             transition_equation(SP, EvalPoint(0.0, 0.45), 0.0)
+
+
+class TestTransitionRoot:
+    @pytest.mark.parametrize(
+        "unknown, fixed, z, root",
+        [("x", 0.45, 0.4, 7.1704), ("x", 0.45, 0.6, 2.1475), ("y", 4.5, 0.01, 0.2330), ("y", 4.5, 0.99, 0.6739)],
+    )
+    def test_worked_roots(self, unknown, fixed, z, root):
+        # the paper's four roots at (p, q) = (10, 15), one on each side of
+        # the transition point for each unknown
+        problem = InversionProblem(unknown, SP, fixed, z)
+        assert abs(_transition_root(problem, zeta0_seed(problem)) - root) <= 5e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["x", "y"]),
+        st.floats(1.0, 200.0),
+        st.floats(1.0, 200.0),
+        st.floats(0.0, 1.0),
+        st.floats(1e-6, 1.0 - 1e-6),
+    )
+    def test_root_on_the_selected_side_and_a_sign_change(self, unknown, p, q, t, z):
+        assume(abs(z - 0.5) > 0.01)
+        sp = ShapeParams(p, q)
+        fixed = 0.05 + 0.9 * t if unknown == "x" else 0.5 + 199.5 * t
+        problem = InversionProblem(unknown, sp, fixed, z)
+        zeta0 = zeta0_seed(problem)
+        root = _transition_root(problem, zeta0)
+        assume(root is not None)
+        if unknown == "x":
+            # B falls in x: zeta0 > 0 (B below 1/2) lies above x0
+            x0 = sp.transition_noncentrality(fixed)
+            assert root >= x0 if zeta0 > 0.0 else root <= x0
+            delta = 1e-8 * max(root, 1e-3)
+            lo, hi = EvalPoint(root - delta, fixed), EvalPoint(root + delta, fixed)
+            assume(root - delta > 0.0)
+        else:
+            # B rises in y: zeta0 > 0 lies below y0
+            y0 = sp.transition_quantile(fixed)
+            assert root <= y0 if zeta0 > 0.0 else root >= y0
+            # past the bisection's own resolution, 1e-13 of the root
+            delta = 1e-8 * min(root, 1.0 - root) + 1e-12 * root
+            assume(root + delta < 1.0)
+            lo, hi = EvalPoint(fixed, root - delta), EvalPoint(fixed, root + delta)
+        assert transition_equation(sp, lo, zeta0) * transition_equation(sp, hi, zeta0) < 0.0
+
+    @pytest.mark.parametrize(
+        "p, q, x, z, evaluations",
+        [
+            # 1 evaluation from the transition root; 13 from the transition point
+            (96.68042701547492, 6.9921214872343675, 43.52039230076282, 0.9999999999999732, 3),
+            # 6 from the root; 37 of the 40-step budget from the transition point
+            (0.34083024595594397, 0.8289795492693324, 490.0511038743345, 0.9999999996955192, 12),
+        ],
+    )
+    def test_deep_upper_tail_quantile_converges_in_few_evaluations(self, p, q, x, z, evaluations):
+        # the zeta series leaves the domain this far into the tail
+        res = invert(InversionProblem("y", ShapeParams(p, q), x, z))
+        assert res.converged and res.iterations <= evaluations
 
 
 def slope_reference(p, q, x, y, dps=40):
