@@ -1,10 +1,12 @@
 """Noncentral beta and noncentral F cumulative distribution functions.
 
-Evaluation of B_{p,q}(x, y) and its complement to near machine precision
-across parameter regimes (defining series, recurrences, Kummer-function
-series, large-argument and saddle-point expansions, an erfc-based uniform
-expansion), plus inversion with respect to the noncentrality x or the
-quantile y.
+Evaluation of B_{p,q}(x, y) and its complement to near machine precision,
+plus inversion in the noncentrality x or the quantile y.  ``evaluate`` and
+``evaluate_many`` use only the reference series (``series``).  The paper's
+other methods stay as reproduction routes: the recurrences, the Kummer
+series and three expansions (large argument, saddle point, erfc-uniform);
+``ncbeta eval --method kummer|large-z|saddle|erfc`` reaches all but the
+recurrences.
 """
 
 from .dispatch import MethodChoice, evaluate, explain

@@ -442,12 +442,25 @@ def _t0_series(c: float, xi0: float, xi1: float, n: int) -> list[float]:
     return [2.0 * v for v in _pow(den, -1.0, n)]
 
 
+def _zeta_revert(psip, v0: float, unknown: str) -> np.ndarray:
+    """The unknown ("x" or "y") as a series in zeta from psi' = d(zeta^2/2)/dv
+    about its transition point v0: with u = v - v0, zeta^2 = u^2 A(u) and
+    zeta = +-u sqrt(A(u)) rises in x and falls in y, so the coefficients are
+    ``ps_revert(A)``, odd ones negated for y.  Raises unless A_0 > 0."""
+    n = ZETA_ORDER
+    A = [2.0 * (psip[k] / (k + 1.0)) for k in range(1, n + 1)]
+    if A[0] <= 0.0:
+        raise SeriesInvalidError(f"transition curvature not positive; {unknown}(zeta) series invalid")
+    out = ps_revert(A, n)
+    if unknown == "y":
+        out[1::2] = -out[1::2]
+    out[0] = v0
+    return out
+
+
 def x_zeta_coeffs(sp: ShapeParams, y: float) -> np.ndarray:
     """Coefficients of x = x0 + x1 zeta + ... + x5 zeta^5 along the family
-    with fixed (p, q, y); x0 is the transition noncentrality.
-
-    With u = x - x0, zeta^2 = u^2 A(u) and zeta increases in x, so the
-    coefficients are the Lagrange inversion ``ps_revert(A)``.  Requires
+    with fixed (p, q, y); x0 is the transition noncentrality.  Requires
     q - r (1-y)^2 > 0 (real linear coefficient); outside that region
     inversion falls back to root solving."""
     if not 0.0 < y < 1.0:
@@ -458,29 +471,21 @@ def x_zeta_coeffs(sp: ShapeParams, y: float) -> np.ndarray:
         raise SeriesInvalidError(
             f"x(zeta) series invalid: q - r(1-y)^2 = {radicand:.3e} <= 0 at y={y}"
         )
-    n = ZETA_ORDER
     x0 = sp.transition_noncentrality(y)
     xi1 = y / (2.0 * r)
     xi0 = x0 * xi1
-    T = _t0_series(sp.cos2, xi0, xi1, n)
+    T = _t0_series(sp.cos2, xi0, xi1, ZETA_ORDER)
     tp = 1.0 / y
-    # psi'(x) = (y / 2r) (tp - t0(x)); psi = zeta^2 / 2 vanishes to second order at x0
-    s = y / (2.0 * r)
-    psip = [-s * t for t in T]
-    psip[0] += s * tp
-    A = [2.0 * (psip[k] / (k + 1.0)) for k in range(1, n + 1)]  # 2 psi / u^2, psi integrated from psi'
-    if A[0] <= 0.0:
-        raise SeriesInvalidError("transition curvature not positive; x(zeta) series invalid")
-    out = ps_revert(A, n)
-    out[0] = x0
-    return out
+    # psi'(x) = xi1 (tp - t0(x)); psi = zeta^2 / 2 vanishes to second order at x0
+    psip = [-xi1 * t for t in T]
+    psip[0] += xi1 * tp
+    return _zeta_revert(psip, x0, "x")
 
 
 def y_zeta_coeffs(sp: ShapeParams, x: float) -> np.ndarray:
     """Coefficients of y = y0 + y1 zeta + ... + y5 zeta^5 along the family
-    with fixed (p, q, x); y0 is the transition quantile.  With u = y - y0,
-    zeta = -u sqrt(A(u)) decreases in y, so the coefficients are those of
-    ``ps_revert(A)`` with the odd ones negated; always real for x >= 0."""
+    with fixed (p, q, x); y0 is the transition quantile.  Always real for
+    x >= 0."""
     if x < 0.0:
         raise DomainError(f"noncentrality must be nonnegative, got {x}")
     p, q, r = sp.p, sp.q, sp.r
@@ -489,19 +494,13 @@ def y_zeta_coeffs(sp: ShapeParams, x: float) -> np.ndarray:
     xi1 = x / (2.0 * r)
     xi0 = y0 * xi1
     T = _t0_series(sp.cos2, xi0, xi1, n)
-    # psi'(y) = -p/(r y) + q/(r (1-y)) - t0(xi(y)) x/(2r), developed about y0
-    cp, cq, cx = -(p / r), q / r, x / (2.0 * r)
+    # psi'(y) = -p/(r y) + q/(r (1-y)) - xi1 t0(xi(y)), developed about y0
+    cp, cq = -(p / r), q / r
     psip = [
-        cp * ((-1.0) ** k / y0 ** (k + 1)) + cq * (1.0 / (1.0 - y0) ** (k + 1)) - cx * T[k]
+        cp * ((-1.0) ** k / y0 ** (k + 1)) + cq * (1.0 / (1.0 - y0) ** (k + 1)) - xi1 * T[k]
         for k in range(n + 1)
     ]
-    A = [2.0 * (psip[k] / (k + 1.0)) for k in range(1, n + 1)]  # 2 psi / u^2, psi integrated from psi'
-    if A[0] <= 0.0:
-        raise SeriesInvalidError("transition curvature not positive; y(zeta) series invalid")
-    out = ps_revert(A, n)
-    out[1::2] = -out[1::2]
-    out[0] = y0
-    return out
+    return _zeta_revert(psip, y0, "y")
 
 
 def zeta_series_value(coeffs, zeta: float, unknown: str) -> float:

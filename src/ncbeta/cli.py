@@ -194,13 +194,12 @@ def _batch_row(row, op: str, tol: float, done):
             return [p, q, x, y, _fmt(pair.b), _fmt(pair.bbar), pair.method, f"{pair.err_est:.3g}"]
         p, q, x, y, z = _batch_fields(row)
         sp = ShapeParams(p, q)
-        if op == "invert-x":
-            res = _converged(invert(InversionProblem(unknown="x", sp=sp, fixed=y, z=z, tol=tol)))
-            return [p, q, _fmt(res.value), y, _fmt(z), _fmt(1.0 - z), res.seed_path, f"{res.residual:.3g}"]
-        if op == "invert-y":
-            res = _converged(invert(InversionProblem(unknown="y", sp=sp, fixed=x, z=z, tol=tol)))
-            return [p, q, x, _fmt(res.value), _fmt(z), _fmt(1.0 - z), res.seed_path, f"{res.residual:.3g}"]
-        raise DomainError(f"unknown batch op {op!r}")
+        if op not in ("invert-x", "invert-y"):
+            raise DomainError(f"unknown batch op {op!r}")
+        solve_x = op == "invert-x"
+        res = _converged(invert(InversionProblem(op[-1], sp, y if solve_x else x, z, tol)))
+        x, y = (_fmt(res.value), y) if solve_x else (x, _fmt(res.value))
+        return [p, q, x, y, _fmt(z), _fmt(1.0 - z), res.seed_path, f"{res.residual:.3g}"]
     except (DomainError, EvaluationError, ValueError) as exc:
         msg = str(exc).replace(",", ";").replace("\n", " ")
         return [row.get("p", ""), row.get("q", ""), row.get("x", ""), row.get("y", ""), "", "", f"error: {msg}", ""]

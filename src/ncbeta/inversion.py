@@ -1,15 +1,17 @@
 """Inversion of the noncentral beta CDF in the noncentrality or the quantile.
 
-Solving B_{p,q}(x, y) = z follows the pipeline:
+Solving B_{p,q}(x, y) = z follows one pipeline for either unknown; the two
+differ only in the transition point x0 or y0, the domain and the direction
+(B falls in x and rises in y):
 
 1. invert the boundary-layer model: zeta0 = inv_erfc(2 z) sqrt(2/r);
 2. seed from the transition series x(zeta) or y(zeta), improved by the
    first correction zeta ~ zeta0 + zeta1/r with
    zeta1 = ln(1 + zeta0 g0)/zeta0 (each applied whenever its seed stays in
    the domain; the bracketed polish guards a poor seed); when the series
-   seed leaves the domain, locate the root of the transition equation
+   seed leaves the domain, from the root of the transition equation
    zeta(.)^2/2 - zeta0^2/2 = 0 on the correct side of the transition point
-   (above x0 when zeta0 > 0, below y0 when zeta0 > 0);
+   (above x0 when zeta0 > 0, below y0 when zeta0 > 0); else from that point;
 3. polish on the true equation with safeguarded Halley steps (Newton's
    where Halley's does not apply), evaluating B with the reference series,
    as ``evaluate`` does; the first and second derivatives in the unknown
@@ -158,12 +160,7 @@ def zeta1_correction(problem: InversionProblem, zeta0: float, seed: float) -> fl
     Only g0 is formed: f_0 - 1/zeta from A_0 alone away from the pole, one
     power of A with its pole-removal tail near it.
     Raises EvaluationError when 1 + zeta0 g0 <= 0 (correction skipped)."""
-    sp = problem.sp
-    if problem.unknown == "x":
-        pt = EvalPoint(seed, problem.fixed)
-    else:
-        pt = EvalPoint(problem.fixed, seed)
-    g0 = g_coeffs(build_frame(sp, pt), 0)[0]
+    g0 = g_coeffs(build_frame(problem.sp, _point(problem, seed)), 0)[0]
     u = zeta0 * g0
     if u <= -1.0:
         raise EvaluationError("zeta1 correction undefined: 1 + zeta0 g0 <= 0")
@@ -174,73 +171,58 @@ def zeta1_correction(problem: InversionProblem, zeta0: float, seed: float) -> fl
 
 def _residual(pair, z: float) -> float:
     """B - z computed from the pair member that preserves precision."""
-    if z <= 0.5:
-        return pair.b - z
-    return (1.0 - z) - pair.bbar
+    return pair.b - z if z <= 0.5 else (1.0 - z) - pair.bbar
+
+
+def _point(problem: InversionProblem, v: float) -> EvalPoint:
+    """The evaluation point with the unknown at v."""
+    return EvalPoint(v, problem.fixed) if problem.unknown == "x" else EvalPoint(problem.fixed, v)
+
+
+def _transition_point(problem: InversionProblem) -> float:
+    """x0 or y0, the unknown's transition point."""
+    sp, fixed = problem.sp, problem.fixed
+    return sp.transition_noncentrality(fixed) if problem.unknown == "x" else sp.transition_quantile(fixed)
+
+
+def _doubling(lo: float, step: float):
+    """lo + step, then each point a doubled step past the last; 200 points."""
+    for _ in range(200):
+        lo += step
+        yield lo
+        step *= 2.0
 
 
 def _transition_root(problem: InversionProblem, zeta0: float) -> float | None:
     """Root of dphi(.) = zeta0^2/2 on the side of the transition point
-    selected by the sign of zeta0.  Returns None when no bracket exists."""
-    sp = problem.sp
+    selected by the sign of zeta0, by one walk: away from the point through
+    trials, bisecting between it and the first trial where dphi exceeds
+    zeta0^2/2.  The trials are doubling steps above x0 (from 0 when x0 < 0),
+    x = 0 below it, and 2^-k of the way from y0 to 0 or to 1 for y,
+    k = 1..200.  Returns None when no trial brackets a root."""
     half_z0sq = 0.5 * zeta0 * zeta0
+    start = _transition_point(problem)
 
-    if problem.unknown == "x":
-        y = problem.fixed
-        x0 = sp.transition_noncentrality(y)
+    def F(v):
+        return build_frame(problem.sp, _point(problem, v)).dphi - half_z0sq
 
-        def F(v):
-            return build_frame(sp, EvalPoint(v, y)).dphi - half_z0sq
-
-        if zeta0 > 0.0:
-            lo = max(x0, 0.0)
-            if F(lo) > 0.0:
-                return None
-            step = max(1.0, 0.5 * abs(x0) + 1.0)
-            hi = lo + step
-            for _ in range(200):
-                if F(hi) > 0.0:
-                    break
-                step *= 2.0
-                hi += step
-            else:
-                return None
-        else:
-            # root left of the transition noncentrality
-            if x0 <= 0.0:
-                return None
-            lo, hi = 0.0, x0
-            if F(lo) < 0.0:
-                return None
-        return _bisect(F, lo, hi)
-
-    x = problem.fixed
-    y0 = sp.transition_quantile(x)
-
-    def G(v):
-        return build_frame(sp, EvalPoint(x, v)).dphi - half_z0sq
-
-    if zeta0 > 0.0:
-        hi = y0
-        lo = y0
-        for _ in range(200):
-            lo *= 0.5
-            if G(lo) > 0.0:
-                break
-        else:
+    if problem.unknown == "y":
+        edge = 0.0 if zeta0 > 0.0 else 1.0
+        trials = (edge + (start - edge) * 0.5**k for k in range(1, 201))
+    elif zeta0 > 0.0:
+        step = max(1.0, 0.5 * abs(start) + 1.0)
+        start = max(start, 0.0)
+        if F(start) > 0.0:
             return None
+        trials = _doubling(start, step)
     else:
-        lo = y0
-        hi = y0
-        gap = 1.0 - y0
-        for _ in range(200):
-            gap *= 0.5
-            hi = 1.0 - gap
-            if G(hi) > 0.0:
-                break
-        else:
-            return None
-    return _bisect(G, lo, hi)
+        trials = [0.0] if start > 0.0 else []
+    for v in trials:
+        fv = F(v)
+        # x = 0 is the domain's edge: a root on it brackets too
+        if fv > 0.0 or (v == 0.0 and fv == 0.0):
+            return _bisect(F, min(start, v), max(start, v))
+    return None
 
 
 def _bisect(fn, lo: float, hi: float, iters: int = 200) -> float:
@@ -259,6 +241,34 @@ def _bisect(fn, lo: float, hi: float, iters: int = 200) -> float:
     return 0.5 * (lo + hi)
 
 
+def _seed(problem: InversionProblem, zeta0: float) -> tuple[float, float, str]:
+    """(seed, raw seed, path): the zeta-series seed with its zeta1
+    correction, or without it where the correction fails; else the
+    transition root; else the transition point (at least 1 for x)."""
+    unknown = problem.unknown
+    try:
+        # the coefficients are formed once, for the raw and the corrected seed
+        coeffs = (x_zeta_coeffs if unknown == "x" else y_zeta_coeffs)(problem.sp, problem.fixed)
+        raw = zeta_series_value(coeffs, zeta0, unknown)
+    except (EvaluationError, DomainError):
+        pass
+    else:
+        try:
+            z1 = zeta1_correction(problem, zeta0, raw)
+            return zeta_series_value(coeffs, zeta0 + z1 / problem.sp.r, unknown), raw, "zeta-series"
+        except (EvaluationError, DomainError):
+            return raw, raw, "zeta-series"
+    try:
+        root = _transition_root(problem, zeta0)
+    except (EvaluationError, DomainError):
+        root = None
+    if root is not None:
+        return root, root, "transition-root"
+    v0 = _transition_point(problem)
+    v0 = max(v0, 1.0) if unknown == "x" else v0
+    return v0, v0, "bisection"
+
+
 def invert(problem: InversionProblem) -> InversionResult:
     """Solve B_{p,q}(x, y) = z for the unknown coordinate.
 
@@ -267,11 +277,10 @@ def invert(problem: InversionProblem) -> InversionResult:
     exhausted or the iterate stops moving first; then the last iterate the
     polish evaluated is returned with its residual and ``converged``
     False."""
-    sp = problem.sp
-    z = problem.z
+    sp, z = problem.sp, problem.z
+    band = problem.tol * max(z, 1.0 - z)
     if problem.unknown == "x":
         zmax = central_beta_cdf(sp.p, sp.q, problem.fixed)
-        band = problem.tol * max(z, 1.0 - z)
         if z > zmax + band:
             raise DomainError(
                 f"no nonnegative noncentrality reaches B = {z}: the zero-noncentrality "
@@ -281,44 +290,9 @@ def invert(problem: InversionProblem) -> InversionResult:
             return InversionResult(0.0, 0, zmax - z, "boundary", True, 0.0, 0.0, 0.0)
 
     zeta0 = zeta0_seed(problem)
-    seed_raw = math.nan
-    seed = math.nan
-    seed_path = ""
-
-    try:
-        # the coefficients are formed once, for the raw and the corrected seed
-        coeffs = (x_zeta_coeffs if problem.unknown == "x" else y_zeta_coeffs)(sp, problem.fixed)
-        seed = seed_raw = zeta_series_value(coeffs, zeta0, problem.unknown)
-        seed_path = "zeta-series"
-        try:
-            z1 = zeta1_correction(problem, zeta0, seed_raw)
-            seed = zeta_series_value(coeffs, zeta0 + z1 / sp.r, problem.unknown)
-        except (EvaluationError, DomainError):
-            pass
-    except (EvaluationError, DomainError):
-        seed = math.nan
-
-    if math.isnan(seed):
-        root = None
-        try:
-            root = _transition_root(problem, zeta0)
-        except (EvaluationError, DomainError):
-            root = None
-        if root is not None:
-            seed = root
-            seed_raw = root
-            seed_path = "transition-root"
-        else:
-            if problem.unknown == "y":
-                seed = sp.transition_quantile(problem.fixed)
-            else:
-                seed = max(sp.transition_noncentrality(problem.fixed), 1.0)
-            seed_raw = seed
-            seed_path = "bisection"
-
+    seed, seed_raw, seed_path = _seed(problem, zeta0)
     value, iters, resid = _polish(problem, seed)
-    converged = abs(resid) <= problem.tol * max(z, 1.0 - z)
-    return InversionResult(value, iters, resid, seed_path, converged, zeta0, seed, seed_raw)
+    return InversionResult(value, iters, resid, seed_path, abs(resid) <= band, zeta0, seed, seed_raw)
 
 
 def _eval_at(problem: InversionProblem, v: float):
@@ -327,10 +301,7 @@ def _eval_at(problem: InversionProblem, v: float):
     (``_slope``).  Where no window was summed (a B certified to round to 0)
     both derivatives are 0 and no Newton or Halley step is taken; past the
     window cap the series' ``EvaluationError`` propagates."""
-    if problem.unknown == "x":
-        pt = EvalPoint(v, problem.fixed)
-    else:
-        pt = EvalPoint(problem.fixed, v)
+    pt = _point(problem, v)
     pair, window = _series_window(problem.sp, pt)
     return (pair, *_slope(problem.sp, pt, problem.unknown, window))
 
@@ -350,15 +321,9 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     last iterate it evaluated, with its residual."""
     z = problem.z
     band = problem.tol * max(z, 1.0 - z)
-    increasing = problem.unknown == "y"
-
-    if increasing:
-        lo, hi = 0.0, 1.0
-        cur = min(max(seed, 1e-12), 1.0 - 1e-12)
-    else:
-        lo, hi = 0.0, math.inf
-        cur = max(seed, 0.0)
-
+    increasing = problem.unknown == "y"  # B rises in y and falls in x
+    lo, hi = 0.0, (1.0 if increasing else math.inf)
+    cur = min(max(seed, 1e-12), 1.0 - 1e-12) if increasing else max(seed, 0.0)
     for iters in range(1, 41):
         pair, deriv, curv = _eval_at(problem, cur)
         resid = _residual(pair, z)
@@ -377,10 +342,7 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
             if lo < nxt < hi and halley > 0.0 and lo < cur - t / halley < hi:
                 nxt = cur - t / halley
         if not (math.isfinite(nxt) and lo < nxt < hi):
-            if math.isinf(hi):
-                nxt = max(2.0 * cur, cur + 1.0)
-            else:
-                nxt = 0.5 * (lo + hi)
+            nxt = max(2.0 * cur, cur + 1.0) if math.isinf(hi) else 0.5 * (lo + hi)
         if nxt == cur:
             break
         cur = nxt

@@ -79,18 +79,18 @@ def _b_factors(p, q, z, J, spot_tol=1e-11):
 
 def _sum_b_series(p, q, y, W):
     """sum_j y^j (p+q)_j/(p+1)_j W_j with a geometric tail cut.
-    Returns (sum, terms_used, tail_bound); tail_bound < 0 flags failure."""
+    Returns (sum, terms_used, tail_bound); tail_bound < 0 flags failure.
+    Summed in floats, so an overflow is an inf sum, not a numpy warning."""
     s = 0.0
     coef = 1.0
-    J = len(W) - 1
-    for j in range(J + 1):
-        t = coef * W[j]
+    for j, w in enumerate(W.tolist()):
+        t = coef * w
         s += t
         ratio = y * (p + q + j) / (p + 1.0 + j)
         if ratio < 0.999 and t * ratio < TOL * s * (1.0 - ratio):
             return s, j + 1, t * ratio / (1.0 - ratio)
         coef *= ratio
-    return s, J + 1, -1.0
+    return s, len(W), -1.0
 
 
 def _sum_bbar_series(p, q, x, y):

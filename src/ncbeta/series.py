@@ -43,6 +43,13 @@ every result is bitwise the member's.  Its stragglers, answered one at a
 time, are the quantile boundaries, x = 0 and windows longer than
 ``MANY_CELLS``.
 
+The 1-D window stays beside the 2-D one because it is faster for one
+point.  Routing a member through ``_window_arrays([row])`` was bitwise
+equal (8000/8000 evaluations on eval-mixed seeds 1-2, 1200 inversions) but
+slower on a 2-core Xeon, interpreted, in-process and interleaved on
+eval-mixed seed 1: ``evaluate`` 88 -> 110 us a point (median of 8 passes),
+one planned row's window plus finish 48 -> 64 us (median of 15).
+
 This module also houses the notation bridges used as independent
 cross-checks: the type-II q-function double series and the noncentral F
 mapping.

@@ -441,3 +441,25 @@ class TestInvert:
         assert abs(res.residual) <= band
         oracle = special.ncfdtr(2.0 * p, 2.0 * q, res.value, (q / p) * y / (1.0 - y))
         assert abs(oracle - z) <= band
+
+    @pytest.mark.parametrize(
+        "unknown, p, q, fixed, z",
+        [
+            # seeded from the transition root: x above x0, x below x0, y above y0
+            ("x", 2.1988551561389604, 13.375452166664628, 0.055242135597182856, 0.03914587968126597),
+            ("x", 0.8152223916770334, 2.538133829179745, 0.8353227833641529, 0.991072906372832),
+            ("y", 23.30294010727332, 0.5676674473431365, 95.29770416708921, 0.9792387427277731),
+            # seeded from the transition point
+            ("x", 0.6883326995663492, 1.0698724138348688, 0.2389964045105521, 0.3872721843919503),
+            ("x", 8.514028599581753, 45.42546703803935, 0.22666719660327805, 0.9056810819269517),
+        ],
+    )
+    def test_fallback_seeds_converge_in_few_evaluations(self, unknown, p, q, fixed, z):
+        # the zeta series gives no seed here; 3-5 evaluations, and the seed
+        # path is not pinned, so that a better tail seed may replace it
+        special = pytest.importorskip("scipy.special")
+        res = invert(InversionProblem(unknown, ShapeParams(p, q), fixed, z, tol=1e-10))
+        assert res.converged and res.iterations <= 8
+        x, y = (res.value, fixed) if unknown == "x" else (fixed, res.value)
+        oracle = special.ncfdtr(2.0 * p, 2.0 * q, x, (q / p) * y / (1.0 - y))
+        assert abs(oracle - z) <= 1e-10 * max(z, 1.0 - z)

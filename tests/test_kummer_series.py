@@ -81,6 +81,7 @@ class TestEvaluation:
             assert abs(direct.b - transformed.b) <= 1e-12 * direct.b
 
     @pytest.mark.parametrize("variant", ["b-direct", "b-transformed"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_b_sum_raises(self, variant):
         sp, pt = ShapeParams(*OVERFLOWING_B[:2]), EvalPoint(*OVERFLOWING_B[2:])
         with pytest.raises(EvaluationError, match="overflows"):
