@@ -23,6 +23,10 @@ The expansions are
   transition, with the pole subtracted into a complementary error function,
   reducing to the plain saddle series past it.
 
+One phase series, the coefficients phi_m(t0)/m! of ``_phase_coeffs``,
+feeds both the near-saddle phase difference dphi and A(u); one sum,
+``_saddle_type_sum``, serves the saddle and erfc-uniform expansions.
+
 It also provides the transition-series coefficients x(zeta) and y(zeta)
 used to seed inversion, inverted from zeta^2 = u^2 A(u) in the same way.
 """
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -64,18 +69,13 @@ class SaddleFrame:
     switch so that zeta = sign(t_p - t0) sqrt(2 dphi) keeps its relative
     accuracy close to the transition."""
 
-    p: float
-    q: float
-    x: float
     y: float
     r: float
     sin2: float
     cos2: float
-    xi: float
     t0: float
     tp: float
     y0: float
-    x0: float
     dphi: float
     zeta: float
     phi2: float
@@ -99,28 +99,33 @@ class SaddleFrame:
         )
 
 
+def _phase_coeffs(t0: float, sin2: float):
+    """The Taylor coefficients c_m = phi_m(t0)/m! of the phase about the
+    saddle, m = 2, 3, ...: c_m = (-1)^(m-1)/m (t0^-m - sin^2 (t0-1)^-m)."""
+    i0 = 1.0 / t0
+    i1 = 1.0 / (t0 - 1.0)
+    pow0 = i0 * i0
+    pow1 = i1 * i1
+    sgn = -1.0
+    for m in count(2):
+        yield sgn / m * (pow0 - sin2 * pow1)
+        pow0 *= i0
+        pow1 *= i1
+        sgn = -sgn
+
+
 def _dphi_between(t0: float, tp: float, sin2: float, xi: float) -> float:
     """phi(t_p) - phi(t0); series in (t_p - t0) when the points are close."""
     delta = tp - t0
-    lim = 0.4 * min(t0 - 1.0, t0)
-    if abs(delta) <= lim:
-        # sum_{k>=2} phi_k(t0) delta^k / k!, phi_k/k! = (-1)^(k-1)/k (t0^-k - s (t0-1)^-k)
+    if abs(delta) <= 0.4 * min(t0 - 1.0, t0):
         s = 0.0
-        it0 = 1.0 / t0
-        it1 = 1.0 / (t0 - 1.0)
-        pow0 = it0 * it0
-        pow1 = it1 * it1
         dk = delta * delta
-        sgn = -1.0
-        for k in range(2, 80):
-            term = sgn / k * (pow0 - sin2 * pow1) * dk
+        for c in islice(_phase_coeffs(t0, sin2), 78):
+            term = c * dk
             s += term
             if abs(term) < 1e-18 * max(abs(s), 1e-30):
                 break
-            pow0 *= it0
-            pow1 *= it1
             dk *= delta
-            sgn = -sgn
         return max(s, 0.0)
     val = math.log(tp / t0) - sin2 * math.log((tp - 1.0) / (t0 - 1.0)) + xi * delta
     return max(val, 0.0)
@@ -134,7 +139,6 @@ def build_frame(sp: ShapeParams, pt: EvalPoint) -> SaddleFrame:
     cancellation for every xi >= 0 and has the correct xi -> 0 limit."""
     if not 0.0 < pt.y < 1.0:
         raise DomainError(f"saddle frame needs 0 < y < 1, got y={pt.y} (boundary values are exact)")
-    p, q, x, y = sp.p, sp.q, pt.x, pt.y
     r = sp.r
     c = sp.cos2
     s = sp.sin2
@@ -142,8 +146,8 @@ def build_frame(sp: ShapeParams, pt: EvalPoint) -> SaddleFrame:
     D = (c - xi) * (c - xi) + 4.0 * xi
     t0 = 2.0 / (math.sqrt(D) + (c - xi))
     if not t0 > 1.0:  # t0 > 1 in exact arithmetic; at huge xi it rounds to 1
-        raise FrameDegenerateError(f"saddle rounds onto the branch point t = 1 at x={x}, y={y}")
-    tp = 1.0 / y
+        raise FrameDegenerateError(f"saddle rounds onto the branch point t = 1 at x={pt.x}, y={pt.y}")
+    tp = 1.0 / pt.y
     dphi = _dphi_between(t0, tp, s, xi)
     zeta = math.copysign(math.sqrt(2.0 * dphi), tp - t0)
     t0m1 = t0 - 1.0
@@ -152,9 +156,8 @@ def build_frame(sp: ShapeParams, pt: EvalPoint) -> SaddleFrame:
     phi4 = -6.0 / t0**4 + 6.0 * s / t0m1**4
     phi5 = 24.0 / t0**5 - 24.0 * s / t0m1**5
     return SaddleFrame(
-        p=p, q=q, x=x, y=y, r=r, sin2=s, cos2=c, xi=xi, t0=t0, tp=tp,
-        y0=sp.transition_quantile(x), x0=sp.transition_noncentrality(y), dphi=dphi, zeta=zeta,
-        phi2=phi2, phi3=phi3, phi4=phi4, phi5=phi5,
+        y=pt.y, r=r, sin2=s, cos2=c, t0=t0, tp=tp, y0=sp.transition_quantile(pt.x), dphi=dphi,
+        zeta=zeta, phi2=phi2, phi3=phi3, phi4=phi4, phi5=phi5,
     )
 
 
@@ -166,17 +169,8 @@ def _phase_a(frame: SaddleFrame, n: int) -> np.ndarray:
         raise FrameDegenerateError(
             f"phase not convex at the saddle (phi''={frame.phi2:.3e}); outside the validity strip"
         )
-    # 2 phi_m/m! = 2 (-1)^(m-1)/m (t0^-m - sin^2 (t0-1)^-m)
-    i0 = 1.0 / frame.t0
-    i1 = 1.0 / (frame.t0 - 1.0)
-    pow0 = i0 * i0
-    pow1 = i1 * i1
-    A = [frame.phi2]
-    for m in range(3, n + 3):
-        pow0 *= i0
-        pow1 *= i1
-        A.append((2.0 if m % 2 else -2.0) / m * (pow0 - frame.sin2 * pow1))
-    return np.array(A)
+    higher = islice(_phase_coeffs(frame.t0, frame.sin2), 1, n + 1)  # c_3..c_{n+2}
+    return np.array([frame.phi2] + [2.0 * c for c in higher])
 
 
 def invert_phi_series(frame: SaddleFrame) -> np.ndarray:
@@ -340,19 +334,20 @@ def eval_large_z(sp: ShapeParams, pt: EvalPoint, n_terms: int = 5) -> Probabilit
     return ProbabilityPair.from_primary(value, "b", "large-z", err)
 
 
-_DOUBLE_FACT = (1.0, 1.0, 3.0)  # (2k-1)!! = 2^k (1/2)_k for k = 0, 1, 2
-
-
-def _series_terms(coeff_even: np.ndarray, r: float, k_terms: int) -> list[float]:
-    terms = []
-    for k in range(k_terms + 1):
-        terms.append((-1.0) ** k * coeff_even[2 * k] * _DOUBLE_FACT[k] / r**k)
-    return terms
-
-
-def _asym_err_floor(frame: SaddleFrame) -> float:
+def _saddle_type_sum(sp: ShapeParams, pt: EvalPoint, k_terms: int, method: str, coeffs):
+    """The sum shared by the saddle and erfc-uniform expansions: the terms
+    (-1)^k c_{2k} (2k-1)!!/r^k, k = 0..k_terms, of the coefficients
+    ``coeffs(frame)``, with the prefactor e^{-r dphi}/sqrt(2 pi r) and the
+    exponent's rounding floor.  Returns (frame, terms, sum, prefactor, floor)."""
+    if not 0 <= k_terms <= 2:
+        raise DomainError(f"{method} expansion implemented for k = 0..2 terms, got {k_terms}")
+    frame = build_frame(sp, pt)
+    c = coeffs(frame)
+    terms = [(-1.0) ** k * c[2 * k] * (1.0, 1.0, 3.0)[k] / frame.r**k for k in range(k_terms + 1)]
+    pfac = math.exp(-frame.r * frame.dphi - 0.5 * (_LOG_2PI + math.log(frame.r)))
     # exponent noise: d(e^E) = e^E dE with dE ~ eps * r * (dphi + O(1))
-    return 2e-16 * frame.r * (frame.dphi + 1.0) + 5e-15
+    floor = 2e-16 * frame.r * (frame.dphi + 1.0) + 5e-15
+    return frame, terms, math.fsum(terms), pfac, floor
 
 
 def eval_saddle(sp: ShapeParams, pt: EvalPoint, k_terms: int = 2) -> ProbabilityPair:
@@ -361,23 +356,19 @@ def eval_saddle(sp: ShapeParams, pt: EvalPoint, k_terms: int = 2) -> Probability
         B ~ e^{-r dphi} / sqrt(2 pi r) * sum_k (-1)^k f_{2k} (2k-1)!! / r^k,
 
     valid for y below the transition quantile (pole away from the saddle)."""
-    if not 0 <= k_terms <= 2:
-        raise DomainError(f"saddle expansion implemented for k = 0..2 terms, got {k_terms}")
-    frame = build_frame(sp, pt)
-    if pt.y > frame.y0 - 0.05:
-        raise EvaluationError(
-            f"quantile {pt.y} too close to the transition value {frame.y0:.6g}; "
-            "use the erfc-uniform route"
-        )
-    f = f_coeffs(frame)
-    terms = _series_terms(f, frame.r, k_terms)
-    ssum = math.fsum(terms)
+
+    def coeffs(frame: SaddleFrame) -> np.ndarray:
+        if pt.y > frame.y0 - 0.05:
+            raise EvaluationError(
+                f"quantile {pt.y} too close to the transition value {frame.y0:.6g}; "
+                "use the erfc-uniform route"
+            )
+        return f_coeffs(frame)
+
+    _, terms, ssum, pfac, floor = _saddle_type_sum(sp, pt, k_terms, "saddle", coeffs)
     if ssum <= 0.0:
         raise EvaluationError("saddle expansion lost positivity; out of regime")
-    lpre = -frame.r * frame.dphi - 0.5 * (_LOG_2PI + math.log(frame.r))
-    value = math.exp(lpre) * ssum
-    err = abs(terms[-1] / ssum) + _asym_err_floor(frame)
-    return ProbabilityPair.from_primary(value, "b", "saddle", err)
+    return ProbabilityPair.from_primary(pfac * ssum, "b", "saddle", abs(terms[-1] / ssum) + floor)
 
 
 def eval_erfc_uniform(
@@ -396,32 +387,21 @@ def eval_erfc_uniform(
     serves the whole large-r strip.  ``target`` picks the member computed
     directly ("B", "Bbar", or "auto" for the smaller one, y vs the
     transition quantile)."""
-    if not 0 <= k_terms <= 2:
-        raise DomainError(f"erfc-uniform expansion implemented for k = 0..2 terms, got {k_terms}")
-    frame = build_frame(sp, pt)
-    g = g_coeffs(frame)
-    terms = _series_terms(g, frame.r, k_terms)
-    ssum = math.fsum(terms)
-    pfac = math.exp(-frame.r * frame.dphi - 0.5 * (_LOG_2PI + math.log(frame.r)))
+    frame, terms, ssum, pfac, floor = _saddle_type_sum(sp, pt, k_terms, "erfc-uniform", g_coeffs)
     if target == "auto":
         target = "Bbar" if _complement_is_primary(sp, pt) else "B"
-    if target == "B":
-        value = 0.5 * math.erfc(frame.erfc_arg) + pfac * ssum
-        primary = "b"
-    elif target == "Bbar":
-        value = 0.5 * math.erfc(-frame.erfc_arg) - pfac * ssum
-        primary = "bbar"
-    else:
+    if target not in ("B", "Bbar"):
         raise DomainError(f"target must be 'auto', 'B' or 'Bbar', got {target!r}")
+    sgn = 1.0 if target == "B" else -1.0
+    value = 0.5 * math.erfc(sgn * frame.erfc_arg) + sgn * pfac * ssum
     if value <= 0.0:
         value = 0.0
     # first omitted term: the last one, or t_{K-1}^2/t_{K-2} when the last coefficient nears a zero
     tail = abs(terms[-1])
     if k_terms >= 2 and terms[-3] != 0.0:
         tail = max(tail, terms[-2] * terms[-2] / abs(terms[-3]))
-    err_abs = pfac * tail
-    err = err_abs / value + _asym_err_floor(frame) if value > 0.0 else 1.0
-    return ProbabilityPair.from_primary(value, primary, "erfc-uniform", err)
+    err = pfac * tail / value + floor if value > 0.0 else 1.0
+    return ProbabilityPair.from_primary(value, target.lower(), "erfc-uniform", err)
 
 
 # ---------------------------------------------------------------------------
@@ -512,15 +492,3 @@ def zeta_series_value(coeffs, zeta: float, unknown: str) -> float:
     if not (v >= 0.0 if unknown == "x" else 0.0 < v < 1.0):
         raise SeriesInvalidError(f"{unknown}(zeta) series left the domain ({unknown}={v:.3e})")
     return v
-
-
-def x_of_zeta(sp: ShapeParams, y: float, zeta: float) -> float:
-    """Noncentrality on the fixed-(p, q, y) family at signed distance zeta
-    from the transition."""
-    return zeta_series_value(x_zeta_coeffs(sp, y), zeta, "x")
-
-
-def y_of_zeta(sp: ShapeParams, x: float, zeta: float) -> float:
-    """Quantile on the fixed-(p, q, x) family at signed distance zeta from
-    the transition."""
-    return zeta_series_value(y_zeta_coeffs(sp, x), zeta, "y")

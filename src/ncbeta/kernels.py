@@ -7,6 +7,11 @@ fraction, and the regularized incomplete beta I_y(p, q).
 Everything in this module is a pure function of its float arguments.  The
 ``_``-prefixed cores take no checks; the public wrappers validate inputs
 and raise typed exceptions.
+
+One modified Lentz loop, ``_lentz``, serves the three continued fractions
+off the hot path: erfcx, the Kummer ratio and the recurrence's minimal
+ratio.  The incomplete-beta fraction ``_betacf`` keeps its own inline loop
+because every series window spends its time there.
 """
 
 from __future__ import annotations
@@ -97,11 +102,36 @@ def _log_beta_pre(p, q, y):
     return p * math.log(y) + q * math.log1p(-y) - _log_beta(p, q)
 
 
+def _lentz(b0, pairs, tol):
+    """Modified Lentz evaluation of b0 + a_1/(b_1 + a_2/(b_2 + ...)) over the
+    partial pairs (a_k, b_k) of ``pairs``, stopping at the first step whose
+    factor is within ``tol`` of 1.  Returns (value, converged); converged is
+    False when the pairs run out first."""
+    f = b0 if b0 != 0.0 else _FPMIN
+    c = f
+    d = 0.0
+    for a, b in pairs:
+        d = b + a * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = b + a / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = c * d
+        f *= delta
+        if abs(delta - 1.0) < tol:
+            return f, True
+    return f, False
+
+
 def _betacf(a, b, x):
     """Modified Lentz evaluation of the standard continued fraction for the
     regularized incomplete beta ratio.  Converges best for
     x < (a + 1)/(a + b + 2).  Returns nan when 3000 iterations do not reach
-    a 3e-16 step; callers must treat nan as non-convergence."""
+    a 3e-16 step; callers must treat nan as non-convergence.  The loop is
+    written out rather than run through ``_lentz``: this is the hot kernel
+    of every series window."""
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -188,22 +218,7 @@ def _erfcx_pos(z):
     Laplace continued fraction avoids the underflowing e^{-z^2} factor."""
     if z < 1.0:
         return math.exp(z * z) * math.erfc(z)
-    f = z
-    c = z
-    d = 0.0
-    for k in range(1, 10001):
-        v = 0.5 * k
-        d = z + v * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = z + v / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-17:
-            break
+    f, _ = _lentz(z, ((0.5 * k, z) for k in range(1, 10001)), 1e-17)
     return INV_SQRT_PI / f
 
 
@@ -257,28 +272,15 @@ def _kummer_ratio_pp(a, b, z):
     which makes the fraction convergent.  Returns nan on non-convergence."""
     if z == 0.0:
         return 1.0
-    f = 1.0
-    c = 1.0
-    d = 0.0
-    for k in range(1, 10001):
+
+    def v(k):
+        j = k // 2
         if k % 2 == 1:
-            j = (k - 1) // 2
-            v = (a - b - j) * z / ((b + 2 * j) * (b + 2 * j + 1))
-        else:
-            j = k // 2
-            v = (a + j) * z / ((b + 2 * j - 1) * (b + 2 * j))
-        d = 1.0 + v * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + v / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return 1.0 / f
-    return math.nan
+            return (a - b - j) * z / ((b + 2 * j) * (b + 2 * j + 1))
+        return (a + j) * z / ((b + 2 * j - 1) * (b + 2 * j))
+
+    f, converged = _lentz(1.0, ((v(k), 1.0) for k in range(1, 10001)), 1e-16)
+    return 1.0 / f if converged else math.nan
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DirectionError, DomainError, EvaluationError
-from .kernels import _kummer_m_log, _log_beta, kummer_ratio_shift11
+from .kernels import _kummer_m_log, _lentz, _log_beta, kummer_ratio_shift11
 from .params import EvalPoint, ShapeParams
 
 THREE_TERM_ADMISSIBLE = {
@@ -229,28 +229,11 @@ def minimal_ratio_p(sp: ShapeParams, pt: EvalPoint, depth: int = 10000) -> float
     B_{p+1}/B_p = c_{p+1}/(1 + c_{p+1} - c_{p+2}/(1 + c_{p+2} - ...)),
     with the coefficient index starting one above the ratio's lower index
     (the series-quotient oracle pins the offset)."""
-    tiny = 1e-300
-    f = tiny
-    C = f
-    D = 0.0
-    k = 0
-    while k < depth:
-        ck = three_term_coeff_p(ShapeParams(sp.p + 1 + k, sp.q), pt)
-        a = ck if k == 0 else -ck
-        b = 1.0 + ck
-        D = b + a * D
-        if abs(D) < tiny:
-            D = tiny
-        C = b + a / C
-        if abs(C) < tiny:
-            C = tiny
-        D = 1.0 / D
-        delta = C * D
-        f *= delta
-        if abs(delta - 1.0) < 1e-15:
-            return f
-        k += 1
-    raise EvaluationError(f"minimal-ratio continued fraction did not converge in {depth} levels")
+    cs = (three_term_coeff_p(ShapeParams(sp.p + 1 + k, sp.q), pt) for k in range(depth))
+    f, converged = _lentz(0.0, ((c if k == 0 else -c, 1.0 + c) for k, c in enumerate(cs)), 1e-15)
+    if not converged:
+        raise EvaluationError(f"minimal-ratio continued fraction did not converge in {depth} levels")
+    return f
 
 
 def four_term_coeffs_p(sp: ShapeParams, pt: EvalPoint) -> tuple[float, float, float, float]:
@@ -291,7 +274,9 @@ def run_four_term(
     Admissible directions are (p, backward, B) and (q, forward, B) only.
     ``sp`` holds the starting parameters; ``seeds`` are three consecutive
     values starting there and proceeding along the direction of travel.
-    ``_force`` bypasses the guard for instability experiments."""
+    ``_force`` bypasses the guard for instability experiments.  A step whose
+    leading coefficient is 0 (forward over p at z = xy/2 = 0) raises
+    DomainError."""
     if direction.key not in FOUR_TERM_ADMISSIBLE and not _force:
         if direction.axis == "p" and direction.sense == "forward":
             detail = (
@@ -319,13 +304,16 @@ def run_four_term(
     worst = 0.0
     for i in range(steps):
         newpar = params[i + 2] + d
+        # the stencil is based at its lowest parameter: the new one backward,
+        # the oldest known one forward; the new value's coefficient leads
+        k0, k1, k2, k3 = coeffs(_at(sp, axis, newpar if d < 0 else params[i]), pt)
+        if (k0 if d < 0 else k3) == 0.0:
+            raise DomainError(
+                f"four-term step to {axis} = {newpar:g} has a zero leading coefficient at x={pt.x}, y={pt.y}"
+            )
         if d < 0:
-            # stencil base is the new (lowest) parameter
-            k0, k1, k2, k3 = coeffs(_at(sp, axis, newpar), pt)
             values[i + 3] = -(k3 * values[i] + k2 * values[i + 1] + k1 * values[i + 2]) / k0
         else:
-            # stencil base is the oldest of the three known values
-            k0, k1, k2, k3 = coeffs(_at(sp, axis, params[i]), pt)
             values[i + 3] = -(k0 * values[i] + k1 * values[i + 1] + k2 * values[i + 2]) / k3
         params[i + 3] = newpar
         # the stencil's values in increasing parameter order

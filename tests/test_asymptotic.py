@@ -17,10 +17,9 @@ from ncbeta.asymptotic import (
     g_coeffs,
     invert_phi_series,
     transition_tau,
-    x_of_zeta,
     x_zeta_coeffs,
-    y_of_zeta,
     y_zeta_coeffs,
+    zeta_series_value,
 )
 from ncbeta.errors import DomainError, EvaluationError, FrameDegenerateError, SeriesInvalidError
 from ncbeta.params import EvalPoint, ShapeParams
@@ -173,6 +172,37 @@ def g_reference(p, q, x, y):
         return out
 
 
+def zeta_reference(p, q, x, y):
+    """zeta = sign(t_p - t0) sqrt(2 (phi(t_p) - phi(t0))) in 40 digits, at
+    the 40-digit saddle of the exact inputs (phi'(t0) = 0 there, unlike at a
+    saddle rounded to a double)."""
+    with mp.workdps(40):
+        p, q, x, y = (mp.mpf(v) for v in (p, q, x, y))
+        r = p + q
+        c, s, xi = p / r, q / r, x * y / (2 * r)
+        t0 = 2 / (mp.sqrt((c - xi) ** 2 + 4 * xi) + c - xi)
+        tp = 1 / y
+
+        def phi(t):
+            return mp.log(t) - s * mp.log(t - 1) + xi * t
+
+        return mp.sign(tp - t0) * mp.sqrt(2 * (phi(tp) - phi(t0)))
+
+
+def zeta_condition(p, q, x, y, h=1e-10):
+    """sum over v in (p, q, x, y) of |d zeta / d ln v|, by 40-digit secants:
+    how far rounding the inputs alone moves zeta, per unit relative error."""
+    with mp.workdps(40):
+        args = [mp.mpf(v) for v in (p, q, x, y)]
+        base = zeta_reference(*args)
+        total = 0.0
+        for i in range(4):
+            moved = list(args)
+            moved[i] *= 1 + mp.mpf(h)
+            total += float(abs(zeta_reference(*moved) - base)) / h
+    return total
+
+
 def zeta_by_root(sp, fixed, value, unknown):
     if unknown == "x":
         return build_frame(sp, EvalPoint(value, fixed)).zeta
@@ -233,8 +263,7 @@ class TestPowerSeriesHelpers:
 
 class TestFrame:
     def test_transition_noncentrality_example(self):
-        fr = build_frame(ShapeParams(4.5, 5.5), EvalPoint(1.0, 0.6))
-        assert abs(fr.x0 - 7.5) <= 1e-12
+        assert abs(ShapeParams(4.5, 5.5).transition_noncentrality(0.6) - 7.5) <= 1e-12
 
     def test_zeta_zero_at_transition(self):
         fr = build_frame(ShapeParams(10.0, 15.0), EvalPoint(50.0 / 11.0, 0.45))
@@ -243,6 +272,32 @@ class TestFrame:
     def test_zero_noncentrality_limit(self):
         fr = build_frame(ShapeParams(10.0, 15.0), EvalPoint(0.0, 0.45))
         assert abs(fr.t0 - 2.5) <= 1e-14  # r / p
+
+    # (p, q, x) with y putting |t_p - t0| at 0.95 and 1.05 of the switch
+    # 0.4 min(t0 - 1, t0) of the dphi series, on either side of the saddle
+    SWITCH_EXAMPLES = ((66.9, 602.4, 235.6, 0.1592, 0.95), (66.9, 602.4, 235.6, 0.1536, 1.05),
+                       (66.9, 602.4, 235.6, 0.3805, -0.95), (66.9, 602.4, 235.6, 0.4028, -1.05))
+
+    @pytest.mark.parametrize("p, q, x, y, at", SWITCH_EXAMPLES)
+    def test_switch_examples_straddle_the_dphi_switch(self, p, q, x, y, at):
+        fr = build_frame(ShapeParams(p, q), EvalPoint(x, y))
+        assert abs((fr.tp - fr.t0) / (0.4 * min(fr.t0 - 1.0, fr.t0)) - at) <= 0.01
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.floats(0.5, 2000.0), st.floats(0.5, 2000.0), st.floats(0.0, 500.0), st.floats(0.001, 0.999))
+    @example(*SWITCH_EXAMPLES[0][:4])
+    @example(*SWITCH_EXAMPLES[1][:4])
+    @example(*SWITCH_EXAMPLES[2][:4])
+    @example(*SWITCH_EXAMPLES[3][:4])
+    @example(0.5, 1450.0, 0.001, 0.001)  # flat phase (phi'' = 4e-11): the closed form's two logs cancel
+    def test_zeta_accurate_on_both_dphi_branches(self, p, q, x, y):
+        # 1e-13 relative, plus 1e-13 of zeta's response to relative changes
+        # of the inputs (``zeta_condition``), which is the scale left near
+        # the transition where zeta -> 0, plus 1e-13 absolute: where the
+        # phase is flat the closed form's O(1) logs cancel to a small dphi
+        fr = build_frame(ShapeParams(p, q), EvalPoint(x, y))
+        ref = float(zeta_reference(p, q, x, y))
+        assert abs(fr.zeta - ref) <= 1e-13 * (1.0 + abs(ref) + zeta_condition(p, q, x, y))
 
     def test_zeta_sign_tracks_pole_minus_saddle(self):
         sp = ShapeParams(12.0, 9.0)
@@ -446,7 +501,7 @@ class TestErfcUniform:
 
     def test_works_through_transition(self):
         sp = ShapeParams(30.0, 30.0)
-        x0 = build_frame(sp, EvalPoint(10.0, 0.5)).x0
+        x0 = sp.transition_noncentrality(0.5)
         pair = eval_erfc_uniform(sp, EvalPoint(x0, 0.5))
         ref = eval_series(sp, EvalPoint(x0, 0.5))
         assert abs(pair.b - ref.b) <= 1e-8
@@ -513,17 +568,17 @@ class TestTransitionSeries:
 
     def test_worked_inversion_points(self):
         sp = ShapeParams(10.0, 15.0)
-        x = x_of_zeta(sp, 0.45, 0.05067)
+        x = zeta_series_value(x_zeta_coeffs(sp, 0.45), 0.05067, "x")
         assert abs(x - 7.1704) <= 5e-3 * 7.1704
-        y = y_of_zeta(sp, 4.5, 0.0)
+        y = zeta_series_value(y_zeta_coeffs(sp, 4.5), 0.0, "y")
         assert abs(y - 49.0 / 109.0) <= 1e-13
 
     def test_round_trip_through_frame(self):
         sp = ShapeParams(10.0, 15.0)
         for zt in (0.02, -0.02):
-            xz = x_of_zeta(sp, 0.45, zt)
+            xz = zeta_series_value(x_zeta_coeffs(sp, 0.45), zt, "x")
             assert abs(build_frame(sp, EvalPoint(xz, 0.45)).zeta - zt) <= 1e-8
-            yz = y_of_zeta(sp, 4.5, zt)
+            yz = zeta_series_value(y_zeta_coeffs(sp, 4.5), zt, "y")
             assert abs(build_frame(sp, EvalPoint(4.5, yz)).zeta - zt) <= 1e-8
 
     def test_coefficients_bit_identical_to_numpy_reference(self):
@@ -556,4 +611,4 @@ class TestTransitionSeries:
     def test_out_of_domain_result_rejected(self):
         # a large negative zeta drives the noncentrality below zero
         with pytest.raises(SeriesInvalidError):
-            x_of_zeta(ShapeParams(10.0, 15.0), 0.45, -0.5)
+            zeta_series_value(x_zeta_coeffs(ShapeParams(10.0, 15.0), 0.45), -0.5, "x")

@@ -6,6 +6,8 @@ import pytest
 
 from ncbeta.errors import DomainError
 from ncbeta.kernels import (
+    _kummer_ratio_pp,
+    _lentz,
     _stirling_delta,
     central_beta_cdf,
     erfc,
@@ -156,6 +158,20 @@ class TestKummerM:
         assert abs(kummer_m_log(a, b, z) - float(ref)) <= 1e-12
 
 
+class TestLentz:
+    def test_known_fraction(self):
+        # sqrt(2) - 1 = 1/(2 + 1/(2 + ...))
+        value, converged = _lentz(0.0, ((1.0, 2.0) for _ in range(100)), 1e-15)
+        assert converged
+        assert abs(value - (math.sqrt(2.0) - 1.0)) <= 2e-16
+
+    def test_reports_exhausted_pairs(self):
+        # three levels stop short of the 1e-15 step: the value is the convergent 1/(2 + 1/(2 + 1/2))
+        value, converged = _lentz(0.0, [(1.0, 2.0)] * 3, 1e-15)
+        assert not converged
+        assert abs(value - 5.0 / 12.0) <= 1e-16
+
+
 class TestKummerRatio:
     def test_trivial_z_zero(self):
         assert kummer_ratio_shift11(3.0, 7.0, 0.0) == 1.0
@@ -174,6 +190,15 @@ class TestKummerRatio:
             cf = kummer_ratio_shift11(a, b, z)
             quot = math.exp(kummer_m_log(a + 1, b + 1, z) - kummer_m_log(a, b, z))
             assert abs(cf - quot) <= 1e-13 * quot
+
+    def test_series_quotient_fallback(self):
+        # at z = 8e5 the fraction runs out of its 10^4 levels; the series still converges
+        a, b, z = 1.0, 10.0, 8e5
+        assert math.isnan(_kummer_ratio_pp(a, b, z))
+        quot = math.exp(kummer_m_log(a + 1, b + 1, z) - kummer_m_log(a, b, z))
+        assert kummer_ratio_shift11(a, b, z) == quot
+        ref = mp.hyp1f1(a + 1, b + 1, z) / mp.hyp1f1(a, b, z)
+        assert abs(quot - ref) <= 1e-8 * ref
 
 
 class TestCentralBeta:

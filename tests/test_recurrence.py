@@ -5,11 +5,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncbeta import recurrence
-from ncbeta.errors import DirectionError
+from ncbeta.errors import DirectionError, DomainError
 from ncbeta.kernels import central_beta_cdf, kummer_m_log
 from ncbeta.params import EvalPoint, ShapeParams
 from ncbeta.recurrence import (
@@ -205,6 +205,12 @@ class TestRunFourTerm:
         ref = b_of(200.0, 1200.0, pt)
         assert abs(run.final_value - ref) <= 2e-12 * ref
 
+    def test_zero_leading_coefficient_raises(self):
+        # forward over p the new value's coefficient is c3 = z = xy/2, 0 at x = 0
+        d = RecurrenceDirection("p", "forward", "B")
+        with pytest.raises(DomainError, match="zero leading coefficient"):
+            run_four_term(d, (0.5, 0.4, 0.3), 3, ShapeParams(30.0, 40.0), EvalPoint(0.0, 0.5), _force=True)
+
 
 def shifted(sp, axis, v):
     return ShapeParams(v, sp.q) if axis == "p" else ShapeParams(sp.p, v)
@@ -279,10 +285,17 @@ class TestSweepResiduals:
         st.tuples(seed_values, seed_values, seed_values),
         st.integers(0, 15),
     )
+    @example(("p", "forward", "B"), (30.0, 40.0, 0.0, 0.5), (0.5, 0.4, 0.3), 3)
     def test_four_term_every_direction(self, key, point, seeds, steps):
         p, q, x, y = point
         sp, pt = ShapeParams(p, q), EvalPoint(x, y)
         name = "four_term_coeffs_p" if key[0] == "p" else "four_term_coeffs_q"
+        # on these draws only the forward-p step can lead with a zero
+        # coefficient: c3 = z = xy/2, at x = 0
+        if steps > 0 and key[:2] == ("p", "forward") and four_term_coeffs_p(sp, pt)[3] == 0.0:
+            with pytest.raises(DomainError, match="zero leading coefficient"):
+                run_four_term(RecurrenceDirection(*key), seeds, steps, sp, pt, _force=True)
+            return
         # a forced sweep in an unstable direction may overflow: both passes
         # then meet the same inf and nan values
         with np.errstate(over="ignore", invalid="ignore"):
