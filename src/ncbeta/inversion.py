@@ -16,22 +16,29 @@ differ only in the transition point x0 or y0, the domain and the direction
    where Halley's does not apply), evaluating B with the reference series,
    as ``evaluate`` does; the first and second derivatives in the unknown
    are summed over the same window from the Poisson weights and increments
-   that series pass formed, so each step costs one series pass.  An
-   iterate past the series' window cap raises its ``EvaluationError``.
+   that series pass formed.  A solve plans one window and, after each
+   Newton or Halley step, re-sums it at the new iterate: only the chain
+   that depends on the unknown is rescaled, by an exact factor, and the
+   sum is finished by the series' own ``_finish`` (``_resum``).  A
+   bisection or doubling step, or a window that no longer fits the
+   iterate, plans a new one.  An iterate past the series' window cap
+   raises its ``EvaluationError``.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .asymptotic import build_frame, g_coeffs, x_zeta_coeffs, y_zeta_coeffs, zeta_series_value
 from .errors import DomainError, EvaluationError
-from .kernels import central_beta_cdf, inv_erfc
+from .kernels import _betainc, central_beta_cdf, inv_erfc
 from .params import EvalPoint, ShapeParams
-from .series import _series_window
+from .series import _complement_is_primary, _finish, _Planned, _row_plan, _series_pair, _series_window, _window
 
 
 @dataclass(frozen=True)
@@ -196,48 +203,79 @@ def _doubling(lo: float, step: float):
 def _transition_root(problem: InversionProblem, zeta0: float) -> float | None:
     """Root of dphi(.) = zeta0^2/2 on the side of the transition point
     selected by the sign of zeta0, by one walk: away from the point through
-    trials, bisecting between it and the first trial where dphi exceeds
-    zeta0^2/2.  The trials are doubling steps above x0 (from 0 when x0 < 0),
-    x = 0 below it, and 2^-k of the way from y0 to 0 or to 1 for y,
-    k = 1..200.  Returns None when no trial brackets a root."""
+    trials, then false position (``_illinois``) between the first trial
+    where dphi exceeds zeta0^2/2 and the trial before it (the point itself
+    before the first).  The trials are doubling steps above x0 (from 0 when
+    x0 < 0), x = 0 below it, and 2^-k of the way from y0 to 0 or to 1 for
+    y, k = 1..200.  Returns None when no trial brackets a root."""
     half_z0sq = 0.5 * zeta0 * zeta0
     start = _transition_point(problem)
 
     def F(v):
         return build_frame(problem.sp, _point(problem, v)).dphi - half_z0sq
 
+    fprev = None  # dphi - zeta0^2/2 at start, once formed
     if problem.unknown == "y":
         edge = 0.0 if zeta0 > 0.0 else 1.0
         trials = (edge + (start - edge) * 0.5**k for k in range(1, 201))
     elif zeta0 > 0.0:
         step = max(1.0, 0.5 * abs(start) + 1.0)
         start = max(start, 0.0)
-        if F(start) > 0.0:
+        fprev = F(start)
+        if fprev > 0.0:
             return None
         trials = _doubling(start, step)
     else:
         trials = [0.0] if start > 0.0 else []
+    prev = start
     for v in trials:
         fv = F(v)
         # x = 0 is the domain's edge: a root on it brackets too
         if fv > 0.0 or (v == 0.0 and fv == 0.0):
-            return _bisect(F, min(start, v), max(start, v))
+            if fprev is None:
+                fprev = F(prev)
+            ends = sorted(((prev, fprev), (v, fv)))
+            return _illinois(F, *ends[0], *ends[1])
+        prev, fprev = v, fv
     return None
 
 
-def _bisect(fn, lo: float, hi: float, iters: int = 200) -> float:
-    flo = fn(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+def _illinois(fn, lo: float, flo: float, hi: float, fhi: float) -> float:
+    """A root of fn in [lo, hi], whose ends' values flo and fhi differ in
+    sign or vanish, by the Illinois variant of false position (Dowell and
+    Jarratt, BIT 11, 1971): the secant point of the bracket replaces the
+    end whose value has its sign, and an end kept twice in a row has its
+    value halved, so both ends close in superlinearly.  Stops at a zero, or
+    once the bracket is no wider than w = 1e-13 (|lo| + |hi| + 1e-6) or
+    after 200 steps, and returns its midpoint.  A secant point closer than w/2 to an end is
+    moved to w/2 from it, so that a root met closely from one side closes
+    the bracket at the next step instead of creeping in from the other; a
+    non-finite one is replaced by the midpoint."""
+    if flo == 0.0 or fhi == 0.0:
+        return lo if flo == 0.0 else hi
+    kept = 0  # the end the last step kept: -1 lo, 1 hi
+    for _ in range(200):
+        width = 1e-13 * (abs(lo) + abs(hi) + 1e-6)
+        if hi - lo <= width:
             break
+        mid = min(max(hi - fhi * (hi - lo) / (fhi - flo), lo + 0.5 * width), hi - 0.5 * width)
+        if not lo < mid < hi:
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
         fm = fn(mid)
+        if fm == 0.0:
+            return mid
         if (fm > 0.0) == (flo > 0.0):
             lo, flo = mid, fm
+            if kept == 1:
+                fhi *= 0.5
+            kept = 1
         else:
-            hi = mid
-        if hi - lo <= 1e-13 * (abs(lo) + abs(hi) + 1e-6):
-            break
+            hi, fhi = mid, fm
+            if kept == -1:
+                flo *= 0.5
+            kept = -1
     return 0.5 * (lo + hi)
 
 
@@ -295,24 +333,136 @@ def invert(problem: InversionProblem) -> InversionResult:
     return InversionResult(value, iters, resid, seed_path, abs(resid) <= band, zeta0, seed, seed_raw)
 
 
-def _eval_at(problem: InversionProblem, v: float):
-    """(pair, B', B'') at the iterate: B from the reference series and its
-    first and second derivatives in the unknown from the same window
-    (``_slope``).  Where no window was summed (a B certified to round to 0)
-    both derivatives are 0 and no Newton or Halley step is taken; past the
-    window cap the series' ``EvaluationError`` propagates."""
+class _Held(NamedTuple):
+    """A solve's last full series pass: its plan, its window's weights,
+    terms and increments, and its err_est."""
+
+    r: _Planned
+    wgt: np.ndarray
+    terms: np.ndarray
+    d: np.ndarray
+    err: float
+
+
+def _plan(sp: ShapeParams, pt: EvalPoint):
+    """The series pass of ``eval_series`` at pt, 0 < y < 1, planned
+    (``_row_plan``), summed (``_window``) and finished (``_finish``), as
+    (pair, window, held): the window as ``_series_window`` gives it, and the
+    pass as a ``_Held`` where a window was summed to a nonzero value, else
+    None."""
+    complement = _complement_is_primary(sp, pt)
+    r = _row_plan(sp.p, sp.q, pt.x, pt.y, complement)
+    if not isinstance(r, _Planned):
+        return _series_pair(sp, pt, complement, *r[:2]), r[2], None
+    wgt, terms, d = _window(r)
+    value, err = _finish(r, wgt, terms, d)
+    pair = _series_pair(sp, pt, complement, value, err)
+    if value == 0.0:
+        return pair, None, None
+    return pair, (r.j_lo, wgt, d, r.shift), _Held(r, wgt, terms, d, err)
+
+
+def _resum(problem: InversionProblem, pt: EvalPoint, held: _Held):
+    """The held window re-summed at pt, as (pair, window), or None where a
+    new window must be planned.
+
+    Only the chain that depends on the unknown moves, by an exact factor
+    whose log is linear in the index, c + i L:
+
+    - unknown x: the Poisson weights, w_j(h')/w_j(h) = e^{h-h'} (h'/h)^j,
+      h = x/2; the terms and increments stay;
+    - unknown y: the increments, d_a(y')/d_a(y) = (y'/y)^a ((1-y')/(1-y))^q,
+      a = p + j; the weights stay, and the terms are rebuilt from one new
+      seed, I_{y'}(p+j_top+1, q) for B or I_{1-y'}(q, p+j_lo) for the
+      complement, as ``series._window`` builds them.
+
+    The sum is finished by ``series._finish`` at the new point, so its tails
+    and floor are those of the window actually summed, and err_est adds the
+    rounding of the factors, 5u (|c| + i_top |L|) + 2u with u = 1.12e-16,
+    i_top the window's last index.
+
+    A new window is planned instead where the primary member switches (the
+    iterate crosses the transition point), where the window no longer holds
+    h' (below its lower edge the Chernoff bound on the dropped mass fails,
+    past its top the geometric bound on the tail), where y's chain is
+    scaled at either point (its anchor increment below e^-650), where a
+    factor leaves the float range, where a factor
+    above 1 meets a moving chain that reaches below the normal range (the
+    chain is unimodal, so an end shows it; its absolute rounding there
+    would grow by the factor), where the value is 0 or subnormal (its
+    products w_j t_j lose precision that err_est does not carry), or where
+    the re-summed err_est exceeds twice the planned one plus 1e-16."""
+    r, wgt, terms, d, err0 = held
+    if _complement_is_primary(problem.sp, pt) != r.complement:
+        return None
+    if problem.unknown == "x":
+        half = 0.5 * pt.x
+        if not r.j_lo <= half < r.j_lo + r.n:
+            return None
+        # w_j(h')/w_j(h) = e^{c + j L}: c = h - h', L = ln(h'/h), i = j
+        lk = math.log1p((half - r.half) / r.half)
+        c, base, moving = r.half - half, r.j_lo, wgt
+        r = r._replace(half=half)
+    else:
+        y = pt.y
+        # d_a(y')/d_a(y) = e^{c + a L}: c = q ln((1-y')/(1-y)), L = ln(y'/y), i = a
+        lk = math.log1p((y - r.y) / r.y)
+        c, base, moving = r.q * math.log1p((r.y - y) / (1.0 - r.y)), r.a0 - r.k0, d
+        ld0 = r.ld0 + r.a0 * lk + c
+        if r.shift != 0.0 or ld0 < -650.0:
+            return None
+    top = base + (r.n - 1)
+    e_lo = c + base * lk
+    e_max = max(e_lo, c + top * lk)
+    if e_max > 700.0 or (e_max > 0.0 and min(moving[0], moving[-1]) < sys.float_info.min):
+        return None
+    scale = np.exp(e_lo + lk * np.arange(r.n))
+    if problem.unknown == "x":
+        wgt = wgt * scale
+    else:
+        d = d * scale
+        if r.complement:
+            seed = _betainc(r.q, r.p + r.j_lo, 1.0 - y)
+            terms = np.cumsum(np.concatenate(([seed], d[:-1])))
+        else:
+            seed = _betainc(r.p + (r.j_lo + r.n - 1) + 1.0, r.q, y)
+            terms = seed + np.cumsum(d[::-1])[::-1]
+        r = r._replace(y=y, ld0=ld0, seed=seed)
+    value, err = _finish(r, wgt, terms, d)
+    err += 1.12e-16 * (5.0 * (abs(c) + top * abs(lk)) + 2.0)
+    if value < sys.float_info.min or err > 2.0 * err0 + 1e-16:
+        return None
+    return _series_pair(problem.sp, pt, r.complement, value, err), (r.j_lo, wgt, d, r.shift)
+
+
+def _eval_at(problem: InversionProblem, v: float, held: _Held | None):
+    """(pair, B', B'', held) at the iterate: B from the reference series and
+    its first and second derivatives in the unknown from the same window
+    (``_slope``).  Given ``held``, the solve's last full series pass, the
+    window is re-summed at v (``_resum``) where it still fits; else a new
+    one is planned (``_plan``), and the returned ``held`` is that pass (None
+    where no window was summed).  Where no window was summed (a B certified
+    to round to 0) both derivatives are 0 and no Newton or Halley step is
+    taken; past the window cap the series' ``EvaluationError`` propagates."""
     pt = _point(problem, v)
-    pair, window = _series_window(problem.sp, pt)
-    return (pair, *_slope(problem.sp, pt, problem.unknown, window))
+    out = None if held is None else _resum(problem, pt, held)
+    if out is None:
+        pair, window, held = _plan(problem.sp, pt)
+    else:
+        pair, window = out
+    return (pair, *_slope(problem.sp, pt, problem.unknown, window), held)
 
 
 def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     """Safeguarded Halley iteration on f = B(.) - z with a maintained bracket.
 
-    Each step evaluates B, B' and B'' once (``_eval_at``).  Where Newton's
-    step t = f / B' stays inside the bracket, the iterate moves by Halley's
-    step v - 2 f B' / (2 B'^2 - f B''), written as t / (1 - t B'' / (2 B')),
-    if that divisor is positive and the step stays inside too; else by t.
+    Each step evaluates B, B' and B'' once (``_eval_at``): after a Newton
+    or Halley step by re-summing the window of the last planned pass, at
+    the start and after a bisection or doubling step by planning a new one.
+    Where Newton's step t = f / B' stays inside the bracket, the iterate
+    moves by Halley's step v - 2 f B' / (2 B'^2 - f B''), written as
+    t / (1 - t B'' / (2 B')), if that divisor is positive and the step
+    stays inside too; else by t.
     Where Newton's step leaves the bracket, or there is none, the bracket is
     bisected (the iterate doubled while it is open above): far out in a
     tail, where B is flat and its curvature large, Halley's step shrinks to
@@ -324,8 +474,9 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     increasing = problem.unknown == "y"  # B rises in y and falls in x
     lo, hi = 0.0, (1.0 if increasing else math.inf)
     cur = min(max(seed, 1e-12), 1.0 - 1e-12) if increasing else max(seed, 0.0)
+    held = None
     for iters in range(1, 41):
-        pair, deriv, curv = _eval_at(problem, cur)
+        pair, deriv, curv, full = _eval_at(problem, cur, held)
         resid = _residual(pair, z)
         if abs(resid) <= band or iters == 40:
             break
@@ -341,8 +492,12 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
             halley = 1.0 - 0.5 * t * curv / deriv
             if lo < nxt < hi and halley > 0.0 and lo < cur - t / halley < hi:
                 nxt = cur - t / halley
+        # after a Newton or Halley step the next evaluation re-sums the
+        # last planned window; after a bisection or doubling step it plans
+        held = full
         if not (math.isfinite(nxt) and lo < nxt < hi):
             nxt = max(2.0 * cur, cur + 1.0) if math.isinf(hi) else 0.5 * (lo + hi)
+            held = None
         if nxt == cur:
             break
         cur = nxt

@@ -269,9 +269,17 @@ def _kummer_ratio_pp(a, b, z):
       v_{2j+1} = (a - b - j) z / ((b + 2j)(b + 2j + 1))
       v_{2j}   = (a + j) z / ((b + 2j - 1)(b + 2j))
     M is the minimal solution of the recurrence shifting both parameters up,
-    which makes the fraction convergent.  Returns nan on non-convergence."""
+    which makes the fraction convergent.  Where a < b < z its odd partial
+    numerators start near -(b - a) z / b^2, and it can meet its stop on a
+    wrong value, even a negative one: at (0.124, 99.7, 268.5) it
+    gives -900.5 for 503.8, at (1, 10, 1e5) 3.27 for 9.999.  On 20000 draws
+    with a, b log-uniform on [0.1, 3000] and z uniform on [0, 300] it stays
+    within 3.1e-13 of the series quotient everywhere else.  Returns nan
+    there, as on non-convergence, for the caller's series quotient."""
     if z == 0.0:
         return 1.0
+    if a < b < z:
+        return math.nan
 
     def v(k):
         j = k // 2
@@ -350,8 +358,9 @@ def kummer_m_log(a: float, b: float, z: float) -> float:
 
 
 def kummer_ratio_shift11(a: float, b: float, z: float) -> float:
-    """M(a+1, b+1, z)/M(a, b, z) via continued fraction, with a direct-series
-    quotient fallback if the fraction stalls."""
+    """M(a+1, b+1, z)/M(a, b, z) via continued fraction, with the quotient of
+    the direct series where the fraction stalls or cannot be trusted
+    (a < b < z, ``_kummer_ratio_pp``)."""
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"kummer_ratio_shift11 requires a, b > 0, got ({a}, {b})")
     if not (z >= 0.0 and math.isfinite(z)):

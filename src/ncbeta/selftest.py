@@ -38,7 +38,7 @@ from .asymptotic import (
 )
 from .dispatch import evaluate, explain
 from .errors import DirectionError, EvaluationError
-from .inversion import InversionProblem, db_dx, db_dy, invert, transition_equation
+from .inversion import InversionProblem, _plan, _resum, db_dx, db_dy, invert, transition_equation
 from .kernels import central_beta_cdf
 from .kummer_series import eval_kummer_series, truncated_shift_sum
 from .params import EvalPoint, ShapeParams
@@ -519,6 +519,42 @@ def check_derivatives(n: int = 50, seed: int = 10) -> list[CheckResult]:
     ]
 
 
+def check_resummed_window(n: int = 30, seed: int = 24) -> list[CheckResult]:
+    """The polish's re-summed window (``inversion._resum``) against a fresh
+    series pass at the moved point: n points for each unknown, the unknown
+    moved by up to 1e-2 of x, or of the nearer end for y.  Every re-sum that
+    serves agrees within the sum of the two err_ests, and each unknown
+    serves at least one."""
+    rng = np.random.default_rng(seed)
+    served = {"x": 0, "y": 0}
+    worst = 0.0
+    for unknown in ("x", "y"):
+        for _ in range(n):
+            sp, pt = _random_shape_point(rng)
+            step = rng.uniform(-1e-2, 1e-2)
+            held = _plan(sp, pt)[2]
+            if unknown == "x":
+                problem = InversionProblem("x", sp, pt.y, 0.5)
+                moved = EvalPoint(pt.x * (1.0 + step), pt.y)
+            else:
+                problem = InversionProblem("y", sp, pt.x, 0.5)
+                moved = EvalPoint(pt.x, pt.y + step * min(pt.y, 1.0 - pt.y))
+            out = None if held is None else _resum(problem, moved, held)
+            if out is None:
+                continue
+            got, ref = out[0], eval_series(sp, moved)
+            a, b = (got.bbar, ref.bbar) if held.r.complement else (got.b, ref.b)
+            worst = max(worst, abs(a - b) / ((got.err_est + ref.err_est) * b))
+            served[unknown] += 1
+    return [
+        CheckResult(
+            "re-summed inversion window matches a fresh series pass for both unknowns",
+            worst <= 1.0 and min(served.values()) > 0,
+            f"{served['x']} x and {served['y']} y re-sums of {n} each; worst {worst:.2f} of the err_est sum",
+        )
+    ]
+
+
 def _closed_t(fr):
     ph2, ph3, ph4, ph5 = fr.phi2, fr.phi3, fr.phi4, fr.phi5
     t1 = 1.0 / math.sqrt(ph2)
@@ -828,6 +864,7 @@ def suite_invariants() -> list[CheckResult]:
     out += check_noncentral_f_bridge()
     out += check_recurrence_residuals()
     out += check_derivatives()
+    out += check_resummed_window()
     out += check_saddle_coefficients()
     out += check_erfc_saddle_consistency()
     out += check_g_continuity()

@@ -22,6 +22,7 @@ from ncbeta.selftest import (
     check_noncentral_f_bridge,
     check_recurrence_residuals,
     check_recurrence_sweeps,
+    check_resummed_window,
     check_saddle_coefficients,
     check_transition_equation,
     check_transition_series,
@@ -72,8 +73,9 @@ def test_criterion_4_inversion():
 
 def test_criterion_5_invariant_suites():
     """Structural identities: complement, monotonicity, oracle bridges,
-    recurrence residuals, analytic derivatives, closed-form coefficients,
-    expansion consistency, boundary-layer continuity, route policy."""
+    recurrence residuals, analytic derivatives, the polish's re-summed
+    window, closed-form coefficients, expansion consistency, boundary-layer
+    continuity, route policy."""
     _run(
         "invariant suites",
         [
@@ -83,6 +85,7 @@ def test_criterion_5_invariant_suites():
             check_noncentral_f_bridge,
             check_recurrence_residuals,
             check_derivatives,
+            check_resummed_window,
             check_saddle_coefficients,
             check_erfc_saddle_consistency,
             check_g_continuity,

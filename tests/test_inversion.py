@@ -15,6 +15,8 @@ from ncbeta.dispatch import evaluate
 from ncbeta.errors import DomainError
 from ncbeta.inversion import (
     InversionProblem,
+    _plan,
+    _resum,
     _slope,
     _transition_root,
     db_dx,
@@ -26,7 +28,7 @@ from ncbeta.inversion import (
 )
 from ncbeta.kernels import central_beta_cdf, kummer_m_log, log_beta
 from ncbeta.params import EvalPoint, ShapeParams
-from ncbeta.series import _series_window
+from ncbeta.series import _complement_is_primary, _series_window, eval_series
 
 SP = ShapeParams(10.0, 15.0)
 
@@ -131,6 +133,71 @@ class TestTransitionRoot:
             assume(root + delta < 1.0)
             lo, hi = EvalPoint(fixed, root - delta), EvalPoint(fixed, root + delta)
         assert transition_equation(sp, lo, zeta0) * transition_equation(sp, hi, zeta0) < 0.0
+
+    def solve_counted(self, monkeypatch, problem):
+        """The transition root, with the frames the whole call builds, the
+        frames its bracket solve builds, and the root a plain bisection of
+        that bracket finds (200 halvings to the width stop
+        1e-13 (|lo| + |hi| + 1e-6)), whose frames are not counted."""
+        seen = {"frames": 0, "solve": 0, "bisected": None, "counting": True}
+
+        def frame(*args):
+            seen["frames"] += seen["counting"]
+            return build_frame(*args)
+
+        def solve(fn, lo, flo, hi, fhi):
+            def counted(v):
+                seen["solve"] += 1
+                return fn(v)
+
+            root = illinois(counted, lo, flo, hi, fhi)
+            seen["counting"] = False
+            a, b = lo, hi
+            for _ in range(200):
+                mid = 0.5 * (a + b)
+                if mid in (a, b) or b - a <= 1e-13 * (abs(a) + abs(b) + 1e-6):
+                    break
+                if (fn(mid) > 0.0) == (flo > 0.0):
+                    a = mid
+                else:
+                    b = mid
+            seen["bisected"] = 0.5 * (a + b)
+            return root
+
+        illinois = ncbeta.inversion._illinois
+        monkeypatch.setattr(ncbeta.inversion, "build_frame", frame)
+        monkeypatch.setattr(ncbeta.inversion, "_illinois", solve)
+        root = _transition_root(problem, zeta0_seed(problem))
+        return root, seen
+
+    @pytest.mark.parametrize(
+        "unknown, fixed, z",
+        [("x", 0.45, 0.4), ("x", 0.45, 0.6), ("y", 4.5, 0.01), ("y", 4.5, 0.99)],
+    )
+    def test_worked_roots_take_few_frames(self, monkeypatch, unknown, fixed, z):
+        # bisection built 43-46 frames for each; false position, at most 25
+        # in all, and its root is the bisection's to 1e-10
+        root, seen = self.solve_counted(monkeypatch, InversionProblem(unknown, SP, fixed, z))
+        assert seen["frames"] <= 25
+        assert abs(root - seen["bisected"]) <= 1e-10 * abs(root)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["x", "y"]),
+        st.floats(1.0, 200.0),
+        st.floats(1.0, 200.0),
+        st.floats(0.0, 1.0),
+        st.floats(1e-6, 1.0 - 1e-6),
+    )
+    def test_false_position_agrees_with_bisection_in_few_frames(self, unknown, p, q, t, z):
+        # the draws of test_root_on_the_selected_side_and_a_sign_change
+        assume(abs(z - 0.5) > 0.01)
+        fixed = 0.05 + 0.9 * t if unknown == "x" else 0.5 + 199.5 * t
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            root, seen = self.solve_counted(monkeypatch, InversionProblem(unknown, ShapeParams(p, q), fixed, z))
+        assume(root is not None and seen["bisected"] is not None)
+        assert seen["solve"] <= 25
+        assert abs(root - seen["bisected"]) <= 1e-10 * abs(root) + 1e-300
 
     @pytest.mark.parametrize(
         "p, q, x, z, evaluations",
@@ -403,26 +470,31 @@ class TestInvert:
         assert res.iterations <= 10
 
     def test_each_newton_step_evaluates_once_through_the_series(self, monkeypatch):
-        # one series pass gives both the value and the slope: no Kummer
-        # function, and no dispatcher to fall back to
+        # one series pass gives both the value and the slope: the first step
+        # plans the window and each Newton or Halley step after it re-sums
+        # that window; no Kummer function, and no dispatcher to fall back to
         calls = {}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return fn(*args, **kwargs)
+                out = fn(*args, **kwargs)
+                if out is None:
+                    calls["declined"] += 1
+                return out
 
             return wrapper
 
-        monkeypatch.setattr(ncbeta.inversion, "_series_window", counted("series", ncbeta.inversion._series_window))
+        monkeypatch.setattr(ncbeta.inversion, "_plan", counted("plan", ncbeta.inversion._plan))
+        monkeypatch.setattr(ncbeta.inversion, "_resum", counted("resum", ncbeta.inversion._resum))
         kummer = counted("kummer", ncbeta.kernels._kummer_m_log)
         for mod in (ncbeta.kernels, ncbeta.recurrence, ncbeta.kummer_series):
             monkeypatch.setattr(mod, "_kummer_m_log", kummer)
         for unknown, fixed, z in (("x", 0.45, 0.4), ("y", 4.5, 0.01), ("y", 4.5, 0.99)):
-            calls.update(series=0, kummer=0)
+            calls.update(plan=0, resum=0, declined=0, kummer=0)
             res = invert(InversionProblem(unknown, SP, fixed, z))
             assert res.iterations > 1
-            assert calls == {"series": res.iterations, "kummer": 0}
+            assert calls == {"plan": 1, "resum": res.iterations - 1, "declined": 0, "kummer": 0}
         assert not hasattr(ncbeta.inversion, "evaluate")
 
     @pytest.mark.parametrize(
@@ -463,3 +535,68 @@ class TestInvert:
         x, y = (res.value, fixed) if unknown == "x" else (fixed, res.value)
         oracle = special.ncfdtr(2.0 * p, 2.0 * q, x, (q / p) * y / (1.0 - y))
         assert abs(oracle - z) <= 1e-10 * max(z, 1.0 - z)
+
+
+def resum_against_fresh(unknown, p, q, fixed, v, step):
+    """The window planned at v, re-summed at v + step s, and a fresh
+    ``eval_series`` there: (re-summed pair or None where it declines, fresh
+    pair, held plan, the new point), or None where v sums no window.  The
+    step is relative to x, s = step x, and to the nearer end for y,
+    s = step min(y, 1 - y)."""
+    sp = ShapeParams(p, q)
+    problem = InversionProblem(unknown, sp, fixed, 0.5)
+    point = (lambda u: EvalPoint(u, fixed)) if unknown == "x" else (lambda u: EvalPoint(fixed, u))
+    held = _plan(sp, point(v))[2]
+    if held is None:
+        return None
+    pt = point(v + step * (v if unknown == "x" else min(v, 1.0 - v)))
+    out = _resum(problem, pt, held)
+    return None if out is None else out[0], eval_series(sp, pt), held, pt
+
+
+class TestResum:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from(["x", "y"]),
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(0.0, 500.0),
+        st.floats(0.001, 0.999),
+        st.floats(-1e-2, 1e-2),
+    )
+    # the iterate crosses the transition point: x0 = 10 at y = 0.6, y0 = 0.5506 at x = 4.5
+    @example("x", 10.0, 10.0, 9.95, 0.6, 1e-2)
+    @example("y", 10.0, 10.0, 4.5, 0.549, 1e-2)
+    # h' leaves the window: below the complement's lower edge j_lo = 110,
+    # and above B's top j = 269, where the tail bound came out negative
+    @example("x", 10.0, 10.0, 500.0, 0.99, -0.96)
+    @example("x", 9.770078168839582, 3.297898595991665, 252.6066108307822, 0.3951743005882588, 2.3256998821042387)
+    def test_resum_agrees_with_a_fresh_series_or_declines(self, unknown, p, q, x, y, step):
+        # the invert-mixed ranges: p, q log-uniform on [0.5, 2000], x on
+        # [0, 500], y on [0.001, 0.999]; the unknown moves by up to 1e-2
+        fixed, v = (y, x) if unknown == "x" else (x, y)
+        out = resum_against_fresh(unknown, p, q, fixed, v, step)
+        assume(out is not None)
+        got, ref, held, _ = out
+        if got is None:
+            return
+        member = "bbar" if held.r.complement else "b"
+        a, b = getattr(got, member), getattr(ref, member)
+        assert abs(a - b) <= (got.err_est + ref.err_est) * b
+
+    @pytest.mark.parametrize(
+        "unknown, p, q, fixed, v, step, reason",
+        [
+            ("x", 10.0, 10.0, 0.6, 9.95, 1e-2, "switch"),
+            ("y", 10.0, 10.0, 4.5, 0.549, 1e-2, "switch"),
+            ("x", 10.0, 10.0, 0.99, 500.0, -0.96, "edge"),
+            ("x", 9.770078168839582, 3.297898595991665, 0.3951743005882588, 252.6066108307822, 2.3256998821042387, "edge"),
+        ],
+    )
+    def test_resum_declines_where_the_window_no_longer_fits(self, unknown, p, q, fixed, v, step, reason):
+        got, _, held, pt = resum_against_fresh(unknown, p, q, fixed, v, step)
+        assert got is None
+        switched = _complement_is_primary(ShapeParams(p, q), pt) != held.r.complement
+        assert switched == (reason == "switch")
+        if reason == "edge":
+            assert not held.r.j_lo <= 0.5 * pt.x < held.r.j_lo + held.r.n

@@ -3,6 +3,8 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncbeta.errors import DomainError
 from ncbeta.kernels import (
@@ -199,6 +201,31 @@ class TestKummerRatio:
         assert kummer_ratio_shift11(a, b, z) == quot
         ref = mp.hyp1f1(a + 1, b + 1, z) / mp.hyp1f1(a, b, z)
         assert abs(quot - ref) <= 1e-8 * ref
+
+
+    @pytest.mark.parametrize(
+        "a, b, z",
+        [(0.12411424049938047, 99.70591395564766, 268.46902472552586), (1.0, 10.0, 1e5), (0.1, 10.0, 1e5)],
+    )
+    def test_large_z_above_b_against_mpmath(self, a, b, z):
+        # the fraction once returned -900.54, 3.2735 and 0.006475 here
+        with mp.workdps(40):
+            ref = mp.hyp1f1(a + 1, b + 1, z) / mp.hyp1f1(a, b, z)
+        assert abs(kummer_ratio_shift11(a, b, z) - ref) <= 1e-10 * ref
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(math.log(0.1), math.log(3000.0)).map(math.exp),
+        st.floats(math.log(0.1), math.log(3000.0)).map(math.exp),
+        st.floats(0.0, 300.0),
+    )
+    @example(0.12411424049938047, 99.70591395564766, 268.46902472552586)
+    def test_agrees_with_the_series_quotient(self, a, b, z):
+        # the ratio lies between 1 and b/a
+        v = kummer_ratio_shift11(a, b, z)
+        assert v > 0.0
+        quot = math.exp(kummer_m_log(a + 1, b + 1, z) - kummer_m_log(a, b, z))
+        assert abs(v - quot) <= 1e-8 * quot
 
 
 class TestCentralBeta:
