@@ -15,30 +15,28 @@ differ only in the transition point x0 or y0, the domain and the direction
 3. polish on the true equation with safeguarded Halley steps (Newton's
    where Halley's does not apply), evaluating B with the reference series,
    as ``evaluate`` does; the first and second derivatives in the unknown
-   are summed over the same window from the Poisson weights and increments
-   that series pass formed.  A solve plans one window and, after each
-   Newton or Halley step, re-sums it at the new iterate: only the chain
-   that depends on the unknown is rescaled, by an exact factor, and the
-   sum is finished by the series' own ``_finish`` (``_resum``).  A
-   bisection or doubling step, or a window that no longer fits the
-   iterate, plans a new one.  An iterate past the series' window cap
-   raises its ``EvaluationError``.
+   are summed over the same series pass (``series._Pass``), from the
+   Poisson weights and increments it formed.  A solve plans one pass
+   (``series._series_window``) and, after each Newton or Halley step,
+   re-sums its window at the new iterate (``series._resum``): only the
+   chain that depends on the unknown is rescaled, by an exact factor, and
+   the sum is finished as a planned one is.  A bisection or doubling step,
+   or a window that no longer fits the iterate, plans a new pass.  An
+   iterate past the series' window cap raises its ``EvaluationError``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .asymptotic import build_frame, g_coeffs, x_zeta_coeffs, y_zeta_coeffs, zeta_series_value
 from .errors import DomainError, EvaluationError
-from .kernels import _betainc, central_beta_cdf, inv_erfc
+from .kernels import central_beta_cdf, inv_erfc
 from .params import EvalPoint, ShapeParams
-from .series import _complement_is_primary, _finish, _Planned, _row_plan, _series_pair, _series_window, _window
+from .series import _Pass, _resum, _series_window
 
 
 @dataclass(frozen=True)
@@ -85,9 +83,9 @@ def zeta0_seed(problem: InversionProblem) -> float:
     return inv_erfc(2.0 * problem.z) * math.sqrt(2.0 / problem.sp.r)
 
 
-def _slope(sp: ShapeParams, pt: EvalPoint, unknown: str, window) -> tuple[float, float]:
-    """The first and second derivatives of B in the unknown, summed over the
-    window of ``series._series_window``: its Poisson weights w_j and the
+def _slope(unknown: str, window: _Pass | None) -> tuple[float, float]:
+    """The first and second derivatives of B in the unknown, summed over a
+    series pass (``series._Pass``): its Poisson weights w_j and the
     increments d_a = I_y(a, q) - I_y(a+1, q), a = p + j.  With
     dw_j/dx = (w_{j-1} - w_j)/2 and dI_y(a, q)/dy = a d_a / (y(1-y)),
 
@@ -104,11 +102,11 @@ def _slope(sp: ShapeParams, pt: EvalPoint, unknown: str, window) -> tuple[float,
     the peak of w_j d_{p+j}.  (0, 0) without a window."""
     if window is None:
         return 0.0, 0.0
-    j_lo, wgt, d, shift = window
-    scale = math.exp(shift)
-    y, q = pt.y, sp.q
+    r, wgt, _, d, _ = window
+    scale = math.exp(r.shift)
+    y, q = r.y, r.q
     wd = wgt * d
-    a = sp.p + j_lo + np.arange(d.size)
+    a = r.p + r.j_lo + np.arange(d.size)
     if unknown == "x":
         a1 = a + 1.0
         curv = ((1.0 - y) * a1 - y * (q - 1.0)) / a1
@@ -122,13 +120,13 @@ def _slope(sp: ShapeParams, pt: EvalPoint, unknown: str, window) -> tuple[float,
 def db_dx(sp: ShapeParams, pt: EvalPoint) -> float:
     """dB/dx = -e^{-x/2} y^p (1-y)^q M(p+q, p+1, xy/2) / (2 p B(p, q)) < 0,
     summed over the series window; past it, raises as the series does."""
-    return _slope(sp, pt, "x", _series_window(sp, pt)[1])[0]
+    return _slope("x", _series_window(sp, pt)[1])[0]
 
 
 def db_dy(sp: ShapeParams, pt: EvalPoint) -> float:
     """dB/dy = e^{-x/2} y^{p-1} (1-y)^{q-1} M(p+q, p, xy/2) / B(p, q) > 0,
     summed over the series window; past it, raises as the series does."""
-    return _slope(sp, pt, "y", _series_window(sp, pt)[1])[0]
+    return _slope("y", _series_window(sp, pt)[1])[0]
 
 
 def transition_equation(sp: ShapeParams, pt: EvalPoint, zeta0: float) -> float:
@@ -333,124 +331,22 @@ def invert(problem: InversionProblem) -> InversionResult:
     return InversionResult(value, iters, resid, seed_path, abs(resid) <= band, zeta0, seed, seed_raw)
 
 
-class _Held(NamedTuple):
-    """A solve's last full series pass: its plan, its window's weights,
-    terms and increments, and its err_est."""
-
-    r: _Planned
-    wgt: np.ndarray
-    terms: np.ndarray
-    d: np.ndarray
-    err: float
-
-
-def _plan(sp: ShapeParams, pt: EvalPoint):
-    """The series pass of ``eval_series`` at pt, 0 < y < 1, planned
-    (``_row_plan``), summed (``_window``) and finished (``_finish``), as
-    (pair, window, held): the window as ``_series_window`` gives it, and the
-    pass as a ``_Held`` where a window was summed to a nonzero value, else
-    None."""
-    complement = _complement_is_primary(sp, pt)
-    r = _row_plan(sp.p, sp.q, pt.x, pt.y, complement)
-    if not isinstance(r, _Planned):
-        return _series_pair(sp, pt, complement, *r[:2]), r[2], None
-    wgt, terms, d = _window(r)
-    value, err = _finish(r, wgt, terms, d)
-    pair = _series_pair(sp, pt, complement, value, err)
-    if value == 0.0:
-        return pair, None, None
-    return pair, (r.j_lo, wgt, d, r.shift), _Held(r, wgt, terms, d, err)
-
-
-def _resum(problem: InversionProblem, pt: EvalPoint, held: _Held):
-    """The held window re-summed at pt, as (pair, window), or None where a
-    new window must be planned.
-
-    Only the chain that depends on the unknown moves, by an exact factor
-    whose log is linear in the index, c + i L:
-
-    - unknown x: the Poisson weights, w_j(h')/w_j(h) = e^{h-h'} (h'/h)^j,
-      h = x/2; the terms and increments stay;
-    - unknown y: the increments, d_a(y')/d_a(y) = (y'/y)^a ((1-y')/(1-y))^q,
-      a = p + j; the weights stay, and the terms are rebuilt from one new
-      seed, I_{y'}(p+j_top+1, q) for B or I_{1-y'}(q, p+j_lo) for the
-      complement, as ``series._window`` builds them.
-
-    The sum is finished by ``series._finish`` at the new point, so its tails
-    and floor are those of the window actually summed, and err_est adds the
-    rounding of the factors, 5u (|c| + i_top |L|) + 2u with u = 1.12e-16,
-    i_top the window's last index.
-
-    A new window is planned instead where the primary member switches (the
-    iterate crosses the transition point), where the window no longer holds
-    h' (below its lower edge the Chernoff bound on the dropped mass fails,
-    past its top the geometric bound on the tail), where y's chain is
-    scaled at either point (its anchor increment below e^-650), where a
-    factor leaves the float range, where a factor
-    above 1 meets a moving chain that reaches below the normal range (the
-    chain is unimodal, so an end shows it; its absolute rounding there
-    would grow by the factor), where the value is 0 or subnormal (its
-    products w_j t_j lose precision that err_est does not carry), or where
-    the re-summed err_est exceeds twice the planned one plus 1e-16."""
-    r, wgt, terms, d, err0 = held
-    if _complement_is_primary(problem.sp, pt) != r.complement:
-        return None
-    if problem.unknown == "x":
-        half = 0.5 * pt.x
-        if not r.j_lo <= half < r.j_lo + r.n:
-            return None
-        # w_j(h')/w_j(h) = e^{c + j L}: c = h - h', L = ln(h'/h), i = j
-        lk = math.log1p((half - r.half) / r.half)
-        c, base, moving = r.half - half, r.j_lo, wgt
-        r = r._replace(half=half)
-    else:
-        y = pt.y
-        # d_a(y')/d_a(y) = e^{c + a L}: c = q ln((1-y')/(1-y)), L = ln(y'/y), i = a
-        lk = math.log1p((y - r.y) / r.y)
-        c, base, moving = r.q * math.log1p((r.y - y) / (1.0 - r.y)), r.a0 - r.k0, d
-        ld0 = r.ld0 + r.a0 * lk + c
-        if r.shift != 0.0 or ld0 < -650.0:
-            return None
-    top = base + (r.n - 1)
-    e_lo = c + base * lk
-    e_max = max(e_lo, c + top * lk)
-    if e_max > 700.0 or (e_max > 0.0 and min(moving[0], moving[-1]) < sys.float_info.min):
-        return None
-    scale = np.exp(e_lo + lk * np.arange(r.n))
-    if problem.unknown == "x":
-        wgt = wgt * scale
-    else:
-        d = d * scale
-        if r.complement:
-            seed = _betainc(r.q, r.p + r.j_lo, 1.0 - y)
-            terms = np.cumsum(np.concatenate(([seed], d[:-1])))
-        else:
-            seed = _betainc(r.p + (r.j_lo + r.n - 1) + 1.0, r.q, y)
-            terms = seed + np.cumsum(d[::-1])[::-1]
-        r = r._replace(y=y, ld0=ld0, seed=seed)
-    value, err = _finish(r, wgt, terms, d)
-    err += 1.12e-16 * (5.0 * (abs(c) + top * abs(lk)) + 2.0)
-    if value < sys.float_info.min or err > 2.0 * err0 + 1e-16:
-        return None
-    return _series_pair(problem.sp, pt, r.complement, value, err), (r.j_lo, wgt, d, r.shift)
-
-
-def _eval_at(problem: InversionProblem, v: float, held: _Held | None):
+def _eval_at(problem: InversionProblem, v: float, held: _Pass | None):
     """(pair, B', B'', held) at the iterate: B from the reference series and
-    its first and second derivatives in the unknown from the same window
-    (``_slope``).  Given ``held``, the solve's last full series pass, the
-    window is re-summed at v (``_resum``) where it still fits; else a new
-    one is planned (``_plan``), and the returned ``held`` is that pass (None
-    where no window was summed).  Where no window was summed (a B certified
-    to round to 0) both derivatives are 0 and no Newton or Halley step is
-    taken; past the window cap the series' ``EvaluationError`` propagates."""
+    its first and second derivatives in the unknown from the same pass
+    (``_slope``).  Given ``held``, the solve's last planned pass, its window
+    is re-summed at v (``series._resum``) where it still fits; else a new
+    pass is planned (``series._series_window``) and returned as ``held``,
+    so re-sums are never chained.  Where no window was summed (a B
+    certified to round to 0) both derivatives are 0 and no Newton or Halley
+    step is taken; past the window cap the series' ``EvaluationError``
+    propagates."""
     pt = _point(problem, v)
-    out = None if held is None else _resum(problem, pt, held)
+    out = None if held is None else _resum(problem.sp, pt, problem.unknown, held)
     if out is None:
-        pair, window, held = _plan(problem.sp, pt)
-    else:
-        pair, window = out
-    return (pair, *_slope(problem.sp, pt, problem.unknown, window), held)
+        out = _series_window(problem.sp, pt)
+        held = out[1]
+    return (out[0], *_slope(problem.unknown, out[1]), held)
 
 
 def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:

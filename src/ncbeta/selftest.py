@@ -38,7 +38,7 @@ from .asymptotic import (
 )
 from .dispatch import evaluate, explain
 from .errors import DirectionError, EvaluationError
-from .inversion import InversionProblem, _plan, _resum, db_dx, db_dy, invert, transition_equation
+from .inversion import InversionProblem, db_dx, db_dy, invert, transition_equation
 from .kernels import central_beta_cdf
 from .kummer_series import eval_kummer_series, truncated_shift_sum
 from .params import EvalPoint, ShapeParams
@@ -53,7 +53,7 @@ from .recurrence import (
     three_term_coeff_p,
     three_term_coeff_q,
 )
-from .series import eval_series, eval_type2_qfunction, noncentral_f_cdf
+from .series import _resum, _series_window, eval_series, eval_type2_qfunction, noncentral_f_cdf
 
 
 @dataclass
@@ -520,7 +520,7 @@ def check_derivatives(n: int = 50, seed: int = 10) -> list[CheckResult]:
 
 
 def check_resummed_window(n: int = 30, seed: int = 24) -> list[CheckResult]:
-    """The polish's re-summed window (``inversion._resum``) against a fresh
+    """The polish's re-summed window (``series._resum``) against a fresh
     series pass at the moved point: n points for each unknown, the unknown
     moved by up to 1e-2 of x, or of the nearer end for y.  Every re-sum that
     serves agrees within the sum of the two err_ests, and each unknown
@@ -532,14 +532,12 @@ def check_resummed_window(n: int = 30, seed: int = 24) -> list[CheckResult]:
         for _ in range(n):
             sp, pt = _random_shape_point(rng)
             step = rng.uniform(-1e-2, 1e-2)
-            held = _plan(sp, pt)[2]
+            held = _series_window(sp, pt)[1]
             if unknown == "x":
-                problem = InversionProblem("x", sp, pt.y, 0.5)
                 moved = EvalPoint(pt.x * (1.0 + step), pt.y)
             else:
-                problem = InversionProblem("y", sp, pt.x, 0.5)
                 moved = EvalPoint(pt.x, pt.y + step * min(pt.y, 1.0 - pt.y))
-            out = None if held is None else _resum(problem, moved, held)
+            out = None if held is None else _resum(sp, moved, unknown, held)
             if out is None:
                 continue
             got, ref = out[0], eval_series(sp, moved)

@@ -30,18 +30,20 @@ A member (``_member``, for B or the complement) runs in three steps, each
 written once.  One planner (``_row_plan``) sets the window's edges, the
 Poisson mode and its log weight, makes the x = 0, certified-zero and
 window-cap checks, and anchors the increment chain (``_chain_anchor``)
-with its continued-fraction seed and scale (``_seed``), as a ``_Planned``
-row.  The sum builds the row's weights, increments and terms and sums
-their products.  One finish (``_finish``) unscales the sum and forms
-``err_est`` from the tails and the floor.  ``evaluate_many`` shares the
-planner and the finish with the members; only the window has a second
-form there (``_window_arrays``, against ``_window``), which builds the
-windows of many points at once in padded 2-D arrays, one row per window
-and both chains of a chunk in one stacked pass (``_outward``), with every
-element formed by the float operations of the 1-D form in its order, so
-every result is bitwise the member's.  Its stragglers, answered one at a
-time, are the quantile boundaries, x = 0 and windows longer than
-``MANY_CELLS``.
+with its continued-fraction seed at the window's far end and its scale
+(``_seed``), as a ``_Planned`` row.  The sum builds the row's weights,
+increments and terms and sums their products; the summed window is one
+record, a ``_Pass``.  One finish (``_finish``) unscales the sum and forms
+``err_est`` from the tails and the floor.  It serves three forms of the
+sum: the 1-D one (``_window``); ``evaluate_many``'s 2-D one
+(``_window_arrays``), which builds the windows of many points at once in
+padded 2-D arrays, one row per window and both chains of a chunk in one
+stacked pass (``_outward``), with every element formed by the float
+operations of the 1-D form in its order, so every result is bitwise the
+member's (its stragglers, answered one at a time, are the quantile
+boundaries, x = 0 and windows longer than ``MANY_CELLS``); and the
+inversion's re-sum (``_resum``), which moves a pass to a nearby x or y by
+an exact factor on the one chain that depends on the unknown.
 
 The 1-D window stays beside the 2-D one because it is faster for one
 point.  Routing a member through ``_window_arrays([row])`` was bitwise
@@ -159,23 +161,25 @@ def _seed(a, b, z, ld0):
     return _betainc(a, b, z), 0.0
 
 
+def _far_end(p, q, y, j_lo, n, complement):
+    """(a, b, z) of a window's seed I_z(a, b), the term at its far end from
+    the sum: I_y(p+j_hi+1, q) for B, I_{1-y}(q, p+j_lo) for the complement."""
+    return (q, p + j_lo, 1.0 - y) if complement else (p + (j_lo + n - 1) + 1.0, q, y)
+
+
 def _chain_anchor(p, q, y, j_lo, n, complement):
     """The increment chain of a window of n terms from j_lo, and its seed.
 
     The increments' ratio y (a - 1 + q)/a falls through one at jpk, so they
     are unimodal; the chain is anchored at their largest term, at column k0
     (jpk clipped into the window), a0 = p + j_lo + k0, and the log ld0 of
-    d_{a0} comes from the prefactor.  The seed (``_seed``) is the term at
-    the window's far end from the sum: I_y(p+j_hi+1, q), one past the top,
-    for B, and I_{1-y}(q, p+j_lo), at the bottom, for the complement.
-    Returns (k0, a0, ld0, seed, shift)."""
+    d_{a0} comes from the prefactor; the far-end seed (``_far_end``) is
+    scaled by ``_seed``.  Returns (k0, a0, ld0, seed, shift)."""
     jpk = (y * (p + q - 1.0) - p) / (1.0 - y)
     k0 = int(min(max(math.floor(jpk) - j_lo, 0.0), n - 1.0))
     a0 = p + (j_lo + k0)
     ld0 = _log_beta_pre(a0, q, y) - math.log(a0)
-    if complement:
-        return k0, a0, ld0, *_seed(q, p + j_lo, 1.0 - y, ld0)
-    return k0, a0, ld0, *_seed(p + (j_lo + n - 1) + 1.0, q, y, ld0)
+    return k0, a0, ld0, *_seed(*_far_end(p, q, y, j_lo, n, complement), ld0)
 
 
 def _log_term_bound(a, q, y):
@@ -243,11 +247,22 @@ class _Planned(NamedTuple):
     shift: float
 
 
+class _Pass(NamedTuple):
+    """A member's summed window: its plan, its Poisson weights, terms and
+    increments (the last two scaled by e^-shift), and its err_est."""
+
+    r: _Planned
+    wgt: np.ndarray
+    terms: np.ndarray
+    d: np.ndarray
+    err: float
+
+
 def _row_plan(p, q, x, y, complement):
     """A member's plan, as ``_Planned``, or its result (value, err_est,
-    window) where it sums no window: at x = 0, and for a B certified to
-    round to 0.  Raises where any other window would hold more than
-    ``MAX_WINDOW_TERMS`` terms.
+    pass) where it sums no window: at x = 0, with one weight and increment
+    as a ``_Pass``, and for a B certified to round to 0, with None.  Raises
+    where any other window would hold more than ``MAX_WINDOW_TERMS`` terms.
 
     B's window runs up to the upper Poisson cutoff, beyond which both
     factors decay.  Its lower edge comes from the Chernoff bound: every
@@ -264,12 +279,14 @@ def _row_plan(p, q, x, y, complement):
     growth, plus a Poisson-width margin (``_complement_end``)."""
     half = 0.5 * x
     if half == 0.0:
-        # one weight 1, one term I_y(p, q) or I_{1-y}(q, p), one increment d_p
+        # one weight 1, one term I_y(p, q) or I_{1-y}(q, p), one increment d_p;
+        # the term scaled by e^-shift and the seed are not formed (nan)
         v = _betainc(q, p, 1.0 - y) if complement else _betainc(p, q, y)
         ld0 = _log_beta_pre(p, q, y) - math.log(p)
         shift = ld0 if ld0 < -650.0 else 0.0
         err = _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0)
-        return v, err, (0, np.ones(1), np.array([math.exp(ld0 - shift)]), shift)
+        r = _Planned(p, q, y, complement, 0.0, 0, 1, 0, 0.0, 0, p, ld0, math.nan, shift)
+        return v, err, _Pass(r, np.ones(1), np.full(1, math.nan), np.array([math.exp(ld0 - shift)]), err)
     if complement:
         j_top = _complement_end(p, q, half, y)
         j_lo = _lower_edge(half, TAIL_LOG)
@@ -300,25 +317,30 @@ def _increments(r):
     return _chain(math.exp(r.ld0 - r.shift), r.k0, a, r.y * (a - 1.0 + r.q))
 
 
-def _central_terms_minimal(r):
-    """B's terms I_y(p+j, q) over a planned window, scaled by e^-shift.
+def _terms(r, d):
+    """A planned window's terms, scaled as its increments d and its seed:
+    B's falling I_y(p+j, q) are the seed one past the top plus the reverse
+    running sum of d, the complement's rising g_j = I_{1-y}(q, p+j) the
+    seed g_{j_lo} plus the forward one; every addition is of positive terms."""
+    if r.complement:
+        return np.cumsum(np.concatenate(([r.seed], d[:-1])))
+    return r.seed + np.cumsum(d[::-1])[::-1]
 
-    They fall with j, by the increments, so they are the seed one past the
-    top of the window plus the reverse running sum of the increments: every
-    addition is of positive terms.  Returns (terms, increments)."""
+
+def _central_terms_minimal(r):
+    """B's terms I_y(p+j, q) over a planned window, and its increments d."""
     d = _increments(r)
-    return r.seed + np.cumsum(d[::-1])[::-1], d
+    return _terms(r, d), d
 
 
 def _window(r):
     """The 1-D form of a planned window: its Poisson weights, terms and
-    increments.  The complement's terms g_j = I_{1-y}(q, p+j) add the
-    increments up from the seed g_{j_lo}."""
+    increments."""
     wgt = _poisson_weights(r.half, r.j0, r.n, r.j_lo, r.lw0)
     if not r.complement:
         return (wgt, *_central_terms_minimal(r))
     d = _increments(r)
-    return wgt, np.cumsum(np.concatenate(([r.seed], d[:-1]))), d
+    return wgt, _terms(r, d), d
 
 
 def _unscale(s, shift):
@@ -328,10 +350,11 @@ def _unscale(s, shift):
 
 def _finish(r, wgt, terms, d):
     """A member's (value, err_est) from its plan and its window's weights,
-    terms and increments, n of each: the sum, unscaled once, and a relative
-    err_est of the mass dropped below the window, a bound on the tail above
-    it and the rounding floor.  An empty or underflowing sum gives
-    (0, 1e-15).
+    terms and increments, n of each: the sum s, unscaled once, and a
+    relative err_est of the mass dropped below the window, a bound on the
+    tail above it, the rounding floor, and n 2^-1074 / s for the products
+    w_j t_j formed below the normal range, each of which loses up to
+    2^-1075.  An empty or underflowing sum gives (0, 1e-15).
 
     Past the window's top j_t the weights fall by at most rup = h/(j_t+1) a
     step.  B's terms fall too, so its upper tail is at most a geometric
@@ -356,20 +379,95 @@ def _finish(r, wgt, terms, d):
         tail = wgt[-1] * terms[-1] * rup / (1.0 - rup)
         if j_lo > 0:
             tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half) - r.shift)
-    return value, tail / s + _rounding_floor(r.n, r.p + r.q + j_lo + r.k0, r.ld0)
+    err = tail / s + _rounding_floor(r.n, r.p + r.q + j_lo + r.k0, r.ld0)
+    if s < 2.0**-950:
+        # from 2^-950 up the term is below half an ulp of err (n < 2^20,
+        # err >= 3e-15) and leaves it unchanged; its subnormal operations are slow
+        err += r.n * 2.0**-1074 / s
+    return value, err
+
+
+def _resum(sp, pt, unknown, held):
+    """The planned pass ``held`` re-summed at pt, where only the unknown
+    ("x" or "y") has moved, as (pair, pass); or None where a new window
+    must be planned.
+
+    Only the chain that depends on the unknown moves, by an exact factor
+    whose log is linear in the index, c + i L:
+
+    - unknown x: the Poisson weights, w_j(h')/w_j(h) = e^{h-h'} (h'/h)^j,
+      h = x/2; the terms and increments stay;
+    - unknown y: the increments, d_a(y')/d_a(y) = (y'/y)^a ((1-y')/(1-y))^q,
+      a = p + j; the weights stay, and the terms are rebuilt (``_terms``)
+      from one new seed at the window's far end (``_far_end``).
+
+    The sum is finished by ``_finish`` at the new point, so its tails and
+    floor are those of the window actually summed, and err_est adds the
+    rounding of the factors, 5u (|c| + i_top |L|) + 2u with u = 1.12e-16,
+    i_top the window's last index.
+
+    A new window is planned instead at x = 0 (the factor in x divides by
+    h, and that pass holds no scaled term), where the primary member
+    switches (the iterate crosses the transition point), where the window
+    no longer holds h' (below its lower edge the Chernoff bound on the
+    dropped mass fails, past its top the geometric bound on the tail),
+    where y's chain is scaled at either point (its anchor increment below
+    e^-650), where a factor leaves the float range, where a factor above 1
+    meets a moving chain that reaches below the normal range (the chain is
+    unimodal, so an end shows it; its absolute rounding there would grow
+    by the factor), where the value is 0 or subnormal (its products
+    w_j t_j lose precision), or where the re-summed err_est exceeds twice
+    the planned one plus 1e-16."""
+    r, wgt, terms, d, err0 = held
+    if r.half == 0.0 or _complement_is_primary(sp, pt) != r.complement:
+        return None
+    if unknown == "x":
+        half = 0.5 * pt.x
+        if not r.j_lo <= half < r.j_lo + r.n:
+            return None
+        # w_j(h')/w_j(h) = e^{c + j L}: c = h - h', L = ln(h'/h), i = j
+        lk = math.log1p((half - r.half) / r.half)
+        c, base, moving = r.half - half, r.j_lo, wgt
+        r = r._replace(half=half)
+    else:
+        y = pt.y
+        # d_a(y')/d_a(y) = e^{c + a L}: c = q ln((1-y')/(1-y)), L = ln(y'/y), i = a
+        lk = math.log1p((y - r.y) / r.y)
+        c, base, moving = r.q * math.log1p((r.y - y) / (1.0 - r.y)), r.a0 - r.k0, d
+        ld0 = r.ld0 + r.a0 * lk + c
+        if r.shift != 0.0 or ld0 < -650.0:
+            return None
+    top = base + (r.n - 1)
+    e_lo = c + base * lk
+    e_max = max(e_lo, c + top * lk)
+    if e_max > 700.0 or (e_max > 0.0 and min(moving[0], moving[-1]) < 2.0**-1022):
+        return None
+    scale = np.exp(e_lo + lk * np.arange(r.n))
+    if unknown == "x":
+        wgt = wgt * scale
+    else:
+        d = d * scale
+        seed = _betainc(*_far_end(r.p, r.q, y, r.j_lo, r.n, r.complement))
+        r = r._replace(y=y, ld0=ld0, seed=seed)
+        terms = _terms(r, d)
+    value, err = _finish(r, wgt, terms, d)
+    err += 1.12e-16 * (5.0 * (abs(c) + top * abs(lk)) + 2.0)
+    if value < 2.0**-1022 or err > 2.0 * err0 + 1e-16:
+        return None
+    return _series_pair(sp, pt, r.complement, value, err), _Pass(r, wgt, terms, d, err)
 
 
 def _member(p, q, x, y, complement):
     """B or the complement by its Poisson mixture: planned (``_row_plan``),
     summed over its window in the 1-D form (``_window``) and finished
-    (``_finish``).  Returns (value, relative error estimate, window), the
-    window as ``_series_window`` describes it."""
+    (``_finish``).  Returns (value, relative error estimate, pass), the
+    pass as ``_series_window`` describes it."""
     r = _row_plan(p, q, x, y, complement)
     if not isinstance(r, _Planned):
         return r
     wgt, terms, d = _window(r)
     value, err = _finish(r, wgt, terms, d)
-    return value, err, None if value == 0.0 else (r.j_lo, wgt, d, r.shift)
+    return value, err, None if value == 0.0 else _Pass(r, wgt, terms, d, err)
 
 
 def _member_b(p, q, x, y):
@@ -418,19 +516,19 @@ def eval_series(sp: ShapeParams, pt: EvalPoint) -> ProbabilityPair:
 
 
 def _series_window(sp, pt):
-    """``eval_series``' pair, with the window its primary member summed:
-    (j_lo, w, d, shift), the Poisson weights w_j and the increments
-    d_{p+j} = I_y(p+j, q) - I_y(p+j+1, q) for j = j_lo, j_lo + 1, ..., the
-    increments scaled by e^-shift; None where no window was summed (the
-    quantile boundaries, a B certified to round to 0, an empty sum)."""
+    """``eval_series``' pair, with the pass (``_Pass``) of its primary
+    member: the Poisson weights w_j and the increments
+    d_{p+j} = I_y(p+j, q) - I_y(p+j+1, q) for j = j_lo, j_lo + 1, ...; None
+    where no window was summed (the quantile boundaries, a B certified to
+    round to 0, an empty sum)."""
     if pt.y <= 0.0:
         return ProbabilityPair.from_primary(0.0, "b", "boundary", 0.0), None
     if pt.y >= 1.0:
         return ProbabilityPair.from_primary(1.0, "b", "boundary", 0.0), None
     complement = _complement_is_primary(sp, pt)
     member = _member_complement if complement else _member_b
-    value, err, window = member(sp.p, sp.q, pt.x, pt.y)
-    return _series_pair(sp, pt, complement, value, err), window
+    value, err, held = member(sp.p, sp.q, pt.x, pt.y)
+    return _series_pair(sp, pt, complement, value, err), held
 
 
 def _complement_is_primary(sp, pt):

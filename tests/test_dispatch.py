@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import mpmath as mp
@@ -254,6 +255,32 @@ class TestEvaluate:
         ref = windowed_reference(p, q, x, y, complement)
         got = pair.bbar if complement else pair.b
         assert abs(mp.mpf(got) - ref) <= pair.err_est * ref
+
+    def test_subnormal_series_values_within_err_est(self):
+        # each product w_j t_j formed below the normal range loses up to
+        # 2^-1075: the first point's B = 1.129e-312 is 8.2e-10 off, 165 times
+        # the err_est of the sum without that term.  It, and every
+        # eval-mixed point (seeds 1-2) whose primary member is subnormal;
+        # the reference sums from j = 0 and far past the complement's peak
+        points = [(1223.2739956765959, 108.95984722302647, 482.1949603134222, 0.47781014724758447)]
+        for seed in (1, 2):
+            rng = np.random.default_rng(seed)
+            for _ in range(4000):
+                p = math.exp(rng.uniform(math.log(0.5), math.log(2000.0)))
+                q = math.exp(rng.uniform(math.log(0.5), math.log(2000.0)))
+                points.append((p, q, rng.uniform(0.0, 500.0), rng.uniform(0.001, 0.999)))
+        checked = 0
+        for p, q, x, y in points:
+            sp, pt = ShapeParams(p, q), EvalPoint(x, y)
+            pair = evaluate(sp, pt)
+            complement = explain(sp, pt).primary_target == "Bbar"
+            got = pair.bbar if complement else pair.b
+            if not 0.0 < got < sys.float_info.min:
+                continue
+            ref = windowed_reference(p, q, x, y, complement, dps=40, k=4.0 * math.sqrt(0.5 * x) + 5.0)
+            assert abs(mp.mpf(got) - ref) <= pair.err_est * ref
+            checked += 1
+        assert checked > 30
 
     def test_windowed_reference_matches_full_sums(self):
         # inside the reach of the full mpmath sums the windowed reference

@@ -15,8 +15,6 @@ from ncbeta.dispatch import evaluate
 from ncbeta.errors import DomainError
 from ncbeta.inversion import (
     InversionProblem,
-    _plan,
-    _resum,
     _slope,
     _transition_root,
     db_dx,
@@ -28,7 +26,7 @@ from ncbeta.inversion import (
 )
 from ncbeta.kernels import central_beta_cdf, kummer_m_log, log_beta
 from ncbeta.params import EvalPoint, ShapeParams
-from ncbeta.series import _complement_is_primary, _series_window, eval_series
+from ncbeta.series import _complement_is_primary, _resum, _series_window, eval_series
 
 SP = ShapeParams(10.0, 15.0)
 
@@ -283,7 +281,7 @@ class TestDerivatives:
         _, _, ref_x, ref_y, scale_x, scale_y = slope_reference(p, q, x, y)
         for unknown, ref, scale in (("x", ref_x, scale_x), ("y", ref_y, scale_y)):
             if scale > 1e-280:
-                got = _slope(sp, pt, unknown, window)[1]
+                got = _slope(unknown, window)[1]
                 assert abs(got - ref) <= 1e-11 * scale
 
     @pytest.mark.parametrize(
@@ -485,7 +483,7 @@ class TestInvert:
 
             return wrapper
 
-        monkeypatch.setattr(ncbeta.inversion, "_plan", counted("plan", ncbeta.inversion._plan))
+        monkeypatch.setattr(ncbeta.inversion, "_series_window", counted("plan", ncbeta.inversion._series_window))
         monkeypatch.setattr(ncbeta.inversion, "_resum", counted("resum", ncbeta.inversion._resum))
         kummer = counted("kummer", ncbeta.kernels._kummer_m_log)
         for mod in (ncbeta.kernels, ncbeta.recurrence, ncbeta.kummer_series):
@@ -496,6 +494,24 @@ class TestInvert:
             assert res.iterations > 1
             assert calls == {"plan": 1, "resum": res.iterations - 1, "declined": 0, "kummer": 0}
         assert not hasattr(ncbeta.inversion, "evaluate")
+
+    @pytest.mark.parametrize("p, q, z, iterations", [(10.0, 15.0, 0.3, 2), (0.6, 1500.0, 1e-3, 6), (3.0, 4.0, 0.999, 3)])
+    def test_central_beta_quantile(self, monkeypatch, p, q, z, iterations):
+        # y unknown at x = 0 solves I_y(p, q) = z; the x = 0 pass holds one
+        # weight and one increment and no scaled term, so each Newton or
+        # Halley step declines to re-sum it and plans a new one
+        special = pytest.importorskip("scipy.special")
+        resums = []
+
+        def counted(*args):
+            resums.append(_resum(*args))
+            return resums[-1]
+
+        monkeypatch.setattr(ncbeta.inversion, "_resum", counted)
+        res = invert(InversionProblem("y", ShapeParams(p, q), 0.0, z))
+        assert res.converged and res.iterations <= iterations
+        assert abs(special.betainc(p, q, res.value) - z) <= 1e-10 * max(z, 1.0 - z)
+        assert resums and all(out is None for out in resums)
 
     @pytest.mark.parametrize(
         "p, q, y, z",
@@ -538,20 +554,18 @@ class TestInvert:
 
 
 def resum_against_fresh(unknown, p, q, fixed, v, step):
-    """The window planned at v, re-summed at v + step s, and a fresh
-    ``eval_series`` there: (re-summed pair or None where it declines, fresh
-    pair, held plan, the new point), or None where v sums no window.  The
-    step is relative to x, s = step x, and to the nearer end for y,
-    s = step min(y, 1 - y)."""
+    """The pass planned at v, re-summed at v + step s, and a fresh
+    ``eval_series`` there: (re-summed (pair, pass) or None where it
+    declines, fresh pair, held pass, the new point), or None where v sums
+    no window.  The step is relative to x, s = step x, and to the nearer
+    end for y, s = step min(y, 1 - y)."""
     sp = ShapeParams(p, q)
-    problem = InversionProblem(unknown, sp, fixed, 0.5)
     point = (lambda u: EvalPoint(u, fixed)) if unknown == "x" else (lambda u: EvalPoint(fixed, u))
-    held = _plan(sp, point(v))[2]
+    held = _series_window(sp, point(v))[1]
     if held is None:
         return None
     pt = point(v + step * (v if unknown == "x" else min(v, 1.0 - v)))
-    out = _resum(problem, pt, held)
-    return None if out is None else out[0], eval_series(sp, pt), held, pt
+    return _resum(sp, pt, unknown, held), eval_series(sp, pt), held, pt
 
 
 class TestResum:
@@ -577,12 +591,38 @@ class TestResum:
         fixed, v = (y, x) if unknown == "x" else (x, y)
         out = resum_against_fresh(unknown, p, q, fixed, v, step)
         assume(out is not None)
-        got, ref, held, _ = out
-        if got is None:
+        resummed, ref, held, _ = out
+        if resummed is None:
             return
+        got = resummed[0]
         member = "bbar" if held.r.complement else "b"
         a, b = getattr(got, member), getattr(ref, member)
         assert abs(a - b) <= (got.err_est + ref.err_est) * b
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["x", "y"]),
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(0.0, 500.0),
+        st.floats(0.001, 0.999),
+        st.floats(-1e-2, 1e-2),
+    )
+    def test_slope_of_a_resummed_pass_matches_a_fresh_one(self, unknown, p, q, x, y, step):
+        # the Halley step takes B' and B'' from the re-summed pass: both
+        # agree with a fresh pass's, B'' against the scale of
+        # test_second_derivative_against_mpmath_sums, as B'' passes through 0
+        fixed, v = (y, x) if unknown == "x" else (x, y)
+        out = resum_against_fresh(unknown, p, q, fixed, v, step)
+        assume(out is not None and out[0] is not None)
+        resummed, _, _, pt = out
+        got = _slope(unknown, resummed[1])
+        ref = _slope(unknown, _series_window(ShapeParams(p, q), pt)[1])
+        scale = slope_reference(p, q, pt.x, pt.y)[4 if unknown == "x" else 5]
+        if abs(ref[0]) > 1e-280:
+            assert abs(got[0] - ref[0]) <= 1e-11 * abs(ref[0])
+        if scale > 1e-280:
+            assert abs(got[1] - ref[1]) <= 1e-11 * scale
 
     @pytest.mark.parametrize(
         "unknown, p, q, fixed, v, step, reason",

@@ -141,7 +141,7 @@ def scalar_member_b(p, q, x, y):
     tail = wgt[n - 1] * terms[n - 1] * rup / (1.0 - rup)
     if j_lo > 0:
         tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half) - shift)
-    return value, tail / s + series._rounding_floor(n, p + q + j_lo + k0, ld0), shift
+    return value, tail / s + series._rounding_floor(n, p + q + j_lo + k0, ld0) + n * 2.0**-1074 / s, shift
 
 
 def scalar_member_complement(p, q, x, y):
@@ -177,7 +177,7 @@ def scalar_member_complement(p, q, x, y):
     tail = wgt[n - 1] * r * (g / (1.0 - r) + d[n - 1] / (1.0 - r * rho) ** 2) if r * rho < 1.0 else math.inf
     if j_lo > 0:
         tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * g_lo
-    return value, tail / s + series._rounding_floor(n, p + q + j_lo + k0, ld0), shift
+    return value, tail / s + series._rounding_floor(n, p + q + j_lo + k0, ld0) + n * 2.0**-1074 / s, shift
 
 
 def hand_row(p, q, x, y, complement, j_lo, n, j0):
