@@ -240,8 +240,14 @@ def g_coeffs(frame: SaddleFrame, n: int = 4) -> np.ndarray:
     t0 = frame.t0
     up = frame.tp - t0
     rho = abs(up) / (t0 - 1.0)
-    # enough tail terms for rho^m < 1e-16, at most 40: the check below rejects the rest
-    m = 4 + (2 + math.ceil(37.0 / -math.log(rho)) if 0.0 < rho < 0.4 else 40)
+    # enough tail terms for rho^m < 1e-16: 2 + ceil(37/-ln rho), at most 43
+    # below rho = 0.4, and 40 from there, where the check below rejects the
+    # rest; at rho = 0 the tail is its first term, and a zero second one
+    # passes the check.  P_k's coefficients do not depend on the order m.
+    if rho == 0.0:
+        m = n + 2
+    else:
+        m = 4 + (2 + math.ceil(37.0 / -math.log(rho)) if rho < 0.4 else 40)
     A = _phase_a(frame, m)
     out = np.empty(n + 1)
     for k in range(n + 1):

@@ -16,7 +16,8 @@ differ only in the transition point x0 or y0, the domain and the direction
    where Halley's does not apply), evaluating B with the reference series,
    as ``evaluate`` does; the first and second derivatives in the unknown
    are summed over the same series pass (``series._Pass``), from the
-   Poisson weights and increments it formed.  A solve plans one pass
+   Poisson weights and increments it formed, and only before a step: the
+   evaluation that meets the residual band forms none.  A solve plans one pass
    (``series._series_window``) and, after each Newton or Halley step,
    re-sums its window at the new iterate (``series._resum``): only the
    chain that depends on the unknown is rescaled, by an exact factor, and
@@ -32,11 +33,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .asymptotic import build_frame, g_coeffs, x_zeta_coeffs, y_zeta_coeffs, zeta_series_value
+from .asymptotic import SaddleFrame, build_frame, g_coeffs, x_zeta_coeffs, y_zeta_coeffs, zeta_series_value
 from .errors import DomainError, EvaluationError
 from .kernels import central_beta_cdf, inv_erfc
 from .params import EvalPoint, ShapeParams
 from .series import _Pass, _resum, _series_window
+
+
+# |zeta| from which the zeta1 seed forms g0 by the direct subtraction (``_g0``)
+G0_DIRECT_MIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -162,16 +167,37 @@ def zeta1_correction(problem: InversionProblem, zeta0: float, seed: float) -> fl
     """First correction zeta1 with zeta ~ zeta0 + zeta1/r, from the leading
     boundary-layer coefficient g0 at the seeded point:
     zeta1 = ln(1 + zeta0 g0)/zeta0, with the limit g0 as zeta0 -> 0.
-    Only g0 is formed: f_0 - 1/zeta from A_0 alone away from the pole, one
-    power of A with its pole-removal tail near it.
+
+    Only g0 is formed, from the frame at the seed (``_g0``).
     Raises EvaluationError when 1 + zeta0 g0 <= 0 (correction skipped)."""
-    g0 = g_coeffs(build_frame(problem.sp, _point(problem, seed)), 0)[0]
+    g0 = _g0(build_frame(problem.sp, _point(problem, seed)))
     u = zeta0 * g0
     if u <= -1.0:
         raise EvaluationError("zeta1 correction undefined: 1 + zeta0 g0 <= 0")
     if abs(zeta0) < 1e-8:
         return g0
     return math.log1p(u) / zeta0
+
+
+def _g0(frame: SaddleFrame) -> float:
+    """The leading boundary-layer coefficient g0 = f_0 - 1/zeta at a frame.
+
+    Directly, g0 = (1/t0 + y/(1 - y t0)) phi2^(-1/2) - 1/zeta: f_0 is
+    h(t0) A_0^(-1/2) with h(t) = 1/(t (1 - y t)) in partial fractions.  For
+    |zeta| >= tau this is the expression ``g_coeffs`` forms, so it is that
+    g0 bit for bit.  Inside tau the subtraction still serves the seed where
+    its rounding noise on g0 stays below 1e-8, |zeta| >= ``G0_DIRECT_MIN``:
+    at the zeta-series seeds of 9000 problems drawn over the invert-mixed
+    ranges (half of them with z near 1/2), against ``g_coeffs``' pole
+    series, the noise was at most 3.5e-9 for |zeta| >= 1e-3 (1997 seeds
+    inside tau), up to 1.9e-8 just below it and 1.7e-7 near 1e-4.  Below
+    that bound g0 comes from ``g_coeffs(frame, 0)``, by its pole-removal
+    series; so it does where phi2 <= 0 or the pole sits on the saddle,
+    which ``g_coeffs`` rejects."""
+    pole = 1.0 - frame.y * frame.t0
+    if abs(frame.zeta) < G0_DIRECT_MIN or not frame.phi2 > 0.0 or pole == 0.0:
+        return g_coeffs(frame, 0)[0]
+    return (1.0 / frame.t0 + frame.y / pole) * frame.phi2**-0.5 - 1.0 / frame.zeta
 
 
 def _residual(pair, z: float) -> float:
@@ -332,29 +358,32 @@ def invert(problem: InversionProblem) -> InversionResult:
 
 
 def _eval_at(problem: InversionProblem, v: float, held: _Pass | None):
-    """(pair, B', B'', held) at the iterate: B from the reference series and
-    its first and second derivatives in the unknown from the same pass
-    (``_slope``).  Given ``held``, the solve's last planned pass, its window
-    is re-summed at v (``series._resum``) where it still fits; else a new
-    pass is planned (``series._series_window``) and returned as ``held``,
-    so re-sums are never chained.  Where no window was summed (a B
-    certified to round to 0) both derivatives are 0 and no Newton or Halley
-    step is taken; past the window cap the series' ``EvaluationError``
+    """(pair, pass, held) at the iterate: B from the reference series and
+    the pass it was summed on, from which ``_slope`` forms the derivatives
+    in the unknown if ``_polish`` takes a step.  Given ``held``, the solve's
+    last planned pass, its window is re-summed at v (``series._resum``)
+    where it still fits; else a new pass is planned
+    (``series._series_window``) and returned as ``held``, so re-sums are
+    never chained.  Where no window was summed (a B certified to round to
+    0) the pass is None; past the window cap the series' ``EvaluationError``
     propagates."""
     pt = _point(problem, v)
     out = None if held is None else _resum(problem.sp, pt, problem.unknown, held)
     if out is None:
         out = _series_window(problem.sp, pt)
         held = out[1]
-    return (out[0], *_slope(problem.unknown, out[1]), held)
+    return out[0], out[1], held
 
 
 def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     """Safeguarded Halley iteration on f = B(.) - z with a maintained bracket.
 
-    Each step evaluates B, B' and B'' once (``_eval_at``): after a Newton
-    or Halley step by re-summing the window of the last planned pass, at
-    the start and after a bisection or doubling step by planning a new one.
+    Each step evaluates B once (``_eval_at``): after a Newton or Halley
+    step by re-summing the window of the last planned pass, at the start
+    and after a bisection or doubling step by planning a new one.  B' and
+    B'' are summed over that pass (``_slope``) only when the residual lies
+    outside the band and a step is to be taken, so the evaluation that
+    ends a solve forms no derivatives.
     Where Newton's step t = f / B' stays inside the bracket, the iterate
     moves by Halley's step v - 2 f B' / (2 B'^2 - f B''), written as
     t / (1 - t B'' / (2 B')), if that divisor is positive and the step
@@ -372,10 +401,11 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     cur = min(max(seed, 1e-12), 1.0 - 1e-12) if increasing else max(seed, 0.0)
     held = None
     for iters in range(1, 41):
-        pair, deriv, curv, full = _eval_at(problem, cur, held)
+        pair, window, full = _eval_at(problem, cur, held)
         resid = _residual(pair, z)
         if abs(resid) <= band or iters == 40:
             break
+        deriv, curv = _slope(problem.unknown, window)
         going_up = (resid < 0.0) if increasing else (resid > 0.0)
         if going_up:
             lo = max(lo, cur)

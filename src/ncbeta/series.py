@@ -135,10 +135,23 @@ def _chain(v0, k0, P, Q):
     outward from it, leftward by P[c+1]/Q[c+1] (which takes column c+1 to
     c) and rightward by Q[c]/P[c] (which takes column c-1 to c).  Both
     chains of the mixture have this form: the Poisson weights with
-    (P, Q) = (j, h), and the increments with (P, Q) = (a, y (a - 1 + q))."""
-    down = np.cumprod(np.concatenate(([v0], P[k0:0:-1] / Q[k0:0:-1])))
-    up = np.cumprod(np.concatenate(([v0], Q[k0 + 1 :] / P[k0 + 1 :])))
-    return np.concatenate((down[:0:-1], up))
+    (P, Q) = (j, h), and the increments with (P, Q) = (a, y (a - 1 + q)).
+
+    The chain is built in one buffer, the 1-D twin of ``_outward``: the
+    ratios are divided into it, left of k0 the one that takes column c+1
+    to c at column c and right of it the one that takes c-1 to c, v0 sits
+    at k0, and two in-place running products run outward from k0, leftward
+    over the reversed view.  Each product is formed from v0 in the order
+    of cumprod over [v0, ratios...], bit for bit."""
+    out = np.empty(P.size)
+    np.divide(P[1 : k0 + 1], Q[1 : k0 + 1], out=out[:k0])
+    out[k0] = v0
+    np.divide(Q[k0 + 1 :], P[k0 + 1 :], out=out[k0 + 1 :])
+    left = out[k0::-1]
+    np.multiply.accumulate(left, out=left)
+    right = out[k0:]
+    np.multiply.accumulate(right, out=right)
+    return out
 
 
 def _poisson_weights(half, j0, n, j_lo, lw0):

@@ -10,11 +10,13 @@ import ncbeta.inversion
 import ncbeta.kernels
 import ncbeta.kummer_series
 import ncbeta.recurrence
-from ncbeta.asymptotic import build_frame
+from ncbeta.asymptotic import build_frame, g_coeffs, transition_tau, x_zeta_coeffs, y_zeta_coeffs, zeta_series_value
 from ncbeta.dispatch import evaluate
-from ncbeta.errors import DomainError
+from ncbeta.errors import DomainError, EvaluationError
 from ncbeta.inversion import (
+    G0_DIRECT_MIN,
     InversionProblem,
+    _g0,
     _slope,
     _transition_root,
     db_dx,
@@ -51,6 +53,109 @@ class TestSeeds:
         corrected = abs(evaluate(SP, EvalPoint(r.seed_value, 0.45)).b - 0.4)
         assert corrected < raw
         assert abs(r.seed_value - 7.4176) <= 5e-3 * 7.4176
+
+
+def g0_reference(p, q, x, y):
+    """g0 = (1/t0 + y/(1 - y t0)) A_0^(-1/2) - 1/zeta in 60-digit arithmetic."""
+    with mp.workdps(60):
+        p, q, x, y = (mp.mpf(v) for v in (p, q, x, y))
+        r = p + q
+        c, s, xi = p / r, q / r, x * y / (2 * r)
+        t0 = 2 / (mp.sqrt((c - xi) ** 2 + 4 * xi) + c - xi)
+        tp = 1 / y
+
+        def phi(t):
+            return mp.log(t) - s * mp.log(t - 1) + xi * t
+
+        zeta = mp.sign(tp - t0) * mp.sqrt(2 * (phi(tp) - phi(t0)))
+        a0 = -1 / t0**2 + s / (t0 - 1) ** 2
+        return float((1 / t0 + y / (1 - y * t0)) / mp.sqrt(a0) - 1 / zeta)
+
+
+@st.composite
+def zeta_series_seeds(draw):
+    """(p, q, x, y) at the raw zeta-series seed of an invert-mixed-style
+    problem, where ``zeta1_correction`` builds its frame: p, q log-uniform
+    on [0.5, 2000]; unknown x at y in [0.05, 0.95] or unknown y at x in
+    [0, 500]; z in (0.001, 0.999), or near 1/2, where the seed nears the
+    transition point and |zeta| falls below tau."""
+    p = math.exp(draw(st.floats(math.log(0.5), math.log(2000.0))))
+    q = math.exp(draw(st.floats(math.log(0.5), math.log(2000.0))))
+    z = draw(st.one_of(st.floats(0.001, 0.999), st.floats(0.49, 0.51)))
+    unknown = draw(st.sampled_from("xy"))
+    fixed = draw(st.floats(0.05, 0.95) if unknown == "x" else st.floats(0.0, 500.0))
+    problem = InversionProblem(unknown, ShapeParams(p, q), fixed, z)
+    try:
+        coeffs = (x_zeta_coeffs if unknown == "x" else y_zeta_coeffs)(problem.sp, fixed)
+        v = zeta_series_value(coeffs, zeta0_seed(problem), unknown)
+    except EvaluationError:
+        assume(False)
+    return (p, q, v, fixed) if unknown == "x" else (p, q, fixed, v)
+
+
+class TestDirectG0:
+    # the pole series' example: |zeta| = 3.0e-4, where the direct
+    # subtraction is 2.0e-7 off
+    NEAR_POLE = (0.69333, 0.50023, 411.69, 0.997585)
+
+    @settings(max_examples=300, deadline=None)
+    @given(zeta_series_seeds())
+    @example(NEAR_POLE)
+    def test_direct_g0_agrees_with_g_coeffs(self, point):
+        p, q, x, y = point
+        try:
+            fr = build_frame(ShapeParams(p, q), EvalPoint(x, y))
+        except EvaluationError:
+            assume(False)
+        direct = abs(fr.zeta) >= G0_DIRECT_MIN and fr.phi2 > 0.0 and 1.0 - y * fr.t0 != 0.0
+        try:
+            ref = g_coeffs(fr, 0)[0]
+        except EvaluationError:
+            ref = None
+        if not direct:
+            # the rule keeps g_coeffs' g0, or its error
+            if ref is None:
+                with pytest.raises(EvaluationError):
+                    _g0(fr)
+            else:
+                assert _g0(fr) == ref
+            return
+        g0 = _g0(fr)
+        assert math.isfinite(g0)
+        if abs(fr.zeta) >= transition_tau(fr.r):
+            assert g0 == ref
+        elif ref is not None:
+            assert abs(g0 - ref) <= 1e-8 * max(1.0, abs(ref))
+
+    def test_g0_near_the_pole_takes_the_pole_series(self):
+        p, q, x, y = self.NEAR_POLE
+        fr = build_frame(ShapeParams(p, q), EvalPoint(x, y))
+        assert abs(fr.zeta) < G0_DIRECT_MIN
+        ref = g0_reference(p, q, x, y)
+        subtracted = (1.0 / fr.t0 + y / (1.0 - y * fr.t0)) * fr.phi2**-0.5 - 1.0 / fr.zeta
+        assert abs(subtracted - ref) > 1e-7
+        assert _g0(fr) == g_coeffs(fr, 0)[0]
+        assert abs(_g0(fr) - ref) <= 1e-12
+
+    def test_invert_mixed_style_solves_take_no_more_evaluations(self):
+        # 300 problems drawn as invert-mixed draws them, from a fixed rng;
+        # with g0 from g_coeffs everywhere they took 689 evaluations
+        rng = np.random.default_rng(26)
+        problems = []
+        while len(problems) < 300:
+            p, q = (math.exp(v) for v in rng.uniform(math.log(0.5), math.log(2000.0), 2))
+            if len(problems) % 2 == 0:
+                y = rng.uniform(0.05, 0.95)
+                iy = central_beta_cdf(p, q, y)
+                if iy < 0.01:
+                    continue
+                z = rng.uniform(0.001, min(0.999, iy * (1.0 - 1e-6)))
+                problems.append(InversionProblem("x", ShapeParams(p, q), y, z))
+            else:
+                problems.append(InversionProblem("y", ShapeParams(p, q), rng.uniform(0.0, 500.0), rng.uniform(0.001, 0.999)))
+        results = [invert(problem) for problem in problems]
+        assert all(res.converged for res in results)
+        assert sum(res.iterations for res in results) <= 689
 
 
 class TestTransitionEquation:
@@ -485,14 +590,18 @@ class TestInvert:
 
         monkeypatch.setattr(ncbeta.inversion, "_series_window", counted("plan", ncbeta.inversion._series_window))
         monkeypatch.setattr(ncbeta.inversion, "_resum", counted("resum", ncbeta.inversion._resum))
+        # the derivatives are summed only before a step: the evaluation that
+        # ends the solve forms none
+        monkeypatch.setattr(ncbeta.inversion, "_slope", counted("slope", ncbeta.inversion._slope))
         kummer = counted("kummer", ncbeta.kernels._kummer_m_log)
         for mod in (ncbeta.kernels, ncbeta.recurrence, ncbeta.kummer_series):
             monkeypatch.setattr(mod, "_kummer_m_log", kummer)
         for unknown, fixed, z in (("x", 0.45, 0.4), ("y", 4.5, 0.01), ("y", 4.5, 0.99)):
-            calls.update(plan=0, resum=0, declined=0, kummer=0)
+            calls.update(plan=0, resum=0, declined=0, kummer=0, slope=0)
             res = invert(InversionProblem(unknown, SP, fixed, z))
-            assert res.iterations > 1
-            assert calls == {"plan": 1, "resum": res.iterations - 1, "declined": 0, "kummer": 0}
+            assert res.converged and res.iterations > 1
+            steps = res.iterations - 1
+            assert calls == {"plan": 1, "resum": steps, "declined": 0, "kummer": 0, "slope": steps}
         assert not hasattr(ncbeta.inversion, "evaluate")
 
     @pytest.mark.parametrize("p, q, z, iterations", [(10.0, 15.0, 0.3, 2), (0.6, 1500.0, 1e-3, 6), (3.0, 4.0, 0.999, 3)])

@@ -427,6 +427,44 @@ class TestArrayMembers:
         assert np.all(np.abs(got - ref) <= 2.0 * n * 1.12e-16 * ref)
 
 
+def cumprod_chain(v0, k0, P, Q):
+    """``series._chain`` in its concatenate/cumprod form: the running
+    products of [v0, ratios] leftward and rightward from k0, the leftward
+    one reversed and joined to the rightward one."""
+    down = np.cumprod(np.concatenate(([v0], P[k0:0:-1] / Q[k0:0:-1])))
+    up = np.cumprod(np.concatenate(([v0], Q[k0 + 1 :] / P[k0 + 1 :])))
+    return np.concatenate((down[:0:-1], up))
+
+
+@st.composite
+def chain_inputs(draw):
+    """(v0, k0, P, Q) of a window of 1 to 400 columns, anchored at its first
+    column, its last or inside, with the weights' ratios (P, Q) = (j, h) or
+    the increments' (a, y (a - 1 + q))."""
+    n = draw(st.integers(1, 400))
+    k0 = draw(st.one_of(st.just(0), st.just(n - 1), st.integers(0, n - 1)))
+    v0 = math.exp(draw(st.floats(-745.0, 0.0)))
+    if draw(st.booleans()):
+        P = draw(st.integers(0, 2000)) + np.arange(n, dtype=float)
+        Q = np.full(n, draw(st.floats(0.01, 1e4)))
+    else:
+        P = draw(st.floats(0.5, 2000.0)) + np.arange(n)
+        Q = draw(st.floats(0.001, 0.999)) * (P - 1.0 + draw(st.floats(0.5, 2000.0)))
+    return v0, k0, P, Q
+
+
+class TestChain:
+    @settings(max_examples=300, deadline=None)
+    @given(chain_inputs())
+    def test_one_buffer_chain_is_the_cumprod_form_bit_for_bit(self, inputs):
+        # products that leave the float range leave it alike in both forms
+        with np.errstate(over="ignore", under="ignore"):
+            got = series._chain(*inputs)
+            ref = cumprod_chain(*inputs)
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
 EVAL_MIXED_POINT = st.tuples(
     st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
     st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
