@@ -14,6 +14,10 @@ inversion it gives both the reversion of w = u sqrt(a(u)),
     [w^k] u(w) = [u^(k-1)] a(u)^(-k/2) / k,
 
 and any series composed with that reversion, without truncated products.
+``ps_revert`` serves the phase inversion (``asymptotic.invert_phi_series``);
+the transition series that seed inversion, always of order 5, write the
+same operations out in straight-line floats (``asymptotic._t0_series5``
+and ``asymptotic._zeta_revert5``), bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ def ps_pow(a, alpha: float, n: int) -> np.ndarray:
 
 
 def ps_sqrt(a, n: int) -> np.ndarray:
-    """sqrt(a) truncated to order n; requires a[0] > 0."""
+    """sqrt(a) truncated to order n; requires a[0] > 0.  No library code
+    calls it since the transition series write its recurrence out
+    (``asymptotic._t0_series5``); perfbench's tracer binds it by name."""
     out = [math.sqrt(a[0])]
     for k in range(1, n + 1):
         s = float(a[k]) if k < len(a) else 0.0

@@ -29,6 +29,10 @@ feeds both the near-saddle phase difference dphi and A(u); one sum,
 
 It also provides the transition-series coefficients x(zeta) and y(zeta)
 used to seed inversion, inverted from zeta^2 = u^2 A(u) in the same way.
+Their order is always 5, so their Lagrange-Miller algebra is written out
+as straight-line float arithmetic (``_t0_series5``, ``_zeta_revert5``),
+the operations of the generic ``_pseries`` code in its order: the same
+coefficients bit for bit, at about a fifth of the generic code's cost.
 """
 
 from __future__ import annotations
@@ -39,13 +43,12 @@ from itertools import count, islice
 
 import numpy as np
 
-from ._pseries import _pow, ps_eval, ps_pow, ps_revert, ps_sqrt
+from ._pseries import ps_pow, ps_revert
 from .errors import DomainError, EvaluationError, FrameDegenerateError, SeriesInvalidError
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 from .series import _complement_is_primary
 
 TAU_REF = 0.05  # pole-removal threshold on zeta at the reference scale r = 40
-ZETA_ORDER = 5  # order of the transition series x(zeta), y(zeta)
 
 _LOG_2PI = 1.8378770664093454835607
 
@@ -79,9 +82,6 @@ class SaddleFrame:
     dphi: float
     zeta: float
     phi2: float
-    phi3: float
-    phi4: float
-    phi5: float
 
     @property
     def erfc_arg(self) -> float:
@@ -152,12 +152,9 @@ def build_frame(sp: ShapeParams, pt: EvalPoint) -> SaddleFrame:
     zeta = math.copysign(math.sqrt(2.0 * dphi), tp - t0)
     t0m1 = t0 - 1.0
     phi2 = -1.0 / (t0 * t0) + s / (t0m1 * t0m1)
-    phi3 = 2.0 / t0**3 - 2.0 * s / t0m1**3
-    phi4 = -6.0 / t0**4 + 6.0 * s / t0m1**4
-    phi5 = 24.0 / t0**5 - 24.0 * s / t0m1**5
     return SaddleFrame(
         y=pt.y, r=r, sin2=s, cos2=c, t0=t0, tp=tp, y0=sp.transition_quantile(pt.x), dphi=dphi,
-        zeta=zeta, phi2=phi2, phi3=phi3, phi4=phi4, phi5=phi5,
+        zeta=zeta, phi2=phi2,
     )
 
 
@@ -412,36 +409,88 @@ def eval_erfc_uniform(
 
 # ---------------------------------------------------------------------------
 # transition-series coefficients for inversion
+#
+# The transition series have order 5.  Their Lagrange-Miller algebra is
+# written out for that order in Python floats: the float operations of
+# ``ps_sqrt``, ``ps_pow``'s recurrence and ``ps_revert``, in their order,
+# with Miller's factors (alpha + 1) i - k as the exact half-integer literals
+# they are.  Each sum keeps the recurrence's 0.0 start, so that even the
+# sign of a zero coefficient is the generic code's, and the inputs become
+# Python floats first, whose ``**`` raises on overflow as ``ps_pow``'s does.
 
 
-def _t0_series(c: float, xi0: float, xi1: float, n: int) -> list[float]:
-    """Saddle t0 as a series in u where xi = xi0 + xi1 u, via the conjugate
-    root form t0 = 2 / (sqrt((c - xi)^2 + 4 xi) + c - xi); n >= 1."""
-    D = [(c - xi0) * (c - xi0) + 4.0 * xi0, (4.0 - 2.0 * (c - xi0)) * xi1, xi1 * xi1][: n + 1]
-    if D[0] <= 0.0:
+def _t0_series5(c: float, xi0: float, xi1: float) -> tuple[float, float, float, float, float]:
+    """T_1..T_5 of the saddle t0 = T_0 + T_1 u + ... + T_5 u^5 where
+    xi = xi0 + xi1 u, from the conjugate root form
+    t0 = 2 / (sqrt(D) + c - xi), D = (c - xi)^2 + 4 xi = d0 + d1 u + d2 u^2.
+    The square root s = sqrt(D) comes from s^2 = D,
+
+        s_k = (d_k - sum_{0<i<k} s_i s_{k-i}) / (2 s_0),
+
+    and the reciprocal b = 1/(s + c - xi) from Miller's recurrence with
+    alpha = -1, whose factors are all -k."""
+    c, xi0, xi1 = float(c), float(xi0), float(xi1)
+    d0 = (c - xi0) * (c - xi0) + 4.0 * xi0
+    if d0 <= 0.0:
         raise SeriesInvalidError("saddle discriminant vanishes at the transition point")
-    den = ps_sqrt(D, n).tolist()
-    den[0] += c - xi0
-    den[1] -= xi1
-    if den[0] <= 0.0:
+    s0 = math.sqrt(d0)
+    h = 2.0 * s0
+    s1 = (4.0 - 2.0 * (c - xi0)) * xi1 / h
+    s2 = (xi1 * xi1 - s1 * s1) / h
+    s3 = (0.0 - s1 * s2 - s2 * s1) / h
+    s4 = (0.0 - s1 * s3 - s2 * s2 - s3 * s1) / h
+    s5 = (0.0 - s1 * s4 - s2 * s3 - s3 * s2 - s4 * s1) / h
+    a0 = s0 + (c - xi0)
+    a1 = s1 - xi1
+    if a0 <= 0.0:
         raise SeriesInvalidError("saddle branch degenerates at the transition point")
-    return [2.0 * v for v in _pow(den, -1.0, n)]
+    b0 = a0**-1.0
+    b1 = (0.0 - 1.0 * a1 * b0) / a0
+    b2 = (0.0 - 2.0 * a1 * b1 - 2.0 * s2 * b0) / (2.0 * a0)
+    b3 = (0.0 - 3.0 * a1 * b2 - 3.0 * s2 * b1 - 3.0 * s3 * b0) / (3.0 * a0)
+    b4 = (0.0 - 4.0 * a1 * b3 - 4.0 * s2 * b2 - 4.0 * s3 * b1 - 4.0 * s4 * b0) / (4.0 * a0)
+    b5 = (0.0 - 5.0 * a1 * b4 - 5.0 * s2 * b3 - 5.0 * s3 * b2 - 5.0 * s4 * b1 - 5.0 * s5 * b0) / (5.0 * a0)
+    return 2.0 * b1, 2.0 * b2, 2.0 * b3, 2.0 * b4, 2.0 * b5
 
 
-def _zeta_revert(psip, v0: float, unknown: str) -> np.ndarray:
-    """The unknown ("x" or "y") as a series in zeta from psi' = d(zeta^2/2)/dv
-    about its transition point v0: with u = v - v0, zeta^2 = u^2 A(u) and
-    zeta = +-u sqrt(A(u)) rises in x and falls in y, so the coefficients are
-    ``ps_revert(A)``, odd ones negated for y.  Raises unless A_0 > 0."""
-    n = ZETA_ORDER
-    A = [2.0 * (psip[k] / (k + 1.0)) for k in range(1, n + 1)]
-    if A[0] <= 0.0:
+def _zeta_revert5(psip, v0: float, unknown: str) -> np.ndarray:
+    """The unknown ("x" or "y") as a series in zeta from psi'_1..psi'_5,
+    the Taylor coefficients of psi' = d(zeta^2/2)/dv about its transition
+    point v0 past the vanishing psi'_0: with u = v - v0, zeta^2 = u^2 A(u),
+    A_{k-1} = 2 psi'_k / (k + 1), and zeta = +-u sqrt(A(u)) rises in x and
+    falls in y, so the coefficients are Lagrange's reversion
+
+        b_k = [u^(k-1)] A(u)^(-k/2) / k,
+
+    odd ones negated for y.  Raises unless A_0 > 0."""
+    p1, p2, p3, p4, p5 = map(float, psip)
+    a0 = 2.0 * (p1 / 2.0)
+    if not a0 > 0.0:
         raise SeriesInvalidError(f"transition curvature not positive; {unknown}(zeta) series invalid")
-    out = ps_revert(A, n)
+    a1 = 2.0 * (p2 / 3.0)
+    a2 = 2.0 * (p3 / 4.0)
+    a3 = 2.0 * (p4 / 5.0)
+    a4 = 2.0 * (p5 / 6.0)
+    a0x2, a0x3, a0x4 = 2.0 * a0, 3.0 * a0, 4.0 * a0
+    # b_k: Miller's recurrence for A^alpha, alpha = -k/2, up to order k - 1
+    b1 = a0**-0.5
+    e0 = a0**-1.0
+    b2 = (0.0 - 1.0 * a1 * e0) / a0 / 2.0
+    e0 = a0**-1.5
+    e1 = (0.0 - 1.5 * a1 * e0) / a0
+    b3 = (0.0 - 2.5 * a1 * e1 - 3.0 * a2 * e0) / a0x2 / 3.0
+    e0 = a0**-2.0
+    e1 = (0.0 - 2.0 * a1 * e0) / a0
+    e2 = (0.0 - 3.0 * a1 * e1 - 4.0 * a2 * e0) / a0x2
+    b4 = (0.0 - 4.0 * a1 * e2 - 5.0 * a2 * e1 - 6.0 * a3 * e0) / a0x3 / 4.0
+    e0 = a0**-2.5
+    e1 = (0.0 - 2.5 * a1 * e0) / a0
+    e2 = (0.0 - 3.5 * a1 * e1 - 5.0 * a2 * e0) / a0x2
+    e3 = (0.0 - 4.5 * a1 * e2 - 6.0 * a2 * e1 - 7.5 * a3 * e0) / a0x3
+    b5 = (0.0 - 5.5 * a1 * e3 - 7.0 * a2 * e2 - 8.5 * a3 * e1 - 10.0 * a4 * e0) / a0x4 / 5.0
     if unknown == "y":
-        out[1::2] = -out[1::2]
-    out[0] = v0
-    return out
+        return np.array([v0, -b1, b2, -b3, b4, -b5])
+    return np.array([v0, b1, b2, b3, b4, b5])
 
 
 def x_zeta_coeffs(sp: ShapeParams, y: float) -> np.ndarray:
@@ -459,13 +508,9 @@ def x_zeta_coeffs(sp: ShapeParams, y: float) -> np.ndarray:
         )
     x0 = sp.transition_noncentrality(y)
     xi1 = y / (2.0 * r)
-    xi0 = x0 * xi1
-    T = _t0_series(sp.cos2, xi0, xi1, ZETA_ORDER)
-    tp = 1.0 / y
     # psi'(x) = xi1 (tp - t0(x)); psi = zeta^2 / 2 vanishes to second order at x0
-    psip = [-xi1 * t for t in T]
-    psip[0] += xi1 * tp
-    return _zeta_revert(psip, x0, "x")
+    T = _t0_series5(sp.cos2, x0 * xi1, xi1)
+    return _zeta_revert5([-xi1 * t for t in T], x0, "x")
 
 
 def y_zeta_coeffs(sp: ShapeParams, x: float) -> np.ndarray:
@@ -475,26 +520,26 @@ def y_zeta_coeffs(sp: ShapeParams, x: float) -> np.ndarray:
     if x < 0.0:
         raise DomainError(f"noncentrality must be nonnegative, got {x}")
     p, q, r = sp.p, sp.q, sp.r
-    n = ZETA_ORDER
     y0 = sp.transition_quantile(x)
     xi1 = x / (2.0 * r)
-    xi0 = y0 * xi1
-    T = _t0_series(sp.cos2, xi0, xi1, n)
+    T = _t0_series5(sp.cos2, y0 * xi1, xi1)
     # psi'(y) = -p/(r y) + q/(r (1-y)) - xi1 t0(xi(y)), developed about y0
     cp, cq = -(p / r), q / r
+    om = 1.0 - y0
     psip = [
-        cp * ((-1.0) ** k / y0 ** (k + 1)) + cq * (1.0 / (1.0 - y0) ** (k + 1)) - xi1 * T[k]
-        for k in range(n + 1)
+        cp * ((-1.0) ** k / y0 ** (k + 1)) + cq * (1.0 / om ** (k + 1)) - xi1 * T[k - 1]
+        for k in range(1, 6)
     ]
-    return _zeta_revert(psip, y0, "y")
+    return _zeta_revert5(psip, y0, "y")
 
 
 def zeta_series_value(coeffs, zeta: float, unknown: str) -> float:
     """The transition series of ``x_zeta_coeffs`` (unknown "x") or
-    ``y_zeta_coeffs`` (unknown "y") summed at zeta.  Raises
-    SeriesInvalidError where the value leaves the unknown's domain, x >= 0
-    or 0 < y < 1."""
-    v = float(ps_eval(coeffs, zeta))
+    ``y_zeta_coeffs`` (unknown "y") summed at zeta by Horner's rule, in the
+    float operations of ``ps_eval``.  Raises SeriesInvalidError where the
+    value leaves the unknown's domain, x >= 0 or 0 < y < 1."""
+    c0, c1, c2, c3, c4, c5 = coeffs.tolist()
+    v = (((((0.0 * zeta + c5) * zeta + c4) * zeta + c3) * zeta + c2) * zeta + c1) * zeta + c0
     if not (v >= 0.0 if unknown == "x" else 0.0 < v < 1.0):
         raise SeriesInvalidError(f"{unknown}(zeta) series left the domain ({unknown}={v:.3e})")
     return v

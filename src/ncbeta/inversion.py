@@ -391,14 +391,19 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     Where Newton's step leaves the bracket, or there is none, the bracket is
     bisected (the iterate doubled while it is open above): far out in a
     tail, where B is flat and its curvature large, Halley's step shrinks to
-    a few e-folds of B's distance to 0 or 1 and would crawl.  Stops once |f|
+    a few e-folds of B's distance to 0 or 1 and would crawl.  In y the
+    lower tail is straight in ln y, B ~ C y^p, so a bracket still open
+    below (lo = 0) takes Newton's step on ln B in ln y, y (z/B)^(B/(y B')),
+    where it lands inside, else hi min(1/2, hi): a root tens of decades
+    below the seed is met in a few steps rather than halved toward, and the
+    seed itself is the first iterate.  Stops once |f|
     is inside the residual band or after 40 evaluations, and returns the
     last iterate it evaluated, with its residual."""
     z = problem.z
     band = problem.tol * max(z, 1.0 - z)
     increasing = problem.unknown == "y"  # B rises in y and falls in x
     lo, hi = 0.0, (1.0 if increasing else math.inf)
-    cur = min(max(seed, 1e-12), 1.0 - 1e-12) if increasing else max(seed, 0.0)
+    cur = seed if increasing else max(seed, 0.0)  # every y seed lies in (0, 1)
     held = None
     for iters in range(1, 41):
         pair, window, full = _eval_at(problem, cur, held)
@@ -422,7 +427,18 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
         # last planned window; after a bisection or doubling step it plans
         held = full
         if not (math.isfinite(nxt) and lo < nxt < hi):
-            nxt = max(2.0 * cur, cur + 1.0) if math.isinf(hi) else 0.5 * (lo + hi)
+            if math.isinf(hi):
+                nxt = max(2.0 * cur, cur + 1.0)
+            elif increasing and lo == 0.0:
+                nxt = hi * min(0.5, hi)
+                if deriv > 0.0 and pair.b > 0.0:
+                    # B ~ C y^p in the lower tail: Newton's step on ln B in
+                    # ln y; z <= B here, so the power cannot overflow
+                    step = cur * (z / pair.b) ** (pair.b / cur / deriv)
+                    if 0.0 < step < hi:
+                        nxt = step
+            else:
+                nxt = 0.5 * (lo + hi)
             held = None
         if nxt == cur:
             break

@@ -553,8 +553,20 @@ def check_resummed_window(n: int = 30, seed: int = 24) -> list[CheckResult]:
     ]
 
 
+def _phase_derivatives(fr):
+    """phi_2..phi_5, the derivatives of the phase at the saddle in which the
+    closed forms are written."""
+    t0, t0m1, s = fr.t0, fr.t0 - 1.0, fr.sin2
+    return (
+        fr.phi2,
+        2.0 / t0**3 - 2.0 * s / t0m1**3,
+        -6.0 / t0**4 + 6.0 * s / t0m1**4,
+        24.0 / t0**5 - 24.0 * s / t0m1**5,
+    )
+
+
 def _closed_t(fr):
-    ph2, ph3, ph4, ph5 = fr.phi2, fr.phi3, fr.phi4, fr.phi5
+    ph2, ph3, ph4, ph5 = _phase_derivatives(fr)
     t1 = 1.0 / math.sqrt(ph2)
     t2 = -ph3 / (6.0 * ph2**2)
     t3 = (5.0 * ph3**2 - 3.0 * ph2 * ph4) / (72.0 * ph2**3.5)
@@ -567,7 +579,7 @@ def _closed_f0(fr):
 
 
 def _closed_f2(fr):
-    ph2, ph3, ph4 = fr.phi2, fr.phi3, fr.phi4
+    ph2, ph3, ph4, _ = _phase_derivatives(fr)
     t0, y = fr.t0, fr.y
     return (
         24.0 * ph2**2

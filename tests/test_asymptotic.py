@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ncbeta.inversion
 from ncbeta._pseries import ps_eval, ps_mul, ps_pow, ps_revert, ps_sqrt
 from ncbeta.asymptotic import (
     build_frame,
@@ -22,8 +23,10 @@ from ncbeta.asymptotic import (
     zeta_series_value,
 )
 from ncbeta.errors import DomainError, EvaluationError, FrameDegenerateError, SeriesInvalidError
+from ncbeta.inversion import InversionProblem, invert
+from ncbeta.kernels import central_beta_cdf
 from ncbeta.params import EvalPoint, ShapeParams
-from ncbeta.selftest import EXPANSION_CASES, _closed_f0, _closed_t, _exact_tol
+from ncbeta.selftest import EXPANSION_CASES, _closed_f0, _closed_t, _exact_tol, _phase_derivatives
 from ncbeta.series import eval_series
 
 
@@ -125,6 +128,14 @@ def np_y_zeta_coeffs(sp, x, n=5):
     out[1::2] = -out[1::2]
     out[0] = y0
     return out
+
+
+def ps_eval_series_value(coeffs, zeta, unknown):
+    """zeta_series_value as it was, on ps_eval."""
+    v = float(ps_eval(coeffs, zeta))
+    if not (v >= 0.0 if unknown == "x" else 0.0 < v < 1.0):
+        raise SeriesInvalidError(f"{unknown}(zeta) series left the domain")
+    return v
 
 
 def compose(a, u, n):
@@ -344,7 +355,8 @@ class TestPhaseInversion:
     def test_specific_t2_t4(self):
         fr = build_frame(ShapeParams(10.0, 10.0), EvalPoint(54.0, 0.8686))
         t = invert_phi_series(fr)
-        assert abs(t[2] - (-fr.phi3 / (6.0 * fr.phi2**2))) <= 1e-12 * abs(t[2])
+        phi2, phi3, _, _ = _phase_derivatives(fr)
+        assert abs(t[2] - (-phi3 / (6.0 * phi2**2))) <= 1e-12 * abs(t[2])
         fr = build_frame(ShapeParams(20.0, 20.0), EvalPoint(140.0, 0.9))
         t = invert_phi_series(fr)
         _, _, _, t4c = _closed_t(fr)
@@ -602,6 +614,53 @@ class TestTransitionSeries:
                 assert isinstance(got, np.ndarray)
                 assert got.tobytes() == ref.tobytes()
                 done[unknown] += 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=6, max_size=6),
+        st.floats(min_value=-5.0, max_value=5.0),
+        st.sampled_from(["x", "y"]),
+    )
+    @example([0.5, -0.1, 0.01, 0.0, -0.0, 1e-300], 0.3, "y")
+    @example([-0.0, 0.0, -0.0, 0.0, -0.0, -0.0], -0.0, "x")
+    def test_series_value_bit_identical_to_ps_eval(self, coeffs, zeta, unknown):
+        # the Horner sum runs on Python floats in ps_eval's operations,
+        # from its 0.0 start, so even the sign of a zero is ps_eval's
+        coeffs = np.array(coeffs)
+        try:
+            ref = ps_eval_series_value(coeffs, zeta, unknown)
+        except SeriesInvalidError:
+            with pytest.raises(SeriesInvalidError):
+                zeta_series_value(coeffs, zeta, unknown)
+            return
+        got = zeta_series_value(coeffs, zeta, unknown)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+    def test_invert_results_bit_identical_to_numpy_reference(self, monkeypatch):
+        # 300 problems drawn as invert-mixed draws them: with the numpy
+        # coefficients and ps_eval's sum in place of the straight-line ones,
+        # every field of every result, seeds included, is the same
+        rng = np.random.default_rng(27)
+        problems = []
+        while len(problems) < 300:
+            p, q = (math.exp(v) for v in rng.uniform(math.log(0.5), math.log(2000.0), 2))
+            if len(problems) % 2 == 0:
+                y = rng.uniform(0.05, 0.95)
+                iy = central_beta_cdf(p, q, y)
+                if iy < 0.01:
+                    continue
+                z = rng.uniform(0.001, min(0.999, iy * (1.0 - 1e-6)))
+                problems.append(InversionProblem("x", ShapeParams(p, q), y, z))
+            else:
+                problems.append(InversionProblem("y", ShapeParams(p, q), rng.uniform(0.0, 500.0), rng.uniform(0.001, 0.999)))
+        got = [repr(invert(problem)) for problem in problems]
+        monkeypatch.setattr(ncbeta.inversion, "x_zeta_coeffs", np_x_zeta_coeffs)
+        monkeypatch.setattr(ncbeta.inversion, "y_zeta_coeffs", np_y_zeta_coeffs)
+        monkeypatch.setattr(ncbeta.inversion, "zeta_series_value", ps_eval_series_value)
+        ref = [repr(invert(problem)) for problem in problems]
+        assert sum("zeta-series" in r for r in ref) >= 200
+        assert got == ref
 
     def test_radicand_precondition(self):
         # q - r (1-y)^2 < 0 at small y here

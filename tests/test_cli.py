@@ -166,10 +166,11 @@ class TestInvert:
         assert "0.70" in err  # the bound I_y(p, q) is reported
 
     def test_unconverged_exits_3(self, capsys):
-        # the root lies near y = 1e-54; bisection halves y to 9.1e-25 in 40
-        # steps, where the residual is still 1e-3
-        code, out, err = run_cli(capsys, "invert", "--unknown", "y", "--p", "0.14454", "--q", "943.65",
-                                 "--x", "0.1156", "--z", "3.818e-8")
+        # the root lies closer to y = 1 than the doubles below 1 reach: at
+        # y = 1 - 2.7e-15 the complement is still 1.8e-4 against 1.7e-7
+        code, out, err = run_cli(capsys, "invert", "--unknown", "y", "--p", "24.124158516411413",
+                                 "--q", "0.3095081672049997", "--x", "379.90104782785556",
+                                 "--z", "0.9999998303935156")
         assert code == 3
         assert out == "" and err.startswith("error: inversion did not converge")
 
@@ -290,7 +291,9 @@ class TestBatch:
 
     def test_unconverged_inversion_is_an_error_row(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
-        src.write_text("p,q,x,y,z\n0.14454,943.65,0.1156,,3.818e-8\n10,15,4.5,,0.5\n")
+        # the first row's root lies closer to y = 1 than the doubles reach
+        src.write_text("p,q,x,y,z\n24.124158516411413,0.3095081672049997,379.90104782785556,,0.9999998303935156\n"
+                       "10,15,4.5,,0.5\n")
         dst = tmp_path / "out.csv"
         code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "invert-y")
         assert code == 0

@@ -29,6 +29,7 @@ from ncbeta.inversion import (
 from ncbeta.kernels import central_beta_cdf, kummer_m_log, log_beta
 from ncbeta.params import EvalPoint, ShapeParams
 from ncbeta.series import _complement_is_primary, _resum, _series_window, eval_series
+from test_dispatch import windowed_reference
 
 SP = ShapeParams(10.0, 15.0)
 
@@ -547,20 +548,37 @@ class TestInvert:
         # Halley's step: 3.08 evaluations a solve with Newton's
         assert iterations / done <= 2.6
 
+    # a deep upper-tail quantile whose root lies closer to 1 than the
+    # doubles below 1 reach: the complement is still 1.8e-4 at
+    # y = 1 - 2.7e-15, against a target of 1.7e-7
+    EXHAUSTED = (ShapeParams(24.124158516411413, 0.3095081672049997), 379.90104782785556, 0.9999998303935156)
+
     def test_exhausted_budget_is_not_converged(self):
-        # the root lies near y = 1e-54, and bisection halves y only down to
-        # 9.1e-25 in its 40 steps
-        res = invert(InversionProblem("y", ShapeParams(0.14454, 943.65), 0.1156, 3.818e-8))
+        sp, x, z = self.EXHAUSTED
+        res = invert(InversionProblem("y", sp, x, z))
         assert res.iterations == 40
         assert abs(res.residual) > 1e-10 and not res.converged
 
     def test_exhausted_budget_reports_an_evaluated_iterate(self):
         # the 40th evaluation's iterate and its own residual, not the next
         # iterate (never evaluated) with the residual of the one before
-        sp, x, z = ShapeParams(0.14454, 943.65), 0.1156, 3.818e-8
+        sp, x, z = self.EXHAUSTED
         res = invert(InversionProblem("y", sp, x, z))
         assert res.iterations == 40 and not res.converged
-        assert res.residual == evaluate(sp, EvalPoint(x, res.value)).b - z
+        assert res.residual == (1.0 - z) - evaluate(sp, EvalPoint(x, res.value)).bbar
+
+    def test_deep_lower_tail_quantile_converges(self):
+        # the transition root seeds y = 3.6e-48 and the root lies near
+        # 4.7e-55: the polish starts from the seed itself, not from 1e-12,
+        # and Newton's step on ln B in ln y lands on the root (2
+        # evaluations), where halving y from 1e-12 took all 40 to reach
+        # 1.8e-24
+        sp, x, z = ShapeParams(0.14454, 943.65), 0.1156, 3.818e-8
+        res = invert(InversionProblem("y", sp, x, z))
+        assert res.seed_value < 1e-47 and res.value < 1e-54
+        assert res.converged and res.iterations <= 3
+        ref = float(windowed_reference(sp.p, sp.q, x, res.value, False, dps=40))
+        assert abs(ref - z) <= 1e-10 * max(z, 1.0 - z)
 
     def test_flat_tail_bisects_instead_of_crawling(self):
         # at the seed the complement is 5e-50 against a target of 3.5e-9;
