@@ -516,16 +516,19 @@ def x_zeta_coeffs(sp: ShapeParams, y: float) -> np.ndarray:
 def y_zeta_coeffs(sp: ShapeParams, x: float) -> np.ndarray:
     """Coefficients of y = y0 + y1 zeta + ... + y5 zeta^5 along the family
     with fixed (p, q, x); y0 is the transition quantile.  Always real for
-    x >= 0."""
+    x >= 0, but they divide by powers of 1 - y0: where y0 rounds to 1 (x
+    of order 1e16 q and above) the series is invalid."""
     if x < 0.0:
         raise DomainError(f"noncentrality must be nonnegative, got {x}")
     p, q, r = sp.p, sp.q, sp.r
     y0 = sp.transition_quantile(x)
+    om = 1.0 - y0
+    if om == 0.0:
+        raise SeriesInvalidError(f"y(zeta) series invalid: the transition quantile rounds to 1 at x={x}")
     xi1 = x / (2.0 * r)
     T = _t0_series5(sp.cos2, y0 * xi1, xi1)
     # psi'(y) = -p/(r y) + q/(r (1-y)) - xi1 t0(xi(y)), developed about y0
     cp, cq = -(p / r), q / r
-    om = 1.0 - y0
     psip = [
         cp * ((-1.0) ** k / y0 ** (k + 1)) + cq * (1.0 / om ** (k + 1)) - xi1 * T[k - 1]
         for k in range(1, 6)

@@ -131,38 +131,41 @@ def _betacf(a, b, x):
     x < (a + 1)/(a + b + 2).  Returns nan when 3000 iterations do not reach
     a 3e-16 step; callers must treat nan as non-convergence.  The loop is
     written out rather than run through ``_lentz``: this is the hot kernel
-    of every series window."""
+    of every series window, and its clamps and stop are chained
+    comparisons on locals (-t < v < t is abs(v) < t), which call no
+    builtin."""
+    fpmin = _FPMIN
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
+    if -fpmin < d < fpmin:
+        d = fpmin
     d = 1.0 / d
     h = d
     for m in range(1, 3001):
         m2 = 2 * m
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
         d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
+        if -fpmin < d < fpmin:
+            d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        if -fpmin < c < fpmin:
+            c = fpmin
         d = 1.0 / d
         h *= d * c
         aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
         d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
+        if -fpmin < d < fpmin:
+            d = fpmin
         c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
+        if -fpmin < c < fpmin:
+            c = fpmin
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) <= 3e-16:
+        if -3e-16 <= delta - 1.0 <= 3e-16:
             return h
     return math.nan
 

@@ -21,19 +21,23 @@ to an upper Poisson cutoff, and from a lower edge set by the Chernoff bound
 on the Poisson tail, so the cost grows as sqrt(x), not x.  A B member whose
 increment at the Poisson mode underflows, or whose window would hold more
 than ``MAX_WINDOW_TERMS`` terms, first checks an upper bound on B and
-returns 0, summing nothing, when B rounds to 0; any other member past that
-cap raises.  A member's relative ``err_est`` adds the mass dropped below
+returns 0, summing nothing, when B rounds to 0 (``_log_b_bound``, in closed
+form: two bounds on an incomplete beta); any other member past that cap
+raises.  A member's relative ``err_est`` adds the mass dropped below
 the window, a bound on the tail above it, and a rounding floor that grows
 with p + q and with the log of the increment the chain is anchored on.
 
 A member (``_member``, for B or the complement) runs in three steps, each
 written once.  One planner (``_row_plan``) sets the window's edges, the
 Poisson mode and its log weight, makes the x = 0, certified-zero and
-window-cap checks, and anchors the increment chain (``_chain_anchor``)
-with its continued-fraction seed at the window's far end and its scale
-(``_seed``), as a ``_Planned`` row.  The sum builds the row's weights,
-increments and terms and sums their products; the summed window is one
-record, a ``_Pass``.  One finish (``_finish``) unscales the sum and forms
+window-cap checks, anchors the increment chain (``_anchor``), and runs the
+continued fraction of the seed at the window's far end and sets the
+chain's scale (``_far_fraction``), as a ``_Planned`` row.  The sum builds
+the row's weights and increments, forms the seed from the chain's far end
+(``_far_seed``: the seed's prefactor e^lpre / a is an increment, the chain
+extended by one step, so the seed needs no prefactor of its own), then the
+terms, and sums their products; the summed window is one record, a
+``_Pass``.  One finish (``_finish``) unscales the sum and forms
 ``err_est`` from the tails and the floor.  It serves three forms of the
 sum: the 1-D one (``_window``); ``evaluate_many``'s 2-D one
 (``_window_arrays``), which builds the windows of many points at once in
@@ -65,7 +69,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .kernels import _betainc, _betainc_scaled, _log_beta_pre, _stirling_delta
+from .kernels import _betacf, _betainc, _betainc_scaled, _log_beta_pre, _stirling_delta
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 
 # the most terms a member sums, j_hi - j_lo + 1 (B) or j_end - j_lo + 1
@@ -75,6 +79,8 @@ MAX_WINDOW_TERMS = 1_000_000
 # builds; a longer window is summed in the 1-D form
 MANY_CELLS = 1 << 13
 TAIL_LOG = 39.2  # ln(1e17): a dropped Poisson tail stays below 1e-17 of the kept sum
+_LN2 = math.log(2.0)
+_TINY = 2.0**-1022  # the smallest normal double
 
 
 def _upper_edge(half):
@@ -137,16 +143,18 @@ def _chain(v0, k0, P, Q):
     chains of the mixture have this form: the Poisson weights with
     (P, Q) = (j, h), and the increments with (P, Q) = (a, y (a - 1 + q)).
 
-    The chain is built in one buffer, the 1-D twin of ``_outward``: the
-    ratios are divided into it, left of k0 the one that takes column c+1
-    to c at column c and right of it the one that takes c-1 to c, v0 sits
-    at k0, and two in-place running products run outward from k0, leftward
-    over the reversed view.  Each product is formed from v0 in the order
-    of cumprod over [v0, ratios...], bit for bit."""
+    Q is an array like P, or a float where it is constant (the weights'
+    h).  The chain is built in one buffer, the 1-D twin of ``_outward``:
+    the ratios are divided into it, left of k0 the one that takes column
+    c+1 to c at column c and right of it the one that takes c-1 to c, v0
+    sits at k0, and two in-place running products run outward from k0,
+    leftward over the reversed view.  Each product is formed from v0 in the
+    order of cumprod over [v0, ratios...], bit for bit."""
     out = np.empty(P.size)
-    np.divide(P[1 : k0 + 1], Q[1 : k0 + 1], out=out[:k0])
+    flat = not isinstance(Q, np.ndarray)
+    np.divide(P[1 : k0 + 1], Q if flat else Q[1 : k0 + 1], out=out[:k0])
     out[k0] = v0
-    np.divide(Q[k0 + 1 :], P[k0 + 1 :], out=out[k0 + 1 :])
+    np.divide(Q if flat else Q[k0 + 1 :], P[k0 + 1 :], out=out[k0 + 1 :])
     left = out[k0::-1]
     np.multiply.accumulate(left, out=left)
     right = out[k0:]
@@ -158,7 +166,7 @@ def _poisson_weights(half, j0, n, j_lo, lw0):
     """Poisson weights for j = j_lo..j_lo+n-1: the (P, Q) = (j, h) chain
     from j0, whose log weight lw0 the caller passes in, with the weight
     ratios j/h downward and h/j upward."""
-    return _chain(math.exp(lw0), j0 - j_lo, np.arange(j_lo, j_lo + n, dtype=float), np.full(n, half))
+    return _chain(math.exp(lw0), j0 - j_lo, np.arange(j_lo, j_lo + n, dtype=float), half)
 
 
 def _seed(a, b, z, ld0):
@@ -180,19 +188,78 @@ def _far_end(p, q, y, j_lo, n, complement):
     return (q, p + j_lo, 1.0 - y) if complement else (p + (j_lo + n - 1) + 1.0, q, y)
 
 
-def _chain_anchor(p, q, y, j_lo, n, complement):
-    """The increment chain of a window of n terms from j_lo, and its seed.
+def _far_fraction(p, q, y, j_lo, n, complement, ld0):
+    """The continued fraction of a window's far-end seed (``_far_end``),
+    run once per plan, and the chain's scale: (cf, seed, shift).
+
+    Where I_z(a, b) = e^lpre / a * cf (z below the fraction's switch
+    (a + 1)/(a + b + 2)), its prefactor e^lpre / a is an increment, so the
+    sum forms the seed from the end of the increment chain (``_far_seed``)
+    and seed is nan; the shift is ld0 below e^-650, else 0, as ``_seed``
+    sets it.  Where the fraction flips to I_{1-z}(b, a), cf is nan and the
+    seed and shift are ``_seed``'s."""
+    a, b, z = _far_end(p, q, y, j_lo, n, complement)
+    if z < (a + 1.0) / (a + b + 2.0):
+        return _betacf(a, b, z), math.nan, ld0 if ld0 < -650.0 else 0.0
+    return math.nan, *_seed(a, b, z, ld0)
+
+
+def _anchor(p, q, y, j_lo, n):
+    """The anchor of the increment chain of a window of n terms from j_lo.
 
     The increments' ratio y (a - 1 + q)/a falls through one at jpk, so they
     are unimodal; the chain is anchored at their largest term, at column k0
     (jpk clipped into the window), a0 = p + j_lo + k0, and the log ld0 of
-    d_{a0} comes from the prefactor; the far-end seed (``_far_end``) is
-    scaled by ``_seed``.  Returns (k0, a0, ld0, seed, shift)."""
+    d_{a0} comes from the prefactor.  Returns (k0, a0, ld0)."""
     jpk = (y * (p + q - 1.0) - p) / (1.0 - y)
     k0 = int(min(max(math.floor(jpk) - j_lo, 0.0), n - 1.0))
     a0 = p + (j_lo + k0)
-    ld0 = _log_beta_pre(a0, q, y) - math.log(a0)
-    return k0, a0, ld0, *_seed(*_far_end(p, q, y, j_lo, n, complement), ld0)
+    return k0, a0, _log_beta_pre(a0, q, y) - math.log(a0)
+
+
+def _chain_anchor(p, q, y, j_lo, n, complement):
+    """The increment chain's anchor (``_anchor``) with the far-end seed
+    formed directly by ``_seed``, as ``central_term_sequence`` seeds it:
+    (k0, a0, ld0, cf, seed, shift) with cf nan."""
+    k0, a0, ld0 = _anchor(p, q, y, j_lo, n)
+    return k0, a0, ld0, math.nan, *_seed(*_far_end(p, q, y, j_lo, n, complement), ld0)
+
+
+def _direct_seed(r):
+    """The far-end seed where it is not formed from the chain: the planned
+    one where the fraction flips; else, where the chain's end lies below
+    the normal range, I_z(a, b) e^-shift from its own prefactor and the
+    planned fraction, as ``_seed``'s kernels form it (``_betainc`` unscaled,
+    ``_betainc_scaled`` scaled)."""
+    if math.isnan(r.cf):
+        return r.seed
+    a, b, z = _far_end(r.p, r.q, r.y, r.j_lo, r.n, r.complement)
+    front = _log_beta_pre(a, b, z) - math.log(a)
+    if r.shift == 0.0:
+        return 0.0 if front < -745.0 else math.exp(front) * r.cf
+    front -= r.shift
+    return 0.0 if front < -700.0 else math.exp(front) * r.cf
+
+
+def _far_seed(r, d):
+    """A summed window's far-end seed, scaled as its increments d: the
+    increment at the chain's far end, times the factor that takes it to the
+    seed's prefactor, times the planned fraction.  B's seed I_y(a_T, q),
+    a_T = p + j_top + 1, has the prefactor d_{a_T} = d_{a_T - 1}
+    y (a_T - 1 + q)/a_T, the chain extended by one step; the complement's
+    I_{1-y}(q, a_L), a_L = p + j_lo, has e^lpre / q = d_{a_L} a_L / q.  a_T
+    and a_L are the chain's own (a0 - k0) + column.  Where the fraction
+    flips or the chain's end lies below the normal range, the seed is
+    ``_direct_seed``."""
+    base = r.a0 - r.k0
+    if r.complement:
+        end, ratio = d[0], base / r.q
+    else:
+        a = base + r.n
+        end, ratio = d[-1], r.y * (a - 1.0 + r.q) / a
+    if end >= _TINY and not math.isnan(r.cf):
+        return end * ratio * r.cf
+    return _direct_seed(r)
 
 
 def _log_term_bound(a, q, y):
@@ -206,25 +273,31 @@ def _log_term_bound(a, q, y):
 
 
 def _log_b_bound(p, q, half, y):
-    """An upper bound on log B over the whole mixture.  The terms
-    I_y(p+j, q) fall with j, so for every m <= h
-        B <= P(J < m) I_y(p, q) + I_y(p+m, q)
-          <= exp(-(h-m)^2 / 2h) I_y(p, q) + I_y(p+m, q);
-    the first part rises with m and the second falls, so m is bisected to
-    their crossing."""
+    """An upper bound on log B over the whole mixture, taken where it shows
+    soonest that B lies below e^-750.  The terms I_y(p+j, q) fall with j,
+    so for every m <= h
+        B <= P(J < m) I_y(p, q) + I_y(p+m, q) <= 2 e^max(f(m), g(m)),
+        f(m) = lt0 - (h-m)^2 / 2h,  g(m) = ``_log_term_bound``(p+m, q, y),
+    with lt0 = g(0).  f rises with m and g falls, so some m puts both
+    below -750 - ln 2 exactly when m_f does, the largest m in [0, floor(h)]
+    with f(m) below that level: m_f is the root of a quadratic, and the
+    bound is taken there.  Where there is no m_f, f(0) is above the level
+    and the bound is 2 e^lt0."""
     lt0 = _log_term_bound(p, q, y)
-    lo = 0
-    hi = int(half)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if lt0 - (half - mid) ** 2 / (2.0 * half) < _log_term_bound(p + mid, q, y):
-            lo = mid
-        else:
-            hi = mid
-    best = 0.0
-    for m in (lo, hi):
-        best = min(best, max(lt0 - (half - m) ** 2 / (2.0 * half), _log_term_bound(p + m, q, y)))
-    return best + math.log(2.0)
+    top = int(half)
+    # f(m) + ln 2 < -750 where (h - m)^2 > 2 h gap
+    gap = lt0 + _LN2 + 750.0
+    m = top if gap <= 0.0 else max(min(math.ceil(half - math.sqrt(2.0 * half * gap)) - 1, top), -1)
+    if half < 2.0**52:
+        # h - m is exact here, so m steps to the last integer whose f passes
+        # the test as it is rounded; the rounded root is at most a step off
+        while m < top and lt0 - (half - (m + 1)) ** 2 / (2.0 * half) + _LN2 < -750.0:
+            m += 1
+        while m >= 0 and not lt0 - (half - m) ** 2 / (2.0 * half) + _LN2 < -750.0:
+            m -= 1
+    if m < 0:
+        return lt0 + _LN2
+    return min(max(lt0 - (half - m) ** 2 / (2.0 * half), _log_term_bound(p + m, q, y)), 0.0) + _LN2
 
 
 def _complement_end(p, q, half, y):
@@ -253,10 +326,11 @@ class _Planned(NamedTuple):
     n: int
     j0: int  # the Poisson mode, where the weights are anchored, and its log weight
     lw0: float
-    k0: int  # the increments' anchor column, a0 and ld0 (``_chain_anchor``)
+    k0: int  # the increments' anchor column, a0 and ld0 (``_anchor``)
     a0: float
     ld0: float
-    seed: float  # scaled by e^-shift, as the increments are
+    cf: float  # the far-end seed's fraction, or nan where seed holds that seed
+    seed: float  # scaled by e^-shift, as the increments are (``_far_fraction``)
     shift: float
 
 
@@ -284,12 +358,18 @@ def _row_plan(p, q, x, y, complement):
     drops mass below e^-39.2 of that.  When the central terms decay faster
     than the weights grow, the summand peaks at low j, that product is tiny,
     and the edge stays at zero.  There, and wherever the window would pass
-    the cap, an upper bound on B below e^-750 shows that B rounds to 0.
+    the cap, an upper bound on B below e^-750 (``_log_b_bound``) shows that
+    B rounds to 0.
 
     The complement's terms grow toward 1, so its summand can keep growing
     well past the Poisson cutoff: its window runs from the Poisson lower
     edge to the product peak, where the weight decay finally beats the term
-    growth, plus a Poisson-width margin (``_complement_end``)."""
+    growth, plus a Poisson-width margin (``_complement_end``).
+
+    Either window's increment chain is anchored at its peak (``_anchor``).
+    The far-end seed's continued fraction is run here, and the sum
+    multiplies it by the chain's far end, so the seed takes no prefactor of
+    its own (``_far_fraction``, ``_far_seed``)."""
     half = 0.5 * x
     if half == 0.0:
         # one weight 1, one term I_y(p, q) or I_{1-y}(q, p), one increment d_p;
@@ -298,7 +378,7 @@ def _row_plan(p, q, x, y, complement):
         ld0 = _log_beta_pre(p, q, y) - math.log(p)
         shift = ld0 if ld0 < -650.0 else 0.0
         err = _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0)
-        r = _Planned(p, q, y, complement, 0.0, 0, 1, 0, 0.0, 0, p, ld0, math.nan, shift)
+        r = _Planned(p, q, y, complement, 0.0, 0, 1, 0, 0.0, 0, p, ld0, math.nan, math.nan, shift)
         return v, err, _Pass(r, np.ones(1), np.full(1, math.nan), np.array([math.exp(ld0 - shift)]), err)
     if complement:
         j_top = _complement_end(p, q, half, y)
@@ -317,7 +397,9 @@ def _row_plan(p, q, x, y, complement):
         return 0.0, 1e-15, None
     if n > MAX_WINDOW_TERMS:
         raise EvaluationError(f"series window would need {n} terms at x={x}; tolerance unachievable")
-    return _Planned(p, q, y, complement, half, j_lo, n, j0, lw0, *_chain_anchor(p, q, y, j_lo, n, complement))
+    k0, a0, ld0 = _anchor(p, q, y, j_lo, n)
+    return _Planned(p, q, y, complement, half, j_lo, n, j0, lw0, k0, a0, ld0,
+                    *_far_fraction(p, q, y, j_lo, n, complement, ld0))
 
 
 def _increments(r):
@@ -325,19 +407,29 @@ def _increments(r):
     e^{lpre(a)} / a, a = p + j, scaled by e^-shift: the (P, Q) =
     (a, y (a - 1 + q)) chain from its anchor, so away from it they only
     fall.  a = (a0 - k0) + c, where a0 - k0 is exact, so each a is rounded
-    once."""
+    once; Q is formed in place."""
     a = (r.a0 - r.k0) + np.arange(r.n)
-    return _chain(math.exp(r.ld0 - r.shift), r.k0, a, r.y * (a - 1.0 + r.q))
+    Q = a - 1.0
+    Q += r.q
+    Q *= r.y
+    return _chain(math.exp(r.ld0 - r.shift), r.k0, a, Q)
 
 
 def _terms(r, d):
-    """A planned window's terms, scaled as its increments d and its seed:
-    B's falling I_y(p+j, q) are the seed one past the top plus the reverse
-    running sum of d, the complement's rising g_j = I_{1-y}(q, p+j) the
-    seed g_{j_lo} plus the forward one; every addition is of positive terms."""
+    """A planned window's terms, scaled as its increments d and its seed
+    (``_far_seed``): B's falling I_y(p+j, q) are the seed one past the top
+    plus the reverse running sum of d, the complement's rising
+    g_j = I_{1-y}(q, p+j) the seed g_{j_lo} plus the forward one; every
+    addition is of positive terms, and each sum is formed in place."""
+    seed = _far_seed(r, d)
     if r.complement:
-        return np.cumsum(np.concatenate(([r.seed], d[:-1])))
-    return r.seed + np.cumsum(d[::-1])[::-1]
+        t = np.empty(r.n)
+        t[0] = seed
+        t[1:] = d[:-1]
+        return np.cumsum(t, out=t)
+    t = np.cumsum(d[::-1])
+    t += seed
+    return t[::-1]
 
 
 def _central_terms_minimal(r):
@@ -374,7 +466,7 @@ def _finish(r, wgt, terms, d):
     series on its last summand, and each term it drops below the window is
     at most 1.  The complement's terms grow, by increments whose ratio is at
     most rho (monotone toward y), and each term it drops below the window is
-    at most its seed."""
+    at most its seed, the first term."""
     s = float((wgt * terms).sum())
     value = _unscale(s, r.shift)
     if value <= 0.0:
@@ -387,7 +479,7 @@ def _finish(r, wgt, terms, d):
         if rup * rho < 1.0:
             tail = wgt[-1] * rup * (terms[-1] / (1.0 - rup) + d[-1] / (1.0 - rup * rho) ** 2)
         if j_lo > 0:
-            tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * r.seed
+            tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * terms[0]
     else:
         tail = wgt[-1] * terms[-1] * rup / (1.0 - rup)
         if j_lo > 0:
@@ -412,7 +504,8 @@ def _resum(sp, pt, unknown, held):
       h = x/2; the terms and increments stay;
     - unknown y: the increments, d_a(y')/d_a(y) = (y'/y)^a ((1-y')/(1-y))^q,
       a = p + j; the weights stay, and the terms are rebuilt (``_terms``)
-      from one new seed at the window's far end (``_far_end``).
+      from one new seed at the window's far end, formed from the moved
+      chain's end and a new fraction (``_far_fraction``).
 
     The sum is finished by ``_finish`` at the new point, so its tails and
     floor are those of the window actually summed, and err_est adds the
@@ -460,8 +553,9 @@ def _resum(sp, pt, unknown, held):
         wgt = wgt * scale
     else:
         d = d * scale
-        seed = _betainc(*_far_end(r.p, r.q, y, r.j_lo, r.n, r.complement))
-        r = r._replace(y=y, ld0=ld0, seed=seed)
+        # the chain is unscaled here, so the shift stays 0
+        cf, seed, _ = _far_fraction(r.p, r.q, y, r.j_lo, r.n, r.complement, ld0)
+        r = r._replace(y=y, ld0=ld0, cf=cf, seed=seed)
         terms = _terms(r, d)
     value, err = _finish(r, wgt, terms, d)
     err += 1.12e-16 * (5.0 * (abs(c) + top * abs(lk)) + 2.0)
@@ -470,28 +564,28 @@ def _resum(sp, pt, unknown, held):
     return _series_pair(sp, pt, r.complement, value, err), _Pass(r, wgt, terms, d, err)
 
 
-def _member(p, q, x, y, complement):
+def _member(p, q, x, y, complement, keep):
     """B or the complement by its Poisson mixture: planned (``_row_plan``),
     summed over its window in the 1-D form (``_window``) and finished
     (``_finish``).  Returns (value, relative error estimate, pass), the
-    pass as ``_series_window`` describes it."""
+    pass as ``_series_window`` describes it, or None unless ``keep``."""
     r = _row_plan(p, q, x, y, complement)
     if not isinstance(r, _Planned):
         return r
     wgt, terms, d = _window(r)
     value, err = _finish(r, wgt, terms, d)
-    return value, err, None if value == 0.0 else _Pass(r, wgt, terms, d, err)
+    return value, err, _Pass(r, wgt, terms, d, err) if keep and value != 0.0 else None
 
 
-def _member_b(p, q, x, y):
+def _member_b(p, q, x, y, keep=True):
     """B by the Poisson mixture over the decaying terms I_y(p+j, q)."""
-    return _member(p, q, x, y, False)
+    return _member(p, q, x, y, False, keep)
 
 
-def _member_complement(p, q, x, y):
+def _member_complement(p, q, x, y, keep=True):
     """The complement by the Poisson mixture over the growing terms
     I_{1-y}(q, p+j)."""
-    return _member(p, q, x, y, True)
+    return _member(p, q, x, y, True, keep)
 
 
 def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np.ndarray:
@@ -504,7 +598,8 @@ def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np
     if y == 0.0 or y == 1.0:
         return np.full(j_hi - j_lo + 1, y)
     p, q, n = sp.p, sp.q, j_hi - j_lo + 1
-    # a window without Poisson weights: only the increment chain is planned
+    # a window without Poisson weights: only the increment chain is planned,
+    # and its seed is formed directly (``_chain_anchor``)
     r = _Planned(p, q, y, False, math.nan, j_lo, n, j_lo, math.nan, *_chain_anchor(p, q, y, j_lo, n, False))
     out = _central_terms_minimal(r)[0]
     if r.shift != 0.0:
@@ -525,22 +620,23 @@ def eval_series(sp: ShapeParams, pt: EvalPoint) -> ProbabilityPair:
     sooner for a complement whose summand peaks far above the Poisson mode)
     it raises ``EvaluationError``, unless B is primary and certified to
     round to 0."""
-    return _series_window(sp, pt)[0]
+    return _series_window(sp, pt, False)[0]
 
 
-def _series_window(sp, pt):
+def _series_window(sp, pt, keep=True):
     """``eval_series``' pair, with the pass (``_Pass``) of its primary
     member: the Poisson weights w_j and the increments
     d_{p+j} = I_y(p+j, q) - I_y(p+j+1, q) for j = j_lo, j_lo + 1, ...; None
     where no window was summed (the quantile boundaries, a B certified to
-    round to 0, an empty sum)."""
+    round to 0, an empty sum), and unless ``keep`` (``eval_series`` keeps
+    none) except at x = 0, whose pass the planner forms."""
     if pt.y <= 0.0:
         return ProbabilityPair.from_primary(0.0, "b", "boundary", 0.0), None
     if pt.y >= 1.0:
         return ProbabilityPair.from_primary(1.0, "b", "boundary", 0.0), None
     complement = _complement_is_primary(sp, pt)
     member = _member_complement if complement else _member_b
-    value, err, held = member(sp.p, sp.q, pt.x, pt.y)
+    value, err, held = member(sp.p, sp.q, pt.x, pt.y, keep)
     return _series_pair(sp, pt, complement, value, err), held
 
 
@@ -590,35 +686,46 @@ def _window_arrays(rows):
     m = len(rows)
     # one row per window, one column per field: P at column 0, the anchor
     # value and the anchor column of its weights and of its increments,
-    # then h, y, q, the seed and n
+    # then h, y, q, the seed's fraction and n
     fields = np.array(
         [
             (r.j_lo, r.a0 - r.k0, math.exp(r.lw0), math.exp(r.ld0 - r.shift), r.j0 - r.j_lo, r.k0,
-             r.half, r.y, r.q, r.seed, r.n)
+             r.half, r.y, r.q, r.cf, r.n)
             for r in rows
         ]
     )
     base, v0, anchor = fields[:, :6].T.reshape(3, 2 * m)
-    half, y, q, seed = fields[:, 6:10].T[:, :, None]
+    half, y, q, cf = fields[:, 6:10].T
     n = fields[:, 10].astype(int)
     cols = np.arange(n[-1])
     P = base[:, None] + cols
     Q = np.empty_like(P)
-    Q[:m] = half
-    np.multiply(y, P[m:] - 1.0 + q, out=Q[m:])
+    Q[:m] = half[:, None]
+    np.subtract(P[m:], 1.0, out=Q[m:])
+    Q[m:] += q[:, None]
+    Q[m:] *= y[:, None]
     chains = _outward(v0, anchor.astype(int), np.concatenate((n, n)), P, Q)
     wgt, d = chains[:m], chains[m:]
+    # the far-end seeds, formed as ``_far_seed`` forms them
+    if rows[0].complement:
+        end, ratio = d[:, 0], base[m:] / q
+    else:
+        a = base[m:] + n
+        end, ratio = d[np.arange(m), n - 1], y * (a - 1.0 + q) / a
+    seed = end * ratio * cf
+    for i in np.flatnonzero(~(end >= _TINY) | np.isnan(cf)):
+        seed[i] = _direct_seed(rows[i])
     if rows[0].complement:
         # g_j = I_{1-y}(q, p+j): the seed plus the increments below j
         terms = np.empty(d.shape)
-        terms[:, :1] = seed
+        terms[:, 0] = seed
         terms[:, 1:] = d[:, :-1]
         np.cumsum(terms, axis=1, out=terms)
     else:
         # I_y(p+j, q): the seed past the top plus the increments from j up
         np.copyto(d, 0.0, where=cols >= n[:, None])
         terms = np.cumsum(d[:, ::-1], axis=1)[:, ::-1]
-        terms += seed
+        terms += seed[:, None]
     return wgt, terms, d
 
 

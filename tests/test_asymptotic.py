@@ -667,6 +667,12 @@ class TestTransitionSeries:
         with pytest.raises(SeriesInvalidError):
             x_zeta_coeffs(ShapeParams(10.0, 10.0), 0.1)
 
+    def test_transition_quantile_at_one(self):
+        # y0 = (x + 2p)/(x + 2r) rounds to 1 at x = 1e20, and the series
+        # divides by powers of 1 - y0: it is invalid there, not a division by 0
+        with pytest.raises(SeriesInvalidError, match="rounds to 1"):
+            y_zeta_coeffs(ShapeParams(0.157, 2987.0), 1e20)
+
     def test_out_of_domain_result_rejected(self):
         # a large negative zeta drives the noncentrality below zero
         with pytest.raises(SeriesInvalidError):

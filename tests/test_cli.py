@@ -174,6 +174,14 @@ class TestInvert:
         assert code == 3
         assert out == "" and err.startswith("error: inversion did not converge")
 
+    def test_invalid_transition_series_exits_3(self, capsys):
+        # at x = 1e20 the y(zeta) seed is invalid (y0 rounds to 1) and the
+        # series window is past its cap: a typed failure, not a traceback
+        code, out, err = run_cli(capsys, "invert", "--unknown", "y", "--p", "0.157", "--q", "2987",
+                                 "--x", "1e20", "--z", "0.3")
+        assert code == 3
+        assert out == "" and err.startswith("error: series window would need")
+
     def test_missing_fixed_coordinate(self, capsys):
         code, _, _ = run_cli(capsys, "invert", "--unknown", "x", "--p", "10", "--q", "15", "--z", "0.4")
         assert code == 2
@@ -300,6 +308,18 @@ class TestBatch:
         rows = read_rows(dst)
         assert rows[1][6].startswith("error: inversion did not converge")
         assert abs(float(rows[2][3]) - 0.4471) < 1e-3
+
+    def test_failing_inversion_row_keeps_the_batch(self, tmp_path, capsys):
+        # the x = 1e20 row fails typed; the rows around it are answered
+        src = tmp_path / "in.csv"
+        src.write_text("p,q,x,y,z\n10,15,4.5,,0.01\n0.157,2987,1e20,,0.3\n10,15,4.5,,0.99\n")
+        dst = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", "invert-y")
+        assert code == 0
+        rows = read_rows(dst)
+        assert len(rows) == 4
+        assert [row[6].startswith("error:") for row in rows[1:]] == [False, True, False]
+        assert rows[1][6] == rows[3][6] == "zeta-series"
 
     def test_invert_ops(self, tmp_path, capsys):
         src = tmp_path / "in.csv"

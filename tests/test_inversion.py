@@ -567,6 +567,13 @@ class TestInvert:
         assert res.iterations == 40 and not res.converged
         assert res.residual == (1.0 - z) - evaluate(sp, EvalPoint(x, res.value)).bbar
 
+    def test_transition_quantile_at_one_fails_typed(self):
+        # at x = 1e20 y0 rounds to 1: the y(zeta) seed is invalid (once a
+        # ZeroDivisionError), the solve falls back, and the series window
+        # past its cap ends it with its EvaluationError
+        with pytest.raises(EvaluationError, match="series window would need"):
+            invert(InversionProblem("y", ShapeParams(0.157, 2987.0), 1e20, 0.3))
+
     def test_deep_lower_tail_quantile_converges(self):
         # the transition root seeds y = 3.6e-48 and the root lies near
         # 4.7e-55: the polish starts from the seed itself, not from 1e-12,

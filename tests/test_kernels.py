@@ -6,8 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ncbeta import series
 from ncbeta.errors import DomainError
 from ncbeta.kernels import (
+    _betacf,
     _kummer_ratio_pp,
     _lentz,
     _stirling_delta,
@@ -226,6 +228,94 @@ class TestKummerRatio:
         assert v > 0.0
         quot = math.exp(kummer_m_log(a + 1, b + 1, z) - kummer_m_log(a, b, z))
         assert abs(v - quot) <= 1e-8 * quot
+
+
+def betacf_loop(a, b, x):
+    """``_betacf`` as its loop was written with abs() clamps and stop, kept
+    as the reference for the chained comparisons.  Returns (value, the
+    clamps that fired): 0 before the loop, then d and c of the odd step
+    (1, 2) and of the even step (3, 4)."""
+    fired = set()
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < 1e-300:
+        d = 1e-300
+        fired.add(0)
+    d = 1.0 / d
+    h = d
+    for m in range(1, 3001):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < 1e-300:
+            d = 1e-300
+            fired.add(1)
+        c = 1.0 + aa / c
+        if abs(c) < 1e-300:
+            c = 1e-300
+            fired.add(2)
+        d = 1.0 / d
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < 1e-300:
+            d = 1e-300
+            fired.add(3)
+        c = 1.0 + aa / c
+        if abs(c) < 1e-300:
+            c = 1e-300
+            fired.add(4)
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= 3e-16:
+            return h, fired
+    return math.nan, fired
+
+
+@st.composite
+def far_end_arguments(draw):
+    """(a, b, z) of the fraction a series plan runs for its far-end seed,
+    at a point of the eval-mixed and invert-mixed ranges: p, q
+    log-uniform on [0.5, 2000], x on [0, 500], y on [0.001, 0.999]."""
+    p, q = (math.exp(draw(st.floats(math.log(0.5), math.log(2000.0)))) for _ in range(2))
+    x = draw(st.floats(0.01, 500.0))
+    y = draw(st.floats(0.001, 0.999))
+    complement = draw(st.booleans())
+    row = series._row_plan(p, q, x, y, complement)
+    if not isinstance(row, series._Planned):
+        return 1.0, 3.0, 0.5
+    return series._far_end(p, q, y, row.j_lo, row.n, complement)
+
+
+class TestBetaFraction:
+    @staticmethod
+    def same(got, ref):
+        return np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(far_end_arguments())
+    def test_matches_the_abs_loop_bit_for_bit(self, args):
+        assert self.same(_betacf(*args), betacf_loop(*args)[0])
+
+    @pytest.mark.parametrize(
+        "args, clamp",
+        [
+            ((1.0, 3.0, 0.5), 0),  # the first d is exactly 0
+            ((0.25, 1.75, 0.625), 0),
+            ((0.25, 4.75, 0.375), 1),
+            ((1.0, 0.5, 12.0), 2),  # x past 1: the odd step's c is 1 - 1; no stop in 3000 steps
+            ((1.0, 7.0, 0.5), 3),
+            ((2.0, 8.0, 0.9375), 4),
+        ],
+    )
+    def test_each_clamp_bit_for_bit(self, args, clamp):
+        ref, fired = betacf_loop(*args)
+        assert clamp in fired
+        assert self.same(_betacf(*args), ref)
 
 
 class TestCentralBeta:

@@ -4,7 +4,7 @@ import time
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import poisson
 
@@ -183,7 +183,9 @@ def scalar_member_complement(p, q, x, y):
 def hand_row(p, q, x, y, complement, j_lo, n, j0):
     """A member's plan over a chosen window [j_lo, j_lo + n - 1] with its
     weights anchored at j0, where the members' planner would choose
-    another; the increments are anchored and seeded as that planner does."""
+    another; the increments are anchored as that planner anchors them, and
+    seeded directly, as ``central_term_sequence`` seeds them
+    (``series._chain_anchor``)."""
     half = 0.5 * x
     lw0 = series._log_poisson(half, j0) if half > 0.0 else math.nan
     anchor = series._chain_anchor(p, q, y, j_lo, n, complement)
@@ -425,6 +427,95 @@ class TestArrayMembers:
         got = series._poisson_weights(half, anchor, n, j_lo, lw0)
         ref = scalar_poisson_weights(half, anchor, n, j_lo, lw0)
         assert np.all(np.abs(got - ref) <= 2.0 * n * 1.12e-16 * ref)
+
+
+def bisected_log_b_bound(p, q, half, y):
+    """``series._log_b_bound`` as it was: m bisected to the crossing of
+    f(m) = lt0 - (h-m)^2/2h and g(m) = log bound on I_y(p+m, q), about ten
+    bound evaluations."""
+    lt0 = series._log_term_bound(p, q, y)
+    lo = 0
+    hi = int(half)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if lt0 - (half - mid) ** 2 / (2.0 * half) < series._log_term_bound(p + mid, q, y):
+            lo = mid
+        else:
+            hi = mid
+    best = 0.0
+    for m in (lo, hi):
+        best = min(best, max(lt0 - (half - m) ** 2 / (2.0 * half), series._log_term_bound(p + m, q, y)))
+    return best + math.log(2.0)
+
+
+# an eval-mixed point with x > 0, where a window is planned
+PLANNED_POINT = st.tuples(
+    st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+    st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+    st.floats(0.01, 500.0),
+    st.floats(0.001, 0.999),
+)
+
+
+class TestPlanAgainstReferences:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+        st.one_of(st.floats(0.01, 500.0), st.floats(math.log(1e3), math.log(1e5)).map(math.exp)),
+        st.floats(0.001, 0.999),
+    )
+    # on either side of the decision edge, where the bisected bound crosses -750
+    @example(1500.0, 5.0, 200.0, 0.6048906902812273)
+    @example(1500.0, 5.0, 200.0, 0.6048906902812274)
+    @example(500.0, 700.0, 1e5, 0.9476341757621033)
+    @example(500.0, 700.0, 1e5, 0.9476341757621034)
+    @example(50.0, 1000.0, 5e4, 0.8674115392579492)
+    @example(50.0, 1000.0, 5e4, 0.8674115392579493)
+    def test_certificate_decides_as_the_bisection(self, p, q, x, y):
+        # the eval-mixed and eval-large-x ranges: x on [0, 500] or
+        # log-uniform on [1e3, 1e5]; the closed form certifies B zero
+        # exactly where the bisection did, with at most two bound evaluations
+        calls = []
+        original = series._log_term_bound
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        half = 0.5 * x
+        try:
+            series._log_term_bound = counted
+            got = series._log_b_bound(p, q, half, y)
+        finally:
+            series._log_term_bound = original
+        assert (got < -750.0) == (bisected_log_b_bound(p, q, half, y) < -750.0)
+        assert len(calls) <= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(PLANNED_POINT, st.booleans())
+    # a scaled B chain (eval-mixed seed 1) and a scaled complement chain
+    @example((188.37933222869154, 1.0024885840142763, 28.171471861681507, 0.031337030772637296), False)
+    @example((233.29013538127148, 110.3395301888447, 303.25404532063123, 0.034977491113219884), True)
+    def test_chain_end_seed_against_betainc(self, point, complement):
+        # the seed formed from the increment chain's end against the
+        # incomplete beta formed directly (``series._seed``), scaled alike.
+        # Bound: the chain's drift, 2u a step over at most n steps, plus the
+        # rounding of the two prefactors, each up to about 16u (p + q + j)
+        # and 2u |lpre| (the terms of ``_rounding_floor``), in u = 1.12e-16
+        p, q, x, y = point
+        r = series._row_plan(p, q, x, y, complement)
+        assume(isinstance(r, series._Planned) and not math.isnan(r.cf))
+        d = series._increments(r)
+        end = d[0] if complement else d[-1]
+        assume(end >= 2.0**-1022)
+        got = series._far_seed(r, d)
+        ref, shift = series._seed(*series._far_end(p, q, y, r.j_lo, r.n, complement), r.ld0)
+        assert shift == r.shift
+        j_top = r.j_lo + r.n - 1
+        ld_end = math.log(end) + r.shift
+        bound = 1.12e-16 * (4.0 * r.n + 32.0 * (p + q + j_top + 1.0) + 4.0 * (abs(r.ld0) + abs(ld_end)) + 16.0)
+        assert abs(got - ref) <= bound * ref
 
 
 def cumprod_chain(v0, k0, P, Q):
