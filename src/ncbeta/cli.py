@@ -164,13 +164,15 @@ def cmd_batch(args) -> int:
         else:
             reader = csv.DictReader(fin, fieldnames=["p", "q", "x", "y", "z"])
         rows = list(reader)
+    # without --tol each op keeps its own default: eval's, or InversionProblem's
+    tol = args.tol if args.tol is not None else 1e-12 if args.op == "eval" else InversionProblem.tol
     out_rows = []
     for start in range(0, len(rows), BATCH_BLOCK):
         block = rows[start : start + BATCH_BLOCK]
         # eval rows are evaluated together; _batch_row still runs once a row
-        done = _evaluate_rows(block, args.tol) if args.op == "eval" else [None] * len(block)
+        done = _evaluate_rows(block, tol) if args.op == "eval" else [None] * len(block)
         for row, result in zip(block, done):
-            out_rows.append(_batch_row(row, args.op, args.tol, result))
+            out_rows.append(_batch_row(row, args.op, tol, result))
     try:
         fout = open(args.outfile, "w", newline="")
     except OSError as exc:
@@ -270,7 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--in", dest="infile", required=True, help="input CSV (p,q,x,y[,z])")
     pb.add_argument("--out", dest="outfile", required=True, help="output CSV")
     pb.add_argument("--op", choices=["eval", "invert-x", "invert-y"], default="eval")
-    pb.add_argument("--tol", type=float, default=1e-12)
+    pb.add_argument("--tol", type=float, default=None,
+                    help="target relative accuracy (default: 1e-12 for eval, 1e-10 for the invert ops)")
     pb.set_defaults(func=cmd_batch)
 
     ps = sub.add_parser("selftest", help="run the built-in verification suites")

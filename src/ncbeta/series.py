@@ -34,20 +34,22 @@ window-cap checks, anchors the increment chain (``_anchor``), and runs the
 continued fraction of the seed at the window's far end and sets the
 chain's scale (``_far_fraction``), as a ``_Planned`` row.  The sum builds
 the row's weights and increments, forms the seed from the chain's far end
-(``_far_seed``: the seed's prefactor e^lpre / a is an increment, the chain
-extended by one step, so the seed needs no prefactor of its own), then the
-terms, and sums their products; the summed window is one record, a
-``_Pass``.  One finish (``_finish``) unscales the sum and forms
-``err_est`` from the tails and the floor.  It serves three forms of the
-sum: the 1-D one (``_window``); ``evaluate_many``'s 2-D one
-(``_window_arrays``), which builds the windows of many points at once in
-padded 2-D arrays, one row per window and both chains of a chunk in one
-stacked pass (``_outward``), with every element formed by the float
-operations of the 1-D form in its order, so every result is bitwise the
-member's (its stragglers, answered one at a time, are the quantile
-boundaries, x = 0 and windows longer than ``MANY_CELLS``); and the
-inversion's re-sum (``_resum``), which moves a pass to a nearby x or y by
-an exact factor on the one chain that depends on the unknown.
+(``_end_seed``: the seed's prefactor e^lpre / a is an increment, the chain
+extended by one step, so the seed needs no prefactor of its own; where the
+fraction flips, the planned seed), then the terms (``_terms``), and sums
+their products; the summed window is one record, a ``_Pass``.  One finish
+(``_finish``) unscales the sum and forms ``err_est`` from the tails and
+the floor.  The seed, the terms and the finish are each written once, for
+one window or many rows, and serve three forms of the sum: the 1-D one
+(``_window``); ``evaluate_many``'s 2-D one (``_window_arrays``), which
+builds the windows of many points at once in padded 2-D arrays, one row
+per window and both chains of a chunk in one stacked pass (``_outward``),
+with every element formed by the float operations of the 1-D form in its
+order, so every result is bitwise the member's (its stragglers, answered
+one at a time, are the quantile boundaries, x = 0 and windows longer than
+``MANY_CELLS``); and the inversion's re-sum (``_resum``), which moves a
+pass to a nearby x or y by an exact factor on the one chain that depends
+on the unknown.
 
 The 1-D window stays beside the 2-D one because it is faster for one
 point.  Routing a member through ``_window_arrays([row])`` was bitwise
@@ -80,7 +82,6 @@ MAX_WINDOW_TERMS = 1_000_000
 MANY_CELLS = 1 << 13
 TAIL_LOG = 39.2  # ln(1e17): a dropped Poisson tail stays below 1e-17 of the kept sum
 _LN2 = math.log(2.0)
-_TINY = 2.0**-1022  # the smallest normal double
 
 
 def _upper_edge(half):
@@ -93,17 +94,6 @@ def _lower_edge(half, log_mass):
     """Largest j_lo whose Chernoff bound P(J < j_lo) <= exp(-(h - j_lo)^2 / 2h),
     h = x/2, stays below exp(-log_mass)."""
     return max(int(math.floor(half - math.sqrt(2.0 * half * log_mass))), 0)
-
-
-def poisson_window(x: float) -> tuple[int, int]:
-    """Summation window [j_lo, j_hi] of the mixture series for Poisson mass
-    alone: past j_hi every weight lies below 1e-18 of the peak, and the
-    Chernoff bound puts less than e^-39.2 (about 1e-17) of the mass below
-    j_lo.  The B member lowers that edge by its own summand scale (to zero
-    when its terms decay so fast that the summand peaks at low j); both
-    members add the dropped mass to their ``err_est``."""
-    half = 0.5 * x
-    return _lower_edge(half, TAIL_LOG), _upper_edge(half)
 
 
 def _log_poisson(half, j):
@@ -194,7 +184,7 @@ def _far_fraction(p, q, y, j_lo, n, complement, ld0):
 
     Where I_z(a, b) = e^lpre / a * cf (z below the fraction's switch
     (a + 1)/(a + b + 2)), its prefactor e^lpre / a is an increment, so the
-    sum forms the seed from the end of the increment chain (``_far_seed``)
+    sum forms the seed from the end of the increment chain (``_end_seed``)
     and seed is nan; the shift is ld0 below e^-650, else 0, as ``_seed``
     sets it.  Where the fraction flips to I_{1-z}(b, a), cf is nan and the
     seed and shift are ``_seed``'s."""
@@ -217,49 +207,21 @@ def _anchor(p, q, y, j_lo, n):
     return k0, a0, _log_beta_pre(a0, q, y) - math.log(a0)
 
 
-def _chain_anchor(p, q, y, j_lo, n, complement):
-    """The increment chain's anchor (``_anchor``) with the far-end seed
-    formed directly by ``_seed``, as ``central_term_sequence`` seeds it:
-    (k0, a0, ld0, cf, seed, shift) with cf nan."""
-    k0, a0, ld0 = _anchor(p, q, y, j_lo, n)
-    return k0, a0, ld0, math.nan, *_seed(*_far_end(p, q, y, j_lo, n, complement), ld0)
-
-
-def _direct_seed(r):
-    """The far-end seed where it is not formed from the chain: the planned
-    one where the fraction flips; else, where the chain's end lies below
-    the normal range, I_z(a, b) e^-shift from its own prefactor and the
-    planned fraction, as ``_seed``'s kernels form it (``_betainc`` unscaled,
-    ``_betainc_scaled`` scaled)."""
-    if math.isnan(r.cf):
-        return r.seed
-    a, b, z = _far_end(r.p, r.q, r.y, r.j_lo, r.n, r.complement)
-    front = _log_beta_pre(a, b, z) - math.log(a)
-    if r.shift == 0.0:
-        return 0.0 if front < -745.0 else math.exp(front) * r.cf
-    front -= r.shift
-    return 0.0 if front < -700.0 else math.exp(front) * r.cf
-
-
-def _far_seed(r, d):
-    """A summed window's far-end seed, scaled as its increments d: the
-    increment at the chain's far end, times the factor that takes it to the
-    seed's prefactor, times the planned fraction.  B's seed I_y(a_T, q),
-    a_T = p + j_top + 1, has the prefactor d_{a_T} = d_{a_T - 1}
-    y (a_T - 1 + q)/a_T, the chain extended by one step; the complement's
-    I_{1-y}(q, a_L), a_L = p + j_lo, has e^lpre / q = d_{a_L} a_L / q.  a_T
-    and a_L are the chain's own (a0 - k0) + column.  Where the fraction
-    flips or the chain's end lies below the normal range, the seed is
-    ``_direct_seed``."""
-    base = r.a0 - r.k0
-    if r.complement:
-        end, ratio = d[0], base / r.q
-    else:
-        a = base + r.n
-        end, ratio = d[-1], r.y * (a - 1.0 + r.q) / a
-    if end >= _TINY and not math.isnan(r.cf):
-        return end * ratio * r.cf
-    return _direct_seed(r)
+def _end_seed(end, base, n, y, q, cf, complement):
+    """A window's far-end seed from the end of its increment chain, scaled
+    as the chain: the increment at that end (column 0 for the complement,
+    n - 1 for B), times the factor that takes it to the seed's prefactor,
+    times the planned fraction cf.  B's seed I_y(a_T, q), a_T = base + n =
+    p + j_top + 1, has the prefactor d_{a_T} = d_{a_T - 1} y (a_T - 1 + q)/a_T,
+    the chain extended by one step; the complement's I_{1-y}(q, a_L),
+    a_L = base = p + j_lo, has e^lpre / q = d_{a_L} a_L / q.  base is the
+    chain's own a0 - k0.  The arguments are floats for one window or arrays
+    with one entry a row; a nan cf (the fraction flips) gives a nan seed,
+    for which the planned one stands."""
+    if complement:
+        return end * (base / q) * cf
+    a = base + n
+    return end * (y * (a - 1.0 + q) / a) * cf
 
 
 def _log_term_bound(a, q, y):
@@ -369,7 +331,7 @@ def _row_plan(p, q, x, y, complement):
     Either window's increment chain is anchored at its peak (``_anchor``).
     The far-end seed's continued fraction is run here, and the sum
     multiplies it by the chain's far end, so the seed takes no prefactor of
-    its own (``_far_fraction``, ``_far_seed``)."""
+    its own (``_far_fraction``, ``_end_seed``)."""
     half = 0.5 * x
     if half == 0.0:
         # one weight 1, one term I_y(p, q) or I_{1-y}(q, p), one increment d_p;
@@ -415,27 +377,38 @@ def _increments(r):
     return _chain(math.exp(r.ld0 - r.shift), r.k0, a, Q)
 
 
-def _terms(r, d):
-    """A planned window's terms, scaled as its increments d and its seed
-    (``_far_seed``): B's falling I_y(p+j, q) are the seed one past the top
+def _terms(seed, d, complement):
+    """Terms from their far-end seed and increments d, scaled alike, along
+    the last axis: B's falling I_y(p+j, q) are the seed one past the top
     plus the reverse running sum of d, the complement's rising
     g_j = I_{1-y}(q, p+j) the seed g_{j_lo} plus the forward one; every
-    addition is of positive terms, and each sum is formed in place."""
-    seed = _far_seed(r, d)
-    if r.complement:
-        t = np.empty(r.n)
-        t[0] = seed
-        t[1:] = d[:-1]
-        return np.cumsum(t, out=t)
-    t = np.cumsum(d[::-1])
+    addition is of positive terms, and each sum is formed in place.  d is
+    one window with a float seed, or padded rows with a column of seeds
+    (B's padding must be 0)."""
+    if complement:
+        t = np.empty(d.shape)
+        t[..., :1] = seed
+        t[..., 1:] = d[..., :-1]
+        return np.cumsum(t, axis=-1, out=t)
+    t = np.cumsum(d[..., ::-1], axis=-1)
     t += seed
-    return t[::-1]
+    return t[..., ::-1]
+
+
+def _planned_terms(r, d):
+    """A planned window's terms (``_terms``) from its increments d, seeded
+    from the chain's end (``_end_seed``), or by the planned seed where the
+    fraction flips."""
+    seed = r.seed
+    if not math.isnan(r.cf):
+        seed = _end_seed(d[0] if r.complement else d[-1], r.a0 - r.k0, r.n, r.y, r.q, r.cf, r.complement)
+    return _terms(seed, d, r.complement)
 
 
 def _central_terms_minimal(r):
     """B's terms I_y(p+j, q) over a planned window, and its increments d."""
     d = _increments(r)
-    return _terms(r, d), d
+    return _planned_terms(r, d), d
 
 
 def _window(r):
@@ -445,7 +418,7 @@ def _window(r):
     if not r.complement:
         return (wgt, *_central_terms_minimal(r))
     d = _increments(r)
-    return wgt, _terms(r, d), d
+    return wgt, _planned_terms(r, d), d
 
 
 def _unscale(s, shift):
@@ -505,7 +478,7 @@ def _resum(sp, pt, unknown, held):
     - unknown y: the increments, d_a(y')/d_a(y) = (y'/y)^a ((1-y')/(1-y))^q,
       a = p + j; the weights stay, and the terms are rebuilt (``_terms``)
       from one new seed at the window's far end, formed from the moved
-      chain's end and a new fraction (``_far_fraction``).
+      chain's end and a new fraction (``_far_fraction``, ``_end_seed``).
 
     The sum is finished by ``_finish`` at the new point, so its tails and
     floor are those of the window actually summed, and err_est adds the
@@ -556,7 +529,7 @@ def _resum(sp, pt, unknown, held):
         # the chain is unscaled here, so the shift stays 0
         cf, seed, _ = _far_fraction(r.p, r.q, y, r.j_lo, r.n, r.complement, ld0)
         r = r._replace(y=y, ld0=ld0, cf=cf, seed=seed)
-        terms = _terms(r, d)
+        terms = _planned_terms(r, d)
     value, err = _finish(r, wgt, terms, d)
     err += 1.12e-16 * (5.0 * (abs(c) + top * abs(lk)) + 2.0)
     if value < 2.0**-1022 or err > 2.0 * err0 + 1e-16:
@@ -599,8 +572,10 @@ def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np
         return np.full(j_hi - j_lo + 1, y)
     p, q, n = sp.p, sp.q, j_hi - j_lo + 1
     # a window without Poisson weights: only the increment chain is planned,
-    # and its seed is formed directly (``_chain_anchor``)
-    r = _Planned(p, q, y, False, math.nan, j_lo, n, j_lo, math.nan, *_chain_anchor(p, q, y, j_lo, n, False))
+    # and its seed is formed directly (cf nan)
+    k0, a0, ld0 = _anchor(p, q, y, j_lo, n)
+    seed, shift = _seed(*_far_end(p, q, y, j_lo, n, False), ld0)
+    r = _Planned(p, q, y, False, math.nan, j_lo, n, j_lo, math.nan, k0, a0, ld0, math.nan, seed, shift)
     out = _central_terms_minimal(r)[0]
     if r.shift != 0.0:
         with np.errstate(divide="ignore"):
@@ -686,17 +661,17 @@ def _window_arrays(rows):
     m = len(rows)
     # one row per window, one column per field: P at column 0, the anchor
     # value and the anchor column of its weights and of its increments,
-    # then h, y, q, the seed's fraction and n
+    # then h, y, q, the seed's fraction, the planned seed and n
     fields = np.array(
         [
             (r.j_lo, r.a0 - r.k0, math.exp(r.lw0), math.exp(r.ld0 - r.shift), r.j0 - r.j_lo, r.k0,
-             r.half, r.y, r.q, r.cf, r.n)
+             r.half, r.y, r.q, r.cf, r.seed, r.n)
             for r in rows
         ]
     )
     base, v0, anchor = fields[:, :6].T.reshape(3, 2 * m)
-    half, y, q, cf = fields[:, 6:10].T
-    n = fields[:, 10].astype(int)
+    half, y, q, cf, planned = fields[:, 6:11].T
+    n = fields[:, 11].astype(int)
     cols = np.arange(n[-1])
     P = base[:, None] + cols
     Q = np.empty_like(P)
@@ -706,27 +681,12 @@ def _window_arrays(rows):
     Q[m:] *= y[:, None]
     chains = _outward(v0, anchor.astype(int), np.concatenate((n, n)), P, Q)
     wgt, d = chains[:m], chains[m:]
-    # the far-end seeds, formed as ``_far_seed`` forms them
-    if rows[0].complement:
-        end, ratio = d[:, 0], base[m:] / q
-    else:
-        a = base[m:] + n
-        end, ratio = d[np.arange(m), n - 1], y * (a - 1.0 + q) / a
-    seed = end * ratio * cf
-    for i in np.flatnonzero(~(end >= _TINY) | np.isnan(cf)):
-        seed[i] = _direct_seed(rows[i])
-    if rows[0].complement:
-        # g_j = I_{1-y}(q, p+j): the seed plus the increments below j
-        terms = np.empty(d.shape)
-        terms[:, 0] = seed
-        terms[:, 1:] = d[:, :-1]
-        np.cumsum(terms, axis=1, out=terms)
-    else:
-        # I_y(p+j, q): the seed past the top plus the increments from j up
-        np.copyto(d, 0.0, where=cols >= n[:, None])
-        terms = np.cumsum(d[:, ::-1], axis=1)[:, ::-1]
-        terms += seed[:, None]
-    return wgt, terms, d
+    complement = rows[0].complement
+    end = d[:, 0] if complement else d[np.arange(m), n - 1]
+    seed = np.where(np.isnan(cf), planned, _end_seed(end, base[m:], n, y, q, cf, complement))
+    # zero past each row's window, where B's reverse running sum starts
+    np.copyto(d, 0.0, where=cols >= n[:, None])
+    return wgt, _terms(seed[:, None], d, complement), d
 
 
 def _chunks(entries):

@@ -330,6 +330,29 @@ class TestBatch:
         rows = list(csv.reader(dst.open()))
         assert abs(float(rows[1][2]) - 4.78289) < 1e-3
 
+    @pytest.mark.parametrize("op, lines", [
+        ("invert-x", ["10,15,,0.45,0.4", "10,15,,0.45,0.6",
+                      "2.1988551561389604,13.375452166664628,,0.055242135597182856,0.03914587968126597"]),
+        ("invert-y", ["10,15,4.5,,0.01", "10,15,4.5,,0.99", "3.5,40,60,,0.5"]),
+    ])
+    def test_invert_rows_match_invert(self, tmp_path, capsys, op, lines):
+        # without --tol a batch inversion solves at invert's tolerance, not
+        # eval's: at 1e-12 the first invert-x row gave 7.4213524305483958,
+        # where invert gives 7.4213524304810958
+        src = tmp_path / "in.csv"
+        src.write_text("p,q,x,y,z\n" + "\n".join(lines) + "\n")
+        dst = tmp_path / "out.csv"
+        code, _, _ = run_cli(capsys, "batch", "--in", str(src), "--out", str(dst), "--op", op)
+        assert code == 0
+        rows = read_rows(dst)[1:]
+        assert len(rows) == len(lines)
+        for line, row in zip(lines, rows):
+            p, q, x, y, z = line.split(",")
+            fixed = ["--y", y] if op == "invert-x" else ["--x", x]
+            code, out, _ = run_cli(capsys, "invert", "--unknown", op[-1], "--p", p, "--q", q, *fixed, "--z", z)
+            assert code == 0
+            assert row[2 if op == "invert-x" else 3] == out.split()[0]
+
     def test_missing_file_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "batch", "--in", str(tmp_path / "nope.csv"),
                              "--out", str(tmp_path / "out.csv"))

@@ -20,8 +20,8 @@ from ncbeta.series import (
     eval_type2_qfunction,
     evaluate_many,
     noncentral_f_cdf,
-    poisson_window,
 )
+from test_dispatch import windowed_reference
 
 SP = ShapeParams(10.0, 15.0)
 
@@ -183,13 +183,14 @@ def scalar_member_complement(p, q, x, y):
 def hand_row(p, q, x, y, complement, j_lo, n, j0):
     """A member's plan over a chosen window [j_lo, j_lo + n - 1] with its
     weights anchored at j0, where the members' planner would choose
-    another; the increments are anchored as that planner anchors them, and
-    seeded directly, as ``central_term_sequence`` seeds them
-    (``series._chain_anchor``)."""
+    another; the increments are anchored as that planner anchors them
+    (``series._anchor``), and seeded directly (``series._seed``, cf nan),
+    as ``central_term_sequence`` seeds them."""
     half = 0.5 * x
     lw0 = series._log_poisson(half, j0) if half > 0.0 else math.nan
-    anchor = series._chain_anchor(p, q, y, j_lo, n, complement)
-    return series._Planned(p, q, y, complement, half, j_lo, n, j0, lw0, *anchor)
+    k0, a0, ld0 = series._anchor(p, q, y, j_lo, n)
+    seed, shift = series._seed(*series._far_end(p, q, y, j_lo, n, complement), ld0)
+    return series._Planned(p, q, y, complement, half, j_lo, n, j0, lw0, k0, a0, ld0, math.nan, seed, shift)
 
 
 @pytest.fixture
@@ -315,7 +316,7 @@ class TestSeriesMembers:
         # far below the Poisson mode 200: the lower edge must stay at zero
         sp, x, y = ShapeParams(2.0, 3.0), 400.0, 0.1
         value = series._member_b(sp.p, sp.q, x, y)[0]
-        _, j_hi = poisson_window(x)
+        j_hi = series._upper_edge(0.5 * x)
         assert window_requests == [j_hi + 1]
         j = np.arange(j_hi + 1)
         full = float(np.sum(poisson.pmf(j, 0.5 * x) * central_term_sequence(sp, y, 0, j_hi)))
@@ -337,7 +338,7 @@ class TestSeriesMembers:
     )
     def test_complement_window_end_matches_fixed_point(self, window_requests, p, q, x, y):
         series._member_complement(p, q, x, y)
-        j_lo, j_hi = poisson_window(x)
+        j_lo, j_hi = series._lower_edge(0.5 * x, series.TAIL_LOG), series._upper_edge(0.5 * x)
         j_end = j_lo + window_requests[0] - 1
         jstar = converged_summand_peak(p, q, x, y)
         expect = max(j_hi, math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0))
@@ -509,7 +510,7 @@ class TestPlanAgainstReferences:
         d = series._increments(r)
         end = d[0] if complement else d[-1]
         assume(end >= 2.0**-1022)
-        got = series._far_seed(r, d)
+        got = series._end_seed(end, r.a0 - r.k0, r.n, y, q, r.cf, complement)
         ref, shift = series._seed(*series._far_end(p, q, y, r.j_lo, r.n, complement), r.ld0)
         assert shift == r.shift
         j_top = r.j_lo + r.n - 1
@@ -640,6 +641,14 @@ ARRAY_MEMBER_POINTS = [
 ]
 
 
+# eval-mixed seed 2: B rows whose increment chain ends below 2^-1022, so
+# their far-end seeds are formed from a subnormal increment
+SUBNORMAL_END_POINTS = [
+    (1266.6646259252173, 1.3750793556827912, 454.5236522690459, 0.6085844701219786),
+    (1187.634856406779, 27.808960625231975, 499.14191404431057, 0.5447768687146837),
+]
+
+
 def hand_rows():
     """Windows the planner never makes, for each member: one term; and both
     chains anchored at the first column (the increments peak below j_lo
@@ -656,6 +665,7 @@ class TestWindowForms:
     @settings(max_examples=25, deadline=None)
     @given(st.lists(EVAL_MIXED_POINT, max_size=40))
     @example(ARRAY_MEMBER_POINTS)
+    @example(SUBNORMAL_END_POINTS)
     def test_both_forms_build_the_same_window(self, points):
         # each point's two members planned once; the window built by the
         # 1-D form and as a row of a 2-D chunk, equal element for element
@@ -674,6 +684,26 @@ class TestWindowForms:
                 for i, r in enumerate(chunk_rows):
                     for one, two in zip(series._window(r), arrays):
                         assert np.array_equal(one, two[i, : r.n])
+
+    def test_examples_reach_a_subnormal_chain_end(self):
+        # the example rows above include a chain-formed seed whose chain
+        # ends below the normal range
+        ends = []
+        for p, q, x, y in SUBNORMAL_END_POINTS:
+            for complement in (False, True):
+                r = series._row_plan(p, q, x, y, complement)
+                if not math.isnan(r.cf):
+                    d = series._increments(r)
+                    ends.append(d[0] if complement else d[-1])
+        assert min(ends) < 2.0**-1022
+
+    @pytest.mark.parametrize("p, q, x, y", SUBNORMAL_END_POINTS)
+    def test_subnormal_chain_end_against_mpmath(self, p, q, x, y):
+        # B is subnormal; its seed is formed from the chain's subnormal end
+        pair = evaluate(ShapeParams(p, q), EvalPoint(x, y))
+        assert 0.0 < pair.b < 2.0**-1022
+        ref = windowed_reference(p, q, x, y, False, dps=40, k=4.0 * math.sqrt(0.5 * x) + 5.0)
+        assert abs(mp.mpf(pair.b) - ref) <= pair.err_est * ref
 
 
 class TestCentralTermSequence:
