@@ -1,10 +1,11 @@
 """Method selection for the noncentral beta CDF.
 
 ``evaluate`` has one route, the reference series (``series.eval_series``).
-It answers the quantile boundaries, x = 0 and every point whose summation
-window holds at most ``MAX_WINDOW_TERMS`` terms (x up to order 4e9); past
-that cap it returns the 0 of a B that its upper bound puts below e^-750,
-and raises ``EvaluationError`` at any other point.
+It answers the quantile boundaries and every point whose summation window
+holds at most ``MAX_WINDOW_TERMS`` terms (x up to order 4e9; at x = 0 the
+window's sum is its first term, the central incomplete beta); past that
+cap it returns the 0 of a B that its upper bound puts below e^-750, and
+raises ``EvaluationError`` at any other point.
 
 The paper's saddle-point, erfc-uniform and large-z expansions and its
 Kummer-function series are reproduction only

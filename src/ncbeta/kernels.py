@@ -170,48 +170,21 @@ def _betacf(a, b, x):
     return math.nan
 
 
-def _betainc_front(p, q, y):
-    """The continued-fraction side of I_y(p, q) for 0 < y < 1, as
-    (front, cf, flip): I_y(p, q) = e^front cf, or 1 - e^front cf where flip.
-    Uses the symmetry I_y(p,q) = 1 - I_{1-y}(q,p) to stay in the rapidly
-    converging branch of the continued fraction (switch at
-    y > (p+1)/(p+q+2)); the prefactor is assembled in log space."""
-    lpre = _log_beta_pre(p, q, y)
-    if y < (p + 1.0) / (p + q + 2.0):
-        cf = _betacf(p, q, y)
-        return lpre - math.log(p), cf, False
-    cf = _betacf(q, p, 1.0 - y)
-    return lpre - math.log(q), cf, True
-
-
 def _betainc(p, q, y):
-    """Regularized incomplete beta I_y(p, q) (``_betainc_front``)."""
+    """Regularized incomplete beta I_y(p, q).  Uses the symmetry
+    I_y(p,q) = 1 - I_{1-y}(q,p) to stay in the rapidly converging branch of
+    the continued fraction (switch at y > (p+1)/(p+q+2)); the prefactor is
+    assembled in log space."""
     if y <= 0.0:
         return 0.0
     if y >= 1.0:
         return 1.0
-    front, cf, flip = _betainc_front(p, q, y)
-    if front < -745.0:
-        return 1.0 if flip else 0.0
-    v = math.exp(front) * cf
-    return 1.0 - v if flip else v
-
-
-def _betainc_scaled(p, q, y, shift):
-    """I_y(p, q) * e^{-shift}, assembled in log space.  Used by callers that
-    work in a scaled regime; values that would land below the normal double
-    range (where precision degrades) flush to zero instead."""
-    if y <= 0.0:
-        return 0.0
-    if y >= 1.0:
-        return math.exp(-shift) if -shift < 709.0 else math.inf
-    front, cf, flip = _betainc_front(p, q, y)
-    if not flip:
-        front -= shift
-        return 0.0 if front < -700.0 else math.exp(front) * cf
-    v = 1.0 - math.exp(front) * cf if front > -745.0 else 1.0
-    ls = math.log(v) - shift
-    return math.exp(ls) if ls < 709.0 else math.inf
+    lpre = _log_beta_pre(p, q, y)
+    if y < (p + 1.0) / (p + q + 2.0):
+        front = lpre - math.log(p)
+        return 0.0 if front < -745.0 else math.exp(front) * _betacf(p, q, y)
+    front = lpre - math.log(q)
+    return 1.0 if front < -745.0 else 1.0 - math.exp(front) * _betacf(q, p, 1.0 - y)
 
 
 def _erfcx_pos(z):

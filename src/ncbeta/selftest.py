@@ -36,7 +36,7 @@ from .asymptotic import (
     x_zeta_coeffs,
     y_zeta_coeffs,
 )
-from .dispatch import evaluate, explain
+from .dispatch import evaluate
 from .errors import DirectionError, EvaluationError
 from .inversion import InversionProblem, db_dx, db_dy, invert, transition_equation
 from .kernels import central_beta_cdf
@@ -693,7 +693,7 @@ def check_dispatch_grid(n: int = 500, seed: int = 20260809) -> list[CheckResult]
         x = rng.uniform(0.0, 500.0)
         y = rng.uniform(1e-4, 1.0 - 1e-4)
         sp, pt = ShapeParams(p, q), EvalPoint(x, y)
-        if explain(sp, pt).primary_target != "B":
+        if y > sp.transition_quantile(x):
             continue
         ev = evaluate(sp, pt)
         if ev.b < 1e-290:
@@ -830,8 +830,7 @@ def check_dispatch_policy() -> list[CheckResult]:
     out.append(CheckResult("evaluate answers by the series up to its window cap", not details, "; ".join(details)))
     sp = ShapeParams(10.0, 15.0)
     y0 = (4.5 + 20.0) / (4.5 + 50.0)
-    below = explain(sp, EvalPoint(4.5, y0 - 1e-9)).primary_target
-    above = explain(sp, EvalPoint(4.5, y0 + 1e-9)).primary_target
+    below, above = ("Bbar" if y > sp.transition_quantile(4.5) else "B" for y in (y0 - 1e-9, y0 + 1e-9))
     out.append(
         CheckResult(
             "primary function flips exactly at the transition quantile",

@@ -29,15 +29,16 @@ with p + q and with the log of the increment the chain is anchored on.
 
 A member (``_member``, for B or the complement) runs in three steps, each
 written once.  One planner (``_row_plan``) sets the window's edges, the
-Poisson mode and its log weight, makes the x = 0, certified-zero and
-window-cap checks, anchors the increment chain (``_anchor``), and runs the
-continued fraction of the seed at the window's far end and sets the
-chain's scale (``_far_fraction``), as a ``_Planned`` row.  The sum builds
-the row's weights and increments, forms the seed from the chain's far end
-(``_end_seed``: the seed's prefactor e^lpre / a is an increment, the chain
-extended by one step, so the seed needs no prefactor of its own; where the
-fraction flips, the planned seed), then the terms (``_terms``), and sums
-their products; the summed window is one record, a ``_Pass``.  One finish
+Poisson mode and its log weight, makes the certified-zero and window-cap
+checks, anchors the increment chain (``_anchor``), and runs the continued
+fraction of the seed at the window's far end and sets the chain's scale
+(``_far_fraction``), as a ``_Planned`` row; x = 0 takes no branch of its
+own.  The sum builds the row's weights and increments, forms the seed
+from the chain's far end (``_end_seed``: the seed's prefactor e^lpre / a
+is an increment, the chain extended by one step, so the seed needs no
+prefactor of its own; where the fraction flips, the planned seed), then
+the terms (``_terms``), and sums their products; the summed window is one
+record, a ``_Pass``.  One finish
 (``_finish``) unscales the sum and forms ``err_est`` from the tails and
 the floor.  The seed, the terms and the finish are each written once, for
 one window or many rows, and serve three forms of the sum: the 1-D one
@@ -46,10 +47,10 @@ builds the windows of many points at once in padded 2-D arrays, one row
 per window and both chains of a chunk in one stacked pass (``_outward``),
 with every element formed by the float operations of the 1-D form in its
 order, so every result is bitwise the member's (its stragglers, answered
-one at a time, are the quantile boundaries, x = 0 and windows longer than
-``MANY_CELLS``); and the inversion's re-sum (``_resum``), which moves a
-pass to a nearby x or y by an exact factor on the one chain that depends
-on the unknown.
+one at a time, are the quantile boundaries, the certified zeros and
+windows longer than ``MANY_CELLS``); and the inversion's re-sum
+(``_resum``), which moves a pass to a nearby x or y by an exact factor on
+the one chain that depends on the unknown.
 
 The 1-D window stays beside the 2-D one because it is faster for one
 point.  Routing a member through ``_window_arrays([row])`` was bitwise
@@ -71,7 +72,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .kernels import _betacf, _betainc, _betainc_scaled, _log_beta_pre, _stirling_delta
+from .kernels import _betacf, _betainc, _log_beta_pre, _stirling_delta
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 
 # the most terms a member sums, j_hi - j_lo + 1 (B) or j_end - j_lo + 1
@@ -159,19 +160,6 @@ def _poisson_weights(half, j0, n, j_lo, lw0):
     return _chain(math.exp(lw0), j0 - j_lo, np.arange(j_lo, j_lo + n, dtype=float), half)
 
 
-def _seed(a, b, z, ld0):
-    """The seed I_z(a, b) of a term chain whose anchor increment is e^ld0,
-    and the chain's scale shift: ld0 where that increment nears the
-    underflow threshold (below e^-650), else 0.  The seed is scaled by
-    e^-shift, as the chain is.  A scaled seed that overflows dwarfs every
-    increment, so that chain is left unscaled.  Returns (seed, shift)."""
-    if ld0 < -650.0:
-        s = _betainc_scaled(a, b, z, ld0)
-        if s != math.inf:
-            return s, ld0
-    return _betainc(a, b, z), 0.0
-
-
 def _far_end(p, q, y, j_lo, n, complement):
     """(a, b, z) of a window's seed I_z(a, b), the term at its far end from
     the sum: I_y(p+j_hi+1, q) for B, I_{1-y}(q, p+j_lo) for the complement."""
@@ -185,13 +173,16 @@ def _far_fraction(p, q, y, j_lo, n, complement, ld0):
     Where I_z(a, b) = e^lpre / a * cf (z below the fraction's switch
     (a + 1)/(a + b + 2)), its prefactor e^lpre / a is an increment, so the
     sum forms the seed from the end of the increment chain (``_end_seed``)
-    and seed is nan; the shift is ld0 below e^-650, else 0, as ``_seed``
-    sets it.  Where the fraction flips to I_{1-z}(b, a), cf is nan and the
-    seed and shift are ``_seed``'s."""
+    and seed is nan; the chain and its seed are scaled by e^-ld0 where the
+    anchor increment e^ld0 nears the underflow threshold (below e^-650).
+    Where the fraction flips to I_{1-z}(b, a), cf is nan, the seed is
+    I_z(a, b) itself and the chain is not scaled: past the switch the seed
+    is above 0.083 for b >= 0.5 (its infimum, as a grows), so an increment
+    below e^-650 adds nothing to it that rounding keeps."""
     a, b, z = _far_end(p, q, y, j_lo, n, complement)
     if z < (a + 1.0) / (a + b + 2.0):
         return _betacf(a, b, z), math.nan, ld0 if ld0 < -650.0 else 0.0
-    return math.nan, *_seed(a, b, z, ld0)
+    return math.nan, _betainc(a, b, z), 0.0
 
 
 def _anchor(p, q, y, j_lo, n):
@@ -244,8 +235,10 @@ def _log_b_bound(p, q, half, y):
     below -750 - ln 2 exactly when m_f does, the largest m in [0, floor(h)]
     with f(m) below that level: m_f is the root of a quadratic, and the
     bound is taken there.  Where there is no m_f, f(0) is above the level
-    and the bound is 2 e^lt0."""
+    and the bound is 2 e^lt0; so it is at h = 0, where B is I_y(p, q)."""
     lt0 = _log_term_bound(p, q, y)
+    if half == 0.0:
+        return lt0 + _LN2
     top = int(half)
     # f(m) + ln 2 < -750 where (h - m)^2 > 2 h gap
     gap = lt0 + _LN2 + 750.0
@@ -276,8 +269,7 @@ def _complement_end(p, q, half, y):
 
 
 class _Planned(NamedTuple):
-    """A member's plan at x > 0, which both forms of the sum and the finish
-    read."""
+    """A member's plan, which every form of the sum and the finish read."""
 
     p: float
     q: float
@@ -308,10 +300,9 @@ class _Pass(NamedTuple):
 
 
 def _row_plan(p, q, x, y, complement):
-    """A member's plan, as ``_Planned``, or its result (value, err_est,
-    pass) where it sums no window: at x = 0, with one weight and increment
-    as a ``_Pass``, and for a B certified to round to 0, with None.  Raises
-    where any other window would hold more than ``MAX_WINDOW_TERMS`` terms.
+    """A member's plan, as ``_Planned``, or None for a B certified to round
+    to 0, which sums no window.  Raises where any other window would hold
+    more than ``MAX_WINDOW_TERMS`` terms.
 
     B's window runs up to the upper Poisson cutoff, beyond which both
     factors decay.  Its lower edge comes from the Chernoff bound: every
@@ -328,20 +319,15 @@ def _row_plan(p, q, x, y, complement):
     edge to the product peak, where the weight decay finally beats the term
     growth, plus a Poisson-width margin (``_complement_end``).
 
+    x = 0 takes no branch of its own: there the window starts at j = 0 with
+    weight 1, every weight past it is exactly 0, and the sum is the first
+    term, the central incomplete beta.
+
     Either window's increment chain is anchored at its peak (``_anchor``).
     The far-end seed's continued fraction is run here, and the sum
     multiplies it by the chain's far end, so the seed takes no prefactor of
     its own (``_far_fraction``, ``_end_seed``)."""
     half = 0.5 * x
-    if half == 0.0:
-        # one weight 1, one term I_y(p, q) or I_{1-y}(q, p), one increment d_p;
-        # the term scaled by e^-shift and the seed are not formed (nan)
-        v = _betainc(q, p, 1.0 - y) if complement else _betainc(p, q, y)
-        ld0 = _log_beta_pre(p, q, y) - math.log(p)
-        shift = ld0 if ld0 < -650.0 else 0.0
-        err = _rounding_floor(1, p + q, math.log(v) if v > 0.0 else 0.0)
-        r = _Planned(p, q, y, complement, 0.0, 0, 1, 0, 0.0, 0, p, ld0, math.nan, math.nan, shift)
-        return v, err, _Pass(r, np.ones(1), np.full(1, math.nan), np.array([math.exp(ld0 - shift)]), err)
     if complement:
         j_top = _complement_end(p, q, half, y)
         j_lo = _lower_edge(half, TAIL_LOG)
@@ -356,7 +342,7 @@ def _row_plan(p, q, x, y, complement):
     n = j_top - j_lo + 1
     if not complement and (ld_j0 < -708.0 or n > MAX_WINDOW_TERMS) and _log_b_bound(p, q, half, y) < -750.0:
         # B lies below e^-750, where 0 is its correctly rounded value
-        return 0.0, 1e-15, None
+        return None
     if n > MAX_WINDOW_TERMS:
         raise EvaluationError(f"series window would need {n} terms at x={x}; tolerance unachievable")
     k0, a0, ld0 = _anchor(p, q, y, j_lo, n)
@@ -406,7 +392,8 @@ def _planned_terms(r, d):
 
 
 def _central_terms_minimal(r):
-    """B's terms I_y(p+j, q) over a planned window, and its increments d."""
+    """A planned window's terms, B's I_y(p+j, q) or the complement's
+    I_{1-y}(q, p+j), and its increments d."""
     d = _increments(r)
     return _planned_terms(r, d), d
 
@@ -414,11 +401,7 @@ def _central_terms_minimal(r):
 def _window(r):
     """The 1-D form of a planned window: its Poisson weights, terms and
     increments."""
-    wgt = _poisson_weights(r.half, r.j0, r.n, r.j_lo, r.lw0)
-    if not r.complement:
-        return (wgt, *_central_terms_minimal(r))
-    d = _increments(r)
-    return wgt, _planned_terms(r, d), d
+    return (_poisson_weights(r.half, r.j0, r.n, r.j_lo, r.lw0), *_central_terms_minimal(r))
 
 
 def _unscale(s, shift):
@@ -485,24 +468,24 @@ def _resum(sp, pt, unknown, held):
     rounding of the factors, 5u (|c| + i_top |L|) + 2u with u = 1.12e-16,
     i_top the window's last index.
 
-    A new window is planned instead at x = 0 (the factor in x divides by
-    h, and that pass holds no scaled term), where the primary member
-    switches (the iterate crosses the transition point), where the window
-    no longer holds h' (below its lower edge the Chernoff bound on the
-    dropped mass fails, past its top the geometric bound on the tail),
-    where y's chain is scaled at either point (its anchor increment below
-    e^-650), where a factor leaves the float range, where a factor above 1
+    A new window is planned instead where x moves from 0 (the factor in x
+    divides by h; y moves a pass at x = 0 as any other), where the primary
+    member switches (the iterate crosses the transition point), where the
+    window no longer holds h' (below its lower edge the Chernoff bound on
+    the dropped mass fails, past its top the geometric bound on the tail),
+    where y's chain is scaled at the planned point or its anchor increment
+    lies below e^-650 at the new one, where a factor leaves the float range, where a factor above 1
     meets a moving chain that reaches below the normal range (the chain is
     unimodal, so an end shows it; its absolute rounding there would grow
     by the factor), where the value is 0 or subnormal (its products
     w_j t_j lose precision), or where the re-summed err_est exceeds twice
     the planned one plus 1e-16."""
     r, wgt, terms, d, err0 = held
-    if r.half == 0.0 or _complement_is_primary(sp, pt) != r.complement:
+    if _complement_is_primary(sp, pt) != r.complement:
         return None
     if unknown == "x":
         half = 0.5 * pt.x
-        if not r.j_lo <= half < r.j_lo + r.n:
+        if r.half == 0.0 or not r.j_lo <= half < r.j_lo + r.n:
             return None
         # w_j(h')/w_j(h) = e^{c + j L}: c = h - h', L = ln(h'/h), i = j
         lk = math.log1p((half - r.half) / r.half)
@@ -543,8 +526,8 @@ def _member(p, q, x, y, complement, keep):
     (``_finish``).  Returns (value, relative error estimate, pass), the
     pass as ``_series_window`` describes it, or None unless ``keep``."""
     r = _row_plan(p, q, x, y, complement)
-    if not isinstance(r, _Planned):
-        return r
+    if r is None:
+        return 0.0, 1e-15, None
     wgt, terms, d = _window(r)
     value, err = _finish(r, wgt, terms, d)
     return value, err, _Pass(r, wgt, terms, d, err) if keep and value != 0.0 else None
@@ -571,11 +554,10 @@ def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np
     if y == 0.0 or y == 1.0:
         return np.full(j_hi - j_lo + 1, y)
     p, q, n = sp.p, sp.q, j_hi - j_lo + 1
-    # a window without Poisson weights: only the increment chain is planned,
-    # and its seed is formed directly (cf nan)
+    # a window without Poisson weights: only the increment chain is planned
     k0, a0, ld0 = _anchor(p, q, y, j_lo, n)
-    seed, shift = _seed(*_far_end(p, q, y, j_lo, n, False), ld0)
-    r = _Planned(p, q, y, False, math.nan, j_lo, n, j_lo, math.nan, k0, a0, ld0, math.nan, seed, shift)
+    r = _Planned(p, q, y, False, math.nan, j_lo, n, j_lo, math.nan, k0, a0, ld0,
+                 *_far_fraction(p, q, y, j_lo, n, False, ld0))
     out = _central_terms_minimal(r)[0]
     if r.shift != 0.0:
         with np.errstate(divide="ignore"):
@@ -604,7 +586,7 @@ def _series_window(sp, pt, keep=True):
     d_{p+j} = I_y(p+j, q) - I_y(p+j+1, q) for j = j_lo, j_lo + 1, ...; None
     where no window was summed (the quantile boundaries, a B certified to
     round to 0, an empty sum), and unless ``keep`` (``eval_series`` keeps
-    none) except at x = 0, whose pass the planner forms."""
+    none)."""
     if pt.y <= 0.0:
         return ProbabilityPair.from_primary(0.0, "b", "boundary", 0.0), None
     if pt.y >= 1.0:
@@ -702,15 +684,14 @@ def _chunks(entries):
 
 def _many_plan(sp, pt):
     """A point's planned row for ``evaluate_many``'s 2-D pass, or its pair
-    where it has none: the quantile boundaries, x = 0, a B certified to
-    round to 0, and a window longer than ``MANY_CELLS``, which the 1-D form
-    sums."""
+    where it has none: the quantile boundaries, a B certified to round to 0,
+    and a window longer than ``MANY_CELLS``, which the 1-D form sums."""
     if not 0.0 < pt.y < 1.0:
         return eval_series(sp, pt)
     complement = _complement_is_primary(sp, pt)
     row = _row_plan(sp.p, sp.q, pt.x, pt.y, complement)
-    if not isinstance(row, _Planned):
-        return _series_pair(sp, pt, complement, *row[:2])
+    if row is None:
+        return _series_pair(sp, pt, complement, 0.0, 1e-15)
     if row.n > MANY_CELLS:
         return _series_pair(sp, pt, complement, *_finish(row, *_window(row)))
     return row
@@ -730,8 +711,8 @@ def evaluate_many(points, tol: float = 1e-12) -> list:
     (``_window_arrays``), whose weights and increments are one stack of
     (P, Q) chains; each row is summed over its unpadded slice and finished
     by the members' ``_finish``.  The stragglers are the quantile
-    boundaries, x = 0 and windows longer than ``MANY_CELLS``
-    (``_many_plan``)."""
+    boundaries, the certified zeros and windows longer than ``MANY_CELLS``
+    (``_many_plan``); x = 0 is planned and summed as any other point."""
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     out: list = []

@@ -631,9 +631,9 @@ class TestInvert:
 
     @pytest.mark.parametrize("p, q, z, iterations", [(10.0, 15.0, 0.3, 2), (0.6, 1500.0, 1e-3, 6), (3.0, 4.0, 0.999, 3)])
     def test_central_beta_quantile(self, monkeypatch, p, q, z, iterations):
-        # y unknown at x = 0 solves I_y(p, q) = z; the x = 0 pass holds one
-        # weight and one increment and no scaled term, so each Newton or
-        # Halley step declines to re-sum it and plans a new one
+        # y unknown at x = 0 solves I_y(p, q) = z; the x = 0 pass is an
+        # ordinary window whose weights past j = 0 are 0, and each Newton or
+        # Halley step re-sums it at the new y
         special = pytest.importorskip("scipy.special")
         resums = []
 
@@ -645,7 +645,7 @@ class TestInvert:
         res = invert(InversionProblem("y", ShapeParams(p, q), 0.0, z))
         assert res.converged and res.iterations <= iterations
         assert abs(special.betainc(p, q, res.value) - z) <= 1e-10 * max(z, 1.0 - z)
-        assert resums and all(out is None for out in resums)
+        assert resums and all(out is not None for out in resums)
 
     @pytest.mark.parametrize(
         "p, q, y, z",

@@ -286,7 +286,7 @@ def far_end_arguments(draw):
     y = draw(st.floats(0.001, 0.999))
     complement = draw(st.booleans())
     row = series._row_plan(p, q, x, y, complement)
-    if not isinstance(row, series._Planned):
+    if row is None:
         return 1.0, 3.0, 0.5
     return series._far_end(p, q, y, row.j_lo, row.n, complement)
 
