@@ -12,17 +12,29 @@ One modified Lentz loop, ``_lentz``, serves the three continued fractions
 off the hot path: erfcx, the Kummer ratio and the recurrence's minimal
 ratio.  The incomplete-beta fraction ``_betacf`` keeps its own inline loop
 because every series window spends its time there.
+
+The series' many-point form plans its windows as columns, one array entry
+a point: ``_log_beta_pre_columns`` and ``_betacf_columns`` are the
+prefactor and the fraction over arrays, each entry formed by the float
+operations of the scalar form.  numpy's + - * / and sqrt round as Python's
+floats do, but its exp, log and log1p do not always, so every
+transcendental call maps ``math`` over the entries (``_each``).
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import DomainError, EvaluationError
 
 INV_SQRT_PI = 0.5641895835477562869480795  # 1/sqrt(pi)
 SQRT_PI_HALF = 0.8862269254527580136491  # sqrt(pi)/2
 _FPMIN = 1e-300
+# below this many active entries ``_betacf_columns`` runs the scalar loop
+# (16 to 32 were fastest on eval-mixed's far-end fractions, 1000 at once)
+_BETACF_SCALAR_ROWS = 24
 _LN_1E280 = 280.0 * math.log(10.0)  # the log of _kummer_m_log's rescale factor
 
 
@@ -102,6 +114,69 @@ def _log_beta_pre(p, q, y):
     return p * math.log(y) + q * math.log1p(-y) - _log_beta(p, q)
 
 
+def _each(f, a):
+    """The float function f of ``math`` over the entries of the 1-D array a,
+    as an array: bitwise the scalar calls, which numpy's ufuncs are not."""
+    return np.fromiter(map(f, a.tolist()), float, a.size)
+
+
+def _log_beta_columns(p, q):
+    """``_log_beta`` over arrays with min(p, q) < 10 (the form
+    ``_log_beta_pre_columns`` needs), entry by entry bitwise."""
+    a = np.minimum(p, q)
+    b = np.maximum(p, q)
+    r = p + q
+    out = np.empty(p.shape)
+    big = b >= 10.0
+    if big.any():
+        a1, b1, r1 = a[big], b[big], r[big]
+        diff = (
+            a1 * _each(math.log, b1)
+            + (r1 - 0.5) * _each(math.log1p, a1 / b1)
+            - a1
+            + _stirling_delta(r1)
+            - _stirling_delta(b1)
+        )
+        out[big] = _each(math.lgamma, a1) - diff
+    small = ~big
+    if small.any():
+        out[small] = _each(math.lgamma, p[small]) + _each(math.lgamma, q[small]) - _each(math.lgamma, r[small])
+    return out
+
+
+def _log_beta_pre_columns(p, q, y):
+    """``_log_beta_pre`` over arrays with 0 < y < 1, entry by entry bitwise:
+    each entry takes the scalar form's branch and its float operations."""
+    r = p + q
+    lo = np.minimum(p, q)
+    out = np.empty(p.shape)
+    big = lo >= 10.0
+    if big.any():
+        p1, q1, y1, r1 = p[big], q[big], y[big], r[big]
+        t = y1 * q1 - (1.0 - y1) * p1
+        near = np.abs(t) <= 0.5 * lo[big]
+        main = np.empty(p1.shape)
+        if near.any():
+            pn, qn, tn = p1[near], q1[near], t[near]
+            main[near] = pn * _each(math.log1p, tn / pn) + qn * _each(math.log1p, -tn / qn)
+        far = ~near
+        if far.any():
+            pf, qf, yf, rf = p1[far], q1[far], y1[far], r1[far]
+            main[far] = pf * _each(math.log, yf * rf / pf) + qf * _each(math.log, (1.0 - yf) * rf / qf)
+        out[big] = (
+            main
+            + 0.5 * _each(math.log, p1 * q1 / (6.283185307179586476925287 * r1))
+            - _stirling_delta(p1)
+            - _stirling_delta(q1)
+            + _stirling_delta(r1)
+        )
+    small = ~big
+    if small.any():
+        p1, q1, y1 = p[small], q[small], y[small]
+        out[small] = p1 * _each(math.log, y1) + q1 * _each(math.log1p, -y1) - _log_beta_columns(p1, q1)
+    return out
+
+
 def _lentz(b0, pairs, tol):
     """Modified Lentz evaluation of b0 + a_1/(b_1 + a_2/(b_2 + ...)) over the
     partial pairs (a_k, b_k) of ``pairs``, stopping at the first step whose
@@ -168,6 +243,53 @@ def _betacf(a, b, x):
         if -3e-16 <= delta - 1.0 <= 3e-16:
             return h
     return math.nan
+
+
+def _betacf_columns(a, b, x):
+    """``_betacf`` over arrays, one fraction an entry, bitwise: one masked
+    Lentz loop, in which each entry runs the scalar loop's float operations
+    and leaves the active set at its own stop.  A step over the array costs
+    about as much as a few dozen scalar steps, so the last
+    ``_BETACF_SCALAR_ROWS`` entries run the scalar loop from the start
+    instead.  Float overflow, silent in the scalar loop, is silent here."""
+    fpmin = _FPMIN
+    out = np.full(a.shape, math.nan)
+    live = np.arange(a.size)
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = np.ones(a.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = 1.0 - qab * x / qap
+        d[np.abs(d) < fpmin] = fpmin
+        d = 1.0 / d
+        h = d.copy()
+        for m in range(1, 3001):
+            if live.size < _BETACF_SCALAR_ROWS:
+                break
+            m2 = 2 * m
+            aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+            d = 1.0 + aa * d
+            d[np.abs(d) < fpmin] = fpmin
+            c = 1.0 + aa / c
+            c[np.abs(c) < fpmin] = fpmin
+            d = 1.0 / d
+            h *= d * c
+            aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+            d = 1.0 + aa * d
+            d[np.abs(d) < fpmin] = fpmin
+            c = 1.0 + aa / c
+            c[np.abs(c) < fpmin] = fpmin
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+            stop = np.abs(delta - 1.0) <= 3e-16
+            if stop.any():
+                out[live[stop]] = h[stop]
+                keep = ~stop
+                live, a, b, x, qab, qap, qam, c, d, h = (v[keep] for v in (live, a, b, x, qab, qap, qam, c, d, h))
+    out[live] = [_betacf(*v) for v in zip(a.tolist(), b.tolist(), x.tolist())]
+    return out
 
 
 def _betainc(p, q, y):

@@ -6,6 +6,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError
 
 
@@ -98,3 +100,15 @@ class ProbabilityPair:
         if primary == "bbar":
             return cls(b=1.0 - v, bbar=v, method=method, err_est=err)
         raise ValueError(f"primary must be 'b' or 'bbar', got {primary!r}")
+
+    @classmethod
+    def from_primaries(cls, values, primary: str, method: str, err_ests) -> list:
+        """``from_primary`` over arrays of values and err_ests, one pair an
+        entry, each bitwise ``from_primary``'s."""
+        if primary not in ("b", "bbar"):
+            raise ValueError(f"primary must be 'b' or 'bbar', got {primary!r}")
+        v = np.minimum(np.maximum(values, 0.0), 1.0)
+        sub = (v > 0.0) & (v < sys.float_info.min)
+        err = np.where(sub, err_ests + np.spacing(v) / np.where(sub, v, 1.0), err_ests)
+        b, bbar = (v, 1.0 - v) if primary == "b" else (1.0 - v, v)
+        return [cls(*f, method, e) for *f, e in zip(b.tolist(), bbar.tolist(), err.tolist())]

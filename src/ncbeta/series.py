@@ -72,7 +72,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, EvaluationError
-from .kernels import _betacf, _betainc, _log_beta_pre, _stirling_delta
+from .kernels import (
+    _betacf,
+    _betacf_columns,
+    _betainc,
+    _each,
+    _log_beta_pre,
+    _log_beta_pre_columns,
+    _stirling_delta,
+)
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 
 # the most terms a member sums, j_hi - j_lo + 1 (B) or j_end - j_lo + 1
@@ -85,16 +93,31 @@ TAIL_LOG = 39.2  # ln(1e17): a dropped Poisson tail stays below 1e-17 of the kep
 _LN2 = math.log(2.0)
 
 
-def _upper_edge(half):
+class _Ops(NamedTuple):
+    """The operations the window edges take: math's for one point, numpy's
+    for columns, which round alike (sqrt is correctly rounded, the rest
+    exact)."""
+
+    sqrt: object
+    floor: object
+    ceil: object
+    maximum: object
+
+
+_FLOAT = _Ops(math.sqrt, math.floor, math.ceil, max)
+_COLUMN = _Ops(np.sqrt, np.floor, np.ceil, np.maximum)
+
+
+def _upper_edge(half, ops=_FLOAT):
     """Upper summation cutoff: every Poisson weight past it lies below 1e-18
     of the peak (half-width 10*sqrt(x/2) + 30 above the mean)."""
-    return int(math.ceil(half + 10.0 * math.sqrt(half) + 30.0))
+    return ops.ceil(half + 10.0 * ops.sqrt(half) + 30.0)
 
 
-def _lower_edge(half, log_mass):
+def _lower_edge(half, log_mass, ops=_FLOAT):
     """Largest j_lo whose Chernoff bound P(J < j_lo) <= exp(-(h - j_lo)^2 / 2h),
     h = x/2, stays below exp(-log_mass)."""
-    return max(int(math.floor(half - math.sqrt(2.0 * half * log_mass))), 0)
+    return ops.maximum(ops.floor(half - ops.sqrt(2.0 * half * log_mass)), 0)
 
 
 def _log_poisson(half, j):
@@ -265,7 +288,7 @@ def _complement_end(p, q, half, y):
     c = hy * (p + q)
     disc = math.sqrt(b * b + 4.0 * c)
     jstar = 2.0 * c / (b + disc) if b > 0.0 else 0.5 * (disc - b)
-    return max(_upper_edge(half), int(math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0)))
+    return max(_upper_edge(half), math.ceil(jstar + 10.0 * math.sqrt(max(jstar, 1.0)) + 50.0))
 
 
 class _Planned(NamedTuple):
@@ -610,91 +633,241 @@ def _series_pair(sp, pt, complement, value, err):
     return ProbabilityPair.from_primary(value, "bbar" if complement else "b", "series", err)
 
 
+def _log_poisson_columns(half, j):
+    """``_log_poisson`` over columns, j holding integers: the rows below
+    j = 20 one at a time by the scalar form, the rest in its Stirling form,
+    entry by entry bitwise."""
+    out = np.empty(half.shape)
+    low = j < 20.0
+    if low.any():
+        out[low] = [_log_poisson(h, k) for h, k in zip(half[low].tolist(), j[low].tolist())]
+    high = ~low
+    if high.any():
+        h, k = half[high], j[high]
+        out[high] = (
+            k * _each(math.log1p, (h - k) / k)
+            + (k - h)
+            - 0.5 * _each(math.log, 6.283185307179586476925287 * k)
+            - _stirling_delta(k)
+        )
+    return out
+
+
+def _column_plan(p, q, x, y, complement):
+    """``_row_plan`` over columns of points with 0 < y < 1, one entry a
+    point, each entry planned as ``_row_plan`` plans it, field for field.
+    complement is a boolean column: each point's member.
+
+    Returns (r, kept, zero, wide): r a ``_Planned`` whose fields are columns
+    over the rows kept (complement stays a column), and kept, zero and wide
+    index arrays into the input.  zero holds the B rows certified to round
+    to 0 (``_log_b_bound`` runs there one row at a time), wide the rows
+    whose window is longer than ``MANY_CELLS``, past the cap included,
+    which the 1-D form sums or rejects.  The far-end fractions of all kept
+    rows run as one masked Lentz loop (``_betacf_columns``); the rows past
+    the fraction's switch take their seed from ``_betainc`` one at a
+    time."""
+    b_rows = ~complement
+    half = 0.5 * x
+    j_top = np.empty(x.shape)
+    j_lo = np.empty(x.shape)
+    hc, yc, pc = half[complement], y[complement], p[complement]
+    # the complement's end (``_complement_end``)
+    hy = hc * yc
+    b = pc + 1.0 - hy
+    c = hy * (pc + q[complement])
+    disc = np.sqrt(b * b + 4.0 * c)
+    jstar = np.where(b > 0.0, 2.0 * c / (b + disc), 0.5 * (disc - b))
+    j_top[complement] = np.maximum(
+        _upper_edge(hc, _COLUMN), np.ceil(jstar + 10.0 * np.sqrt(np.maximum(jstar, 1.0)) + 50.0)
+    )
+    j_lo[complement] = _lower_edge(hc, TAIL_LOG, _COLUMN)
+    j_top[b_rows] = _upper_edge(half[b_rows], _COLUMN)
+    j0 = np.minimum(np.floor(half + 0.5), j_top)
+    j0[complement] = np.minimum(np.maximum(j0[complement], j_lo[complement]), j_top[complement])
+    lw0 = _log_poisson_columns(half, j0)
+    hb, pb, qb, yb, aj = half[b_rows], p[b_rows], q[b_rows], y[b_rows], p[b_rows] + j0[b_rows]
+    ld_j0 = _log_beta_pre_columns(aj, qb, yb) - _each(math.log, aj)
+    j_lo[b_rows] = _lower_edge(hb, TAIL_LOG - lw0[b_rows] - ld_j0, _COLUMN)
+    n = j_top - j_lo + 1.0
+    zero = np.zeros(x.shape, bool)
+    check = (ld_j0 < -708.0) | (n[b_rows] > MAX_WINDOW_TERMS)
+    if check.any():
+        # B lies below e^-750, where 0 is its correctly rounded value
+        args = (v[check].tolist() for v in (pb, qb, hb, yb))
+        zero[np.flatnonzero(b_rows)[check]] = [_log_b_bound(*a) < -750.0 for a in zip(*args)]
+    wide = ~zero & (n > MANY_CELLS)
+    kept = np.flatnonzero(~(zero | wide))
+    p, q, y, half, j_lo, n, j0, lw0, complement = (
+        v[kept] for v in (p, q, y, half, j_lo, n, j0, lw0, complement)
+    )
+    # the increments' anchor (``_anchor``)
+    jpk = (y * (p + q - 1.0) - p) / (1.0 - y)
+    k0 = np.minimum(np.maximum(np.floor(jpk) - j_lo, 0.0), n - 1.0)
+    a0 = p + (j_lo + k0)
+    ld0 = _log_beta_pre_columns(a0, q, y) - _each(math.log, a0)
+    # the far-end seed's fraction and the chain's scale (``_far_end``, ``_far_fraction``)
+    a = np.where(complement, q, p + (j_lo + n - 1.0) + 1.0)
+    b = np.where(complement, p + j_lo, q)
+    z = np.where(complement, 1.0 - y, y)
+    cf = np.full(p.shape, math.nan)
+    seed = np.full(p.shape, math.nan)
+    run = z < (a + 1.0) / (a + b + 2.0)
+    cf[run] = _betacf_columns(a[run], b[run], z[run])
+    flip = ~run
+    if flip.any():
+        seed[flip] = [_betainc(*v) for v in zip(a[flip].tolist(), b[flip].tolist(), z[flip].tolist())]
+    shift = np.where(run & (ld0 < -650.0), ld0, 0.0)
+    j_lo, n, j0, k0 = (v.astype(np.int64) for v in (j_lo, n, j0, k0))
+    r = _Planned(p, q, y, complement, half, j_lo, n, j0, lw0, k0, a0, ld0, cf, seed, shift)
+    return r, kept, np.flatnonzero(zero), np.flatnonzero(wide)
+
+
 def _outward(v0, anchor, n, P, Q):
     """The (P, Q) chains of stacked windows, one a row: ``_chain`` with each
-    row's v0 at its anchor column, over its first n columns.  The ratios
-    are 1 wherever they are not used, so every product is formed in the
-    order of ``_chain``, bit for bit; past its n-th column a row holds its
-    last value."""
-    shape = P.shape
-    cols = np.arange(shape[1])
-    left = cols < anchor[:, None]
-    # r_dn[:, c] takes column c+1 to c, r_up[:, c] takes column c-1 to c
-    r_dn = np.ones(shape)
-    np.divide(P[:, 1:], Q[:, 1:], out=r_dn[:, :-1], where=left[:, :-1])
-    r_up = np.divide(Q, P, out=np.ones(shape), where=(cols > anchor[:, None]) & (cols < n[:, None]))
-    rows = np.arange(shape[0])
-    r_dn[rows, anchor] = v0
-    r_up[rows, anchor] = v0
-    np.multiply.accumulate(r_up, axis=1, out=r_up)
-    rev = r_dn[:, ::-1]
-    np.multiply.accumulate(rev, axis=1, out=rev)
-    np.copyto(r_up, r_dn, where=left)
-    return r_up
+    row's v0 at its anchor column, over its first n columns, and 0 past
+    them.  Q is an array like P, or a column where it is constant along a
+    row (the weights' h).
+
+    The rightward products run over the columns from the first anchor on,
+    by the ratios that take column c-1 to c, which are 1 left of each row's
+    anchor; the leftward ones over the columns up to the last anchor, by the
+    ratios that take c+1 to c, which are 1 right of it.  So every product
+    is formed in the order of ``_chain``, bit for bit, and the ratio 0 at
+    column n ends each row's chain in zeros."""
+    m, width = P.shape
+    rows = np.arange(m)
+    lo, hi = int(anchor.min()), int(anchor.max()) + 1
+    flat = Q.shape[1] == 1
+    # the columns lo..hi-1 that lie left of each row's anchor
+    left = np.arange(lo, hi) < anchor[:, None]
+    out = np.empty((m, width))
+    right = out[:, lo:]
+    np.divide(Q if flat else Q[:, lo:], P[:, lo:], out=right)
+    np.copyto(right[:, : hi - lo], 1.0, where=left)
+    out[rows, anchor] = v0
+    short = n < width
+    out[rows[short], n[short]] = 0.0
+    np.multiply.accumulate(right, axis=1, out=right)
+    if hi > 1:
+        dn = np.empty((m, hi))
+        np.divide(P[:, 1:hi], Q if flat else Q[:, 1:hi], out=dn[:, :-1])
+        np.copyto(dn[:, lo:], 1.0, where=~left)
+        dn[rows, anchor] = v0
+        rev = dn[:, ::-1]
+        np.multiply.accumulate(rev, axis=1, out=rev)
+        out[:, :lo] = dn[:, :lo]
+        np.copyto(out[:, lo:hi], dn[:, lo:], where=left)
+    return out
 
 
-def _window_arrays(rows):
-    """The 2-D form of a chunk of planned windows of one member, sorted by
-    length: their Poisson weights, terms and increments as 2-D arrays, one
-    row per window, as wide as the longest.  The m windows' weights and
-    increments are one stack of 2m (P, Q) chains (``_outward``), and every
-    element is formed by the float operations of ``_window``, in its order;
-    columns past a row's window hold values that are not used."""
-    m = len(rows)
-    # one row per window, one column per field: P at column 0, the anchor
-    # value and the anchor column of its weights and of its increments,
-    # then h, y, q, the seed's fraction, the planned seed and n
-    fields = np.array(
-        [
-            (r.j_lo, r.a0 - r.k0, math.exp(r.lw0), math.exp(r.ld0 - r.shift), r.j0 - r.j_lo, r.k0,
-             r.half, r.y, r.q, r.cf, r.seed, r.n)
-            for r in rows
-        ]
-    )
-    base, v0, anchor = fields[:, :6].T.reshape(3, 2 * m)
-    half, y, q, cf, planned = fields[:, 6:11].T
-    n = fields[:, 11].astype(int)
-    cols = np.arange(n[-1])
-    P = base[:, None] + cols
-    Q = np.empty_like(P)
-    Q[:m] = half[:, None]
-    np.subtract(P[m:], 1.0, out=Q[m:])
-    Q[m:] += q[:, None]
-    Q[m:] *= y[:, None]
-    chains = _outward(v0, anchor.astype(int), np.concatenate((n, n)), P, Q)
-    wgt, d = chains[:m], chains[m:]
-    complement = rows[0].complement
-    end = d[:, 0] if complement else d[np.arange(m), n - 1]
-    seed = np.where(np.isnan(cf), planned, _end_seed(end, base[m:], n, y, q, cf, complement))
-    # zero past each row's window, where B's reverse running sum starts
-    np.copyto(d, 0.0, where=cols >= n[:, None])
-    return wgt, _terms(seed[:, None], d, complement), d
+def _window_arrays(r):
+    """The 2-D form of a chunk of planned windows of one member, given as
+    columns (``_Planned``) sorted by length: their Poisson weights, terms
+    and increments as 2-D arrays, one row per window, as wide as the
+    longest.  The weights and the increments are each one stack of (P, Q)
+    chains (``_outward``), and every element is formed by the float
+    operations of ``_window``, in its order; past a row's window the
+    weights and increments are 0."""
+    cols = np.arange(r.n[-1], dtype=float)
+    base = r.a0 - r.k0
+    a = base[:, None] + cols
+    Q = a - 1.0
+    Q += r.q[:, None]
+    Q *= r.y[:, None]
+    # the ratios beyond a row's anchor, which are not used, divide by h = 0
+    # or overflow at a subnormal h
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        wgt = _outward(_each(math.exp, r.lw0), r.j0 - r.j_lo, r.n, r.j_lo[:, None] + cols, r.half[:, None])
+        d = _outward(_each(math.exp, r.ld0 - r.shift), r.k0, r.n, a, Q)
+    end = d[:, 0] if r.complement else d[np.arange(r.n.size), r.n - 1]
+    seed = np.where(np.isnan(r.cf), r.seed, _end_seed(end, base, r.n, r.y, r.q, r.cf, r.complement))
+    return wgt, _terms(seed[:, None], d, r.complement), d
 
 
-def _chunks(entries):
-    """Consecutive runs of ``evaluate_many``'s entries, whose planned rows
-    come last and are sorted by window length, of at most ``MANY_CELLS``
-    padded cells each."""
+def _window_sums(r):
+    """A chunk's 2-D pass (``_window_arrays``) reduced to what the finish
+    reads: each row's sum s of its products w_j t_j, and its weight, term
+    and increment at the window's top and its term at the bottom.
+
+    s is numpy's pairwise sum over the row's own n columns, bit for bit, as
+    ``_finish`` sums one window: the products sit in one flat buffer, each
+    row behind a 0, and ``np.add.reduceat`` adds a segment as ``sum`` adds
+    a row, 0 plus the pairwise sum of the rest (a padded row would be
+    grouped otherwise)."""
+    wgt, terms, d = _window_arrays(r)
+    m, width = wgt.shape
+    flat = np.empty(m * (width + 1) + 1)
+    flat[-1] = 0.0
+    prod = flat[:-1].reshape(m, width + 1)
+    prod[:, 0] = 0.0
+    np.multiply(wgt, terms, out=prod[:, 1:])
+    starts = np.arange(0, m * (width + 1), width + 1)
+    s = np.add.reduceat(flat, np.stack((starts, starts + 1 + r.n), axis=1).ravel())[::2]
+    rows, top = np.arange(m), r.n - 1
+    return s, wgt[rows, top], terms[rows, top], d[rows, top], terms[:, 0]
+
+
+def _squares(a):
+    """a ** 2 entry by entry as Python's float power forms it."""
+    return np.array([v**2 for v in a.tolist()])
+
+
+def _finish_columns(r, s, w_top, t_top, d_top, t_low):
+    """``_finish`` over columns: (values, err_ests) as arrays, each entry
+    bitwise ``_finish``'s, from the rows' plans, their sums s and the
+    values at their windows' ends (``_window_sums``)."""
+    value = s.copy()
+    scaled = (r.shift != 0.0) & ~(s <= 0.0)
+    if scaled.any():
+        value[scaled] = [_unscale(*v) for v in zip(s[scaled].tolist(), r.shift[scaled].tolist())]
+    half, j_lo = r.half, r.j_lo
+    j_top = j_lo + r.n - 1
+    rup = half / (j_top + 1.0)
+    below = j_lo > 0
+    drop = np.zeros(s.shape)
+    if below.any():
+        hb = half[below]
+        drop[below] = -_squares(hb - j_lo[below]) / (2.0 * hb)
+    if r.complement:
+        rho = np.maximum(np.maximum(r.y * (r.p + r.q + j_top) / (r.p + j_top + 1.0), r.y), 1.0)
+        tail = np.full(s.shape, math.inf)
+        fits = rup * rho < 1.0
+        if fits.any():
+            ru = rup[fits]
+            tail[fits] = w_top[fits] * ru * (t_top[fits] / (1.0 - ru) + d_top[fits] / _squares(1.0 - ru * rho[fits]))
+        if below.any():
+            tail[below] += _each(math.exp, drop[below]) * t_low[below]
+    else:
+        tail = w_top * t_top * rup / (1.0 - rup)
+        if below.any():
+            tail[below] += _each(math.exp, drop[below] - r.shift[below])
+    # a row whose value is 0 divides by 0 here; it takes (0, 1e-15) below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        err = tail / s + _rounding_floor(r.n, r.p + r.q + j_lo + r.k0, r.ld0)
+        # from 2^-950 up the term is below half an ulp of err (``_finish``)
+        tiny = s < 2.0**-950
+        err[tiny] += r.n[tiny] * 2.0**-1074 / s[tiny]
+    empty = value <= 0.0
+    value[empty] = 0.0
+    err[empty] = 1e-15
+    return value, err
+
+
+def _take(r, index):
+    """The rows of a columns ``_Planned`` at index (an index array or a
+    slice); a complement given as one bool stays."""
+    return r._make(v[index] if isinstance(v, np.ndarray) else v for v in r)
+
+
+def _chunks(n):
+    """(start, end) of the consecutive runs of window lengths n, sorted, of
+    at most ``MANY_CELLS`` padded cells each."""
     start = 0
-    for end in range(1, len(entries) + 1):
-        if end == len(entries) or (end + 1 - start) * entries[end][-1].n > MANY_CELLS:
-            yield entries[start:end]
+    for end in range(1, len(n) + 1):
+        if end == len(n) or (end + 1 - start) * n[end] > MANY_CELLS:
+            yield start, end
             start = end
-
-
-def _many_plan(sp, pt):
-    """A point's planned row for ``evaluate_many``'s 2-D pass, or its pair
-    where it has none: the quantile boundaries, a B certified to round to 0,
-    and a window longer than ``MANY_CELLS``, which the 1-D form sums."""
-    if not 0.0 < pt.y < 1.0:
-        return eval_series(sp, pt)
-    complement = _complement_is_primary(sp, pt)
-    row = _row_plan(sp.p, sp.q, pt.x, pt.y, complement)
-    if row is None:
-        return _series_pair(sp, pt, complement, 0.0, 1e-15)
-    if row.n > MANY_CELLS:
-        return _series_pair(sp, pt, complement, *_finish(row, *_window(row)))
-    return row
 
 
 def evaluate_many(points, tol: float = 1e-12) -> list:
@@ -705,37 +878,53 @@ def evaluate_many(points, tol: float = 1e-12) -> list:
     ``EvaluationError`` that it raises, so one failing point does not void
     the rest.  ``tol`` is validated as ``evaluate`` does.
 
-    Every point is planned by the members' planner (``_row_plan``).  The
-    windows of each member are then sorted by length, cut into chunks of at
-    most ``MANY_CELLS`` padded cells, and built in one 2-D pass a chunk
-    (``_window_arrays``), whose weights and increments are one stack of
-    (P, Q) chains; each row is summed over its unpadded slice and finished
-    by the members' ``_finish``.  The stragglers are the quantile
-    boundaries, the certified zeros and windows longer than ``MANY_CELLS``
-    (``_many_plan``); x = 0 is planned and summed as any other point."""
+    The points are planned as columns (``_column_plan``), each field one
+    array over the points, with every entry formed by the float operations
+    of ``_row_plan``.  Each member's windows are then sorted by length, cut
+    into chunks of at most ``MANY_CELLS`` padded cells, built in one 2-D
+    pass a chunk (``_window_arrays``), and summed and finished as columns
+    (``_finish_columns``).  Only the quantile boundaries, the certified
+    zeros and windows longer than ``MANY_CELLS`` are answered one at a
+    time; x = 0 is planned and summed as any other point."""
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
-    out: list = []
-    planned: dict[bool, list] = {False: [], True: []}  # B rows, complement rows
-    for sp, pt in points:
+    out: list = [None] * len(points)
+    if not out:
+        return out
+    p, q, x, y = np.array([(sp.p, sp.q, pt.x, pt.y) for sp, pt in points]).T.copy()
+    inner = (y > 0.0) & (y < 1.0)
+    for slot in np.flatnonzero(~inner).tolist():
+        out[slot] = eval_series(*points[slot])
+    slots = np.flatnonzero(inner)
+    p, q, x, y = p[slots], q[slots], x[slots], y[slots]
+    # _complement_is_primary: y above the transition quantile
+    complement = y > (x + 2.0 * p) / (x + 2.0 * (p + q))
+    r, kept, zero, wide = _column_plan(p, q, x, y, complement)
+    for slot in slots[zero].tolist():
+        out[slot] = _series_pair(*points[slot], False, 0.0, 1e-15)
+    for slot in slots[wide].tolist():
         try:
-            row = _many_plan(sp, pt)
+            out[slot] = eval_series(*points[slot])
         except EvaluationError as exc:
-            row = exc
-        if isinstance(row, _Planned):
-            planned[row.complement].append((len(out), sp, pt, row))
-            row = None
-        out.append(row)
-    for entries in planned.values():
-        entries.sort(key=lambda e: e[-1].n)
-        for chunk in _chunks(entries):
-            wgt, terms, d = _window_arrays([e[-1] for e in chunk])
-            for i, (slot, sp, pt, r) in enumerate(chunk):
-                try:
-                    value, err = _finish(r, wgt[i, : r.n], terms[i, : r.n], d[i, : r.n])
-                    out[slot] = _series_pair(sp, pt, r.complement, value, err)
-                except EvaluationError as exc:
-                    out[slot] = exc
+            out[slot] = exc
+    slots = slots[kept]
+    for member in (False, True):
+        mine = np.flatnonzero(r.complement == member)
+        if not mine.size:
+            continue
+        mine = mine[np.argsort(r.n[mine], kind="stable")]
+        rows = _take(r, mine)._replace(complement=member)
+        sums = [_window_sums(_take(rows, slice(*ends))) for ends in _chunks(rows.n.tolist())]
+        values, errs = _finish_columns(rows, *(np.concatenate(v) for v in zip(*sums)))
+        pairs = ProbabilityPair.from_primaries(values, "bbar" if member else "b", "series", errs)
+        for slot, pair in zip(slots[mine].tolist(), pairs):
+            out[slot] = pair
+        for i in np.flatnonzero(np.isnan(values)).tolist():
+            slot = slots[mine[i]]
+            try:
+                _series_pair(*points[slot], member, math.nan, math.nan)
+            except EvaluationError as exc:
+                out[slot] = exc
     return out
 
 

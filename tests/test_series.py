@@ -661,9 +661,10 @@ class TestEvaluateMany:
         chunks = []
         original = series._window_arrays
 
-        def recording(rows):
-            chunks.append((len(rows), rows[-1].n))
-            return original(rows)
+        def recording(r):
+            # a chunk's rows come as columns, sorted by window length
+            chunks.append((r.n.size, int(r.n[-1])))
+            return original(r)
 
         monkeypatch.setattr(series, "_window_arrays", recording)
         rng = np.random.default_rng(17)
@@ -741,6 +742,13 @@ FLIPPED_POINTS = [
 ]
 
 
+def as_columns(rows):
+    """Planned rows of one member as one ``_Planned`` of columns, the form
+    ``_window_arrays`` takes; the member stays one bool."""
+    columns = series._Planned(*(np.array(field) for field in zip(*rows)))
+    return columns._replace(complement=rows[0].complement)
+
+
 def hand_rows():
     """Windows the planner never makes, for each member: one term; and both
     chains anchored at the first column (the increments peak below j_lo
@@ -771,9 +779,9 @@ class TestWindowForms:
         assert {(r.k0, r.j0 - r.j_lo) for r in rows[:6]} >= {(0, 0), (15, 15)}
         for complement in (False, True):
             member_rows = sorted((r for r in rows if r.complement == complement), key=lambda r: r.n)
-            for chunk in series._chunks([(r,) for r in member_rows]):
-                chunk_rows = [entry[-1] for entry in chunk]
-                arrays = series._window_arrays(chunk_rows)
+            for start, end in series._chunks([r.n for r in member_rows]):
+                chunk_rows = member_rows[start:end]
+                arrays = series._window_arrays(as_columns(chunk_rows))
                 for i, r in enumerate(chunk_rows):
                     for one, two in zip(series._window(r), arrays):
                         assert np.array_equal(one, two[i, : r.n])
