@@ -102,16 +102,11 @@ def cmd_invert(args) -> int:
     return 0
 
 
-def _batch_field(row, key):
-    v = row.get(key, "")
-    if v is None or str(v).strip() == "":
-        return math.nan
-    return float(v)
-
-
-def _batch_fields(row):
-    """A batch row's p, q, x, y and z; a blank or missing field is nan."""
-    return tuple(_batch_field(row, key) for key in ("p", "q", "x", "y", "z"))
+def _batch_fields(row, keys="pqxyz"):
+    """A batch row's fields named in keys, each read once: p, q, x, y and z,
+    or p, q, x and y for eval, which reads no z.  A blank or missing field
+    is nan; any other field that is not a float raises float's ValueError."""
+    return [math.nan if (v := row.get(k)) is None or not v.strip() else float(v) for k in keys]
 
 
 def _is_header(line: str) -> bool:
@@ -132,7 +127,7 @@ def _evaluate_rows(rows, tol: float) -> list:
     parsed, points = [], []
     for row in rows:
         try:
-            p, q, x, y, _ = _batch_fields(row)
+            p, q, x, y = _batch_fields(row, "pqxy")
             points.append((ShapeParams(p, q), EvalPoint(x, y)))
             parsed.append((p, q, x, y))
         except ValueError as exc:  # DomainError included

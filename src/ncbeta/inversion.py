@@ -40,8 +40,9 @@ from .params import EvalPoint, ShapeParams
 from .series import _Pass, _resum, _series_window
 
 
-# |zeta| from which the zeta1 seed forms g0 by the direct subtraction (``_g0``)
-G0_DIRECT_MIN = 1e-3
+# the zeta1 seed forms g0 by the direct subtraction where its estimated
+# rounding noise stays below this times max(1, |g0|) (``_g0_direct``)
+G0_NOISE_MAX = 1e-8
 
 
 @dataclass(frozen=True)
@@ -179,25 +180,40 @@ def zeta1_correction(problem: InversionProblem, zeta0: float, seed: float) -> fl
     return math.log1p(u) / zeta0
 
 
-def _g0(frame: SaddleFrame) -> float:
-    """The leading boundary-layer coefficient g0 = f_0 - 1/zeta at a frame.
+def _g0_direct(frame: SaddleFrame) -> float | None:
+    """g0 = f_0 - 1/zeta by the direct subtraction, or None where it does
+    not serve the seed.
 
     Directly, g0 = (1/t0 + y/(1 - y t0)) phi2^(-1/2) - 1/zeta: f_0 is
     h(t0) A_0^(-1/2) with h(t) = 1/(t (1 - y t)) in partial fractions.  For
     |zeta| >= tau this is the expression ``g_coeffs`` forms, so it is that
-    g0 bit for bit.  Inside tau the subtraction still serves the seed where
-    its rounding noise on g0 stays below 1e-8, |zeta| >= ``G0_DIRECT_MIN``:
-    at the zeta-series seeds of 9000 problems drawn over the invert-mixed
-    ranges (half of them with z near 1/2), against ``g_coeffs``' pole
-    series, the noise was at most 3.5e-9 for |zeta| >= 1e-3 (1997 seeds
-    inside tau), up to 1.9e-8 just below it and 1.7e-7 near 1e-4.  Below
-    that bound g0 comes from ``g_coeffs(frame, 0)``, by its pole-removal
-    series; so it does where phi2 <= 0 or the pole sits on the saddle,
-    which ``g_coeffs`` rejects."""
-    pole = 1.0 - frame.y * frame.t0
-    if abs(frame.zeta) < G0_DIRECT_MIN or not frame.phi2 > 0.0 or pole == 0.0:
-        return g_coeffs(frame, 0)[0]
-    return (1.0 / frame.t0 + frame.y / pole) * frame.phi2**-0.5 - 1.0 / frame.zeta
+    g0 bit for bit.  Inside tau f_0 and 1/zeta cancel: the pole 1 - y t0,
+    about y zeta phi2^(-1/2), shrinks with zeta, so a relative rounding u of
+    t0 moves f_0 by about u sqrt(phi2)/(y zeta^2).  Against ``g_coeffs``'
+    pole series the noise was at most 5.4 times that, over 12000
+    zeta-series seeds of problems drawn over the invert-mixed ranges (half
+    with z near 1/2, 1e-4 <= |zeta| < tau) and at the 15 frames, most with
+    q near 1 and y near 1, where a fixed |zeta| >= 1e-3 rule or a
+    u (1 + xi)/zeta^2 estimate let through more than 1e-8.  So
+    16 u sqrt(phi2)/(y zeta^2) is taken as its bound: the direct g0 serves
+    where that stays below ``G0_NOISE_MAX`` max(1, |g0|), and not where
+    phi2 <= 0, zeta = 0 or the pole sits on the saddle, which ``g_coeffs``
+    rejects."""
+    t0, zeta = frame.t0, frame.zeta
+    pole = 1.0 - frame.y * t0
+    if zeta == 0.0 or not frame.phi2 > 0.0 or pole == 0.0:
+        return None
+    g0 = (1.0 / t0 + frame.y / pole) * frame.phi2**-0.5 - 1.0 / zeta
+    noise = 16.0 * 1.12e-16 * math.sqrt(frame.phi2) / frame.y / zeta / zeta
+    return g0 if noise <= G0_NOISE_MAX * max(1.0, abs(g0)) else None
+
+
+def _g0(frame: SaddleFrame) -> float:
+    """The leading boundary-layer coefficient g0 = f_0 - 1/zeta at a frame:
+    the direct subtraction where it serves (``_g0_direct``), else
+    ``g_coeffs(frame, 0)``, by its pole-removal series."""
+    g0 = _g0_direct(frame)
+    return g_coeffs(frame, 0)[0] if g0 is None else g0
 
 
 def _residual(pair, z: float) -> float:

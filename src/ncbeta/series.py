@@ -44,20 +44,30 @@ the floor.  The seed, the terms and the finish are each written once, for
 one window or many rows, and serve three forms of the sum: the 1-D one
 (``_window``); ``evaluate_many``'s 2-D one (``_window_arrays``), which
 builds the windows of many points at once in padded 2-D arrays, one row
-per window and both chains of a chunk in one stacked pass (``_outward``),
-with every element formed by the float operations of the 1-D form in its
-order, so every result is bitwise the member's (its stragglers, answered
-one at a time, are the quantile boundaries, the certified zeros and
-windows longer than ``MANY_CELLS``); and the inversion's re-sum
-(``_resum``), which moves a pass to a nearby x or y by an exact factor on
-the one chain that depends on the unknown.
+per window, the weights and the increments each one stacked pass
+(``_outward``), with every element formed by the float operations of the
+1-D form in its order; and the inversion's re-sum (``_resum``), which
+moves a pass to a nearby x or y by an exact factor on the one chain that
+depends on the unknown.
 
-The 1-D window stays beside the 2-D one because it is faster for one
-point.  Routing a member through ``_window_arrays([row])`` was bitwise
-equal (8000/8000 evaluations on eval-mixed seeds 1-2, 1200 inversions) but
-slower on a 2-core Xeon, interpreted, in-process and interleaved on
-eval-mixed seed 1: ``evaluate`` 88 -> 110 us a point (median of 8 passes),
-one planned row's window plus finish 48 -> 64 us (median of 15).
+``evaluate_many`` runs the whole member on columns, one array entry a
+point.  ``_column_plan`` makes each field of ``_row_plan``'s plans as one
+array, the edges by the same helpers (``_upper_edge``, ``_lower_edge``,
+given numpy's sqrt, floor and ceil) and the far-end fractions as one
+masked Lentz loop (``kernels._betacf_columns``); its exp, log, log1p,
+lgamma and powers map ``math`` over the entries (``kernels._each``), since
+numpy's transcendental ufuncs round otherwise.  Each 2-D row is summed
+over its own columns as numpy sums one window (``_window_sums``), and
+``_finish_columns`` is ``_finish`` over the rows.  So every result is
+bitwise the member's; the points answered one at a time are the quantile
+boundaries and windows longer than ``MANY_CELLS``.
+
+The 1-D window stays beside the columnar form because it is far faster
+for one point: ``evaluate_many`` of a single point, bitwise ``evaluate``'s,
+took 706 us against ``evaluate``'s 71 us (medians of 8 interleaved passes
+over the first 1000 points of eval-mixed seed 1, in-process, on a 2-core
+Xeon, interpreted), since the columnar form pays its fixed numpy calls and
+its continued-fraction loop once a call.
 
 This module also houses the notation bridges used as independent
 cross-checks: the type-II q-function double series and the noncentral F
@@ -67,6 +77,7 @@ mapping.
 from __future__ import annotations
 
 import math
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -86,8 +97,8 @@ from .params import EvalPoint, ProbabilityPair, ShapeParams
 # the most terms a member sums, j_hi - j_lo + 1 (B) or j_end - j_lo + 1
 # (complement); the window is O(sqrt(x)) wide, so x reaches order 4e9
 MAX_WINDOW_TERMS = 1_000_000
-# the most padded cells (rows times columns) one 2-D pass of evaluate_many
-# builds; a longer window is summed in the 1-D form
+# the most padded cells (rows times the longest window) one 2-D pass of
+# evaluate_many builds; a longer window is summed in the 1-D form
 MANY_CELLS = 1 << 13
 TAIL_LOG = 39.2  # ln(1e17): a dropped Poisson tail stays below 1e-17 of the kept sum
 _LN2 = math.log(2.0)
@@ -276,6 +287,50 @@ def _log_b_bound(p, q, half, y):
     if m < 0:
         return lt0 + _LN2
     return min(max(lt0 - (half - m) ** 2 / (2.0 * half), _log_term_bound(p + m, q, y)), 0.0) + _LN2
+
+
+def _log_b_bound_columns(p, q, half, y):
+    """``_log_b_bound`` over columns, entry by entry bitwise: its two
+    stepping loops run over the rows until no row steps."""
+    lt0 = _log_term_bound_columns(p, q, y)
+    top = np.floor(half)
+    gap = lt0 + _LN2 + 750.0
+    with np.errstate(invalid="ignore"):
+        root = np.ceil(half - np.sqrt(2.0 * half * gap)) - 1.0
+    m = np.where(gap <= 0.0, top, np.maximum(np.minimum(root, top), -1.0))
+    exact = half < 2.0**52
+    for step in (1.0, -1.0):
+        while True:
+            k = m + (step > 0.0)
+            moves = exact & ((m < top) if step > 0.0 else (m >= 0.0))
+            crosses = moves & (half > 0.0)
+            passes = np.zeros(m.shape, bool)
+            hc = half[crosses]
+            passes[crosses] = lt0[crosses] - _squares(hc - k[crosses]) / (2.0 * hc) + _LN2 < -750.0
+            moves &= passes if step > 0.0 else ~passes
+            if not moves.any():
+                break
+            m[moves] += step
+    out = lt0 + _LN2
+    inner = (half > 0.0) & (m >= 0.0)
+    if inner.any():
+        hi, mi = half[inner], m[inner]
+        f = lt0[inner] - _squares(hi - mi) / (2.0 * hi)
+        g = _log_term_bound_columns(p[inner] + mi, q[inner], y[inner])
+        out[inner] = np.minimum(np.maximum(f, g), 0.0) + _LN2
+    return out
+
+
+def _log_term_bound_columns(a, q, y):
+    """``_log_term_bound`` over columns, entry by entry bitwise."""
+    c = y * np.maximum(1.0, (a + q) / (a + 1.0))
+    out = np.zeros(a.shape)
+    below = c < 1.0
+    if below.any():
+        a1, c1 = a[below], c[below]
+        pre = _log_beta_pre_columns(a1, q[below], y[below])
+        out[below] = np.minimum(pre - _each(math.log, a1) - _each(math.log1p, -c1), 0.0)
+    return out
 
 
 def _complement_end(p, q, half, y):
@@ -661,9 +716,9 @@ def _column_plan(p, q, x, y, complement):
     Returns (r, kept, zero, wide): r a ``_Planned`` whose fields are columns
     over the rows kept (complement stays a column), and kept, zero and wide
     index arrays into the input.  zero holds the B rows certified to round
-    to 0 (``_log_b_bound`` runs there one row at a time), wide the rows
-    whose window is longer than ``MANY_CELLS``, past the cap included,
-    which the 1-D form sums or rejects.  The far-end fractions of all kept
+    to 0 (``_log_b_bound_columns``, on the rows the certificate checks),
+    wide the rows whose window is longer than ``MANY_CELLS``, past the cap
+    included, which the 1-D form sums or rejects.  The far-end fractions of all kept
     rows run as one masked Lentz loop (``_betacf_columns``); the rows past
     the fraction's switch take their seed from ``_betainc`` one at a
     time."""
@@ -694,8 +749,8 @@ def _column_plan(p, q, x, y, complement):
     check = (ld_j0 < -708.0) | (n[b_rows] > MAX_WINDOW_TERMS)
     if check.any():
         # B lies below e^-750, where 0 is its correctly rounded value
-        args = (v[check].tolist() for v in (pb, qb, hb, yb))
-        zero[np.flatnonzero(b_rows)[check]] = [_log_b_bound(*a) < -750.0 for a in zip(*args)]
+        bound = _log_b_bound_columns(pb[check], qb[check], hb[check], yb[check])
+        zero[np.flatnonzero(b_rows)[check]] = bound < -750.0
     wide = ~zero & (n > MANY_CELLS)
     kept = np.flatnonzero(~(zero | wide))
     p, q, y, half, j_lo, n, j0, lw0, complement = (
@@ -726,8 +781,9 @@ def _column_plan(p, q, x, y, complement):
 def _outward(v0, anchor, n, P, Q):
     """The (P, Q) chains of stacked windows, one a row: ``_chain`` with each
     row's v0 at its anchor column, over its first n columns, and 0 past
-    them.  Q is an array like P, or a column where it is constant along a
-    row (the weights' h).
+    them; the arrays are a column wider than the longest window.  Q is an
+    array like P, or a column where it is constant along a row (the
+    weights' h).
 
     The rightward products run over the columns from the first anchor on,
     by the ratios that take column c-1 to c, which are 1 left of each row's
@@ -739,15 +795,18 @@ def _outward(v0, anchor, n, P, Q):
     rows = np.arange(m)
     lo, hi = int(anchor.min()), int(anchor.max()) + 1
     flat = Q.shape[1] == 1
-    # the columns lo..hi-1 that lie left of each row's anchor
-    left = np.arange(lo, hi) < anchor[:, None]
+    # the columns lo..hi-1 that lie left of each row's anchor: each row's
+    # anchor - lo Trues, then Falses
+    counts = np.empty(2 * m, dtype=np.int64)
+    counts[0::2] = anchor - lo
+    counts[1::2] = hi - anchor
+    left = np.repeat(np.tile((True, False), m), counts).reshape(m, hi - lo)
     out = np.empty((m, width))
     right = out[:, lo:]
     np.divide(Q if flat else Q[:, lo:], P[:, lo:], out=right)
     np.copyto(right[:, : hi - lo], 1.0, where=left)
     out[rows, anchor] = v0
-    short = n < width
-    out[rows[short], n[short]] = 0.0
+    out[rows, n] = 0.0
     np.multiply.accumulate(right, axis=1, out=right)
     if hi > 1:
         dn = np.empty((m, hi))
@@ -768,8 +827,8 @@ def _window_arrays(r):
     longest.  The weights and the increments are each one stack of (P, Q)
     chains (``_outward``), and every element is formed by the float
     operations of ``_window``, in its order; past a row's window the
-    weights and increments are 0."""
-    cols = np.arange(r.n[-1], dtype=float)
+    weights and increments are 0, up to one column past the longest."""
+    cols = np.arange(r.n[-1] + 1, dtype=float)
     base = r.a0 - r.k0
     a = base[:, None] + cols
     Q = a - 1.0
@@ -802,15 +861,19 @@ def _window_sums(r):
     prod = flat[:-1].reshape(m, width + 1)
     prod[:, 0] = 0.0
     np.multiply(wgt, terms, out=prod[:, 1:])
-    starts = np.arange(0, m * (width + 1), width + 1)
-    s = np.add.reduceat(flat, np.stack((starts, starts + 1 + r.n), axis=1).ravel())[::2]
+    # segment starts and ends, each row's 0 and products from start to end
+    cuts = np.empty(2 * m, dtype=np.int64)
+    cuts[0::2] = np.arange(0, m * (width + 1), width + 1)
+    cuts[1::2] = cuts[0::2] + 1 + r.n
+    s = np.add.reduceat(flat, cuts)[::2]
     rows, top = np.arange(m), r.n - 1
     return s, wgt[rows, top], terms[rows, top], d[rows, top], terms[:, 0]
 
 
 def _squares(a):
-    """a ** 2 entry by entry as Python's float power forms it."""
-    return np.array([v**2 for v in a.tolist()])
+    """a ** 2 entry by entry as Python's float power forms it (libm's pow,
+    which need not round as a * a)."""
+    return _each(lambda v: v**2, a)
 
 
 def _finish_columns(r, s, w_top, t_top, d_top, t_low):
@@ -883,15 +946,16 @@ def evaluate_many(points, tol: float = 1e-12) -> list:
     of ``_row_plan``.  Each member's windows are then sorted by length, cut
     into chunks of at most ``MANY_CELLS`` padded cells, built in one 2-D
     pass a chunk (``_window_arrays``), and summed and finished as columns
-    (``_finish_columns``).  Only the quantile boundaries, the certified
-    zeros and windows longer than ``MANY_CELLS`` are answered one at a
-    time; x = 0 is planned and summed as any other point."""
+    (``_finish_columns``).  Only the quantile boundaries and windows longer
+    than ``MANY_CELLS`` are answered one at a time; x = 0 is planned and
+    summed as any other point."""
     if not tol > 0.0:
         raise DomainError(f"tol must be positive, got {tol}")
     out: list = [None] * len(points)
     if not out:
         return out
-    p, q, x, y = np.array([(sp.p, sp.q, pt.x, pt.y) for sp, pt in points]).T.copy()
+    fields = chain.from_iterable((sp.p, sp.q, pt.x, pt.y) for sp, pt in points)
+    p, q, x, y = np.fromiter(fields, float, 4 * len(out)).reshape(-1, 4).T.copy()
     inner = (y > 0.0) & (y < 1.0)
     for slot in np.flatnonzero(~inner).tolist():
         out[slot] = eval_series(*points[slot])

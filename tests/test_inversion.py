@@ -14,9 +14,9 @@ from ncbeta.asymptotic import build_frame, g_coeffs, transition_tau, x_zeta_coef
 from ncbeta.dispatch import evaluate
 from ncbeta.errors import DomainError, EvaluationError
 from ncbeta.inversion import (
-    G0_DIRECT_MIN,
     InversionProblem,
     _g0,
+    _g0_direct,
     _slope,
     _transition_root,
     db_dx,
@@ -98,17 +98,25 @@ class TestDirectG0:
     # the pole series' example: |zeta| = 3.0e-4, where the direct
     # subtraction is 2.0e-7 off
     NEAR_POLE = (0.69333, 0.50023, 411.69, 0.997585)
+    # |zeta| = 1.14e-3 at xi = 122, where the direct subtraction is 1.34e-8
+    # off; a fixed |zeta| >= 1e-3 rule took it
+    LARGE_XI = (1.0, 1.0, 491.0, 0.9959530516073676)
+    # q = 1 and y near 1, where the subtraction is 1.3e-8 of |g0| = 14.2
+    # off; an estimate u (1 + xi)/zeta^2 of its noise took it
+    SMALL_Q = (1808.0424144560632, 1.0, 1.0, 0.9994514634454222)
 
     @settings(max_examples=300, deadline=None)
     @given(zeta_series_seeds())
     @example(NEAR_POLE)
+    @example(LARGE_XI)
+    @example(SMALL_Q)
     def test_direct_g0_agrees_with_g_coeffs(self, point):
         p, q, x, y = point
         try:
             fr = build_frame(ShapeParams(p, q), EvalPoint(x, y))
         except EvaluationError:
             assume(False)
-        direct = abs(fr.zeta) >= G0_DIRECT_MIN and fr.phi2 > 0.0 and 1.0 - y * fr.t0 != 0.0
+        direct = _g0_direct(fr) is not None
         try:
             ref = g_coeffs(fr, 0)[0]
         except EvaluationError:
@@ -131,7 +139,7 @@ class TestDirectG0:
     def test_g0_near_the_pole_takes_the_pole_series(self):
         p, q, x, y = self.NEAR_POLE
         fr = build_frame(ShapeParams(p, q), EvalPoint(x, y))
-        assert abs(fr.zeta) < G0_DIRECT_MIN
+        assert _g0_direct(fr) is None
         ref = g0_reference(p, q, x, y)
         subtracted = (1.0 / fr.t0 + y / (1.0 - y * fr.t0)) * fr.phi2**-0.5 - 1.0 / fr.zeta
         assert abs(subtracted - ref) > 1e-7

@@ -596,6 +596,21 @@ EVAL_MIXED_POINT = st.tuples(
     st.floats(0.001, 0.999),
 )
 
+# the eval-large-x sampler: x log-uniform on [1e3, 1e5]
+EVAL_LARGE_X_POINT = st.tuples(
+    st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+    st.floats(math.log(0.5), math.log(2000.0)).map(math.exp),
+    st.floats(math.log(1e3), math.log(1e5)).map(math.exp),
+    st.floats(0.001, 0.999),
+)
+
+# eval-large-x points whose subnormal B is known to be wrong (ROADMAP,
+# subnormal increments); whatever evaluate returns, evaluate_many returns
+SUBNORMAL_LARGE_X = [
+    (5.263, 6.769, 4228.0, 0.5765),
+    (102.26815923650477, 11.783881443411245, 5794.098384179934, 0.5037953442941405),
+]
+
 # x = 0 and both quantile boundaries; a B certified to round to 0; a B chain
 # and a complement chain scaled by e^-shift (the latter found by a random
 # search); a point past the window cap
@@ -647,7 +662,12 @@ def zero_noncentrality_value(p, q, y):
 
 class TestEvaluateMany:
     @settings(max_examples=30, deadline=None)
-    @given(st.lists(EVAL_MIXED_POINT, max_size=60).flatmap(lambda drawn: st.permutations(drawn + MANY_FIXED)))
+    @given(
+        st.tuples(st.lists(EVAL_MIXED_POINT, max_size=60), st.lists(EVAL_LARGE_X_POINT, max_size=6)).flatmap(
+            lambda drawn: st.permutations(drawn[0] + drawn[1] + MANY_FIXED)
+        )
+    )
+    @example(MANY_FIXED + SUBNORMAL_LARGE_X)
     def test_matches_evaluate_bit_for_bit(self, rows):
         points = [(ShapeParams(p, q), EvalPoint(x, y)) for p, q, x, y in rows]
         assert_entries_match_evaluate(evaluate_many(points), points)
@@ -759,6 +779,61 @@ def hand_rows():
         rows.append(hand_row(2.0, 3.0, 400.0, 0.1, complement, 150, 40, 150))
         rows.append(hand_row(2.3, 3.5, 30.0, 0.9, complement, 0, 16, 15))
     return rows
+
+
+# a point for each branch of the planner: the Poisson mode below 20;
+# min(p, q) < 10 in the prefactor; the near-mode log1p prefactor; a B
+# certified to round to 0; a window past the cap
+PLAN_BRANCHES = [
+    (10.0, 15.0, 4.5, 0.45),
+    (2.0, 3.0, 40.0, 0.3),
+    (50.0, 50.0, 10.0, 0.5),
+    (1500.0, 5.0, 200.0, 0.3),
+    (1.0, 1e10, 1e5, 0.1),
+]
+
+
+class TestColumnPlan:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.one_of(EVAL_MIXED_POINT, EVAL_LARGE_X_POINT), min_size=1, max_size=40))
+    @example(PLAN_BRANCHES)
+    @example(ARRAY_MEMBER_POINTS)
+    @example(FLIPPED_POINTS)
+    def test_matches_row_plan_field_for_field(self, points):
+        p, q, x, y = (np.array(v) for v in zip(*points))
+        complement = y > (x + 2.0 * p) / (x + 2.0 * (p + q))
+        r, kept, zero, wide = series._column_plan(p, q, x, y, complement)
+        assert sorted([*kept, *zero, *wide]) == list(range(len(points)))
+        for i, (pi, qi, xi, yi) in enumerate(points):
+            member = bool(complement[i])
+            assert member == series._complement_is_primary(ShapeParams(pi, qi), EvalPoint(xi, yi))
+            try:
+                row = series._row_plan(pi, qi, xi, yi, member)
+            except EvaluationError:
+                assert i in wide
+                continue
+            if row is None:
+                assert i in zero
+            elif row.n > series.MANY_CELLS:
+                assert i in wide
+            else:
+                got = series._take(r, int(np.flatnonzero(kept == i)[0]))
+                for name, want, have in zip(row._fields, row, got):
+                    # repr tells nan, -0.0 and every other bit pattern apart
+                    assert repr(float(have)) == repr(float(want)), name
+
+    def test_examples_reach_every_branch(self):
+        mode, small, near, zero, cap = PLAN_BRANCHES
+        assert series._row_plan(*mode, False).j0 < 20
+        assert min(small[:2]) < 10.0
+        p, q, x, y = near
+        a = p + series._row_plan(*near, False).j0
+        assert min(a, q) >= 10.0 and abs(y * q - (1.0 - y) * a) <= 0.5 * min(a, q)
+        assert series._row_plan(*zero, False) is None
+        with pytest.raises(EvaluationError, match="series window"):
+            series._row_plan(*cap, True)
+        assert any(series._row_plan(*point, False).shift < 0.0 for point in ARRAY_MEMBER_POINTS[:1])
+        assert all(math.isnan(series._row_plan(*point, False).cf) for point in FLIPPED_POINTS)
 
 
 class TestWindowForms:
