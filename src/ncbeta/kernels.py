@@ -268,18 +268,19 @@ def _betacf_columns(a, b, x):
             if live.size < _BETACF_SCALAR_ROWS:
                 break
             m2 = 2 * m
-            aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+            am2 = a + m2
+            aa = m * (b - m) * x / ((qam + m2) * am2)
             d = 1.0 + aa * d
-            d[np.abs(d) < fpmin] = fpmin
             c = 1.0 + aa / c
-            c[np.abs(c) < fpmin] = fpmin
+            _clamp(d)
+            _clamp(c)
             d = 1.0 / d
             h *= d * c
-            aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+            aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
             d = 1.0 + aa * d
-            d[np.abs(d) < fpmin] = fpmin
             c = 1.0 + aa / c
-            c[np.abs(c) < fpmin] = fpmin
+            _clamp(d)
+            _clamp(c)
             d = 1.0 / d
             delta = d * c
             h *= delta
@@ -290,6 +291,13 @@ def _betacf_columns(a, b, x):
                 live, a, b, x, qab, qap, qam, c, d, h = (v[keep] for v in (live, a, b, x, qab, qap, qam, c, d, h))
     out[live] = [_betacf(*v) for v in zip(a.tolist(), b.tolist(), x.tolist())]
     return out
+
+
+def _clamp(v):
+    """The Lentz clamp in place: entries below _FPMIN in magnitude become
+    _FPMIN (each checked once; in the fraction's loops they are rare)."""
+    if np.abs(v).min() < _FPMIN:
+        v[np.abs(v) < _FPMIN] = _FPMIN
 
 
 def _betainc(p, q, y):

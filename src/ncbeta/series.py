@@ -102,6 +102,10 @@ MAX_WINDOW_TERMS = 1_000_000
 MANY_CELLS = 1 << 13
 TAIL_LOG = 39.2  # ln(1e17): a dropped Poisson tail stays below 1e-17 of the kept sum
 _LN2 = math.log(2.0)
+# row indices and a True, False pattern for the 2-D passes, whose chunks
+# hold at most MANY_CELLS rows
+_ROWS = np.arange(MANY_CELLS)
+_TRUE_FALSE = np.tile((True, False), MANY_CELLS)
 
 
 class _Ops(NamedTuple):
@@ -792,15 +796,16 @@ def _outward(v0, anchor, n, P, Q):
     is formed in the order of ``_chain``, bit for bit, and the ratio 0 at
     column n ends each row's chain in zeros."""
     m, width = P.shape
-    rows = np.arange(m)
-    lo, hi = int(anchor.min()), int(anchor.max()) + 1
+    rows = _ROWS[:m]
+    spots = anchor.tolist()
+    lo, hi = min(spots), max(spots) + 1
     flat = Q.shape[1] == 1
     # the columns lo..hi-1 that lie left of each row's anchor: each row's
     # anchor - lo Trues, then Falses
     counts = np.empty(2 * m, dtype=np.int64)
     counts[0::2] = anchor - lo
     counts[1::2] = hi - anchor
-    left = np.repeat(np.tile((True, False), m), counts).reshape(m, hi - lo)
+    left = np.repeat(_TRUE_FALSE[: 2 * m], counts).reshape(m, hi - lo)
     out = np.empty((m, width))
     right = out[:, lo:]
     np.divide(Q if flat else Q[:, lo:], P[:, lo:], out=right)
@@ -839,7 +844,7 @@ def _window_arrays(r):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         wgt = _outward(_each(math.exp, r.lw0), r.j0 - r.j_lo, r.n, r.j_lo[:, None] + cols, r.half[:, None])
         d = _outward(_each(math.exp, r.ld0 - r.shift), r.k0, r.n, a, Q)
-    end = d[:, 0] if r.complement else d[np.arange(r.n.size), r.n - 1]
+    end = d[:, 0] if r.complement else d[_ROWS[: r.n.size], r.n - 1]
     seed = np.where(np.isnan(r.cf), r.seed, _end_seed(end, base, r.n, r.y, r.q, r.cf, r.complement))
     return wgt, _terms(seed[:, None], d, r.complement), d
 
@@ -866,7 +871,7 @@ def _window_sums(r):
     cuts[0::2] = np.arange(0, m * (width + 1), width + 1)
     cuts[1::2] = cuts[0::2] + 1 + r.n
     s = np.add.reduceat(flat, cuts)[::2]
-    rows, top = np.arange(m), r.n - 1
+    rows, top = _ROWS[:m], r.n - 1
     return s, wgt[rows, top], terms[rows, top], d[rows, top], terms[:, 0]
 
 

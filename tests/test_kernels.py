@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from ncbeta import series
 from ncbeta.errors import DomainError
 from ncbeta.kernels import (
+    _BETACF_SCALAR_ROWS,
     _betacf,
+    _betacf_columns,
     _kummer_ratio_pp,
     _lentz,
     _stirling_delta,
@@ -316,6 +318,28 @@ class TestBetaFraction:
         ref, fired = betacf_loop(*args)
         assert clamp in fired
         assert self.same(_betacf(*args), ref)
+
+
+class TestBetaFractionColumns:
+    # each clamp case of TestBetaFraction, repeated past the size below
+    # which the columnar loop hands its entries to the scalar one
+    CLAMPS = [(1.0, 3.0, 0.5), (0.25, 1.75, 0.625), (0.25, 4.75, 0.375), (1.0, 0.5, 12.0), (1.0, 7.0, 0.5),
+              (2.0, 8.0, 0.9375)]
+
+    @staticmethod
+    def check(args):
+        a, b, z = (np.array(v, dtype=float) for v in zip(*args))
+        got = _betacf_columns(a, b, z)
+        want = np.array([_betacf(*v) for v in args])
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(far_end_arguments(), min_size=1, max_size=120))
+    def test_matches_the_scalar_loop_bit_for_bit(self, args):
+        self.check(args)
+
+    def test_each_clamp_bit_for_bit(self):
+        self.check(self.CLAMPS * _BETACF_SCALAR_ROWS)
 
 
 class TestCentralBeta:
