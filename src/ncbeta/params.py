@@ -111,4 +111,4 @@ class ProbabilityPair:
         sub = (v > 0.0) & (v < sys.float_info.min)
         err = np.where(sub, err_ests + np.spacing(v) / np.where(sub, v, 1.0), err_ests)
         b, bbar = (v, 1.0 - v) if primary == "b" else (1.0 - v, v)
-        return [cls(v, w, method, e) for v, w, e in zip(b.tolist(), bbar.tolist(), err.tolist())]
+        return [cls(pb, pc, method, pe) for pb, pc, pe in zip(b.tolist(), bbar.tolist(), err.tolist())]

@@ -103,9 +103,10 @@ MANY_CELLS = 1 << 13
 TAIL_LOG = 39.2  # ln(1e17): a dropped Poisson tail stays below 1e-17 of the kept sum
 _LN2 = math.log(2.0)
 # row indices and a True, False pattern for the 2-D passes, whose chunks
-# hold at most MANY_CELLS rows
+# hold at most MANY_CELLS rows; read-only, since every call shares them
 _ROWS = np.arange(MANY_CELLS)
 _TRUE_FALSE = np.tile((True, False), MANY_CELLS)
+_ROWS.flags.writeable = _TRUE_FALSE.flags.writeable = False
 
 
 class _Ops(NamedTuple):
@@ -302,19 +303,25 @@ def _log_b_bound_columns(p, q, half, y):
     with np.errstate(invalid="ignore"):
         root = np.ceil(half - np.sqrt(2.0 * half * gap)) - 1.0
     m = np.where(gap <= 0.0, top, np.maximum(np.minimum(root, top), -1.0))
-    exact = half < 2.0**52
-    for step in (1.0, -1.0):
-        while True:
-            k = m + (step > 0.0)
-            moves = exact & ((m < top) if step > 0.0 else (m >= 0.0))
-            crosses = moves & (half > 0.0)
-            passes = np.zeros(m.shape, bool)
-            hc = half[crosses]
-            passes[crosses] = lt0[crosses] - _squares(hc - k[crosses]) / (2.0 * hc) + _LN2 < -750.0
-            moves &= passes if step > 0.0 else ~passes
-            if not moves.any():
-                break
-            m[moves] += step
+    steps = (half > 0.0) & (half < 2.0**52)
+
+    def below(k, rows):
+        # f(k) + ln 2 < -750 at the given rows
+        h = half[rows]
+        return lt0[rows] - _squares(h - k[rows]) / (2.0 * h) + _LN2 < -750.0
+
+    while True:
+        rows = np.flatnonzero(steps & (m < top))
+        rows = rows[below(m + 1.0, rows)]
+        if not rows.size:
+            break
+        m[rows] += 1.0
+    while True:
+        rows = np.flatnonzero(steps & (m >= 0.0))
+        rows = rows[~below(m, rows)]
+        if not rows.size:
+            break
+        m[rows] -= 1.0
     out = lt0 + _LN2
     inner = (half > 0.0) & (m >= 0.0)
     if inner.any():
