@@ -695,8 +695,13 @@ def _complement_is_primary(sp, pt):
 def _series_pair(sp, pt, complement, value, err):
     """The series' pair from its primary member's value and err_est."""
     if math.isnan(value):
-        raise EvaluationError(f"series evaluation failed at p={sp.p} q={sp.q} x={pt.x} y={pt.y}")
+        raise _series_failure(sp, pt)
     return ProbabilityPair.from_primary(value, "bbar" if complement else "b", "series", err)
+
+
+def _series_failure(sp, pt):
+    """The error of a series sum that came out nan."""
+    return EvaluationError(f"series evaluation failed at p={sp.p} q={sp.q} x={pt.x} y={pt.y}")
 
 
 def _log_poisson_columns(half, j):
@@ -995,12 +1000,8 @@ def evaluate_many(points, tol: float = 1e-12) -> list:
         pairs = ProbabilityPair.from_primaries(values, "bbar" if member else "b", "series", errs)
         for slot, pair in zip(slots[mine].tolist(), pairs):
             out[slot] = pair
-        for i in np.flatnonzero(np.isnan(values)).tolist():
-            slot = slots[mine[i]]
-            try:
-                _series_pair(*points[slot], member, math.nan, math.nan)
-            except EvaluationError as exc:
-                out[slot] = exc
+        for slot in slots[mine[np.isnan(values)]].tolist():
+            out[slot] = _series_failure(*points[slot])
     return out
 
 
