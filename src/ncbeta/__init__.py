@@ -7,7 +7,14 @@ other methods stay as reproduction routes: the recurrences, the Kummer
 series and three expansions (large argument, saddle point, erfc-uniform);
 ``ncbeta eval --method kummer|large-z|saddle|erfc`` reaches all but the
 recurrences.
+
+The exports of the inversion (``invert``, ``InversionProblem``,
+``InversionResult``) and of the Kummer series (``eval_kummer_series``) are
+imported on first use, so ``import ncbeta`` and ``ncbeta batch --op eval``
+load neither them nor the expansions the inversion seeds from.
 """
+
+from importlib import import_module
 
 from .dispatch import MethodChoice, evaluate, explain
 from .errors import (
@@ -17,7 +24,6 @@ from .errors import (
     FrameDegenerateError,
     SeriesInvalidError,
 )
-from .inversion import InversionProblem, InversionResult, invert
 from .kernels import (
     central_beta_cdf,
     erfc,
@@ -29,7 +35,6 @@ from .kernels import (
     log_beta,
     log_gamma,
 )
-from .kummer_series import eval_kummer_series
 from .params import EvalPoint, ProbabilityPair, ShapeParams
 from .series import (
     central_term_sequence,
@@ -79,9 +84,33 @@ __all__ = [
 ]
 
 
+# the exports imported on first use, each with its module
+_LAZY = {
+    "InversionProblem": "inversion",
+    "InversionResult": "inversion",
+    "invert": "inversion",
+    "eval_kummer_series": "kummer_series",
+}
+
+
+def __getattr__(name):
+    """An export of ``_LAZY``, looked up in its module at each access.  It
+    is not stored here, so a binding that is replaced in its module and put
+    back again (the benchmark's trace wrappers) is never held over."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
+
 def warmup() -> None:
     """Run one evaluation and one inversion with tiny arguments, so that
     timing-sensitive callers keep first-call costs out of their figures."""
+    from .inversion import InversionProblem, invert
+
     sp = ShapeParams(3.0, 4.0)
     evaluate(sp, EvalPoint(2.0, 0.4))
     invert(InversionProblem(unknown="x", sp=sp, fixed=0.4, z=0.3))

@@ -10,27 +10,45 @@ import argparse
 import csv
 import math
 import sys
+from itertools import chain
+from operator import itemgetter
 
-from .asymptotic import eval_erfc_uniform, eval_large_z, eval_saddle
+import numpy as np
+
 from .dispatch import evaluate, explain
 from .errors import DomainError, EvaluationError
-from .inversion import InversionProblem, invert
-from .kummer_series import eval_kummer_series
 from .params import EvalPoint, ProbabilityPair, ShapeParams
-from .series import eval_series, evaluate_many
+from .series import _check_tol, _evaluate_columns, eval_series
 
 BATCH_HEADER = ["p", "q", "x", "y", "value", "complement", "method", "err_est"]
-# eval rows evaluated by one evaluate_many call: bounds the points, plans
-# and pairs held at once
-BATCH_BLOCK = 1024
+# eval rows evaluated by one series._evaluate_columns call: bounds the
+# columns and plans held at once; a block of 4096 holds the 4000 rows of
+# the eval-mixed benchmark set, whose windows then sort and chunk together
+BATCH_BLOCK = 4096
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
+def _expansion(name):
+    """The route ``asymptotic.<name>``, imported on its first call, so that
+    only ``eval --method`` loads the expansions."""
+
+    def route(*args):
+        from . import asymptotic
+
+        return getattr(asymptotic, name)(*args)
+
+    return route
+
+
 # the expansions whose term count --terms sets, each its third argument
-EXPANSIONS = {"large-z": eval_large_z, "saddle": eval_saddle, "erfc": eval_erfc_uniform}
+EXPANSIONS = {
+    "large-z": _expansion("eval_large_z"),
+    "saddle": _expansion("eval_saddle"),
+    "erfc": _expansion("eval_erfc_uniform"),
+}
 
 
 def _eval_with_method(sp, pt, method: str, tol: float, terms: int | None) -> ProbabilityPair:
@@ -42,6 +60,8 @@ def _eval_with_method(sp, pt, method: str, tol: float, terms: int | None) -> Pro
     if method == "series":
         return eval_series(sp, pt)
     if method == "kummer":
+        from .kummer_series import eval_kummer_series
+
         return eval_kummer_series(sp, pt)
     route = EXPANSIONS[method]
     return route(sp, pt) if terms is None else route(sp, pt, terms)
@@ -80,6 +100,8 @@ def _converged(result):
 
 
 def cmd_invert(args) -> int:
+    from .inversion import InversionProblem, invert
+
     try:
         sp = ShapeParams(args.p, args.q)
         fixed = args.y if args.unknown == "x" else args.x
@@ -121,27 +143,56 @@ def _is_header(line: str) -> bool:
     return False
 
 
-def _evaluate_rows(rows, tol: float) -> list:
-    """Each eval row's (p, q, x, y, pair), the pairs from one
-    ``evaluate_many`` call, or the exception the row raised."""
-    parsed, points = [], []
-    for row in rows:
-        try:
-            p, q, x, y = _batch_fields(row, "pqxy")
-            points.append((ShapeParams(p, q), EvalPoint(x, y)))
-            parsed.append((p, q, x, y))
-        except ValueError as exc:  # DomainError included
-            parsed.append(exc)
+# a row's eval fields, in the order of the columns
+_EVAL_FIELDS = itemgetter("p", "q", "x", "y")
+
+
+def _eval_block(rows, tol: float) -> list:
+    """Each eval row's (p, q, x, y, b, bbar, method, err_est), as floats
+    and the method, or the exception the row raises: a parse error, then a
+    domain error (each row's message is that of ``ShapeParams`` and
+    ``EvalPoint``, built only for the rows the columns refuse), then an
+    invalid ``tol``, then the evaluation's own error.  The rows' fields go
+    straight into float columns, read as ``_batch_fields`` reads them, and
+    the valid rows are evaluated together by one
+    ``series._evaluate_columns`` call."""
+    m = len(rows)
+    failed: dict = {}
     try:
-        pairs = iter(evaluate_many(points, tol=tol))
-    except DomainError as exc:  # an invalid tol fails every row
-        pairs = iter([exc] * len(points))
-    out = []
-    for item in parsed:
-        if not isinstance(item, Exception):
-            pair = next(pairs)
-            item = pair if isinstance(pair, Exception) else (*item, pair)
-        out.append(item)
+        cols = np.fromiter(map(float, chain.from_iterable(map(_EVAL_FIELDS, rows))), float, 4 * m)
+    except (KeyError, TypeError, ValueError):  # a blank, missing or non-float field
+        cols = np.empty(4 * m)
+        for i, row in enumerate(rows):
+            try:
+                cols[4 * i : 4 * i + 4] = _batch_fields(row, "pqxy")
+            except ValueError as exc:
+                cols[4 * i : 4 * i + 4] = math.nan
+                failed[i] = exc
+    p, q, x, y = cols.reshape(m, 4).T
+    # the points ShapeParams and EvalPoint accept; nan fails every test
+    ok = (p > 0.0) & (p < math.inf) & (q > 0.0) & (q < math.inf) & (x >= 0.0) & (x < math.inf)
+    ok &= (y >= 0.0) & (y <= 1.0)
+    fields = [v.tolist() for v in (p, q, x, y)]
+    for i in np.flatnonzero(~ok).tolist():
+        try:
+            ShapeParams(fields[0][i], fields[1][i])
+            EvalPoint(fields[2][i], fields[3][i])
+        except DomainError as exc:
+            failed.setdefault(i, exc)
+    slots = np.flatnonzero(ok)
+    b, bbar, err = (np.full(m, math.nan) for _ in range(3))
+    method = np.full(m, "", dtype=object)
+    try:
+        _check_tol(tol)
+    except DomainError as exc:  # an invalid tol fails every valid row
+        failed.update(dict.fromkeys(slots.tolist(), exc))
+    else:
+        columns = _evaluate_columns(p[slots], q[slots], x[slots], y[slots])
+        b[slots], bbar[slots], err[slots], method[slots], bad = columns
+        failed.update((int(slots[k]), exc) for k, exc in bad.items())
+    out = list(zip(*fields, b.tolist(), bbar.tolist(), method.tolist(), err.tolist()))
+    for i, exc in failed.items():
+        out[i] = exc
     return out
 
 
@@ -160,12 +211,18 @@ def cmd_batch(args) -> int:
             reader = csv.DictReader(fin, fieldnames=["p", "q", "x", "y", "z"])
         rows = list(reader)
     # without --tol each op keeps its own default: eval's, or InversionProblem's
-    tol = args.tol if args.tol is not None else 1e-12 if args.op == "eval" else InversionProblem.tol
+    tol = args.tol
+    if tol is None and args.op == "eval":
+        tol = 1e-12
+    elif tol is None:
+        from .inversion import InversionProblem
+
+        tol = InversionProblem.tol
     out_rows = []
     for start in range(0, len(rows), BATCH_BLOCK):
         block = rows[start : start + BATCH_BLOCK]
         # eval rows are evaluated together; _batch_row still runs once a row
-        done = _evaluate_rows(block, tol) if args.op == "eval" else [None] * len(block)
+        done = _eval_block(block, tol) if args.op == "eval" else [None] * len(block)
         for row, result in zip(block, done):
             out_rows.append(_batch_row(row, args.op, tol, result))
     try:
@@ -182,13 +239,15 @@ def cmd_batch(args) -> int:
 
 def _batch_row(row, op: str, tol: float, done):
     """One output row.  For ``eval``, ``done`` is the row's entry from
-    ``_evaluate_rows``, formatted here; the inversion ops solve the row."""
+    ``_eval_block``, formatted here; the inversion ops solve the row."""
     try:
         if op == "eval":
             if isinstance(done, Exception):
                 raise done
-            p, q, x, y, pair = done
-            return [p, q, x, y, _fmt(pair.b), _fmt(pair.bbar), pair.method, f"{pair.err_est:.3g}"]
+            p, q, x, y, b, bbar, method, err = done
+            return [p, q, x, y, _fmt(b), _fmt(bbar), method, f"{err:.3g}"]
+        from .inversion import InversionProblem, invert
+
         p, q, x, y, z = _batch_fields(row)
         sp = ShapeParams(p, q)
         if op not in ("invert-x", "invert-y"):

@@ -21,9 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError
 from .params import EvalPoint, ProbabilityPair, ShapeParams
-from .series import _complement_is_primary, eval_series
+from .series import _check_tol, _complement_is_primary, eval_series
 
 
 @dataclass(frozen=True)
@@ -53,6 +52,5 @@ def evaluate(sp: ShapeParams, pt: EvalPoint, tol: float = 1e-12) -> ProbabilityP
     the error it reached, which can exceed ``tol``.  Past the series' window
     cap it raises ``EvaluationError``, apart from a B certified to round
     to 0."""
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    _check_tol(tol)
     return _run_route("series", sp, pt)

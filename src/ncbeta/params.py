@@ -96,19 +96,34 @@ class ProbabilityPair:
         if 0.0 < v < sys.float_info.min:
             err += math.ulp(v) / v
         if primary == "b":
-            return cls(b=v, bbar=1.0 - v, method=method, err_est=err)
+            return cls._filled(v, 1.0 - v, method, err)
         if primary == "bbar":
-            return cls(b=1.0 - v, bbar=v, method=method, err_est=err)
+            return cls._filled(1.0 - v, v, method, err)
         raise ValueError(f"primary must be 'b' or 'bbar', got {primary!r}")
 
     @classmethod
-    def from_primaries(cls, values, primary: str, method: str, err_ests) -> list:
-        """``from_primary`` over arrays of values and err_ests, one pair an
-        entry, each bitwise ``from_primary``'s."""
-        if primary not in ("b", "bbar"):
-            raise ValueError(f"primary must be 'b' or 'bbar', got {primary!r}")
-        v = np.minimum(np.maximum(values, 0.0), 1.0)
-        sub = (v > 0.0) & (v < sys.float_info.min)
-        err = np.where(sub, err_ests + np.spacing(v) / np.where(sub, v, 1.0), err_ests)
-        b, bbar = (v, 1.0 - v) if primary == "b" else (1.0 - v, v)
-        return [cls(pb, pc, method, pe) for pb, pc, pe in zip(b.tolist(), bbar.tolist(), err.tolist())]
+    def _filled(cls, b: float, bbar: float, method: str, err_est: float) -> "ProbabilityPair":
+        """The pair the constructor builds, its fields written straight into
+        a fresh instance's ``__dict__``: the frozen ``__init__`` sets each
+        field through ``object.__setattr__``, at twice the cost."""
+        pair = object.__new__(cls)
+        fields = pair.__dict__
+        fields["b"] = b
+        fields["bbar"] = bbar
+        fields["method"] = method
+        fields["err_est"] = err_est
+        return pair
+
+
+def _primary_columns(values, complement, err_ests):
+    """``ProbabilityPair.from_primary`` over arrays: (b, bbar, err_est), each
+    entry bitwise ``from_primary``'s for its value and err_est, with the
+    value taken as the complement where ``complement`` (a boolean array)
+    holds and as B elsewhere.  The one exception is a value of -0.0, which
+    comes out 0.0 where ``from_primary`` keeps its sign; the series never
+    gives one."""
+    v = np.minimum(np.maximum(values, 0.0), 1.0)
+    sub = (v > 0.0) & (v < sys.float_info.min)
+    err = np.where(sub, err_ests + np.spacing(v) / np.where(sub, v, 1.0), err_ests)
+    rest = 1.0 - v
+    return np.where(complement, rest, v), np.where(complement, v, rest), err

@@ -50,8 +50,10 @@ per window, the weights and the increments each one stacked pass
 moves a pass to a nearby x or y by an exact factor on the one chain that
 depends on the unknown.
 
-``evaluate_many`` runs the whole member on columns, one array entry a
-point.  ``_column_plan`` makes each field of ``_row_plan``'s plans as one
+``evaluate_many`` and ``ncbeta batch --op eval`` run the whole member on
+columns, one array entry a point, through one core, ``_evaluate_columns``,
+which takes float columns of points and returns columns of b, bbar and
+err_est.  ``_column_plan`` makes each field of ``_row_plan``'s plans as one
 array, the edges by the same helpers (``_upper_edge``, ``_lower_edge``,
 given numpy's sqrt, floor and ceil) and the far-end fractions as one
 masked Lentz loop (``kernels._betacf_columns``); its exp, log, log1p,
@@ -59,8 +61,8 @@ lgamma and powers map ``math`` over the entries (``kernels._each``), since
 numpy's transcendental ufuncs round otherwise.  Each 2-D row is summed
 over its own columns as numpy sums one window (``_window_sums``), and
 ``_finish_columns`` is ``_finish`` over the rows.  So every result is
-bitwise the member's; the points answered one at a time are the quantile
-boundaries and windows longer than ``MANY_CELLS``.
+bitwise the member's; the only points summed one at a time are those
+whose window is longer than ``MANY_CELLS``.
 
 The 1-D window stays beside the columnar form because it is far faster
 for one point: ``evaluate_many`` of a single point, bitwise ``evaluate``'s,
@@ -92,7 +94,7 @@ from .kernels import (
     _log_beta_pre_columns,
     _stirling_delta,
 )
-from .params import EvalPoint, ProbabilityPair, ShapeParams
+from .params import EvalPoint, ProbabilityPair, ShapeParams, _primary_columns
 
 # the most terms a member sums, j_hi - j_lo + 1 (B) or j_end - j_lo + 1
 # (complement); the window is O(sqrt(x)) wide, so x reaches order 4e9
@@ -464,8 +466,8 @@ def _terms(seed, d, complement):
         t = np.empty(d.shape)
         t[..., :1] = seed
         t[..., 1:] = d[..., :-1]
-        return np.cumsum(t, axis=-1, out=t)
-    t = np.cumsum(d[..., ::-1], axis=-1)
+        return np.add.accumulate(t, axis=-1, out=t)
+    t = np.add.accumulate(d[..., ::-1], axis=-1)
     t += seed
     return t[..., ::-1]
 
@@ -695,13 +697,13 @@ def _complement_is_primary(sp, pt):
 def _series_pair(sp, pt, complement, value, err):
     """The series' pair from its primary member's value and err_est."""
     if math.isnan(value):
-        raise _series_failure(sp, pt)
+        raise _series_failure(sp.p, sp.q, pt.x, pt.y)
     return ProbabilityPair.from_primary(value, "bbar" if complement else "b", "series", err)
 
 
-def _series_failure(sp, pt):
-    """The error of a series sum that came out nan."""
-    return EvaluationError(f"series evaluation failed at p={sp.p} q={sp.q} x={pt.x} y={pt.y}")
+def _series_failure(p, q, x, y):
+    """The error of a series sum that came out nan at (p, q, x, y)."""
+    return EvaluationError(f"series evaluation failed at p={p} q={q} x={x} y={y}")
 
 
 def _log_poisson_columns(half, j):
@@ -884,7 +886,8 @@ def _window_sums(r):
     cuts[1::2] = cuts[0::2] + 1 + r.n
     s = np.add.reduceat(flat, cuts)[::2]
     rows, top = _ROWS[:m], r.n - 1
-    return s, wgt[rows, top], terms[rows, top], d[rows, top], terms[:, 0]
+    # terms[:, 0] copied: a view would hold the chunk's whole terms array
+    return s, wgt[rows, top], terms[rows, top], d[rows, top], terms[:, 0].copy()
 
 
 def _squares(a):
@@ -950,44 +953,49 @@ def _chunks(n):
             start = end
 
 
-def evaluate_many(points, tol: float = 1e-12) -> list:
-    """``evaluate`` over a sequence of (ShapeParams, EvalPoint) pairs.
+def _check_tol(tol):
+    """Raise ``DomainError`` unless ``tol`` is positive, as ``evaluate``
+    and ``evaluate_many`` require; it selects nothing."""
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
 
-    Returns a list in input order.  Each entry is the ``ProbabilityPair``
-    that ``evaluate`` returns for its point, bit for bit, or the
-    ``EvaluationError`` that it raises, so one failing point does not void
-    the rest.  ``tol`` is validated as ``evaluate`` does.
+
+def _evaluate_columns(p, q, x, y):
+    """``evaluate`` over float columns of valid points, one entry a point.
+
+    Returns (b, bbar, err_est, method, failed): b, bbar and err_est are
+    arrays, each entry bitwise the field of ``evaluate``'s pair at its
+    point; method is the list of each point's method; failed maps the
+    index of each point where ``evaluate`` raises to the
+    ``EvaluationError`` it raises, its entries nan.
 
     The points are planned as columns (``_column_plan``), each field one
     array over the points, with every entry formed by the float operations
     of ``_row_plan``.  Each member's windows are then sorted by length, cut
     into chunks of at most ``MANY_CELLS`` padded cells, built in one 2-D
     pass a chunk (``_window_arrays``), and summed and finished as columns
-    (``_finish_columns``).  Only the quantile boundaries and windows longer
-    than ``MANY_CELLS`` are answered one at a time; x = 0 is planned and
-    summed as any other point."""
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
-    out: list = [None] * len(points)
-    if not out:
-        return out
-    fields = chain.from_iterable((sp.p, sp.q, pt.x, pt.y) for sp, pt in points)
-    p, q, x, y = np.fromiter(fields, float, 4 * len(out)).reshape(-1, 4).T.copy()
+    (``_finish_columns``).  Only windows longer than ``MANY_CELLS`` are
+    summed one at a time; x = 0 is planned and summed as any other point,
+    and the quantile boundaries take their values as columns too."""
+    m = p.size
+    points = np.column_stack((p, q, x, y))  # a point's floats: points[slot].tolist()
+    value = np.where(y < 1.0, 0.0, 1.0)  # B at the quantile boundaries
+    err = np.zeros(m)
+    failed = {}
     inner = (y > 0.0) & (y < 1.0)
-    for slot in np.flatnonzero(~inner).tolist():
-        out[slot] = eval_series(*points[slot])
+    method = np.where(inner, "series", "boundary").tolist()
     slots = np.flatnonzero(inner)
-    p, q, x, y = p[slots], q[slots], x[slots], y[slots]
     # _complement_is_primary: y above the transition quantile
-    complement = y > (x + 2.0 * p) / (x + 2.0 * (p + q))
-    r, kept, zero, wide = _column_plan(p, q, x, y, complement)
-    for slot in slots[zero].tolist():
-        out[slot] = _series_pair(*points[slot], False, 0.0, 1e-15)
+    complement = inner & (y > (x + 2.0 * p) / (x + 2.0 * (p + q)))
+    r, kept, zero, wide = _column_plan(p[slots], q[slots], x[slots], y[slots], complement[slots])
+    value[slots[zero]] = 0.0
+    err[slots[zero]] = 1e-15
     for slot in slots[wide].tolist():
         try:
-            out[slot] = eval_series(*points[slot])
+            value[slot], err[slot], _ = _member(*points[slot].tolist(), bool(complement[slot]), False)
         except EvaluationError as exc:
-            out[slot] = exc
+            value[slot] = err[slot] = math.nan
+            failed[slot] = exc
     slots = slots[kept]
     for member in (False, True):
         mine = np.flatnonzero(r.complement == member)
@@ -996,12 +1004,31 @@ def evaluate_many(points, tol: float = 1e-12) -> list:
         mine = mine[np.argsort(r.n[mine], kind="stable")]
         rows = _take(r, mine)._replace(complement=member)
         sums = [_window_sums(_take(rows, slice(*ends))) for ends in _chunks(rows.n.tolist())]
-        values, errs = _finish_columns(rows, *(np.concatenate(v) for v in zip(*sums)))
-        pairs = ProbabilityPair.from_primaries(values, "bbar" if member else "b", "series", errs)
-        for slot, pair in zip(slots[mine].tolist(), pairs):
-            out[slot] = pair
-        for slot in slots[mine[np.isnan(values)]].tolist():
-            out[slot] = _series_failure(*points[slot])
+        value[slots[mine]], err[slots[mine]] = _finish_columns(rows, *(np.concatenate(v) for v in zip(*sums)))
+    for slot in np.flatnonzero(np.isnan(value)).tolist():
+        failed.setdefault(slot, _series_failure(*points[slot].tolist()))
+    b, bbar, err = _primary_columns(value, complement, err)
+    return b, bbar, err, method, failed
+
+
+def evaluate_many(points, tol: float = 1e-12) -> list:
+    """``evaluate`` over a sequence of (ShapeParams, EvalPoint) pairs.
+
+    Returns a list in input order.  Each entry is the ``ProbabilityPair``
+    that ``evaluate`` returns for its point, bit for bit, or the
+    ``EvaluationError`` that it raises, so one failing point does not void
+    the rest.  ``tol`` is validated as ``evaluate`` does.  The points run
+    as columns (``_evaluate_columns``)."""
+    _check_tol(tol)
+    if not points:
+        return []
+    fields = chain.from_iterable((sp.p, sp.q, pt.x, pt.y) for sp, pt in points)
+    p, q, x, y = np.fromiter(fields, float, 4 * len(points)).reshape(-1, 4).T.copy()
+    b, bbar, err, method, failed = _evaluate_columns(p, q, x, y)
+    filled = ProbabilityPair._filled
+    out = [filled(*v) for v in zip(b.tolist(), bbar.tolist(), method, err.tolist())]
+    for slot, exc in failed.items():
+        out[slot] = exc
     return out
 
 

@@ -1,6 +1,7 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -11,6 +12,12 @@ from ncbeta.cli import main
 from ncbeta.kummer_series import eval_kummer_series
 from ncbeta.params import EvalPoint, ShapeParams
 from ncbeta.series import eval_series
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# the modules that neither import ncbeta nor batch --op eval loads
+LAZY_MODULES = ("ncbeta.inversion", "ncbeta.asymptotic", "ncbeta._pseries", "ncbeta.kummer_series")
 
 
 def run_cli(capsys, *argv):
@@ -297,6 +304,23 @@ class TestBatch:
         assert rows[1][6] == "error: tol must be positive; got 0.0"
         assert rows[2][6].startswith("error: shape parameter p")
 
+    @pytest.mark.parametrize("block", [None, 3])
+    @pytest.mark.parametrize("tol, golden", [(None, "batch_eval_out.csv"), ("0", "batch_eval_out_tol0.csv")])
+    def test_eval_output_is_the_golden_csv(self, tmp_path, capsys, monkeypatch, block, tol, golden):
+        # the golden files were written by the earlier eval path, which built
+        # a ShapeParams, an EvalPoint and a ProbabilityPair a row.  The input
+        # has the header y,x,q,p,z; blank, missing and non-float fields; nan
+        # and inf; y = 0, y = 1 and x = 0; a row past the window cap and a
+        # window wider than series.MANY_CELLS; a subnormal B and a certified
+        # zero.  With --tol 0 the parse and domain errors still come first
+        if block:
+            monkeypatch.setattr(cli, "BATCH_BLOCK", block)
+        dst = tmp_path / "out.csv"
+        argv = ["batch", "--in", str(GOLDEN / "batch_eval_in.csv"), "--out", str(dst), "--op", "eval"]
+        code, _, _ = run_cli(capsys, *argv, *(["--tol", tol] if tol else []))
+        assert code == 0
+        assert dst.read_bytes() == (GOLDEN / golden).read_bytes()
+
     def test_unconverged_inversion_is_an_error_row(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         # the first row's root lies closer to y = 1 than the doubles reach
@@ -357,6 +381,54 @@ class TestBatch:
         code, _, _ = run_cli(capsys, "batch", "--in", str(tmp_path / "nope.csv"),
                              "--out", str(tmp_path / "out.csv"))
         assert code == 2
+
+
+def run_python(code):
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+class TestLazyImports:
+    def test_eval_paths_load_no_inversion_or_expansion(self, tmp_path):
+        run_python(f"""
+import sys
+import ncbeta
+loaded = lambda: [m for m in {LAZY_MODULES!r} if m in sys.modules]
+assert not loaded(), loaded()
+from ncbeta import cli
+argv = ["batch", "--in", {str(GOLDEN / "batch_eval_in.csv")!r}, "--out", {str(tmp_path / "out.csv")!r}]
+assert cli.main(argv + ["--op", "eval"]) == 0
+assert not loaded() and "ncbeta.series" in sys.modules, loaded()
+assert not hasattr(ncbeta, "no_such_name")
+for name in ncbeta.__all__:
+    getattr(ncbeta, name)
+names = {{}}
+exec("from ncbeta import *", names)
+assert set(ncbeta.__all__) <= set(names) and set(ncbeta.__all__) <= set(dir(ncbeta))
+assert names["invert"] is sys.modules["ncbeta.inversion"].invert
+""")
+
+    @pytest.mark.skipif(not (PERFBENCH / "worker.py").exists(), reason="needs the benchmark's tracer")
+    def test_a_name_resolved_under_the_tracer_is_not_held(self):
+        # the package looks a lazy export up at each access; were the trace
+        # wrapper it finds stored in the package, the benchmark's check that
+        # every wrapper is removed again would fail
+        run_python(f"""
+import sys
+sys.path.insert(0, {str(PERFBENCH)!r})
+import ncbeta
+import worker
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+try:
+    wrapped = ncbeta.invert
+finally:
+    tracer.uninstall()
+assert hasattr(wrapped, "span_name")
+assert "invert" not in vars(ncbeta) and not hasattr(ncbeta.invert, "span_name")
+assert worker.restored()
+""")
 
 
 class TestSelftest:

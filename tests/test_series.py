@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -13,7 +14,7 @@ from ncbeta import series
 from ncbeta.dispatch import evaluate
 from ncbeta.errors import DomainError, EvaluationError
 from ncbeta.kernels import _betacf, _log_beta_pre, central_beta_cdf
-from ncbeta.params import EvalPoint, ProbabilityPair, ShapeParams
+from ncbeta.params import EvalPoint, ProbabilityPair, ShapeParams, _primary_columns
 from ncbeta.series import (
     central_term_sequence,
     eval_series,
@@ -972,3 +973,33 @@ class TestProbabilityPair:
         assert pair.b == 1.0 and pair.bbar == 0.0
         pair = ProbabilityPair.from_primary(0.25, "bbar", "test", 1e-15)
         assert pair.bbar == 0.25 and pair.b == 0.75
+
+    def test_filled_pair_is_a_constructed_pair(self):
+        # from_primary and evaluate_many write a fresh instance's fields in
+        # place of the frozen __init__: the pair stays frozen, and equal,
+        # hashed and printed as the constructor's
+        built = ProbabilityPair(0.75, 0.25, "series", 1e-15)
+        filled = ProbabilityPair.from_primary(0.25, "bbar", "series", 1e-15)
+        assert filled == built and hash(filled) == hash(built) and repr(filled) == repr(built)
+        assert list(vars(filled).items()) == list(vars(built).items())
+        for name in ("b", "bbar", "method", "err_est", "other"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(filled, name, 0.5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del filled.b
+        pt = EvalPoint(4.5, 0.45)
+        pair = evaluate_many([(SP, pt)])[0]
+        assert pair == ProbabilityPair(pair.b, pair.bbar, pair.method, pair.err_est) == evaluate(SP, pt)
+
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_primary_columns_are_from_primary(self, complement):
+        # clipped above 1 and below 0, subnormal, normal; -0.0 alone comes
+        # out unsigned
+        values = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.25, 1.0, 1.0000000000000002, -1e-300]
+        errs = [1e-15 * (k + 1) for k in range(len(values))]
+        primary = "bbar" if complement else "b"
+        got = _primary_columns(np.array(values), np.full(len(values), complement), np.array(errs))
+        want = [ProbabilityPair.from_primary(v, primary, "m", e) for v, e in zip(values, errs)]
+        assert repr(list(zip(*(c.tolist() for c in got)))) == repr([(w.b, w.bbar, w.err_est) for w in want])
+        b, bbar, _ = _primary_columns(np.array([-0.0]), np.array([complement]), np.array([0.0]))
+        assert repr((b.tolist(), bbar.tolist())) == repr(([1.0], [0.0]) if complement else ([0.0], [1.0]))
