@@ -988,8 +988,7 @@ def _evaluate_columns(p, q, x, y):
     # _complement_is_primary: y above the transition quantile
     complement = inner & (y > (x + 2.0 * p) / (x + 2.0 * (p + q)))
     r, kept, zero, wide = _column_plan(p[slots], q[slots], x[slots], y[slots], complement[slots])
-    value[slots[zero]] = 0.0
-    err[slots[zero]] = 1e-15
+    err[slots[zero]] = 1e-15  # a B certified to round to 0 keeps its value 0
     for slot in slots[wide].tolist():
         try:
             value[slot], err[slot], _ = _member(*points[slot].tolist(), bool(complement[slot]), False)
