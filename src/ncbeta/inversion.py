@@ -37,7 +37,7 @@ from .asymptotic import SaddleFrame, build_frame, g_coeffs, x_zeta_coeffs, y_zet
 from .errors import DomainError, EvaluationError
 from .kernels import central_beta_cdf, inv_erfc
 from .params import EvalPoint, ShapeParams
-from .series import _Pass, _resum, _series_window
+from .series import _Pass, _index, _resum, _series_window
 
 
 # the zeta1 seed forms g0 by the direct subtraction where its estimated
@@ -112,15 +112,15 @@ def _slope(unknown: str, window: _Pass | None) -> tuple[float, float]:
     scale = math.exp(r.shift)
     y, q = r.y, r.q
     wd = wgt * d
-    a = r.p + r.j_lo + np.arange(d.size)
+    a = r.p + r.j_lo + _index(0, d.size)
     if unknown == "x":
         a1 = a + 1.0
         curv = ((1.0 - y) * a1 - y * (q - 1.0)) / a1
-        return -0.5 * float(wd.sum()) * scale, 0.25 * float(wd @ curv) * scale
+        return -0.5 * float(np.add.reduce(wd)) * scale, 0.25 * float(wd @ curv) * scale
     wda = wd * a
     yy = y * (1.0 - y)
     curv = (a - 1.0) / y - (q - 1.0) / (1.0 - y)
-    return float(wda.sum()) * scale / yy, float(wda @ curv) * scale / yy
+    return float(np.add.reduce(wda)) * scale / yy, float(wda @ curv) * scale / yy
 
 
 def db_dx(sp: ShapeParams, pt: EvalPoint) -> float:

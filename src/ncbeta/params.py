@@ -10,6 +10,8 @@ import numpy as np
 
 from .errors import DomainError
 
+_TINY = sys.float_info.min  # the least normal float
+
 
 @dataclass(frozen=True)
 class ShapeParams:
@@ -91,9 +93,11 @@ class ProbabilityPair:
 
     @classmethod
     def from_primary(cls, value: float, primary: str, method: str, err_est: float) -> "ProbabilityPair":
-        v = min(max(float(value), 0.0), 1.0)
+        v = float(value)
+        # clipped to [0, 1]: -0.0 comes out 0.0, and nan stays nan
+        v = 0.0 if v <= 0.0 else min(v, 1.0)
         err = float(err_est)
-        if 0.0 < v < sys.float_info.min:
+        if 0.0 < v < _TINY:
             err += math.ulp(v) / v
         if primary == "b":
             return cls._filled(v, 1.0 - v, method, err)
@@ -119,11 +123,9 @@ def _primary_columns(values, complement, err_ests):
     """``ProbabilityPair.from_primary`` over arrays: (b, bbar, err_est), each
     entry bitwise ``from_primary``'s for its value and err_est, with the
     value taken as the complement where ``complement`` (a boolean array)
-    holds and as B elsewhere.  The one exception is a value of -0.0, which
-    comes out 0.0 where ``from_primary`` keeps its sign; the series never
-    gives one."""
+    holds and as B elsewhere."""
     v = np.minimum(np.maximum(values, 0.0), 1.0)
-    sub = (v > 0.0) & (v < sys.float_info.min)
+    sub = (v > 0.0) & (v < _TINY)
     err = np.where(sub, err_ests + np.spacing(v) / np.where(sub, v, 1.0), err_ests)
     rest = 1.0 - v
     return np.where(complement, rest, v), np.where(complement, v, rest), err

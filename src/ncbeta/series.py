@@ -66,10 +66,13 @@ whose window is longer than ``MANY_CELLS``.
 
 The 1-D window stays beside the columnar form because it is far faster
 for one point: ``evaluate_many`` of a single point, bitwise ``evaluate``'s,
-took 706 us against ``evaluate``'s 71 us (medians of 8 interleaved passes
+took 409 us against ``evaluate``'s 37 us (medians of 8 interleaved passes
 over the first 1000 points of eval-mixed seed 1, in-process, on a 2-core
 Xeon, interpreted), since the columnar form pays its fixed numpy calls and
-its continued-fraction loop once a call.
+its continued-fraction loop once a call.  The 1-D form keeps its own
+numpy calls few: its index vectors are views of one shared column
+(``_index``), a chain side with no column is skipped, and the values at a
+window's ends are read as Python floats.
 
 This module also houses the notation bridges used as independent
 cross-checks: the type-II q-function double series and the noncentral F
@@ -105,10 +108,12 @@ MANY_CELLS = 1 << 13
 TAIL_LOG = 39.2  # ln(1e17): a dropped Poisson tail stays below 1e-17 of the kept sum
 _LN2 = math.log(2.0)
 # row indices and a True, False pattern for the 2-D passes, whose chunks
-# hold at most MANY_CELLS rows; read-only, since every call shares them
+# hold at most MANY_CELLS rows, and the index column 0.0, 1.0, ... that
+# windows slice (``_index``); read-only, since every call shares them
 _ROWS = np.arange(MANY_CELLS)
 _TRUE_FALSE = np.tile((True, False), MANY_CELLS)
-_ROWS.flags.writeable = _TRUE_FALSE.flags.writeable = False
+_INDEX = np.arange(MANY_CELLS, dtype=float)
+_ROWS.flags.writeable = _TRUE_FALSE.flags.writeable = _INDEX.flags.writeable = False
 
 
 class _Ops(NamedTuple):
@@ -168,29 +173,40 @@ def _rounding_floor(n, pq, log_mag):
     return 3e-15 + 1.12e-16 * (2.0 * n + 2.0 * pq + 3.0 * abs(log_mag))
 
 
-def _chain(v0, k0, P, Q):
+def _index(lo, n):
+    """The floats lo, lo + 1, ..., lo + n - 1, each exact: a view of the
+    shared column ``_INDEX`` where it reaches, else a fresh ``np.arange``."""
+    end = lo + n
+    return _INDEX[lo:end] if end <= MANY_CELLS else np.arange(lo, end, dtype=float)
+
+
+def _chain(v0, k0, P, Q_left, Q_right):
     """The (P, Q) chain of a window: v0 at column k0, and running products
     outward from it, leftward by P[c+1]/Q[c+1] (which takes column c+1 to
     c) and rightward by Q[c]/P[c] (which takes column c-1 to c).  Both
     chains of the mixture have this form: the Poisson weights with
     (P, Q) = (j, h), and the increments with (P, Q) = (a, y (a - 1 + q)).
 
-    Q is an array like P, or a float where it is constant (the weights'
-    h).  The chain is built in one buffer, the 1-D twin of ``_outward``:
-    the ratios are divided into it, left of k0 the one that takes column
-    c+1 to c at column c and right of it the one that takes c-1 to c, v0
-    sits at k0, and two in-place running products run outward from k0,
-    leftward over the reversed view.  Each product is formed from v0 in the
-    order of cumprod over [v0, ratios...], bit for bit."""
-    out = np.empty(P.size)
-    flat = not isinstance(Q, np.ndarray)
-    np.divide(P[1 : k0 + 1], Q if flat else Q[1 : k0 + 1], out=out[:k0])
+    Q_left and Q_right are Q's columns 1..k0 and k0+1.., or both the float
+    h where Q is constant (the weights).  The chain is built in one buffer,
+    the 1-D twin of ``_outward``: the ratios are divided into it, left of
+    k0 the one that takes column c+1 to c at column c and right of it the
+    one that takes c-1 to c, v0 sits at k0, and two in-place running
+    products run outward from k0, leftward over the reversed view; a side
+    with no column (k0 at an end of the window) is skipped.  Each product
+    is formed from v0 in the order of cumprod over [v0, ratios...], bit for
+    bit."""
+    n = P.size
+    out = np.empty(n)
     out[k0] = v0
-    np.divide(Q if flat else Q[k0 + 1 :], P[k0 + 1 :], out=out[k0 + 1 :])
-    left = out[k0::-1]
-    np.multiply.accumulate(left, out=left)
-    right = out[k0:]
-    np.multiply.accumulate(right, out=right)
+    if k0:
+        np.divide(P[1 : k0 + 1], Q_left, out=out[:k0])
+        left = out[k0::-1]
+        np.multiply.accumulate(left, out=left)
+    if k0 < n - 1:
+        np.divide(Q_right, P[k0 + 1 :], out=out[k0 + 1 :])
+        right = out[k0:]
+        np.multiply.accumulate(right, out=right)
     return out
 
 
@@ -198,7 +214,7 @@ def _poisson_weights(half, j0, n, j_lo, lw0):
     """Poisson weights for j = j_lo..j_lo+n-1: the (P, Q) = (j, h) chain
     from j0, whose log weight lw0 the caller passes in, with the weight
     ratios j/h downward and h/j upward."""
-    return _chain(math.exp(lw0), j0 - j_lo, np.arange(j_lo, j_lo + n, dtype=float), half)
+    return _chain(math.exp(lw0), j0 - j_lo, _index(j_lo, n), half, half)
 
 
 def _far_end(p, q, y, j_lo, n, complement):
@@ -447,11 +463,12 @@ def _increments(r):
     (a, y (a - 1 + q)) chain from its anchor, so away from it they only
     fall.  a = (a0 - k0) + c, where a0 - k0 is exact, so each a is rounded
     once; Q is formed in place."""
-    a = (r.a0 - r.k0) + np.arange(r.n)
+    k0 = r.k0
+    a = (r.a0 - k0) + _index(0, r.n)
     Q = a - 1.0
     Q += r.q
     Q *= r.y
-    return _chain(math.exp(r.ld0 - r.shift), r.k0, a, Q)
+    return _chain(math.exp(r.ld0 - r.shift), k0, a, Q[1 : k0 + 1], Q[k0 + 1 :])
 
 
 def _terms(seed, d, complement):
@@ -475,11 +492,13 @@ def _terms(seed, d, complement):
 def _planned_terms(r, d):
     """A planned window's terms (``_terms``) from its increments d, seeded
     from the chain's end (``_end_seed``), or by the planned seed where the
-    fraction flips."""
+    fraction flips.  The chain's end is read as a Python float, whose
+    arithmetic rounds as np.float64's and costs less."""
+    complement = r.complement
     seed = r.seed
     if not math.isnan(r.cf):
-        seed = _end_seed(d[0] if r.complement else d[-1], r.a0 - r.k0, r.n, r.y, r.q, r.cf, r.complement)
-    return _terms(seed, d, r.complement)
+        seed = _end_seed(d.item(0 if complement else -1), r.a0 - r.k0, r.n, r.y, r.q, r.cf, complement)
+    return _terms(seed, d, complement)
 
 
 def _central_terms_minimal(r):
@@ -513,8 +532,9 @@ def _finish(r, wgt, terms, d):
     series on its last summand, and each term it drops below the window is
     at most 1.  The complement's terms grow, by increments whose ratio is at
     most rho (monotone toward y), and each term it drops below the window is
-    at most its seed, the first term."""
-    s = float((wgt * terms).sum())
+    at most its seed, the first term.  The values at the window's ends are
+    read as Python floats, as in ``_planned_terms``."""
+    s = float(np.add.reduce(wgt * terms))
     value = _unscale(s, r.shift)
     if value <= 0.0:
         return 0.0, 1e-15
@@ -524,11 +544,11 @@ def _finish(r, wgt, terms, d):
         rho = max(r.y * (r.p + r.q + j_top) / (r.p + j_top + 1.0), r.y, 1.0)
         tail = math.inf
         if rup * rho < 1.0:
-            tail = wgt[-1] * rup * (terms[-1] / (1.0 - rup) + d[-1] / (1.0 - rup * rho) ** 2)
+            tail = wgt.item(-1) * rup * (terms.item(-1) / (1.0 - rup) + d.item(-1) / (1.0 - rup * rho) ** 2)
         if j_lo > 0:
-            tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * terms[0]
+            tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half)) * terms.item(0)
     else:
-        tail = wgt[-1] * terms[-1] * rup / (1.0 - rup)
+        tail = wgt.item(-1) * terms.item(-1) * rup / (1.0 - rup)
         if j_lo > 0:
             tail += math.exp(-((half - j_lo) ** 2) / (2.0 * half) - r.shift)
     err = tail / s + _rounding_floor(r.n, r.p + r.q + j_lo + r.k0, r.ld0)
@@ -593,9 +613,9 @@ def _resum(sp, pt, unknown, held):
     top = base + (r.n - 1)
     e_lo = c + base * lk
     e_max = max(e_lo, c + top * lk)
-    if e_max > 700.0 or (e_max > 0.0 and min(moving[0], moving[-1]) < 2.0**-1022):
+    if e_max > 700.0 or (e_max > 0.0 and min(moving.item(0), moving.item(-1)) < 2.0**-1022):
         return None
-    scale = np.exp(e_lo + lk * np.arange(r.n))
+    scale = np.exp(e_lo + lk * _index(0, r.n))
     if unknown == "x":
         wgt = wgt * scale
     else:
@@ -637,9 +657,11 @@ def _member_complement(p, q, x, y, keep=True):
 
 def central_term_sequence(sp: ShapeParams, y: float, j_lo: int, j_hi: int) -> np.ndarray:
     """I_y(p+j, q) for j = j_lo..j_hi, each within ~1e-13 of a direct
-    continued-fraction evaluation."""
-    if not 0 <= j_lo <= j_hi:
-        raise DomainError(f"need 0 <= j_lo <= j_hi, got ({j_lo}, {j_hi})")
+    continued-fraction evaluation.  j_lo and j_hi are integers, or floats
+    that hold one."""
+    if not (0 <= j_lo <= j_hi and j_lo % 1 == 0 and j_hi % 1 == 0):
+        raise DomainError(f"need integers 0 <= j_lo <= j_hi, got ({j_lo}, {j_hi})")
+    j_lo, j_hi = int(j_lo), int(j_hi)
     if not 0.0 <= y <= 1.0:
         raise DomainError(f"quantile y must lie in [0, 1], got {y}")
     if y == 0.0 or y == 1.0:
@@ -847,7 +869,7 @@ def _window_arrays(r):
     chains (``_outward``), and every element is formed by the float
     operations of ``_window``, in its order; past a row's window the
     weights and increments are 0, up to one column past the longest."""
-    cols = np.arange(r.n[-1] + 1, dtype=float)
+    cols = _index(0, r.n[-1] + 1)
     base = r.a0 - r.k0
     a = base[:, None] + cols
     Q = a - 1.0

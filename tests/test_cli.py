@@ -321,6 +321,23 @@ class TestBatch:
         assert code == 0
         assert dst.read_bytes() == (GOLDEN / golden).read_bytes()
 
+    @pytest.mark.parametrize("op", ["invert-x", "invert-y"])
+    def test_invert_output_is_the_golden_csv(self, tmp_path, capsys, op):
+        # the golden files were written before the 1-D window sliced a shared
+        # index column.  Each input holds the op's 30 problems among the
+        # first 60 of invert-mixed seed 1 and the console-script rows of CI:
+        # zeta-series, transition-root and bisection seeds, z = 0.5 (zeta0 =
+        # 0), and for invert-y a lower-tail quantile near 4.7e-55, x = 0 and
+        # a row past the window cap.  Values are printed in full, so the
+        # files pin the seeds, the re-sums (series._resum) and the slopes
+        # (inversion._slope) bit for bit
+        name = op.replace("-", "_")
+        dst = tmp_path / "out.csv"
+        argv = ["batch", "--in", str(GOLDEN / f"batch_{name}_in.csv"), "--out", str(dst), "--op", op]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert dst.read_bytes() == (GOLDEN / f"batch_{name}_out.csv").read_bytes()
+
     def test_unconverged_inversion_is_an_error_row(self, tmp_path, capsys):
         src = tmp_path / "in.csv"
         # the first row's root lies closer to y = 1 than the doubles reach

@@ -582,12 +582,99 @@ class TestChain:
     @settings(max_examples=300, deadline=None)
     @given(chain_inputs())
     def test_one_buffer_chain_is_the_cumprod_form_bit_for_bit(self, inputs):
-        # products that leave the float range leave it alike in both forms
+        # products that leave the float range leave it alike in both forms;
+        # _chain takes Q's columns left and right of the anchor, or the
+        # weights' constant h twice
+        v0, k0, P, Q = inputs
+        forms = [(Q[1 : k0 + 1], Q[k0 + 1 :])]
+        if np.all(Q == Q[0]):
+            forms.append((Q[0].item(), Q[0].item()))
         with np.errstate(over="ignore", under="ignore"):
-            got = series._chain(*inputs)
             ref = cumprod_chain(*inputs)
-        assert got.shape == ref.shape
-        assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+            for Q_left, Q_right in forms:
+                got = series._chain(v0, k0, P, Q_left, Q_right)
+                assert got.shape == ref.shape
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def arange_index(lo, n):
+    """``series._index`` as a fresh ``np.arange`` every call."""
+    return np.arange(lo, lo + n, dtype=float)
+
+
+# B-primary points whose windows straddle the end of the index column
+# (``series._INDEX``, MANY_CELLS entries): the weights' j ends at its last
+# entry (j_lo + n = 8192) and one past it, then the increments' a and the
+# re-sum's and the slope's exponents do (n = 8192 and 8193)
+COLUMN_EDGE_POINTS = [
+    (50.0, 70.0, 14611.0, 0.99),
+    (50.0, 70.0, 14613.0, 0.99),
+    (50.0, 70.0, 310725.0, 0.9995),
+    (50.0, 70.0, 310790.0, 0.9995),
+]
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestIndexColumn:
+    def test_column_is_read_only(self):
+        column = series._INDEX
+        assert column.size == series.MANY_CELLS and not column.flags.writeable
+        with pytest.raises(ValueError):
+            column[0] = 1.0
+        with pytest.raises(ValueError):
+            series._index(0, 3)[0] = 1.0
+
+    def test_edge_points_straddle_the_column_end(self):
+        plans = [series._row_plan(p, q, x, y, False) for p, q, x, y in COLUMN_EDGE_POINTS]
+        m = series.MANY_CELLS
+        assert [r.j_lo + r.n for r in plans[:2]] == [m, m + 1]
+        assert [r.n for r in plans[2:]] == [m, m + 1]
+        for p, q, x, y in COLUMN_EDGE_POINTS:
+            assert not series._complement_is_primary(ShapeParams(p, q), EvalPoint(x, y))
+        # increment chains anchored inside the window and at its start
+        assert [r.k0 == 0 for r in plans] == [False, False, True, True]
+
+    @pytest.mark.parametrize("lo, n", [(0, 1), (0, 31), (0, 8192), (0, 8193), (8187, 5), (8187, 6), (6430, 1762)])
+    def test_index_is_the_arange(self, lo, n):
+        got = series._index(lo, n)
+        assert bitwise_equal(got, arange_index(lo, n))
+        # a view of the column where it reaches, else a fresh array
+        assert np.shares_memory(got, series._INDEX) == (lo + n <= series.MANY_CELLS)
+
+    @pytest.mark.parametrize("point", [(10.0, 15.0, 0.0, 0.45), *COLUMN_EDGE_POINTS])
+    def test_window_is_the_arange_form(self, monkeypatch, point):
+        r = series._row_plan(*point, False)
+        got = series._window(r)
+        weights = series._chain(math.exp(r.lw0), r.j0 - r.j_lo, arange_index(r.j_lo, r.n), r.half, r.half)
+        assert bitwise_equal(got[0], weights)
+        monkeypatch.setattr(series, "_index", arange_index)
+        for one, two in zip(got, series._window(r)):
+            assert bitwise_equal(one, two)
+
+    @pytest.mark.parametrize("unknown", ["x", "y"])
+    @pytest.mark.parametrize("point", COLUMN_EDGE_POINTS)
+    def test_resum_and_slope_are_the_arange_forms(self, monkeypatch, unknown, point):
+        # a pass re-summed at a nearby x or y, and its slopes, on either side
+        # of the column's end, against the forms on fresh aranges
+        p, q, x, y = point
+        sp = ShapeParams(p, q)
+        held = series._series_window(sp, EvalPoint(x, y))[1]
+        moved = EvalPoint(x * (1.0 + 1e-6), y) if unknown == "x" else EvalPoint(x, y * (1.0 - 1e-7))
+        got = series._resum(sp, moved, unknown, held)
+        assert got is not None
+        from ncbeta import inversion
+
+        slopes = [inversion._slope(unknown, w) for w in (held, got[1])]
+        monkeypatch.setattr(series, "_index", arange_index)
+        monkeypatch.setattr(inversion, "_index", arange_index)
+        ref = series._resum(sp, moved, unknown, held)
+        assert repr(got[0]) == repr(ref[0]) and repr(got[1].err) == repr(ref[1].err)
+        for one, two in zip(got[1][1:4], ref[1][1:4]):
+            assert bitwise_equal(one, two)
+        assert repr(slopes) == repr([inversion._slope(unknown, w) for w in (held, ref[1])])
 
 
 EVAL_MIXED_POINT = st.tuples(
@@ -911,6 +998,12 @@ class TestCentralTermSequence:
     def test_index_validation(self):
         with pytest.raises(DomainError):
             central_term_sequence(SP, 0.4, 5, 3)
+        with pytest.raises(DomainError, match="integers"):
+            central_term_sequence(SP, 0.4, 0, 2.5)
+        # a float that holds an integer is that integer; the window's index
+        # vectors are slices, which take ints only
+        for y in (0.45, 1.0):
+            assert np.array_equal(central_term_sequence(SP, y, 2.0, 60.0), central_term_sequence(SP, y, 2, 60))
 
 
 class TestTypeTwoBridge:
@@ -974,6 +1067,20 @@ class TestProbabilityPair:
         pair = ProbabilityPair.from_primary(0.25, "bbar", "test", 1e-15)
         assert pair.bbar == 0.25 and pair.b == 0.75
 
+    @pytest.mark.parametrize("primary", ["b", "bbar"])
+    def test_from_primary_unsigns_zero_and_keeps_nan(self, primary):
+        # max(-0.0, 0.0) keeps the first argument, so a clip by max and min
+        # kept the sign of -0.0
+        pair = ProbabilityPair.from_primary(-0.0, primary, "test", 0.0)
+        assert repr(getattr(pair, primary)) == "0.0"
+        assert repr(pair.b + pair.bbar) == "1.0"
+        for value in (-1e-300, -math.inf):
+            assert repr(getattr(ProbabilityPair.from_primary(value, primary, "test", 0.0), primary)) == "0.0"
+        # nan is not clipped, so the series' nan check still sees it
+        assert math.isnan(getattr(ProbabilityPair.from_primary(math.nan, primary, "test", 0.0), primary))
+        with pytest.raises(EvaluationError, match="series evaluation failed"):
+            series._series_pair(SP, EvalPoint(4.5, 0.45), primary == "bbar", math.nan, 0.0)
+
     def test_filled_pair_is_a_constructed_pair(self):
         # from_primary and evaluate_many write a fresh instance's fields in
         # place of the frozen __init__: the pair stays frozen, and equal,
@@ -993,13 +1100,10 @@ class TestProbabilityPair:
 
     @pytest.mark.parametrize("complement", [False, True])
     def test_primary_columns_are_from_primary(self, complement):
-        # clipped above 1 and below 0, subnormal, normal; -0.0 alone comes
-        # out unsigned
-        values = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.25, 1.0, 1.0000000000000002, -1e-300]
+        # clipped above 1 and below 0, subnormal, normal, and -0.0
+        values = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 0.25, 1.0, 1.0000000000000002, -1e-300, -0.0]
         errs = [1e-15 * (k + 1) for k in range(len(values))]
         primary = "bbar" if complement else "b"
         got = _primary_columns(np.array(values), np.full(len(values), complement), np.array(errs))
         want = [ProbabilityPair.from_primary(v, primary, "m", e) for v, e in zip(values, errs)]
         assert repr(list(zip(*(c.tolist() for c in got)))) == repr([(w.b, w.bbar, w.err_est) for w in want])
-        b, bbar, _ = _primary_columns(np.array([-0.0]), np.array([complement]), np.array([0.0]))
-        assert repr((b.tolist(), bbar.tolist())) == repr(([1.0], [0.0]) if complement else ([0.0], [1.0]))
