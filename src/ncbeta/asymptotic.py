@@ -24,8 +24,9 @@ The expansions are
   reducing to the plain saddle series past it.
 
 One phase series, the coefficients phi_m(t0)/m! of ``_phase_coeffs``,
-feeds both the near-saddle phase difference dphi and A(u); one sum,
-``_saddle_type_sum``, serves the saddle and erfc-uniform expansions.
+feeds A(u) and, written out in its float operations, the near-saddle phase
+difference dphi; one sum, ``_saddle_type_sum``, serves the saddle and
+erfc-uniform expansions.
 
 It also provides the transition-series coefficients x(zeta) and y(zeta)
 used to seed inversion, inverted from zeta^2 = u^2 A(u) in the same way.
@@ -115,17 +116,22 @@ def _phase_coeffs(t0: float, sin2: float):
 
 
 def _dphi_between(t0: float, tp: float, sin2: float, xi: float) -> float:
-    """phi(t_p) - phi(t0); series in (t_p - t0) when the points are close."""
+    """phi(t_p) - phi(t0); series in (t_p - t0) when the points are close,
+    whose coefficients are ``_phase_coeffs``', in its float operations."""
     delta = tp - t0
     if abs(delta) <= 0.4 * min(t0 - 1.0, t0):
-        s = 0.0
-        dk = delta * delta
-        for c in islice(_phase_coeffs(t0, sin2), 78):
-            term = c * dk
+        i0, i1 = 1.0 / t0, 1.0 / (t0 - 1.0)
+        pow0, pow1, sgn, s, dk = i0 * i0, i1 * i1, -1.0, 0.0, delta * delta
+        for m in range(2, 80):
+            term = sgn / m * (pow0 - sin2 * pow1) * dk
             s += term
-            if abs(term) < 1e-18 * max(abs(s), 1e-30):
+            tol = 1e-18 * (s if s > 1e-30 else -s if s < -1e-30 else 1e-30)
+            if -tol < term < tol:
                 break
             dk *= delta
+            pow0 *= i0
+            pow1 *= i1
+            sgn = -sgn
         return max(s, 0.0)
     val = math.log(tp / t0) - sin2 * math.log((tp - 1.0) / (t0 - 1.0)) + xi * delta
     return max(val, 0.0)
@@ -137,25 +143,25 @@ def build_frame(sp: ShapeParams, pt: EvalPoint) -> SaddleFrame:
     The saddle solves xi t^2 + (cos^2 - xi) t - 1 = 0; the conjugate root
     form t0 = 2 / (sqrt(D) + cos^2 - xi) is used because it is free of
     cancellation for every xi >= 0 and has the correct xi -> 0 limit."""
-    if not 0.0 < pt.y < 1.0:
-        raise DomainError(f"saddle frame needs 0 < y < 1, got y={pt.y} (boundary values are exact)")
-    r = sp.r
-    c = sp.cos2
-    s = sp.sin2
-    xi = pt.z / r
+    p, q, x, y = sp.p, sp.q, pt.x, pt.y
+    if not 0.0 < y < 1.0:
+        raise DomainError(f"saddle frame needs 0 < y < 1, got y={y} (boundary values are exact)")
+    r = p + q  # r, cos^2, sin^2, z = xy/2 and y0 in the float operations of ShapeParams and EvalPoint
+    c, s, xi = p / r, q / r, 0.5 * x * y / r
     D = (c - xi) * (c - xi) + 4.0 * xi
     t0 = 2.0 / (math.sqrt(D) + (c - xi))
     if not t0 > 1.0:  # t0 > 1 in exact arithmetic; at huge xi it rounds to 1
-        raise FrameDegenerateError(f"saddle rounds onto the branch point t = 1 at x={pt.x}, y={pt.y}")
-    tp = 1.0 / pt.y
+        raise FrameDegenerateError(f"saddle rounds onto the branch point t = 1 at x={x}, y={y}")
+    tp = 1.0 / y
     dphi = _dphi_between(t0, tp, s, xi)
     zeta = math.copysign(math.sqrt(2.0 * dphi), tp - t0)
     t0m1 = t0 - 1.0
     phi2 = -1.0 / (t0 * t0) + s / (t0m1 * t0m1)
-    return SaddleFrame(
-        y=pt.y, r=r, sin2=s, cos2=c, t0=t0, tp=tp, y0=sp.transition_quantile(pt.x), dphi=dphi,
-        zeta=zeta, phi2=phi2,
-    )
+    # the constructor's frame, its fields written into __dict__ as ``ProbabilityPair._filled`` writes a pair's
+    frame = object.__new__(SaddleFrame)
+    frame.__dict__.update(y=y, r=r, sin2=s, cos2=c, t0=t0, tp=tp, y0=(x + 2.0 * p) / (x + 2.0 * r),
+                          dphi=dphi, zeta=zeta, phi2=phi2)
+    return frame
 
 
 def _phase_a(frame: SaddleFrame, n: int) -> np.ndarray:

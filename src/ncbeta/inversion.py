@@ -13,17 +13,12 @@ differ only in the transition point x0 or y0, the domain and the direction
    zeta(.)^2/2 - zeta0^2/2 = 0 on the correct side of the transition point
    (above x0 when zeta0 > 0, below y0 when zeta0 > 0); else from that point;
 3. polish on the true equation with safeguarded Halley steps (Newton's
-   where Halley's does not apply), evaluating B with the reference series,
-   as ``evaluate`` does; the first and second derivatives in the unknown
-   are summed over the same series pass (``series._Pass``), from the
-   Poisson weights and increments it formed, and only before a step: the
-   evaluation that meets the residual band forms none.  A solve plans one pass
-   (``series._series_window``) and, after each Newton or Halley step,
-   re-sums its window at the new iterate (``series._resum``): only the
-   chain that depends on the unknown is rescaled, by an exact factor, and
-   the sum is finished as a planned one is.  A bisection or doubling step,
-   or a window that no longer fits the iterate, plans a new pass.  An
-   iterate past the series' window cap raises its ``EvaluationError``.
+   where Halley's does not apply; ``_polish``), evaluating B with the
+   reference series, as ``evaluate`` does, and its first and second
+   derivatives in the unknown over the same series pass (``_slope``).  A
+   solve plans one pass and re-sums its window after each Newton or Halley
+   step (``_eval_at``, ``series._resum``), on Python floats and the pass's
+   arrays: no point or pair is built per step.
 """
 
 from __future__ import annotations
@@ -37,7 +32,7 @@ from .asymptotic import SaddleFrame, build_frame, g_coeffs, x_zeta_coeffs, y_zet
 from .errors import DomainError, EvaluationError
 from .kernels import central_beta_cdf, inv_erfc
 from .params import EvalPoint, ShapeParams
-from .series import _Pass, _index, _resum, _series_window
+from .series import _Pass, _index, _member_b, _member_complement, _resum, _series_failure, _series_window
 
 
 # the zeta1 seed forms g0 by the direct subtraction where its estimated
@@ -105,7 +100,8 @@ def _slope(unknown: str, window: _Pass | None) -> tuple[float, float]:
     so no neighbours are subtracted and no increment past the window enters.
     The window's edges hold these sums as they hold the member's: B's lower
     edge drops below e^-39.2 w_j0 d_{p+j0}, and the complement's ends past
-    the peak of w_j d_{p+j}.  (0, 0) without a window."""
+    the peak of w_j d_{p+j}.  (0, 0) without a window.  The buffers are
+    formed in place, by the formulas' operations in their order."""
     if window is None:
         return 0.0, 0.0
     r, wgt, _, d, _ = window
@@ -114,13 +110,17 @@ def _slope(unknown: str, window: _Pass | None) -> tuple[float, float]:
     wd = wgt * d
     a = r.p + r.j_lo + _index(0, d.size)
     if unknown == "x":
-        a1 = a + 1.0
-        curv = ((1.0 - y) * a1 - y * (q - 1.0)) / a1
+        a += 1.0
+        curv = (1.0 - y) * a
+        curv -= y * (q - 1.0)
+        curv /= a
         return -0.5 * float(np.add.reduce(wd)) * scale, 0.25 * float(wd @ curv) * scale
-    wda = wd * a
+    wd *= a
     yy = y * (1.0 - y)
-    curv = (a - 1.0) / y - (q - 1.0) / (1.0 - y)
-    return float(np.add.reduce(wda)) * scale / yy, float(wda @ curv) * scale / yy
+    a -= 1.0  # a becomes the curvature factor
+    a /= y
+    a -= (q - 1.0) / (1.0 - y)
+    return float(np.add.reduce(wd)) * scale / yy, float(wd @ a) * scale / yy
 
 
 def db_dx(sp: ShapeParams, pt: EvalPoint) -> float:
@@ -214,11 +214,6 @@ def _g0(frame: SaddleFrame) -> float:
     ``g_coeffs(frame, 0)``, by its pole-removal series."""
     g0 = _g0_direct(frame)
     return g_coeffs(frame, 0)[0] if g0 is None else g0
-
-
-def _residual(pair, z: float) -> float:
-    """B - z computed from the pair member that preserves precision."""
-    return pair.b - z if z <= 0.5 else (1.0 - z) - pair.bbar
 
 
 def _point(problem: InversionProblem, v: float) -> EvalPoint:
@@ -374,21 +369,31 @@ def invert(problem: InversionProblem) -> InversionResult:
 
 
 def _eval_at(problem: InversionProblem, v: float, held: _Pass | None):
-    """(pair, pass, held) at the iterate: B from the reference series and
-    the pass it was summed on, from which ``_slope`` forms the derivatives
-    in the unknown if ``_polish`` takes a step.  Given ``held``, the solve's
-    last planned pass, its window is re-summed at v (``series._resum``)
-    where it still fits; else a new pass is planned
-    (``series._series_window``) and returned as ``held``, so re-sums are
-    never chained.  Where no window was summed (a B certified to round to
-    0) the pass is None; past the window cap the series' ``EvaluationError``
-    propagates."""
-    pt = _point(problem, v)
-    out = None if held is None else _resum(problem.sp, pt, problem.unknown, held)
-    if out is None:
-        out = _series_window(problem.sp, pt)
-        held = out[1]
-    return out[0], out[1], held
+    """(value, complement, pass, held) at the iterate: the value of the
+    series' primary member (the complement where ``complement``, else B)
+    and the pass it was summed on, for ``_slope``.  Given ``held``, the
+    solve's last planned pass, its window is re-summed at v
+    (``series._resum``) where it still fits; else the member ``eval_series``
+    sums is planned (``series._member_b`` or ``_member_complement``) and
+    returned as ``held``, so re-sums are never chained.  The pass is None
+    where no window was summed (a quantile boundary, a B certified to round
+    to 0).  A nan value, or an iterate past the window cap, raises the
+    series' ``EvaluationError``."""
+    p, q, unknown = problem.sp.p, problem.sp.q, problem.unknown
+    x, y = (v, problem.fixed) if unknown == "x" else (problem.fixed, v)
+    out = None if held is None else _resum(p, q, x, y, unknown, held)
+    if out is not None:
+        value, _, window = out
+        complement = window.r.complement
+    elif y <= 0.0 or y >= 1.0:
+        return (0.0 if y <= 0.0 else 1.0), False, None, None
+    else:
+        complement = y > (x + 2.0 * p) / (x + 2.0 * (p + q))
+        value, _, window = (_member_complement if complement else _member_b)(p, q, x, y)
+        held = window
+    if value != value:
+        raise _series_failure(p, q, x, y)
+    return value, complement, window, held
 
 
 def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
@@ -421,9 +426,13 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     lo, hi = 0.0, (1.0 if increasing else math.inf)
     cur = seed if increasing else max(seed, 0.0)  # every y seed lies in (0, 1)
     held = None
+    _point(problem, cur)  # the seed's domain check; every later iterate lies in the bracket
     for iters in range(1, 41):
-        pair, window, full = _eval_at(problem, cur, held)
-        resid = _residual(pair, z)
+        value, complement, window, full = _eval_at(problem, cur, held)
+        # B - z from the member that keeps its precision, as ``ProbabilityPair.from_primary`` forms it
+        value = 0.0 if value <= 0.0 else min(value, 1.0)
+        b, bbar = (1.0 - value, value) if complement else (value, 1.0 - value)
+        resid = b - z if z <= 0.5 else (1.0 - z) - bbar
         if abs(resid) <= band or iters == 40:
             break
         deriv, curv = _slope(problem.unknown, window)
@@ -439,18 +448,16 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
             halley = 1.0 - 0.5 * t * curv / deriv
             if lo < nxt < hi and halley > 0.0 and lo < cur - t / halley < hi:
                 nxt = cur - t / halley
-        # after a Newton or Halley step the next evaluation re-sums the
-        # last planned window; after a bisection or doubling step it plans
-        held = full
+        held = full  # re-summed after a Newton or Halley step; a bisection or doubling step plans
         if not (math.isfinite(nxt) and lo < nxt < hi):
             if math.isinf(hi):
                 nxt = max(2.0 * cur, cur + 1.0)
             elif increasing and lo == 0.0:
                 nxt = hi * min(0.5, hi)
-                if deriv > 0.0 and pair.b > 0.0:
+                if deriv > 0.0 and b > 0.0:
                     # B ~ C y^p in the lower tail: Newton's step on ln B in
                     # ln y; z <= B here, so the power cannot overflow
-                    step = cur * (z / pair.b) ** (pair.b / cur / deriv)
+                    step = cur * (z / b) ** (b / cur / deriv)
                     if 0.0 < step < hi:
                         nxt = step
             else:

@@ -41,7 +41,7 @@ from .errors import DirectionError, EvaluationError
 from .inversion import InversionProblem, db_dx, db_dy, invert, transition_equation
 from .kernels import central_beta_cdf
 from .kummer_series import eval_kummer_series, truncated_shift_sum
-from .params import EvalPoint, ShapeParams
+from .params import EvalPoint, ProbabilityPair, ShapeParams
 from .recurrence import (
     RecurrenceDirection,
     four_term_coeffs_p,
@@ -537,11 +537,14 @@ def check_resummed_window(n: int = 30, seed: int = 24) -> list[CheckResult]:
                 moved = EvalPoint(pt.x * (1.0 + step), pt.y)
             else:
                 moved = EvalPoint(pt.x, pt.y + step * min(pt.y, 1.0 - pt.y))
-            out = None if held is None else _resum(sp, moved, unknown, held)
+            out = None if held is None else _resum(sp.p, sp.q, moved.x, moved.y, unknown, held)
             if out is None:
                 continue
-            got, ref = out[0], eval_series(sp, moved)
-            a, b = (got.bbar, ref.bbar) if held.r.complement else (got.b, ref.b)
+            # the pair the series forms from the re-sum's value and err_est
+            value, err, _ = out
+            member = "bbar" if held.r.complement else "b"
+            got, ref = ProbabilityPair.from_primary(value, member, "series", err), eval_series(sp, moved)
+            a, b = getattr(got, member), getattr(ref, member)
             worst = max(worst, abs(a - b) / ((got.err_est + ref.err_est) * b))
             served[unknown] += 1
     return [

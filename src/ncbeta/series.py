@@ -559,9 +559,10 @@ def _finish(r, wgt, terms, d):
     return value, err
 
 
-def _resum(sp, pt, unknown, held):
-    """The planned pass ``held`` re-summed at pt, where only the unknown
-    ("x" or "y") has moved, as (pair, pass); or None where a new window
+def _resum(p, q, x, y, unknown, held):
+    """The planned pass ``held`` re-summed at (p, q, x, y), where only the
+    unknown ("x" or "y") has moved, as the primary member's (value, err_est,
+    pass), whose nan value the caller refuses; or None where a new window
     must be planned.
 
     Only the chain that depends on the unknown moves, by an exact factor
@@ -581,7 +582,7 @@ def _resum(sp, pt, unknown, held):
 
     A new window is planned instead where x moves from 0 (the factor in x
     divides by h; y moves a pass at x = 0 as any other), where the primary
-    member switches (the iterate crosses the transition point), where the
+    member switches (y crosses ``ShapeParams.transition_quantile``), where the
     window no longer holds h' (below its lower edge the Chernoff bound on
     the dropped mass fails, past its top the geometric bound on the tail),
     where y's chain is scaled at the planned point or its anchor increment
@@ -592,43 +593,46 @@ def _resum(sp, pt, unknown, held):
     w_j t_j lose precision), or where the re-summed err_est exceeds twice
     the planned one plus 1e-16."""
     r, wgt, terms, d, err0 = held
-    if _complement_is_primary(sp, pt) != r.complement:
+    rp, rq, ry, complement, rhalf, j_lo, n, j0, lw0, k0, a0, ld0, cf, seed, shift = r
+    if (y > (x + 2.0 * p) / (x + 2.0 * (p + q))) != complement:
         return None
     if unknown == "x":
-        half = 0.5 * pt.x
-        if r.half == 0.0 or not r.j_lo <= half < r.j_lo + r.n:
+        half = 0.5 * x
+        if rhalf == 0.0 or not j_lo <= half < j_lo + n:
             return None
         # w_j(h')/w_j(h) = e^{c + j L}: c = h - h', L = ln(h'/h), i = j
-        lk = math.log1p((half - r.half) / r.half)
-        c, base, moving = r.half - half, r.j_lo, wgt
-        r = r._replace(half=half)
+        lk = math.log1p((half - rhalf) / rhalf)
+        c, base, moving = rhalf - half, j_lo, wgt
     else:
-        y = pt.y
         # d_a(y')/d_a(y) = e^{c + a L}: c = q ln((1-y')/(1-y)), L = ln(y'/y), i = a
-        lk = math.log1p((y - r.y) / r.y)
-        c, base, moving = r.q * math.log1p((r.y - y) / (1.0 - r.y)), r.a0 - r.k0, d
-        ld0 = r.ld0 + r.a0 * lk + c
-        if r.shift != 0.0 or ld0 < -650.0:
+        lk = math.log1p((y - ry) / ry)
+        c, base, moving = rq * math.log1p((ry - y) / (1.0 - ry)), a0 - k0, d
+        ld0 = ld0 + a0 * lk + c
+        if shift != 0.0 or ld0 < -650.0:
             return None
-    top = base + (r.n - 1)
+    top = base + (n - 1)
     e_lo = c + base * lk
     e_max = max(e_lo, c + top * lk)
     if e_max > 700.0 or (e_max > 0.0 and min(moving.item(0), moving.item(-1)) < 2.0**-1022):
         return None
-    scale = np.exp(e_lo + lk * _index(0, r.n))
+    # the factors e^(e_lo + i L), then the moved chain, in one buffer
+    scale = lk * _index(0, n)
+    scale += e_lo
+    np.exp(scale, out=scale)
     if unknown == "x":
-        wgt = wgt * scale
+        wgt = np.multiply(wgt, scale, out=scale)
+        r = _Planned(rp, rq, ry, complement, half, j_lo, n, j0, lw0, k0, a0, ld0, cf, seed, shift)
     else:
-        d = d * scale
+        d = np.multiply(d, scale, out=scale)
         # the chain is unscaled here, so the shift stays 0
-        cf, seed, _ = _far_fraction(r.p, r.q, y, r.j_lo, r.n, r.complement, ld0)
-        r = r._replace(y=y, ld0=ld0, cf=cf, seed=seed)
+        cf, seed, _ = _far_fraction(rp, rq, y, j_lo, n, complement, ld0)
+        r = _Planned(rp, rq, y, complement, rhalf, j_lo, n, j0, lw0, k0, a0, ld0, cf, seed, shift)
         terms = _planned_terms(r, d)
     value, err = _finish(r, wgt, terms, d)
     err += 1.12e-16 * (5.0 * (abs(c) + top * abs(lk)) + 2.0)
     if value < 2.0**-1022 or err > 2.0 * err0 + 1e-16:
         return None
-    return _series_pair(sp, pt, r.complement, value, err), _Pass(r, wgt, terms, d, err)
+    return value, err, _Pass(r, wgt, terms, d, err)
 
 
 def _member(p, q, x, y, complement, keep):

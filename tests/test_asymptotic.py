@@ -1,15 +1,19 @@
 import dataclasses
 import math
+from itertools import islice
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import ncbeta.inversion
 from ncbeta._pseries import ps_eval, ps_mul, ps_pow, ps_revert, ps_sqrt
 from ncbeta.asymptotic import (
+    SaddleFrame,
+    _dphi_between,
+    _phase_coeffs,
     build_frame,
     eval_erfc_uniform,
     eval_large_z,
@@ -272,7 +276,77 @@ class TestPowerSeriesHelpers:
         assert np.all(np.abs(prod - expect) <= 1e-13 * scale + 1e-300)
 
 
+def dphi_series_reference(t0, tp, sin2):
+    """The near branch of ``_dphi_between`` as a generator sum: the
+    coefficients of ``_phase_coeffs`` through islice, the stop by abs and
+    max.  Returns (dphi, terms summed)."""
+    delta = tp - t0
+    s = 0.0
+    dk = delta * delta
+    n = 0
+    for c in islice(_phase_coeffs(t0, sin2), 78):
+        term = c * dk
+        s += term
+        n += 1
+        if abs(term) < 1e-18 * max(abs(s), 1e-30):
+            break
+        dk *= delta
+    return max(s, 0.0), n
+
+
+@st.composite
+def near_phase_points(draw):
+    """(t0, tp, sin2) with |tp - t0| up to the near branch's switch
+    0.4 min(t0 - 1, t0), and t0 - 1 log-uniform on [1e-6, 1e4]."""
+    t0 = 1.0 + math.exp(draw(st.floats(math.log(1e-6), math.log(1e4))))
+    tp = t0 + draw(st.floats(-1.0, 1.0)) * 0.4 * min(t0 - 1.0, t0)
+    return t0, tp, draw(st.floats(1e-6, 1.0 - 1e-6))
+
+
+# t0 = 3.5: 0.4 (t0 - 1) rounds to 1, so tp = 4.5 and 2.5 lie on the switch.
+# At (2, 2.39, sin2) the sum cancels to -4e-17, so the stop rule never
+# fires and all 78 terms are summed; these arguments are chosen for the
+# stop rule, not taken from a saddle
+DPHI_ON_SWITCH = ((3.5, 4.5, 0.3), (3.5, 2.5, 0.3))
+DPHI_ALL_TERMS = (2.0, 2.39, 0.277674713398247)
+
+
 class TestFrame:
+    @settings(max_examples=300, deadline=None)
+    @given(near_phase_points())
+    @example(DPHI_ON_SWITCH[0])
+    @example(DPHI_ON_SWITCH[1])
+    @example(DPHI_ALL_TERMS)
+    def test_near_dphi_is_the_generator_sum(self, point):
+        t0, tp, sin2 = point
+        assume(abs(tp - t0) <= 0.4 * min(t0 - 1.0, t0))
+        assert repr(_dphi_between(t0, tp, sin2, 0.0)) == repr(dphi_series_reference(t0, tp, sin2)[0])
+
+    def test_dphi_examples_reach_the_switch_and_the_term_cap(self):
+        for t0, tp, _ in DPHI_ON_SWITCH:
+            assert abs(tp - t0) == 0.4 * min(t0 - 1.0, t0)
+        assert dphi_series_reference(*DPHI_ALL_TERMS)[1] == 78
+
+    @pytest.mark.parametrize(
+        "p, q, x, y",
+        [(10.0, 15.0, 4.5, 0.45), (10.0, 15.0, 0.0, 0.45), (0.5, 1450.0, 0.001, 0.001), (66.9, 602.4, 235.6, 0.1592)],
+    )
+    def test_filled_frame_is_the_constructed_one(self, p, q, x, y):
+        # build_frame writes the fields into the instance's __dict__; the
+        # frame is the one the constructor builds, frozen, and
+        # dataclasses.replace still derives frames from it
+        sp, pt = ShapeParams(p, q), EvalPoint(x, y)
+        fr = build_frame(sp, pt)
+        built = SaddleFrame(**{f.name: getattr(fr, f.name) for f in dataclasses.fields(SaddleFrame)})
+        assert fr == built and repr(fr) == repr(built) and hash(fr) == hash(built)
+        assert list(vars(fr)) == list(vars(built))
+        assert (fr.r, fr.cos2, fr.sin2, fr.y0) == (sp.r, sp.cos2, sp.sin2, sp.transition_quantile(x))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            fr.zeta = 0.0
+        moved = dataclasses.replace(fr, zeta=0.0)
+        assert type(moved) is SaddleFrame and moved.zeta == 0.0
+        assert dataclasses.replace(moved, zeta=fr.zeta) == fr
+
     def test_transition_noncentrality_example(self):
         assert abs(ShapeParams(4.5, 5.5).transition_noncentrality(0.6) - 7.5) <= 1e-12
 

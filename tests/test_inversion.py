@@ -1,4 +1,6 @@
+import csv
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -27,11 +29,13 @@ from ncbeta.inversion import (
     zeta1_correction,
 )
 from ncbeta.kernels import central_beta_cdf, kummer_m_log, log_beta
-from ncbeta.params import EvalPoint, ShapeParams
+from ncbeta.params import EvalPoint, ProbabilityPair, ShapeParams
 from ncbeta.series import _complement_is_primary, _resum, _series_window, eval_series
 from test_dispatch import windowed_reference
 
 SP = ShapeParams(10.0, 15.0)
+GOLDEN_RESULTS = Path(__file__).resolve().parent / "golden" / "invert_results.csv"
+RESULT_FIELDS = ("value", "iterations", "residual", "seed_path", "converged", "zeta0", "seed_value", "seed_value_raw")
 
 
 class TestSeeds:
@@ -621,7 +625,9 @@ class TestInvert:
 
             return wrapper
 
-        monkeypatch.setattr(ncbeta.inversion, "_series_window", counted("plan", ncbeta.inversion._series_window))
+        # a plan sums the primary member, a re-sum moves the held pass
+        for member in ("_member_b", "_member_complement"):
+            monkeypatch.setattr(ncbeta.inversion, member, counted("plan", getattr(ncbeta.inversion, member)))
         monkeypatch.setattr(ncbeta.inversion, "_resum", counted("resum", ncbeta.inversion._resum))
         # the derivatives are summed only before a step: the evaluation that
         # ends the solve forms none
@@ -636,6 +642,18 @@ class TestInvert:
             steps = res.iterations - 1
             assert calls == {"plan": 1, "resum": steps, "declined": 0, "kummer": 0, "slope": steps}
         assert not hasattr(ncbeta.inversion, "evaluate")
+
+    @pytest.mark.parametrize("where", ["plan", "resum"])
+    def test_a_nan_member_raises_the_series_failure(self, monkeypatch, where):
+        # the polish refuses a nan value from a plan or a re-sum as
+        # eval_series refuses it, naming the point it was summed at
+        if where == "plan":
+            monkeypatch.setattr(ncbeta.inversion, "_member_b", lambda p, q, x, y: (math.nan, 0.0, None))
+        else:
+            resum = ncbeta.inversion._resum
+            monkeypatch.setattr(ncbeta.inversion, "_resum", lambda *args: (math.nan, 0.0, resum(*args)[2]))
+        with pytest.raises(EvaluationError, match=r"series evaluation failed at p=10.0 q=15.0 x=\S+ y=0.45$"):
+            invert(InversionProblem("x", SP, 0.45, 0.4))
 
     @pytest.mark.parametrize("p, q, z, iterations", [(10.0, 15.0, 0.3, 2), (0.6, 1500.0, 1e-3, 6), (3.0, 4.0, 0.999, 3)])
     def test_central_beta_quantile(self, monkeypatch, p, q, z, iterations):
@@ -700,14 +718,19 @@ def resum_against_fresh(unknown, p, q, fixed, v, step):
     ``eval_series`` there: (re-summed (pair, pass) or None where it
     declines, fresh pair, held pass, the new point), or None where v sums
     no window.  The step is relative to x, s = step x, and to the nearer
-    end for y, s = step min(y, 1 - y)."""
+    end for y, s = step min(y, 1 - y).  The re-sum's pair is formed from
+    its value and err_est as the series forms its own."""
     sp = ShapeParams(p, q)
     point = (lambda u: EvalPoint(u, fixed)) if unknown == "x" else (lambda u: EvalPoint(fixed, u))
     held = _series_window(sp, point(v))[1]
     if held is None:
         return None
     pt = point(v + step * (v if unknown == "x" else min(v, 1.0 - v)))
-    return _resum(sp, pt, unknown, held), eval_series(sp, pt), held, pt
+    out = _resum(p, q, pt.x, pt.y, unknown, held)
+    if out is not None:
+        value, err, window = out
+        out = ProbabilityPair.from_primary(value, "bbar" if window.r.complement else "b", "series", err), window
+    return out, eval_series(sp, pt), held, pt
 
 
 class TestResum:
@@ -782,3 +805,31 @@ class TestResum:
         assert switched == (reason == "switch")
         if reason == "edge":
             assert not held.r.j_lo <= 0.5 * pt.x < held.r.j_lo + held.r.n
+
+
+def field_repr(v):
+    """repr of an InversionResult field, a numpy float written as numpy 2
+    writes it under any numpy (a z = 1/2 solve starts from numpy floats)."""
+    return f"np.float64({float(v)!r})" if isinstance(v, np.floating) else repr(v)
+
+
+def test_every_inversion_result_field_is_the_golden_one():
+    # the file holds the first 100 problems of invert-mixed seeds 1 and 2
+    # (perfbench/workloads.py's invert_problems, tol 1e-10) and the rows of
+    # the CI's invert checks: transition-root and bisection seeds, z = 1/2
+    # (zeta0 = 0), x = 0, a lower-tail quantile near 4.7e-55, a root past
+    # the doubles below 1 (unconverged) and x = 1e20 (an error).  Each
+    # field's repr is pinned, so a change to the seeds, the Halley steps,
+    # the re-sums or the slopes that moves one bit of one result shows here
+    with open(GOLDEN_RESULTS, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 214
+    for row in rows:
+        sp = ShapeParams(float(row["p"]), float(row["q"]))
+        try:
+            res = invert(InversionProblem(row["unknown"], sp, float(row["fixed"]), float(row["z"])))
+        except (DomainError, EvaluationError) as exc:
+            got = [""] * len(RESULT_FIELDS) + [f"{type(exc).__name__}: {exc}"]
+        else:
+            got = [field_repr(getattr(res, name)) for name in RESULT_FIELDS] + [""]
+        assert got == [row[name] for name in (*RESULT_FIELDS, "error")], row

@@ -662,19 +662,20 @@ class TestIndexColumn:
         p, q, x, y = point
         sp = ShapeParams(p, q)
         held = series._series_window(sp, EvalPoint(x, y))[1]
-        moved = EvalPoint(x * (1.0 + 1e-6), y) if unknown == "x" else EvalPoint(x, y * (1.0 - 1e-7))
-        got = series._resum(sp, moved, unknown, held)
+        moved = (x * (1.0 + 1e-6), y) if unknown == "x" else (x, y * (1.0 - 1e-7))
+        got = series._resum(p, q, *moved, unknown, held)
         assert got is not None
         from ncbeta import inversion
 
-        slopes = [inversion._slope(unknown, w) for w in (held, got[1])]
+        slopes = [inversion._slope(unknown, w) for w in (held, got[2])]
         monkeypatch.setattr(series, "_index", arange_index)
         monkeypatch.setattr(inversion, "_index", arange_index)
-        ref = series._resum(sp, moved, unknown, held)
-        assert repr(got[0]) == repr(ref[0]) and repr(got[1].err) == repr(ref[1].err)
-        for one, two in zip(got[1][1:4], ref[1][1:4]):
+        ref = series._resum(p, q, *moved, unknown, held)
+        # the value, the err_est and the pass's own err_est
+        assert repr(got[:2]) == repr(ref[:2]) and repr(got[2].err) == repr(ref[2].err)
+        for one, two in zip(got[2][1:4], ref[2][1:4]):
             assert bitwise_equal(one, two)
-        assert repr(slopes) == repr([inversion._slope(unknown, w) for w in (held, ref[1])])
+        assert repr(slopes) == repr([inversion._slope(unknown, w) for w in (held, ref[2])])
 
 
 EVAL_MIXED_POINT = st.tuples(
