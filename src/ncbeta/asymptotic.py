@@ -24,9 +24,8 @@ The expansions are
   reducing to the plain saddle series past it.
 
 One phase series, the coefficients phi_m(t0)/m! of ``_phase_coeffs``,
-feeds A(u) and, written out in its float operations, the near-saddle phase
-difference dphi; one sum, ``_saddle_type_sum``, serves the saddle and
-erfc-uniform expansions.
+feeds A(u) and, written out inline, the near-saddle phase difference dphi;
+one sum, ``_saddle_type_sum``, serves the saddle and erfc-uniform expansions.
 
 It also provides the transition-series coefficients x(zeta) and y(zeta)
 used to seed inversion, inverted from zeta^2 = u^2 A(u) in the same way.
@@ -46,7 +45,7 @@ import numpy as np
 
 from ._pseries import ps_pow, ps_revert
 from .errors import DomainError, EvaluationError, FrameDegenerateError, SeriesInvalidError
-from .params import EvalPoint, ProbabilityPair, ShapeParams
+from .params import EvalPoint, ProbabilityPair, ShapeParams, transition_quantile
 from .series import _complement_is_primary
 
 TAU_REF = 0.05  # pole-removal threshold on zeta at the reference scale r = 40
@@ -116,8 +115,7 @@ def _phase_coeffs(t0: float, sin2: float):
 
 
 def _dphi_between(t0: float, tp: float, sin2: float, xi: float) -> float:
-    """phi(t_p) - phi(t0); series in (t_p - t0) when the points are close,
-    whose coefficients are ``_phase_coeffs``', in its float operations."""
+    """phi(t_p) - phi(t0); series in (t_p - t0), by ``_phase_coeffs``' operations, when close."""
     delta = tp - t0
     if abs(delta) <= 0.4 * min(t0 - 1.0, t0):
         i0, i1 = 1.0 / t0, 1.0 / (t0 - 1.0)
@@ -125,13 +123,10 @@ def _dphi_between(t0: float, tp: float, sin2: float, xi: float) -> float:
         for m in range(2, 80):
             term = sgn / m * (pow0 - sin2 * pow1) * dk
             s += term
-            tol = 1e-18 * (s if s > 1e-30 else -s if s < -1e-30 else 1e-30)
-            if -tol < term < tol:
+            if -(tol := 1e-18 * (s if s > 1e-30 else -s if s < -1e-30 else 1e-30)) < term < tol:
                 break
-            dk *= delta
-            pow0 *= i0
-            pow1 *= i1
-            sgn = -sgn
+            dk, sgn = dk * delta, -sgn
+            pow0, pow1 = pow0 * i0, pow1 * i1
         return max(s, 0.0)
     val = math.log(tp / t0) - sin2 * math.log((tp - 1.0) / (t0 - 1.0)) + xi * delta
     return max(val, 0.0)
@@ -146,7 +141,7 @@ def build_frame(sp: ShapeParams, pt: EvalPoint) -> SaddleFrame:
     p, q, x, y = sp.p, sp.q, pt.x, pt.y
     if not 0.0 < y < 1.0:
         raise DomainError(f"saddle frame needs 0 < y < 1, got y={y} (boundary values are exact)")
-    r = p + q  # r, cos^2, sin^2, z = xy/2 and y0 in the float operations of ShapeParams and EvalPoint
+    r = p + q  # r, cos^2, sin^2 and z = xy/2 in the float operations of ShapeParams and EvalPoint
     c, s, xi = p / r, q / r, 0.5 * x * y / r
     D = (c - xi) * (c - xi) + 4.0 * xi
     t0 = 2.0 / (math.sqrt(D) + (c - xi))
@@ -157,9 +152,8 @@ def build_frame(sp: ShapeParams, pt: EvalPoint) -> SaddleFrame:
     zeta = math.copysign(math.sqrt(2.0 * dphi), tp - t0)
     t0m1 = t0 - 1.0
     phi2 = -1.0 / (t0 * t0) + s / (t0m1 * t0m1)
-    # the constructor's frame, its fields written into __dict__ as ``ProbabilityPair._filled`` writes a pair's
-    frame = object.__new__(SaddleFrame)
-    frame.__dict__.update(y=y, r=r, sin2=s, cos2=c, t0=t0, tp=tp, y0=(x + 2.0 * p) / (x + 2.0 * r),
+    frame = object.__new__(SaddleFrame)  # the constructor's frame, filled as ``ProbabilityPair._filled`` is
+    frame.__dict__.update(y=y, r=r, sin2=s, cos2=c, t0=t0, tp=tp, y0=transition_quantile(p, q, x),
                           dphi=dphi, zeta=zeta, phi2=phi2)
     return frame
 

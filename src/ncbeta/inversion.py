@@ -31,8 +31,8 @@ import numpy as np
 from .asymptotic import SaddleFrame, build_frame, g_coeffs, x_zeta_coeffs, y_zeta_coeffs, zeta_series_value
 from .errors import DomainError, EvaluationError
 from .kernels import central_beta_cdf, inv_erfc
-from .params import EvalPoint, ShapeParams
-from .series import _Pass, _index, _member_b, _member_complement, _resum, _series_failure, _series_window
+from .params import EvalPoint, ShapeParams, primary_members
+from .series import _Pass, _index, _resum, _series_member, _series_window
 
 
 # the zeta1 seed forms g0 by the direct subtraction where its estimated
@@ -374,26 +374,17 @@ def _eval_at(problem: InversionProblem, v: float, held: _Pass | None):
     and the pass it was summed on, for ``_slope``.  Given ``held``, the
     solve's last planned pass, its window is re-summed at v
     (``series._resum``) where it still fits; else the member ``eval_series``
-    sums is planned (``series._member_b`` or ``_member_complement``) and
-    returned as ``held``, so re-sums are never chained.  The pass is None
-    where no window was summed (a quantile boundary, a B certified to round
-    to 0).  A nan value, or an iterate past the window cap, raises the
-    series' ``EvaluationError``."""
+    sums is planned (``series._series_member``) and returned as ``held``, so
+    re-sums are never chained.  The pass is None where no window was summed
+    (a quantile boundary, a B certified to round to 0).  A nan value, or an
+    iterate past the window cap, raises the series' ``EvaluationError``."""
     p, q, unknown = problem.sp.p, problem.sp.q, problem.unknown
     x, y = (v, problem.fixed) if unknown == "x" else (problem.fixed, v)
     out = None if held is None else _resum(p, q, x, y, unknown, held)
-    if out is not None:
-        value, _, window = out
-        complement = window.r.complement
-    elif y <= 0.0 or y >= 1.0:
-        return (0.0 if y <= 0.0 else 1.0), False, None, None
-    else:
-        complement = y > (x + 2.0 * p) / (x + 2.0 * (p + q))
-        value, _, window = (_member_complement if complement else _member_b)(p, q, x, y)
-        held = window
-    if value != value:
-        raise _series_failure(p, q, x, y)
-    return value, complement, window, held
+    if out is None:
+        value, _, complement, held = _series_member(p, q, x, y)
+        return value, complement, held, held
+    return out[0], held.r.complement, out[2], held
 
 
 def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
@@ -429,9 +420,8 @@ def _polish(problem: InversionProblem, seed: float) -> tuple[float, int, float]:
     _point(problem, cur)  # the seed's domain check; every later iterate lies in the bracket
     for iters in range(1, 41):
         value, complement, window, full = _eval_at(problem, cur, held)
-        # B - z from the member that keeps its precision, as ``ProbabilityPair.from_primary`` forms it
-        value = 0.0 if value <= 0.0 else min(value, 1.0)
-        b, bbar = (1.0 - value, value) if complement else (value, 1.0 - value)
+        b, bbar = primary_members(value, complement)  # the pair's members, as the series forms them
+        # B - z from the member that keeps its precision
         resid = b - z if z <= 0.5 else (1.0 - z) - bbar
         if abs(resid) <= band or iters == 40:
             break

@@ -50,7 +50,7 @@ class ShapeParams:
     def transition_quantile(self, x: float) -> float:
         """y0 = (x + 2p)/(x + 2p + 2q): at noncentrality x, B is the smaller
         member for y <= y0 and the complement above."""
-        return (x + 2.0 * self.p) / (x + 2.0 * self.r)
+        return transition_quantile(self.p, self.q, x)
 
     def transition_noncentrality(self, y: float) -> float:
         """x0 = 2(ry - p)/(1 - y), the noncentrality whose transition
@@ -93,17 +93,15 @@ class ProbabilityPair:
 
     @classmethod
     def from_primary(cls, value: float, primary: str, method: str, err_est: float) -> "ProbabilityPair":
-        v = float(value)
-        # clipped to [0, 1]: -0.0 comes out 0.0, and nan stays nan
-        v = 0.0 if v <= 0.0 else min(v, 1.0)
+        complement = primary == "bbar"
+        if not (complement or primary == "b"):
+            raise ValueError(f"primary must be 'b' or 'bbar', got {primary!r}")
+        b, bbar = primary_members(float(value), complement)
+        v = bbar if complement else b
         err = float(err_est)
         if 0.0 < v < _TINY:
             err += math.ulp(v) / v
-        if primary == "b":
-            return cls._filled(v, 1.0 - v, method, err)
-        if primary == "bbar":
-            return cls._filled(1.0 - v, v, method, err)
-        raise ValueError(f"primary must be 'b' or 'bbar', got {primary!r}")
+        return cls._filled(b, bbar, method, err)
 
     @classmethod
     def _filled(cls, b: float, bbar: float, method: str, err_est: float) -> "ProbabilityPair":
@@ -117,6 +115,20 @@ class ProbabilityPair:
         fields["method"] = method
         fields["err_est"] = err_est
         return pair
+
+
+def transition_quantile(p: float, q: float, x):
+    """``ShapeParams.transition_quantile`` from the floats p and q; x may be
+    an array of noncentralities."""
+    return (x + 2.0 * p) / (x + 2.0 * (p + q))
+
+
+def primary_members(value: float, complement: bool) -> tuple[float, float]:
+    """(b, bbar) from the primary member's value, the complement's where
+    ``complement``: the value clipped to [0, 1] (-0.0 comes out 0.0, and
+    nan stays nan), the other member one minus it."""
+    v = 0.0 if value <= 0.0 else min(value, 1.0)
+    return (1.0 - v, v) if complement else (v, 1.0 - v)
 
 
 def _primary_columns(values, complement, err_ests):

@@ -97,7 +97,7 @@ from .kernels import (
     _log_beta_pre_columns,
     _stirling_delta,
 )
-from .params import EvalPoint, ProbabilityPair, ShapeParams, _primary_columns
+from .params import EvalPoint, ProbabilityPair, ShapeParams, _primary_columns, transition_quantile
 
 # the most terms a member sums, j_hi - j_lo + 1 (B) or j_end - j_lo + 1
 # (complement); the window is O(sqrt(x)) wide, so x reaches order 4e9
@@ -562,8 +562,8 @@ def _finish(r, wgt, terms, d):
 def _resum(p, q, x, y, unknown, held):
     """The planned pass ``held`` re-summed at (p, q, x, y), where only the
     unknown ("x" or "y") has moved, as the primary member's (value, err_est,
-    pass), whose nan value the caller refuses; or None where a new window
-    must be planned.
+    pass); or None where a new window must be planned.  A nan value raises
+    the series' ``EvaluationError``, as ``_series_member`` does.
 
     Only the chain that depends on the unknown moves, by an exact factor
     whose log is linear in the index, c + i L:
@@ -582,7 +582,7 @@ def _resum(p, q, x, y, unknown, held):
 
     A new window is planned instead where x moves from 0 (the factor in x
     divides by h; y moves a pass at x = 0 as any other), where the primary
-    member switches (y crosses ``ShapeParams.transition_quantile``), where the
+    member switches (y crosses the transition quantile), where the
     window no longer holds h' (below its lower edge the Chernoff bound on
     the dropped mass fails, past its top the geometric bound on the tail),
     where y's chain is scaled at the planned point or its anchor increment
@@ -594,7 +594,7 @@ def _resum(p, q, x, y, unknown, held):
     the planned one plus 1e-16."""
     r, wgt, terms, d, err0 = held
     rp, rq, ry, complement, rhalf, j_lo, n, j0, lw0, k0, a0, ld0, cf, seed, shift = r
-    if (y > (x + 2.0 * p) / (x + 2.0 * (p + q))) != complement:
+    if (y > transition_quantile(p, q, x)) != complement:
         return None
     if unknown == "x":
         half = 0.5 * x
@@ -632,6 +632,8 @@ def _resum(p, q, x, y, unknown, held):
     err += 1.12e-16 * (5.0 * (abs(c) + top * abs(lk)) + 2.0)
     if value < 2.0**-1022 or err > 2.0 * err0 + 1e-16:
         return None
+    if value != value:
+        raise _series_failure(p, q, x, y)
     return value, err, _Pass(r, wgt, terms, d, err)
 
 
@@ -704,27 +706,30 @@ def _series_window(sp, pt, keep=True):
     where no window was summed (the quantile boundaries, a B certified to
     round to 0, an empty sum), and unless ``keep`` (``eval_series`` keeps
     none)."""
-    if pt.y <= 0.0:
-        return ProbabilityPair.from_primary(0.0, "b", "boundary", 0.0), None
-    if pt.y >= 1.0:
-        return ProbabilityPair.from_primary(1.0, "b", "boundary", 0.0), None
-    complement = _complement_is_primary(sp, pt)
-    member = _member_complement if complement else _member_b
-    value, err, held = member(sp.p, sp.q, pt.x, pt.y, keep)
-    return _series_pair(sp, pt, complement, value, err), held
+    value, err, complement, held = _series_member(sp.p, sp.q, pt.x, pt.y, keep)
+    method = "series" if 0.0 < pt.y < 1.0 else "boundary"
+    return ProbabilityPair.from_primary(value, "bbar" if complement else "b", method, err), held
+
+
+def _series_member(p, q, x, y, keep=True):
+    """The series' primary member at (p, q, x, y) on floats, as (value,
+    err_est, complement, pass): the complement where y lies above the
+    transition quantile (``complement``), else B; B itself, exact, at the
+    quantile boundaries; the pass as ``_series_window``'s.  A nan value
+    raises the series' ``EvaluationError``."""
+    if y <= 0.0 or y >= 1.0:
+        return (0.0 if y <= 0.0 else 1.0), 0.0, False, None
+    complement = y > transition_quantile(p, q, x)
+    value, err, held = (_member_complement if complement else _member_b)(p, q, x, y, keep)
+    if value != value:
+        raise _series_failure(p, q, x, y)
+    return value, err, complement, held
 
 
 def _complement_is_primary(sp, pt):
     """Whether the series sums the complement: y above the transition
     quantile y0 = (x+2p)/(x+2p+2q)."""
-    return pt.y > sp.transition_quantile(pt.x)
-
-
-def _series_pair(sp, pt, complement, value, err):
-    """The series' pair from its primary member's value and err_est."""
-    if math.isnan(value):
-        raise _series_failure(sp.p, sp.q, pt.x, pt.y)
-    return ProbabilityPair.from_primary(value, "bbar" if complement else "b", "series", err)
+    return pt.y > transition_quantile(sp.p, sp.q, pt.x)
 
 
 def _series_failure(p, q, x, y):
@@ -1011,8 +1016,7 @@ def _evaluate_columns(p, q, x, y):
     inner = (y > 0.0) & (y < 1.0)
     method = np.where(inner, "series", "boundary").tolist()
     slots = np.flatnonzero(inner)
-    # _complement_is_primary: y above the transition quantile
-    complement = inner & (y > (x + 2.0 * p) / (x + 2.0 * (p + q)))
+    complement = inner & (y > transition_quantile(p, q, x))
     r, kept, zero, wide = _column_plan(p[slots], q[slots], x[slots], y[slots], complement[slots])
     err[slots[zero]] = 1e-15  # a B certified to round to 0 keeps its value 0
     for slot in slots[wide].tolist():

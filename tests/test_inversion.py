@@ -627,7 +627,7 @@ class TestInvert:
 
         # a plan sums the primary member, a re-sum moves the held pass
         for member in ("_member_b", "_member_complement"):
-            monkeypatch.setattr(ncbeta.inversion, member, counted("plan", getattr(ncbeta.inversion, member)))
+            monkeypatch.setattr(ncbeta.series, member, counted("plan", getattr(ncbeta.series, member)))
         monkeypatch.setattr(ncbeta.inversion, "_resum", counted("resum", ncbeta.inversion._resum))
         # the derivatives are summed only before a step: the evaluation that
         # ends the solve forms none
@@ -647,11 +647,15 @@ class TestInvert:
     def test_a_nan_member_raises_the_series_failure(self, monkeypatch, where):
         # the polish refuses a nan value from a plan or a re-sum as
         # eval_series refuses it, naming the point it was summed at
-        if where == "plan":
-            monkeypatch.setattr(ncbeta.inversion, "_member_b", lambda p, q, x, y: (math.nan, 0.0, None))
-        else:
-            resum = ncbeta.inversion._resum
-            monkeypatch.setattr(ncbeta.inversion, "_resum", lambda *args: (math.nan, 0.0, resum(*args)[2]))
+        finish, sums = ncbeta.series._finish, []
+
+        def nan_sum(*args):
+            # the first sum is the plan's, the second the first re-sum's
+            sums.append(args)
+            value, err = finish(*args)
+            return (math.nan if len(sums) == (1 if where == "plan" else 2) else value), err
+
+        monkeypatch.setattr(ncbeta.series, "_finish", nan_sum)
         with pytest.raises(EvaluationError, match=r"series evaluation failed at p=10.0 q=15.0 x=\S+ y=0.45$"):
             invert(InversionProblem("x", SP, 0.45, 0.4))
 

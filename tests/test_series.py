@@ -1069,7 +1069,7 @@ class TestProbabilityPair:
         assert pair.bbar == 0.25 and pair.b == 0.75
 
     @pytest.mark.parametrize("primary", ["b", "bbar"])
-    def test_from_primary_unsigns_zero_and_keeps_nan(self, primary):
+    def test_from_primary_unsigns_zero_and_keeps_nan(self, monkeypatch, primary):
         # max(-0.0, 0.0) keeps the first argument, so a clip by max and min
         # kept the sign of -0.0
         pair = ProbabilityPair.from_primary(-0.0, primary, "test", 0.0)
@@ -1079,8 +1079,10 @@ class TestProbabilityPair:
             assert repr(getattr(ProbabilityPair.from_primary(value, primary, "test", 0.0), primary)) == "0.0"
         # nan is not clipped, so the series' nan check still sees it
         assert math.isnan(getattr(ProbabilityPair.from_primary(math.nan, primary, "test", 0.0), primary))
+        monkeypatch.setattr(series, "_member", lambda *args: (math.nan, 0.0, None))
+        y = 0.3 if primary == "b" else 0.6  # the transition quantile at x = 4.5 is 0.4495
         with pytest.raises(EvaluationError, match="series evaluation failed"):
-            series._series_pair(SP, EvalPoint(4.5, 0.45), primary == "bbar", math.nan, 0.0)
+            series._series_member(SP.p, SP.q, 4.5, y)
 
     def test_filled_pair_is_a_constructed_pair(self):
         # from_primary and evaluate_many write a fresh instance's fields in
